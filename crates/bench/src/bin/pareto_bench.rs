@@ -14,9 +14,9 @@
 //!    generation. Reports points selected per second and the per-point
 //!    cost (the `--check` regression metric), plus the hypervolume of the
 //!    cloud's first front as a correctness canary.
-//! 2. `search` — end-to-end: the same evolutionary search run through the
-//!    scalar engine and through the Pareto engine over (loss, depth,
-//!    twoq). Reports wall-clock for both, the multi-objective overhead
+//! 2. `search` — end-to-end: the same evolutionary search run as the
+//!    scalar (loss-only) search and as the Pareto search over (loss,
+//!    depth, twoq). Reports wall-clock for both, the multi-objective overhead
 //!    ratio, the final front size, and its normalized hypervolume.
 //!
 //! `--smoke` shrinks both sections to a single cheap iteration so CI can
@@ -164,8 +164,8 @@ fn main() {
         j.num("front_hypervolume", hv);
     });
 
-    // 2. End-to-end: the same search budget through the scalar engine and
-    // through the Pareto engine over the full objective set.
+    // 2. End-to-end: the same search budget as the scalar (loss-only)
+    // search and as the Pareto search over the full objective set.
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
     let task = Task::qml_digits(&[1, 8], 15, 4, 4);
     let params: Vec<f64> = (0..sc.num_params())

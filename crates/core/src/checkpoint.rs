@@ -181,128 +181,13 @@ fn get_gene(r: &mut ByteReader<'_>) -> Result<Gene, CheckpointError> {
     Ok(Gene { config, layout })
 }
 
-/// Snapshot of the evolutionary-search loop at a generation boundary.
+/// Snapshot of the evolutionary-search loop at a generation boundary,
+/// for one objective (the scalar search) or several (Pareto co-search).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SearchCheckpoint {
     /// Digest of the run configuration (search context + evolution
-    /// hyperparameters + seed population); a resume only accepts
-    /// snapshots whose context matches the current run's.
-    pub context: CacheKey,
-    /// Next generation to run (generations `0..generation` are done).
-    pub generation: usize,
-    /// The population entering `generation`.
-    pub population: Vec<Gene>,
-    /// Evolution RNG stream position.
-    pub rng: [u64; 4],
-    /// Best gene and score so far.
-    pub best: Option<(Gene, f64)>,
-    /// Best-so-far score after each completed generation.
-    pub history: Vec<f64>,
-    /// Real evaluations so far.
-    pub evaluations: usize,
-    /// Memoized answers so far.
-    pub memo_hits: usize,
-    /// The score memo, sorted by key (deterministic dump).
-    pub memo: Vec<(CacheKey, f64)>,
-    /// Prescreening state (fusion weights, feature cache, counters) when
-    /// the run searched with `--proxy on`; `None` for proxy-off runs. A
-    /// resume rejects snapshots whose presence disagrees with the current
-    /// run's proxy setting.
-    pub proxy: Option<PrescreenerState>,
-}
-
-impl Checkpointable for SearchCheckpoint {
-    const KIND: u32 = u32::from_le_bytes(*b"SEAR");
-    const LABEL: &'static str = "search";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        put_key(w, self.context);
-        w.put_usize(self.generation);
-        w.put_usize(self.population.len());
-        for gene in &self.population {
-            put_gene(w, gene);
-        }
-        put_rng(w, self.rng);
-        match &self.best {
-            Some((gene, score)) => {
-                w.put_bool(true);
-                put_gene(w, gene);
-                w.put_f64(*score);
-            }
-            None => w.put_bool(false),
-        }
-        put_f64s(w, &self.history);
-        w.put_usize(self.evaluations);
-        w.put_usize(self.memo_hits);
-        w.put_usize(self.memo.len());
-        for &(k, v) in &self.memo {
-            put_key(w, k);
-            w.put_f64(v);
-        }
-        match &self.proxy {
-            Some(state) => {
-                w.put_bool(true);
-                state.encode(w);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let context = get_key(r)?;
-        let generation = r.get_usize()?;
-        let n = r.get_seq_len(8)?;
-        let mut population = Vec::with_capacity(n);
-        for _ in 0..n {
-            population.push(get_gene(r)?);
-        }
-        let rng = get_rng(r)?;
-        let best = if r.get_bool()? {
-            let gene = get_gene(r)?;
-            Some((gene, r.get_f64()?))
-        } else {
-            None
-        };
-        let history = get_f64s(r)?;
-        let evaluations = r.get_usize()?;
-        let memo_hits = r.get_usize()?;
-        let n = r.get_seq_len(24)?;
-        let mut memo = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = get_key(r)?;
-            memo.push((k, r.get_f64()?));
-        }
-        let proxy = if r.get_bool()? {
-            Some(PrescreenerState::decode(r)?)
-        } else {
-            None
-        };
-        Ok(SearchCheckpoint {
-            context,
-            generation,
-            population,
-            rng,
-            best,
-            history,
-            evaluations,
-            memo_hits,
-            memo,
-            proxy,
-        })
-    }
-}
-
-/// Snapshot of the multi-objective Pareto search loop at a generation
-/// boundary. Mirrors [`SearchCheckpoint`] — same population / RNG / memo
-/// / proxy carriage — plus the cross-generation non-dominated archive, so
-/// a killed+resumed Pareto search reproduces its final front bitwise. The
-/// wire kind differs from the scalar search's, so the two loops can never
-/// cross-load each other's snapshots.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParetoState {
-    /// Digest of the run configuration *including the objective vector*
-    /// (names and order); a resume only accepts snapshots whose context
-    /// matches the current run's.
+    /// hyperparameters + seed population + objective vector); a resume
+    /// only accepts snapshots whose context matches the current run's.
     pub context: CacheKey,
     /// Next generation to run (generations `0..generation` are done).
     pub generation: usize,
@@ -323,15 +208,16 @@ pub struct ParetoState {
     pub memo_hits: usize,
     /// The score memo, sorted by key (deterministic dump).
     pub memo: Vec<(CacheKey, f64)>,
-    /// Prescreening state when the run searched with `--proxy on`; `None`
-    /// for proxy-off runs. A resume rejects snapshots whose presence
-    /// disagrees with the current run's proxy setting.
+    /// Prescreening state (fusion weights, feature cache, counters) when
+    /// the run searched with `--proxy on`; `None` for proxy-off runs. A
+    /// resume rejects snapshots whose presence disagrees with the current
+    /// run's proxy setting.
     pub proxy: Option<PrescreenerState>,
 }
 
-impl Checkpointable for ParetoState {
-    const KIND: u32 = u32::from_le_bytes(*b"PARE");
-    const LABEL: &'static str = "pareto";
+impl Checkpointable for SearchCheckpoint {
+    const KIND: u32 = u32::from_le_bytes(*b"SEAR");
+    const LABEL: &'static str = "search";
 
     fn encode(&self, w: &mut ByteWriter) {
         put_key(w, self.context);
@@ -384,8 +270,7 @@ impl Checkpointable for ParetoState {
         let mut archive = Vec::with_capacity(n);
         for _ in 0..n {
             let gene = get_gene(r)?;
-            let objs = get_f64s(r)?;
-            archive.push((gene, objs));
+            archive.push((gene, get_f64s(r)?));
         }
         let best = if r.get_bool()? {
             let gene = get_gene(r)?;
@@ -407,7 +292,7 @@ impl Checkpointable for ParetoState {
         } else {
             None
         };
-        Ok(ParetoState {
+        Ok(SearchCheckpoint {
             context,
             generation,
             population,
@@ -556,6 +441,10 @@ mod tests {
             generation: 3,
             population: (1..5).map(gene).collect(),
             rng: [1, 2, 3, 4],
+            archive: vec![
+                (gene(1), vec![0.25, 18.0, 6.0]),
+                (gene(3), vec![0.75, 10.0, f64::INFINITY]),
+            ],
             best: Some((gene(2), -0.75)),
             history: vec![0.9, 0.5, -0.75],
             evaluations: 40,
@@ -581,6 +470,7 @@ mod tests {
             generation: 1,
             population: (1..3).map(gene).collect(),
             rng: [1, 2, 3, 4],
+            archive: vec![(gene(1), vec![0.9])],
             best: None,
             history: vec![0.9],
             evaluations: 8,
@@ -599,28 +489,6 @@ mod tests {
         };
         let bytes = encode_snapshot(&state);
         assert_eq!(decode_snapshot::<SearchCheckpoint>(&bytes).unwrap(), state);
-    }
-
-    #[test]
-    fn pareto_state_round_trips() {
-        let state = ParetoState {
-            context: CacheKey { lo: 31, hi: 37 },
-            generation: 2,
-            population: (1..5).map(gene).collect(),
-            rng: [4, 3, 2, 1],
-            archive: vec![
-                (gene(1), vec![0.25, 18.0, 6.0]),
-                (gene(3), vec![0.75, 10.0, f64::INFINITY]),
-            ],
-            best: Some((gene(1), 0.25)),
-            history: vec![0.5, 0.25],
-            evaluations: 20,
-            memo_hits: 4,
-            memo: vec![(CacheKey { lo: 5, hi: 6 }, 0.5)],
-            proxy: None,
-        };
-        let bytes = encode_snapshot(&state);
-        assert_eq!(decode_snapshot::<ParetoState>(&bytes).unwrap(), state);
     }
 
     #[test]
@@ -667,45 +535,5 @@ mod tests {
         let bytes = encode_snapshot(&prune);
         assert!(decode_snapshot::<SearchCheckpoint>(&bytes).is_err());
         assert!(decode_snapshot::<TrainCheckpoint>(&bytes).is_err());
-        assert!(decode_snapshot::<ParetoState>(&bytes).is_err());
-    }
-
-    #[test]
-    fn scalar_and_pareto_search_kinds_cannot_cross_load() {
-        let pareto = ParetoState {
-            context: CacheKey { lo: 0, hi: 0 },
-            generation: 0,
-            population: vec![],
-            rng: [0; 4],
-            archive: vec![],
-            best: None,
-            history: vec![],
-            evaluations: 0,
-            memo_hits: 0,
-            memo: vec![],
-            proxy: None,
-        };
-        let bytes = encode_snapshot(&pareto);
-        assert!(matches!(
-            decode_snapshot::<SearchCheckpoint>(&bytes),
-            Err(qns_runtime::CheckpointError::KindMismatch { .. })
-        ));
-        let scalar = SearchCheckpoint {
-            context: CacheKey { lo: 0, hi: 0 },
-            generation: 0,
-            population: vec![],
-            rng: [0; 4],
-            best: None,
-            history: vec![],
-            evaluations: 0,
-            memo_hits: 0,
-            memo: vec![],
-            proxy: None,
-        };
-        let bytes = encode_snapshot(&scalar);
-        assert!(matches!(
-            decode_snapshot::<ParetoState>(&bytes),
-            Err(qns_runtime::CheckpointError::KindMismatch { .. })
-        ));
     }
 }

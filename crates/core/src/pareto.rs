@@ -1,5 +1,5 @@
-//! Multi-objective Pareto co-search (NSGA-II) over the same
-//! (architecture, mapping) genes as the scalar evolutionary engine.
+//! Multi-objective Pareto co-search (NSGA-II) over (architecture, mapping)
+//! genes — the one generation loop behind every evolutionary search.
 //!
 //! The paper's scalar score collapses noisy accuracy, circuit depth, and
 //! gate count into one number, hiding the trade-offs that matter when one
@@ -7,47 +7,48 @@
 //! searches the whole front instead:
 //!
 //! - objective vectors over noisy loss / compiled depth / 2Q-gate count
-//!   ([`Objective`]), evaluated through the same [`SearchRuntime`] score
-//!   memo and transpile cache the scalar engine uses,
+//!   ([`Objective`]), evaluated through the [`SearchRuntime`] score memo
+//!   and transpile cache,
 //! - fast non-dominated sorting ([`non_dominated_sort`]) and crowding
 //!   distance ([`crowding_distance`]) with a deterministic total selection
 //!   order ([`selection_order`]): rank, then crowding, then candidate
 //!   digest — never `HashMap` iteration order,
 //! - front-aware elitism: a cross-generation archive of non-dominated
-//!   points, carried through [`ParetoState`] snapshots so killed+resumed
-//!   searches stay bitwise-identical at any worker count,
+//!   points, carried through [`SearchCheckpoint`] snapshots so
+//!   killed+resumed searches stay bitwise-identical at any worker count,
 //! - a device-match helper ([`match_front_to_device`]) that picks the
 //!   front point minimizing estimated error for a given device
 //!   fingerprint — "one search, many devices".
 //!
-//! With the single objective [`Objective::Loss`], the loop degenerates to
-//! the scalar engine: singleton fronts reproduce the score ordering, so
-//! best gene, score, and history match [`evolutionary_search_seeded_rt`]
-//! bit for bit wherever selection pressure coincides (exact score ties
-//! between distinct genes are ordered by digest here, by batch position
-//! there).
+//! The scalar search [`evolutionary_search_seeded_rt`] is this loop under
+//! the single objective [`Objective::Loss`]. Two one-objective rules keep
+//! it the paper's plain genetic algorithm: [`selection_order`] is a stable
+//! ranking by value (ties keep batch order, `NaN` last), and the
+//! prescreener learns the raw scores ([`scalarize_objectives`] returns a
+//! one-dimension batch unchanged).
 //!
 //! [`evolutionary_search_seeded_rt`]: crate::evolutionary_search_seeded_rt
+//! [`SearchCheckpoint`]: crate::SearchCheckpoint
 
-use crate::checkpoint::ParetoState;
+use crate::checkpoint::SearchCheckpoint;
 use crate::runtime::{gene_key, search_context_key, SearchRuntime};
 use crate::search::{
-    build_gene_circuit, evo_context_hasher, mean_finite, record_rank_quality, score_gene,
-    seed_population, GenePool,
+    build_gene_circuit, mean_finite, record_rank_quality, score_gene, seed_population, GenePool,
+    EVOLUTION_SALT,
 };
 use crate::{Estimator, EvoConfig, Gene, SuperCircuit, Task};
 use qns_noise::{circuit_success_rate, Device};
 use qns_proxy::{
     candidate_seed, compute_features, scalarize_objectives, Prescreener, ProxyFeatures,
 };
-use qns_runtime::{counters, CacheKey, GenerationEvent};
+use qns_runtime::{counters, CacheKey, GenerationEvent, StructuralHasher};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 /// One axis of the multi-objective search. All objectives are minimized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Objective {
-    /// The estimator's noisy loss — the scalar engine's entire score.
+    /// The estimator's noisy loss — the scalar search's entire score.
     Loss,
     /// Depth of the compiled (transpiled) circuit.
     Depth,
@@ -214,9 +215,24 @@ pub fn crowding_distance(objs: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
 /// index as the final tie-breaks. A deterministic total order — two
 /// processes given the same objective matrix and digests select
 /// identically, regardless of worker count or map iteration order.
+///
+/// With one objective the order is a plain stable ranking: ascending
+/// value, exact ties kept in input (batch) order, `NaN` last. This is the
+/// paper's scalar genetic algorithm, whose batch order is itself
+/// worker-count independent.
 pub fn selection_order(objs: &[Vec<f64>], keys: &[CacheKey]) -> Vec<usize> {
     assert_eq!(objs.len(), keys.len(), "one digest per candidate");
     let n = objs.len();
+    if objs.first().is_some_and(|o| o.len() == 1) {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            let (x, y) = (objs[a][0], objs[b][0]);
+            x.is_nan()
+                .cmp(&y.is_nan())
+                .then_with(|| x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        return order;
+    }
     let mut rank = vec![0usize; n];
     let mut crowd = vec![0.0f64; n];
     for (r, front) in non_dominated_sort(objs).iter().enumerate() {
@@ -395,7 +411,7 @@ impl ParetoSearchResult {
         self.evaluations + self.memo_hits
     }
 
-    /// Collapses to the scalar engine's result shape (dropping the front)
+    /// Collapses to the scalar search's result shape (dropping the front)
     /// so downstream pipeline stages stay mode-agnostic.
     pub fn into_search_result(self) -> crate::SearchResult {
         crate::SearchResult {
@@ -434,12 +450,12 @@ pub fn evolutionary_search_pareto(
     )
 }
 
-/// NSGA-II co-search over `objectives`, reusing the scalar engine's
-/// evaluation machinery: the same [`SearchRuntime`] score memo and
-/// transpile cache, the same proxy prescreener (fed a scalarized view of
-/// the same objective vectors), and the same gene pool — seeded
-/// identically, so the single-objective mode degenerates to the scalar
-/// engine's trajectory.
+/// NSGA-II co-search over `objectives`: the one evolutionary generation
+/// loop. Candidates are scored through the [`SearchRuntime`] score memo
+/// and transpile cache, optionally prescreened by the proxy stage (fed a
+/// scalarized view of the objective vectors), and bred from the shared
+/// gene pool. Under `[Objective::Loss]` it is the scalar search
+/// [`evolutionary_search_seeded_rt`](crate::evolutionary_search_seeded_rt).
 ///
 /// # Panics
 ///
@@ -475,7 +491,13 @@ pub fn evolutionary_search_pareto_rt(
     }
     let estimator = rt.instrument_estimator(estimator);
     let context = search_context_key(&estimator, task, shared_params, config.max_params);
-    let mut pool = GenePool::for_evolution(sc, estimator.device().num_qubits(), config, seeds);
+    let mut pool = GenePool::for_evolution(
+        sc,
+        estimator.device().num_qubits(),
+        config,
+        seeds,
+        EVOLUTION_SALT,
+    );
     let mut population = seed_population(&mut pool, config, seeds);
     let mut history = Vec::with_capacity(config.iterations);
     let mut evaluations = 0usize;
@@ -489,19 +511,39 @@ pub fn evolutionary_search_pareto_rt(
     let mut proxy_escalations = 0u64;
     let mut proxy_dedup_hits = 0u64;
 
-    // The scalar context digest plus the objective vector: a Pareto
-    // snapshot can only resume a run searching the same objectives in the
-    // same order (and can never pass a scalar run's check, nor vice
-    // versa — the wire kinds already differ).
+    // Everything that shapes the evolution trajectory goes into the
+    // snapshot's context digest: the scoring context, the evolution
+    // hyperparameters, proxy settings, the seed population, and the
+    // objective vector (names and order). A snapshot written under any
+    // other configuration is rejected rather than resumed.
     let resume_context = {
-        let mut h = evo_context_hasher(context, config, seeds);
+        let mut h = StructuralHasher::new();
+        h.write_u64(context.lo);
+        h.write_u64(context.hi);
+        h.write_usize(config.iterations);
+        h.write_usize(config.population);
+        h.write_usize(config.parents);
+        h.write_usize(config.mutations);
+        h.write_f64(config.mutation_prob);
+        h.write_usize(config.crossovers);
+        h.write_u64(config.seed);
+        h.write_u64(config.search_arch as u64);
+        h.write_u64(config.search_layout as u64);
+        h.write_u64(config.proxy.enabled as u64);
+        h.write_u64(config.proxy.keep.to_bits());
+        h.write_usize(config.proxy.warmup);
+        h.write_usize(seeds.len());
+        for seed in seeds {
+            h.write_u64(gene_key(seed).lo);
+            h.write_u64(gene_key(seed).hi);
+        }
         h.write_usize(objectives.len());
         for o in objectives {
             h.write_u64(o.tag());
         }
         h.finish()
     };
-    if let Some(ck) = rt.load_checkpoint::<ParetoState>() {
+    if let Some(ck) = rt.load_checkpoint::<SearchCheckpoint>() {
         let compatible = ck.context == resume_context
             && ck.generation <= config.iterations
             && ck.population.len() == config.population
@@ -534,11 +576,15 @@ pub fn evolutionary_search_pareto_rt(
         .any(|o| matches!(o, Objective::Depth | Objective::TwoQ));
 
     for generation in start_generation..config.iterations {
-        // Prescreening mirrors the scalar engine: digest-dedup, feature
-        // computation under panic isolation, fusion ranking, escalation.
+        // With prescreening on, only a proxy-ranked subset of the
+        // generation reaches the estimator; with it off, `candidates` is
+        // the whole population.
         let (candidates, proxy_batch) = match prescreener.as_ref() {
             None => (std::mem::take(&mut population), None),
             Some(pre) => {
+                // Structurally-identical offspring collapse to one slot
+                // before any scoring — the digest is the same one the
+                // score memo keys on.
                 let mut uniq: Vec<usize> = Vec::with_capacity(population.len());
                 let mut keys = Vec::with_capacity(population.len());
                 let mut seen = std::collections::HashSet::new();
@@ -574,6 +620,8 @@ pub fn evolutionary_search_pareto_rt(
                 for (&u, r) in missing.iter().zip(computed) {
                     let feats = match r {
                         Ok(f) => f,
+                        // A panicked proxy poisons its features (ranked
+                        // last) instead of killing the search.
                         Err(_) => {
                             proxy_panics += 1;
                             ProxyFeatures::poisoned()
@@ -592,6 +640,8 @@ pub fn evolutionary_search_pareto_rt(
                     .iter()
                     .map(|&k| pre.cached_features(k).expect("recorded above"))
                     .collect();
+                // Warmup generations escalate every unique candidate so
+                // the fusion model trains before it gates anything.
                 let (escalated, predicted) = if generation < pre.options().warmup {
                     ((0..uniq.len()).collect::<Vec<usize>>(), Vec::new())
                 } else {
@@ -618,8 +668,7 @@ pub fn evolutionary_search_pareto_rt(
         };
 
         // Objective evaluation. The loss axis goes through the memoized
-        // score engine (identical to the scalar path, digest-compatible
-        // memo entries); the structural axes compile through the shared
+        // score engine; the structural axes compile through the shared
         // transpile cache under the same panic isolation. A candidate
         // whose compile panics is poisoned to +inf on its shape axes
         // rather than killing the search.
@@ -655,8 +704,9 @@ pub fn evolutionary_search_pareto_rt(
 
         if let (Some(pre), Some((esc_feats, esc_pred))) = (prescreener.as_mut(), proxy_batch) {
             // The fusion model learns a scalarized view of the same
-            // objective vectors NSGA-II selects on, so its ranks stay
-            // aligned with multi-objective fitness.
+            // objective vectors NSGA-II selects on (the raw scores under
+            // one objective), so its ranks stay aligned with fitness. Rank
+            // quality is absent during warmup, when nothing was gated.
             let actual = scalarize_objectives(&objs);
             if !esc_pred.is_empty() {
                 record_rank_quality(rt.metrics(), &esc_pred, &actual);
@@ -666,14 +716,12 @@ pub fn evolutionary_search_pareto_rt(
             }
         }
 
-        // Deterministic NSGA-II survival order; ties inside a front break
-        // on the candidate digest, never on map iteration order.
+        // Deterministic survival order: never map iteration order.
         let keys: Vec<CacheKey> = candidates.iter().map(gene_key).collect();
         let order = selection_order(&objs, &keys);
 
-        // Best-by-primary-objective tracking mirrors the scalar engine:
-        // first strict minimum in batch order, updated on strict
-        // improvement only.
+        // Best-by-primary-objective tracking: first strict minimum in batch
+        // order, updated on strict improvement only.
         let primary: Vec<f64> = objs.iter().map(|o| o[0]).collect();
         let mut best_idx = 0usize;
         for (i, &v) in primary.iter().enumerate().skip(1) {
@@ -730,8 +778,8 @@ pub fn evolutionary_search_pareto_rt(
         rt.metrics()
             .incr(counters::PARETO_HV_SUM_MILLI, (hv * 1000.0).round() as u64);
 
-        // Offspring generation draws from the same pool RNG in the same
-        // order as the scalar engine.
+        // Offspring: parents are the head of the survival order; mutation,
+        // crossover, and random top-up draw from the pool RNG.
         let parents: Vec<Gene> = order
             .iter()
             .take(config.parents)
@@ -753,8 +801,11 @@ pub fn evolutionary_search_pareto_rt(
         next.truncate(config.population);
         population = next;
 
+        // Snapshot the state *entering* generation + 1 at the boundary,
+        // then give the fault plan its chance to kill the process — the
+        // order mirrors a real crash landing between two generations.
         if rt.should_checkpoint(generation + 1, config.iterations) {
-            rt.save_checkpoint(&ParetoState {
+            rt.save_checkpoint(&SearchCheckpoint {
                 context: resume_context,
                 generation: generation + 1,
                 population: population.clone(),
@@ -1038,6 +1089,16 @@ mod tests {
         let objs: Vec<Vec<f64>> = [3.0, 1.0, 2.0, 0.5].iter().map(|&v| vec![v]).collect();
         let keys: Vec<CacheKey> = (0..4).map(|i| key(i + 1)).collect();
         assert_eq!(selection_order(&objs, &keys), vec![3, 1, 2, 0]);
+        // Exact ties keep input order whatever the digests say.
+        let tied: Vec<Vec<f64>> = [2.0, 1.0, 2.0, 1.0].iter().map(|&v| vec![v]).collect();
+        let keys: Vec<CacheKey> = (0..4).map(|i| key(40 - i)).collect();
+        assert_eq!(selection_order(&tied, &keys), vec![1, 3, 0, 2]);
+        // NaN ranks last (after +inf) instead of panicking.
+        let poisoned: Vec<Vec<f64>> = [f64::NAN, f64::INFINITY, 0.5, f64::NAN]
+            .iter()
+            .map(|&v| vec![v])
+            .collect();
+        assert_eq!(selection_order(&poisoned, &keys), vec![2, 1, 0, 3]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::pareto::{evolutionary_search_pareto_rt, FrontPoint, Objective};
 use crate::runtime::{RuntimeOptions, SearchRuntime};
-use crate::search::evolutionary_search_seeded_rt;
 use crate::train::{eval_task, Split};
 use crate::{
     iterative_prune_rt, train_supercircuit_rt, train_task, DesignSpace, Estimator, EstimatorKind,
@@ -51,10 +50,10 @@ pub struct QuantumNasConfig {
     /// and the CLI's `--fault-*` flags).
     pub faults: Option<Arc<FaultPlan>>,
     /// Multi-objective search axes (the CLI's `--objectives`). `None`
-    /// keeps stage 2 on the scalar engine; `Some` switches it to NSGA-II
-    /// Pareto co-search — the pipeline then trains the front point best on
-    /// the primary objective and [`Report::front`] carries the whole
-    /// archive for device matching.
+    /// searches the noisy loss alone (the scalar search); `Some` runs
+    /// NSGA-II Pareto co-search over the list — the pipeline then trains
+    /// the front point best on the primary objective and [`Report::front`]
+    /// carries the whole archive for device matching.
     pub objectives: Option<Vec<Objective>>,
 }
 
@@ -168,8 +167,9 @@ pub struct Report {
     /// Structurally-duplicate offspring skipped by the prescreener before
     /// any scoring (zero when `--proxy` is off).
     pub search_proxy_dedup_hits: u64,
-    /// The searched Pareto front when stage 2 ran in multi-objective mode
-    /// (`QuantumNasConfig::objectives`); empty for scalar runs.
+    /// The searched Pareto front: the search's final non-dominated archive
+    /// under `QuantumNasConfig::objectives`. With the single objective
+    /// `loss` it holds the genes tied at the best loss.
     pub front: Vec<FrontPoint>,
     /// Text telemetry summary for the whole run (counters, cache hit
     /// rates, transpile/simulate wall time, per-generation tail).
@@ -249,34 +249,21 @@ impl QuantumNas {
         let mut evo = self.config.evo.clone();
         evo.seed = seed ^ 0x5EA7C;
         evo.runtime = self.config.runtime.clone();
-        let (search, front) = match &self.config.objectives {
-            Some(objectives) => {
-                let pareto = evolutionary_search_pareto_rt(
-                    &sc,
-                    &shared,
-                    &self.task,
-                    &estimator,
-                    &evo,
-                    objectives,
-                    &[],
-                    &rt,
-                );
-                let front = pareto.front.clone();
-                (pareto.into_search_result(), front)
-            }
-            None => {
-                let search = evolutionary_search_seeded_rt(
-                    &sc,
-                    &shared,
-                    &self.task,
-                    &estimator,
-                    &evo,
-                    &[],
-                    &rt,
-                );
-                (search, Vec::new())
-            }
-        };
+        let mut pareto = evolutionary_search_pareto_rt(
+            &sc,
+            &shared,
+            &self.task,
+            &estimator,
+            &evo,
+            self.config
+                .objectives
+                .as_deref()
+                .unwrap_or(&[Objective::Loss]),
+            &[],
+            &rt,
+        );
+        let front = std::mem::take(&mut pareto.front);
+        let search = pareto.into_search_result();
 
         // Stage 3: train the searched SubCircuit from scratch.
         let circuit = match &self.task {

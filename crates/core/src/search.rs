@@ -1,10 +1,10 @@
 //! Noise-adaptive evolutionary co-search of SubCircuit and qubit mapping.
 
-use crate::checkpoint::SearchCheckpoint;
+use crate::pareto::{evolutionary_search_pareto_rt, Objective};
 use crate::runtime::{gene_key, search_context_key, RuntimeOptions, SearchRuntime};
 use crate::{Estimator, SubConfig, SuperCircuit, Task};
-use qns_proxy::{candidate_seed, compute_features, Prescreener, ProxyFeatures, ProxyOptions};
-use qns_runtime::{counters, GenerationEvent, Metrics, StructuralHasher};
+use qns_proxy::ProxyOptions;
+use qns_runtime::{counters, GenerationEvent, Metrics};
 use qns_transpile::Layout;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -136,6 +136,11 @@ impl SearchResult {
     }
 }
 
+/// Gene-pool RNG salt of the evolutionary search.
+pub(crate) const EVOLUTION_SALT: u64 = 0xE70;
+/// Gene-pool RNG salt of the random-search baseline.
+const RANDOM_SALT: u64 = 0x4A4D;
+
 pub(crate) struct GenePool<'a> {
     sc: &'a SuperCircuit,
     n_phys: usize,
@@ -147,22 +152,21 @@ pub(crate) struct GenePool<'a> {
 }
 
 impl<'a> GenePool<'a> {
-    /// The pool the evolutionary loops draw from: RNG derived from the
-    /// config seed, frozen components taken from the first seed gene when
-    /// an ablation disables part of the search (so ablations stay
+    /// The pool a search draws from: RNG derived from the config seed and
+    /// a per-engine `salt`, frozen components taken from the first seed
+    /// gene when an ablation disables part of the search (so ablations stay
     /// parameter-matched), else the maximal architecture / trivial layout.
-    /// Shared by the scalar and Pareto engines so their trajectories are
-    /// bitwise-comparable.
     pub(crate) fn for_evolution(
         sc: &'a SuperCircuit,
         n_phys: usize,
         config: &EvoConfig,
         seeds: &[Gene],
+        salt: u64,
     ) -> Self {
         GenePool {
             sc,
             n_phys,
-            rng: StdRng::seed_from_u64(config.seed ^ 0xE70),
+            rng: StdRng::seed_from_u64(config.seed ^ salt),
             fixed_arch: if config.search_arch {
                 None
             } else {
@@ -348,7 +352,7 @@ pub(crate) fn record_rank_quality(metrics: &Metrics, predicted: &[f64], actual: 
     metrics.incr(&format!("proxy_rank_b{bucket:02}"), 1);
 }
 
-/// Seed population shared by the scalar and Pareto engines: canonicalize
+/// Seed population of the evolutionary loop: canonicalize
 /// by structural digest so duplicated seeds (common when several ablations
 /// pass the same human design) occupy one slot, then top up with unique
 /// random genes. Retries are bounded: tiny design spaces may not hold
@@ -375,39 +379,6 @@ pub(crate) fn seed_population(
         }
     }
     population
-}
-
-/// The common prefix of the scalar and Pareto resume-context digests:
-/// scoring context, evolution hyperparameters, proxy settings, and the
-/// seed population. The Pareto engine appends its objective vector before
-/// finishing, so scalar and multi-objective snapshots can never satisfy
-/// each other's context check even if the wire kinds were ignored.
-pub(crate) fn evo_context_hasher(
-    context: qns_runtime::CacheKey,
-    config: &EvoConfig,
-    seeds: &[Gene],
-) -> StructuralHasher {
-    let mut h = StructuralHasher::new();
-    h.write_u64(context.lo);
-    h.write_u64(context.hi);
-    h.write_usize(config.iterations);
-    h.write_usize(config.population);
-    h.write_usize(config.parents);
-    h.write_usize(config.mutations);
-    h.write_f64(config.mutation_prob);
-    h.write_usize(config.crossovers);
-    h.write_u64(config.seed);
-    h.write_u64(config.search_arch as u64);
-    h.write_u64(config.search_layout as u64);
-    h.write_u64(config.proxy.enabled as u64);
-    h.write_u64(config.proxy.keep.to_bits());
-    h.write_usize(config.proxy.warmup);
-    h.write_usize(seeds.len());
-    for seed in seeds {
-        h.write_u64(gene_key(seed).lo);
-        h.write_u64(gene_key(seed).hi);
-    }
-    h
 }
 
 /// The paper's evolutionary co-search: a genetic algorithm over
@@ -446,7 +417,10 @@ pub fn evolutionary_search_seeded(
 /// [`evolutionary_search_seeded`] on a caller-owned [`SearchRuntime`], so
 /// several searches (e.g. the pipeline's stages, or a device sweep) can
 /// share one worker pool, transpile cache, and metrics registry.
-#[allow(clippy::too_many_arguments)]
+///
+/// This is the one-objective case of [`evolutionary_search_pareto_rt`]
+/// under [`Objective::Loss`]: one generation loop serves both, and its
+/// snapshots resume either entry point.
 pub fn evolutionary_search_seeded_rt(
     sc: &SuperCircuit,
     shared_params: &[f64],
@@ -456,239 +430,18 @@ pub fn evolutionary_search_seeded_rt(
     seeds: &[Gene],
     rt: &SearchRuntime,
 ) -> SearchResult {
-    assert!(
-        estimator.device().num_qubits() >= sc.num_qubits(),
-        "device too small"
-    );
-    assert!(
-        config.parents >= 2 && config.parents < config.population,
-        "need 2 <= parents < population"
-    );
-    let estimator = rt.instrument_estimator(estimator);
-    let context = search_context_key(&estimator, task, shared_params, config.max_params);
-    let mut pool = GenePool::for_evolution(sc, estimator.device().num_qubits(), config, seeds);
-    let mut population = seed_population(&mut pool, config, seeds);
-    let mut history = Vec::with_capacity(config.iterations);
-    let mut evaluations = 0usize;
-    let mut memo_hits = 0usize;
-    let mut best: Option<(Gene, f64)> = None;
-    let mut start_generation = 0usize;
-    let mut prescreener: Option<Prescreener> =
-        config.proxy.enabled.then(|| Prescreener::new(config.proxy));
-    let mut proxy_evals = 0u64;
-    let mut proxy_escalations = 0u64;
-    let mut proxy_dedup_hits = 0u64;
-
-    // Everything that shapes the evolution trajectory goes into the
-    // snapshot's context digest: the scoring context plus the evolution
-    // hyperparameters and the seed population. A snapshot written under
-    // any other configuration is rejected rather than resumed.
-    let resume_context = evo_context_hasher(context, config, seeds).finish();
-    if let Some(ck) = rt.load_checkpoint::<SearchCheckpoint>() {
-        let compatible = ck.context == resume_context
-            && ck.generation <= config.iterations
-            && ck.population.len() == config.population
-            && ck.proxy.is_some() == config.proxy.enabled;
-        if compatible {
-            start_generation = ck.generation;
-            population = ck.population;
-            pool.rng = StdRng::from_state(ck.rng);
-            best = ck.best;
-            history = ck.history;
-            evaluations = ck.evaluations;
-            memo_hits = ck.memo_hits;
-            rt.restore_memo(&ck.memo);
-            if let Some(state) = &ck.proxy {
-                prescreener = Some(Prescreener::from_state(config.proxy, state));
-                proxy_evals = state.proxy_evals;
-                proxy_escalations = state.proxy_escalations;
-                proxy_dedup_hits = state.proxy_dedup_hits;
-            }
-            rt.note_resumed();
-        } else {
-            rt.note_checkpoint_rejected();
-        }
-    }
-
-    for generation in start_generation..config.iterations {
-        // With prescreening on, only a proxy-ranked subset of the
-        // generation reaches the estimator; with it off, `candidates` is
-        // the whole population and the loop body is unchanged.
-        let (candidates, proxy_batch) = match prescreener.as_ref() {
-            None => (std::mem::take(&mut population), None),
-            Some(pre) => {
-                // Structurally-identical offspring collapse to one slot
-                // before any scoring — the digest is the same one the
-                // score memo keys on.
-                let mut uniq: Vec<usize> = Vec::with_capacity(population.len());
-                let mut keys = Vec::with_capacity(population.len());
-                let mut seen = std::collections::HashSet::new();
-                for (i, g) in population.iter().enumerate() {
-                    let key = gene_key(g);
-                    if seen.insert(key) {
-                        uniq.push(i);
-                        keys.push(key);
-                    }
-                }
-                let dups = (population.len() - uniq.len()) as u64;
-                if dups > 0 {
-                    rt.metrics().incr(counters::PROXY_DEDUP_HITS, dups);
-                }
-                proxy_dedup_hits += dups;
-
-                let missing: Vec<usize> = (0..uniq.len())
-                    .filter(|&u| pre.cached_features(keys[u]).is_none())
-                    .collect();
-                let missing_genes: Vec<&Gene> =
-                    missing.iter().map(|&u| &population[uniq[u]]).collect();
-                let computed = rt.map_isolated(&missing_genes, |g| {
-                    let circuit = build_gene_circuit(sc, task, g);
-                    let key = gene_key(g);
-                    let cx = estimator.proxy_context(
-                        &circuit,
-                        &g.layout,
-                        candidate_seed(config.seed, key.lo, key.hi),
-                    );
-                    compute_features(&cx)
-                });
-                let mut proxy_panics = 0u64;
-                for (&u, r) in missing.iter().zip(computed) {
-                    let feats = match r {
-                        Ok(f) => f,
-                        // A panicked proxy poisons its features (ranked
-                        // last) instead of killing the search.
-                        Err(_) => {
-                            proxy_panics += 1;
-                            ProxyFeatures::poisoned()
-                        }
-                    };
-                    pre.record_features(keys[u], feats);
-                }
-                proxy_evals += missing.len() as u64;
-                rt.metrics()
-                    .incr(counters::PROXY_EVALS, missing.len() as u64);
-                if proxy_panics > 0 {
-                    rt.metrics().incr(counters::PANICS, proxy_panics);
-                }
-
-                let feats: Vec<ProxyFeatures> = keys
-                    .iter()
-                    .map(|&k| pre.cached_features(k).expect("recorded above"))
-                    .collect();
-                // Warmup generations escalate every unique candidate so
-                // the fusion model trains before it gates anything.
-                let (escalated, predicted) = if generation < pre.options().warmup {
-                    ((0..uniq.len()).collect::<Vec<usize>>(), Vec::new())
-                } else {
-                    let predicted: Vec<f64> = feats.iter().map(|f| pre.predict(f)).collect();
-                    let count = pre.escalation_count(config.population, config.parents, uniq.len());
-                    (pre.select(&predicted, count), predicted)
-                };
-                proxy_escalations += escalated.len() as u64;
-                rt.metrics()
-                    .incr(counters::PROXY_ESCALATIONS, escalated.len() as u64);
-                let candidates: Vec<Gene> = escalated
-                    .iter()
-                    .map(|&u| population[uniq[u]].clone())
-                    .collect();
-                let esc_feats: Vec<ProxyFeatures> = escalated.iter().map(|&u| feats[u]).collect();
-                let esc_pred: Vec<f64> = if predicted.is_empty() {
-                    Vec::new()
-                } else {
-                    escalated.iter().map(|&u| predicted[u]).collect()
-                };
-                population.clear();
-                (candidates, Some((esc_feats, esc_pred)))
-            }
-        };
-        let outcome = rt.score_batch(context, &candidates, |g| {
-            score_gene(sc, shared_params, task, &estimator, g, config.max_params)
-        });
-        evaluations += outcome.evaluated;
-        memo_hits += outcome.memo_hits;
-        if let (Some(pre), Some((esc_feats, esc_pred))) = (prescreener.as_mut(), proxy_batch) {
-            // Rank quality vs the full scores (absent during warmup, when
-            // nothing was gated), then feed every full score back into the
-            // fusion model in deterministic batch order.
-            if !esc_pred.is_empty() {
-                record_rank_quality(rt.metrics(), &esc_pred, &outcome.scores);
-            }
-            for (f, &s) in esc_feats.iter().zip(&outcome.scores) {
-                pre.observe(f, s);
-            }
-        }
-        let mut scored: Vec<(Gene, f64)> = candidates
-            .into_iter()
-            .zip(outcome.scores.iter().copied())
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-        if best.as_ref().map(|(_, s)| scored[0].1 < *s).unwrap_or(true) {
-            best = Some(scored[0].clone());
-        }
-        history.push(best.as_ref().expect("just set").1);
-        rt.metrics().push_event(GenerationEvent {
-            generation,
-            best_score: history[generation],
-            mean_score: mean_finite(&outcome.scores),
-            evaluations: outcome.evaluated,
-            memo_hits: outcome.memo_hits,
-            elapsed: outcome.elapsed,
-        });
-
-        let parents: Vec<Gene> = scored
-            .into_iter()
-            .take(config.parents)
-            .map(|(g, _)| g)
-            .collect();
-        let mut next = parents.clone();
-        for _ in 0..config.mutations {
-            let p = parents.as_slice().choose(&mut pool.rng).expect("parents");
-            next.push(pool.mutate(p, config.mutation_prob));
-        }
-        for _ in 0..config.crossovers {
-            let a = parents.as_slice().choose(&mut pool.rng).expect("parents");
-            let b = parents.as_slice().choose(&mut pool.rng).expect("parents");
-            next.push(pool.crossover(a, b));
-        }
-        while next.len() < config.population {
-            next.push(pool.random_gene());
-        }
-        next.truncate(config.population);
-        population = next;
-
-        // Snapshot the state *entering* generation + 1 at the boundary,
-        // then give the fault plan its chance to kill the process — the
-        // order mirrors a real crash landing between two generations.
-        if rt.should_checkpoint(generation + 1, config.iterations) {
-            rt.save_checkpoint(&SearchCheckpoint {
-                context: resume_context,
-                generation: generation + 1,
-                population: population.clone(),
-                rng: pool.rng.state(),
-                best: best.clone(),
-                history: history.clone(),
-                evaluations,
-                memo_hits,
-                memo: rt.memo_entries(),
-                proxy: prescreener
-                    .as_ref()
-                    .map(|p| p.snapshot(proxy_evals, proxy_escalations, proxy_dedup_hits)),
-            });
-        }
-        rt.fault_boundary();
-    }
-
-    let (best, best_score) = best.expect("at least one iteration");
-    SearchResult {
-        best,
-        best_score,
-        history,
-        evaluations,
-        memo_hits,
-        proxy_evals,
-        proxy_escalations,
-        proxy_dedup_hits,
-    }
+    let objectives = [Objective::Loss];
+    evolutionary_search_pareto_rt(
+        sc,
+        shared_params,
+        task,
+        estimator,
+        config,
+        &objectives,
+        seeds,
+        rt,
+    )
+    .into_search_result()
 }
 
 /// The random-search baseline of paper Figures 21-22: the same evaluation
@@ -715,21 +468,13 @@ pub fn random_search_rt(
 ) -> SearchResult {
     let estimator = rt.instrument_estimator(estimator);
     let context = search_context_key(&estimator, task, shared_params, config.max_params);
-    let mut pool = GenePool {
+    let mut pool = GenePool::for_evolution(
         sc,
-        n_phys: estimator.device().num_qubits(),
-        rng: StdRng::seed_from_u64(config.seed ^ 0x4A4D),
-        fixed_arch: if config.search_arch {
-            None
-        } else {
-            Some(sc.max_config())
-        },
-        fixed_layout: if config.search_layout {
-            None
-        } else {
-            Some((0..sc.num_qubits()).collect())
-        },
-    };
+        estimator.device().num_qubits(),
+        config,
+        &[],
+        RANDOM_SALT,
+    );
     let mut best: Option<(Gene, f64)> = None;
     let mut history = Vec::with_capacity(config.iterations);
     let mut evaluations = 0usize;

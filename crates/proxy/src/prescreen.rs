@@ -169,11 +169,17 @@ impl Prescreener {
 /// failed compile) scalarizes to `+inf` and ranks last. A dimension whose
 /// finite values are all equal contributes 0 for every candidate — it
 /// cannot order the batch. Deterministic: a pure fold over the input order.
+///
+/// A one-dimension batch is returned unchanged, so a single-objective
+/// search trains the fusion model on its raw scores.
 pub fn scalarize_objectives(batch: &[Vec<f64>]) -> Vec<f64> {
     let Some(first) = batch.first() else {
         return Vec::new();
     };
     let dims = first.len();
+    if dims == 1 {
+        return batch.iter().map(|objs| objs[0]).collect();
+    }
     let mut lo = vec![f64::INFINITY; dims];
     let mut hi = vec![f64::NEG_INFINITY; dims];
     for objs in batch {
@@ -355,6 +361,17 @@ mod tests {
         // the finite candidates.
         assert!(s[0].is_finite() && s[1].is_finite());
         assert!(scalarize_objectives(&[]).is_empty());
+    }
+
+    #[test]
+    fn scalarize_returns_one_dimension_batches_unchanged() {
+        let raw = [0.75, -0.5, f64::INFINITY, 0.75, f64::NAN];
+        let batch: Vec<Vec<f64>> = raw.iter().map(|&v| vec![v]).collect();
+        let s = scalarize_objectives(&batch);
+        assert_eq!(s.len(), raw.len());
+        for (a, b) in s.iter().zip(&raw) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

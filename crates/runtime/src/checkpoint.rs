@@ -37,8 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const MAGIC: [u8; 8] = *b"QNSCKPT\0";
 /// Current frame format version. v2: search-context digests include the
 /// simulation backend ([`BackendConfig`](../../quantumnas) wire form), so
-/// snapshots written under a different backend no longer resume.
-pub const FORMAT_VERSION: u32 = 2;
+/// snapshots written under a different backend no longer resume. v3: one
+/// search snapshot kind for every objective vector, carrying the
+/// non-dominated archive.
+pub const FORMAT_VERSION: u32 = 3;
 /// Snapshot filename extension.
 pub const EXTENSION: &str = "ckpt";
 

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use qns_runtime::{decode_snapshot, encode_snapshot, CacheKey, CheckpointError, StructuralHasher};
 use quantumnas::{
-    DesignSpace, Gene, ParetoState, Prescreener, ProxyFeatures, ProxyOptions, SearchCheckpoint,
-    SpaceKind, SubConfig, SuperCircuit, TrainCheckpoint,
+    DesignSpace, Gene, Prescreener, ProxyFeatures, ProxyOptions, SearchCheckpoint, SpaceKind,
+    SubConfig, SuperCircuit, TrainCheckpoint,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,8 +16,38 @@ fn key_from(lo: u64, hi: u64) -> CacheKey {
 }
 
 /// Strategy: an arbitrary search snapshot over real genes of the U3+CU3
-/// space (layouts are rotations; widths are clamped to the legal range).
-fn arb_search_checkpoint() -> impl Strategy<Value = SearchCheckpoint> {
+/// space (layouts are rotations; widths are clamped to the legal range),
+/// with a non-dominated archive of at least `min_archive` (gene,
+/// objective-vector) pairs over 1–3 objectives, `+inf` poison included.
+fn arb_search_checkpoint(min_archive: usize) -> impl Strategy<Value = SearchCheckpoint> {
+    (
+        arb_search_state(),
+        prop::collection::vec((0usize..6, -5.0..5.0f64, prop::bool::ANY), min_archive..6),
+        1usize..=3,
+    )
+        .prop_map(|(mut s, raw_archive, dims)| {
+            s.archive = raw_archive
+                .into_iter()
+                .map(|(gi, v, poison)| {
+                    let gene = s.population[gi % s.population.len()].clone();
+                    let objs = (0..dims)
+                        .map(|d| {
+                            if poison && d == 0 {
+                                f64::INFINITY
+                            } else {
+                                v + d as f64
+                            }
+                        })
+                        .collect();
+                    (gene, objs)
+                })
+                .collect();
+            s
+        })
+}
+
+/// Strategy: the archive-free part of [`arb_search_checkpoint`].
+fn arb_search_state() -> impl Strategy<Value = SearchCheckpoint> {
     let gene = (0usize..4, prop::collection::vec(1usize..=4, 2..=6));
     (
         (0u64..u64::MAX, 0u64..u64::MAX),
@@ -109,6 +139,7 @@ fn arb_search_checkpoint() -> impl Strategy<Value = SearchCheckpoint> {
                     generation,
                     population,
                     rng: [rng_words[0], rng_words[1], rng_words[2], rng_words[3]],
+                    archive: Vec::new(),
                     best,
                     history,
                     evaluations,
@@ -156,48 +187,6 @@ fn arb_train_checkpoint() -> impl Strategy<Value = TrainCheckpoint> {
         )
 }
 
-/// Strategy: an arbitrary Pareto snapshot — the scalar search's state
-/// plus a non-dominated archive of (gene, objective-vector) pairs, with
-/// `+inf` poison values included.
-fn arb_pareto_state() -> impl Strategy<Value = ParetoState> {
-    (
-        arb_search_checkpoint(),
-        prop::collection::vec((0usize..6, -5.0..5.0f64, prop::bool::ANY), 0..6),
-        1usize..=3,
-    )
-        .prop_map(|(s, raw_archive, dims)| {
-            let archive = raw_archive
-                .into_iter()
-                .map(|(gi, v, poison)| {
-                    let gene = s.population[gi % s.population.len()].clone();
-                    let objs = (0..dims)
-                        .map(|d| {
-                            if poison && d == 0 {
-                                f64::INFINITY
-                            } else {
-                                v + d as f64
-                            }
-                        })
-                        .collect();
-                    (gene, objs)
-                })
-                .collect();
-            ParetoState {
-                context: s.context,
-                generation: s.generation,
-                population: s.population,
-                rng: s.rng,
-                archive,
-                best: s.best,
-                history: s.history,
-                evaluations: s.evaluations,
-                memo_hits: s.memo_hits,
-                memo: s.memo,
-                proxy: s.proxy,
-            }
-        })
-}
-
 /// Deterministic per-case byte picker (the shim has no independent index
 /// strategy that can depend on the frame's length).
 fn pick(seed: u64, bound: usize) -> usize {
@@ -211,7 +200,7 @@ proptest! {
 
     /// encode→decode is the identity on arbitrary search snapshots.
     #[test]
-    fn search_snapshot_round_trips(state in arb_search_checkpoint()) {
+    fn search_snapshot_round_trips(state in arb_search_checkpoint(0)) {
         let frame = encode_snapshot(&state);
         let back: SearchCheckpoint = decode_snapshot(&frame).expect("valid frame");
         prop_assert_eq!(back, state);
@@ -229,12 +218,12 @@ proptest! {
         prop_assert_eq!(back, state);
     }
 
-    /// encode→decode is the identity on arbitrary Pareto snapshots, with
-    /// every archive objective compared bitwise.
+    /// encode→decode is the identity on search snapshots carrying a
+    /// Pareto archive, with every archive objective compared bitwise.
     #[test]
-    fn pareto_snapshot_round_trips(state in arb_pareto_state()) {
+    fn pareto_snapshot_round_trips(state in arb_search_checkpoint(1)) {
         let frame = encode_snapshot(&state);
-        let back: ParetoState = decode_snapshot(&frame).expect("valid frame");
+        let back: SearchCheckpoint = decode_snapshot(&frame).expect("valid frame");
         for ((ga, oa), (gb, ob)) in back.archive.iter().zip(&state.archive) {
             prop_assert_eq!(ga, gb);
             for (x, y) in oa.iter().zip(ob) {
@@ -244,11 +233,11 @@ proptest! {
         prop_assert_eq!(back, state);
     }
 
-    /// Corrupting any single byte of a Pareto frame is always detected:
-    /// decode returns a typed error and never panics.
+    /// Corrupting any single byte of a frame carrying a Pareto archive is
+    /// always detected: decode returns a typed error and never panics.
     #[test]
     fn pareto_single_byte_corruption_is_always_detected(
-        state in arb_pareto_state(),
+        state in arb_search_checkpoint(1),
         flip_at in 0u64..u64::MAX,
         mask in 1u8..=255,
     ) {
@@ -256,7 +245,7 @@ proptest! {
         let i = pick(flip_at, frame.len());
         frame[i] ^= mask;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            decode_snapshot::<ParetoState>(&frame)
+            decode_snapshot::<SearchCheckpoint>(&frame)
         }));
         let decoded = outcome.expect("decode must never panic");
         prop_assert!(
@@ -267,40 +256,11 @@ proptest! {
         );
     }
 
-    /// The scalar and Pareto search kinds can never cross-decode: a frame
-    /// written by one engine is rejected by the other with a typed kind
-    /// mismatch, before any payload is touched.
-    #[test]
-    fn scalar_and_pareto_frames_never_cross_decode(state in arb_pareto_state()) {
-        let pareto_frame = encode_snapshot(&state);
-        prop_assert!(matches!(
-            decode_snapshot::<SearchCheckpoint>(&pareto_frame),
-            Err(CheckpointError::KindMismatch { .. })
-        ));
-        let scalar = SearchCheckpoint {
-            context: state.context,
-            generation: state.generation,
-            population: state.population.clone(),
-            rng: state.rng,
-            best: state.best.clone(),
-            history: state.history.clone(),
-            evaluations: state.evaluations,
-            memo_hits: state.memo_hits,
-            memo: state.memo.clone(),
-            proxy: state.proxy.clone(),
-        };
-        let scalar_frame = encode_snapshot(&scalar);
-        prop_assert!(matches!(
-            decode_snapshot::<ParetoState>(&scalar_frame),
-            Err(CheckpointError::KindMismatch { .. })
-        ));
-    }
-
     /// Corrupting any single byte of a frame is always detected: decode
     /// returns a typed error and never panics.
     #[test]
     fn single_byte_corruption_is_always_detected(
-        state in arb_search_checkpoint(),
+        state in arb_search_checkpoint(0),
         flip_at in 0u64..u64::MAX,
         mask in 1u8..=255,
     ) {

@@ -203,9 +203,9 @@ fn pareto_search_killed_and_resumed_is_bitwise_identical() {
                 );
             });
             assert_eq!(
-                common::snapshot_kind(dir.path(), "pareto"),
-                u32::from_le_bytes(*b"PARE"),
-                "pareto snapshots must carry their own wire kind"
+                common::snapshot_kind(dir.path(), "search"),
+                u32::from_le_bytes(*b"SEAR"),
+                "pareto snapshots must carry the search wire kind"
             );
 
             let resume_cfg = evo_cfg(ckpt_options(dir.path(), workers, true));

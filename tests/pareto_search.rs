@@ -1,28 +1,27 @@
 //! The multi-objective Pareto search battery: property tests for the
-//! NSGA-II front invariants, the single-objective degeneration
-//! differential against the scalar engine, worker-count bitwise identity
-//! of fronts, wire-kind isolation from the scalar search, and the
-//! one-search-many-devices front matching helper.
+//! NSGA-II front invariants and the one-objective ranking, the scalar
+//! search pinned against the standalone engine it replaced, worker-count
+//! bitwise identity of fronts, resume across the scalar and Pareto entry
+//! points, and the one-search-many-devices front matching helper.
 
 mod common;
 
 use proptest::prelude::*;
-use qns_noise::Device;
+use qns_noise::{Device, TrajectoryConfig};
 use qns_runtime::{counters, CacheKey, StructuralHasher};
 use quantumnas::{
     crowding_distance, dominates, evolutionary_search_pareto_rt, evolutionary_search_seeded_rt,
-    front_json, match_front_to_device, non_dominated_sort, selection_order, CheckpointOptions,
-    DesignSpace, Estimator, EstimatorKind, EvoConfig, FaultPlan, FrontPoint, Gene, Objective,
-    ParetoSearchResult, ProxyOptions, RuntimeOptions, SearchRuntime, SpaceKind, SuperCircuit, Task,
-    FAULT_MARKER,
+    front_json, gene_key, match_front_to_device, non_dominated_sort, selection_order,
+    CheckpointOptions, DesignSpace, Estimator, EstimatorKind, EvoConfig, FaultPlan, FrontPoint,
+    Gene, Objective, ParetoSearchResult, ProxyOptions, RuntimeOptions, SearchRuntime, SpaceKind,
+    SuperCircuit, Task, FAULT_MARKER,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
 const ALL_OBJECTIVES: [Objective; 3] = [Objective::Loss, Objective::Depth, Objective::TwoQ];
-const PARETO_KIND: u32 = u32::from_le_bytes(*b"PARE");
-const SCALAR_KIND: u32 = u32::from_le_bytes(*b"SEAR");
+const SEARCH_KIND: u32 = u32::from_le_bytes(*b"SEAR");
 
 fn setup() -> (SuperCircuit, Vec<f64>, Task, Estimator) {
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
@@ -223,7 +222,8 @@ proptest! {
 
     /// Selection is a deterministic total order: a permutation of the
     /// candidate indices, stable across calls, consistent with the
-    /// (rank, crowding, digest, index) comparator at every adjacent pair.
+    /// (rank, crowding, digest, index) comparator at every adjacent pair —
+    /// or, with one objective, with (value, index) and `NaN` last.
     #[test]
     fn selection_is_a_deterministic_total_order((objs, keys) in arb_matrix()) {
         let order = selection_order(&objs, &keys);
@@ -231,6 +231,20 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..objs.len()).collect::<Vec<_>>());
         prop_assert_eq!(&selection_order(&objs, &keys), &order, "not stable across calls");
+
+        if objs[0].len() == 1 {
+            for w in order.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                let (x, y) = (objs[a][0], objs[b][0]);
+                let in_order = if x.is_nan() || y.is_nan() {
+                    y.is_nan() && (!x.is_nan() || a < b)
+                } else {
+                    x < y || (x == y && a < b)
+                };
+                prop_assert!(in_order, "adjacent pair ({}, {}) out of value order", a, b);
+            }
+            return Ok(());
+        }
 
         let mut rank = vec![0usize; objs.len()];
         let fronts = non_dominated_sort(&objs);
@@ -270,55 +284,197 @@ proptest! {
     }
 }
 
-/// The degeneration differential: with the single objective `loss`, the
-/// Pareto engine must reproduce the scalar engine — same best candidate,
-/// bitwise-same best score and per-generation history, same evaluation
-/// budget — across three seeds. (Singleton fronts make NSGA-II selection
-/// collapse to the scalar score ordering.)
+/// One pinned run of the scalar search: what the standalone scalar engine
+/// produced before it became the one-objective case of the NSGA-II loop.
+struct Pin {
+    config: &'static str,
+    seed: u64,
+    best_key: (u64, u64),
+    best_score: u64,
+    history: [u64; 8],
+    evaluations: usize,
+    memo_hits: usize,
+}
+
+/// Recorded from the standalone scalar engine on the seeds where a naive
+/// fold into NSGA-II (digest tie-breaks, min-max-normalized proxy
+/// targets) diverged from it.
+const SCALAR_PINS: [Pin; 6] = [
+    Pin {
+        config: "off",
+        seed: 0,
+        best_key: (0x3f41_8a9b_b76e_7c77, 0xfc72_000e_9241_6b0f),
+        best_score: 0x3ff2_b2d4_58c7_2280,
+        history: [
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff2_b2d4_58c7_2280,
+            0x3ff2_b2d4_58c7_2280,
+            0x3ff2_b2d4_58c7_2280,
+        ],
+        evaluations: 83,
+        memo_hits: 45,
+    },
+    Pin {
+        config: "off",
+        seed: 9,
+        best_key: (0x56d0_5969_5e4e_a580, 0xfc8a_1364_1b16_edb9),
+        best_score: 0x3ff2_bdad_a80f_7a42,
+        history: [
+            0x3ff3_9d2f_58cc_5833,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff3_5f85_31aa_320f,
+            0x3ff2_bdad_a80f_7a42,
+        ],
+        evaluations: 80,
+        memo_hits: 48,
+    },
+    Pin {
+        config: "proxy",
+        seed: 0,
+        best_key: (0x9f82_d419_11fe_f6a1, 0x661f_6262_b79f_10d6),
+        best_score: 0x3ff1_cea5_735e_39f9,
+        history: [
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff3_092e_29d4_bac9,
+            0x3ff1_cea5_735e_39f9,
+            0x3ff1_cea5_735e_39f9,
+            0x3ff1_cea5_735e_39f9,
+        ],
+        evaluations: 56,
+        memo_hits: 27,
+    },
+    Pin {
+        config: "proxy",
+        seed: 1,
+        best_key: (0x9354_ae14_5f08_3fee, 0x6b6f_fa28_2c87_1636),
+        best_score: 0x3ff2_a393_3852_e7a3,
+        history: [
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+            0x3ff2_a393_3852_e7a3,
+        ],
+        evaluations: 65,
+        memo_hits: 19,
+    },
+    Pin {
+        config: "budget",
+        seed: 2,
+        best_key: (0xf563_f784_5d88_0937, 0xaf7a_01de_5fce_1057),
+        best_score: 0x3ff2_da5f_d134_ffb8,
+        history: [
+            0x3ff4_08f7_558f_7e61,
+            0x3ff4_08f7_558f_7e61,
+            0x3ff2_da5f_d134_ffb8,
+            0x3ff2_da5f_d134_ffb8,
+            0x3ff2_da5f_d134_ffb8,
+            0x3ff2_da5f_d134_ffb8,
+            0x3ff2_da5f_d134_ffb8,
+            0x3ff2_da5f_d134_ffb8,
+        ],
+        evaluations: 76,
+        memo_hits: 52,
+    },
+    Pin {
+        config: "budget",
+        seed: 3,
+        best_key: (0x906a_0f5d_beb3_daac, 0x6544_bc8f_aeb4_5624),
+        best_score: 0x3ff3_bcde_fc3b_32f3,
+        history: [
+            0x41cd_cd65_0000_0000,
+            0x41cd_cd65_0000_0000,
+            0x3ff4_c01d_c500_ff13,
+            0x3ff4_c01d_c500_ff13,
+            0x3ff3_bcde_fc3b_32f3,
+            0x3ff3_bcde_fc3b_32f3,
+            0x3ff3_bcde_fc3b_32f3,
+            0x3ff3_bcde_fc3b_32f3,
+        ],
+        evaluations: 82,
+        memo_hits: 46,
+    },
+];
+
+/// The scalar search reproduces the standalone scalar engine bit for bit:
+/// best gene digest, best score, history, and evaluation accounting on a
+/// noisy MNIST-4 search on belem, with the proxy off, on, and under a
+/// parameter budget (where every over-budget gene ties at `1e9`), at 1 and
+/// 4 workers. Exact ties must keep batch order and the prescreener must
+/// learn raw scores for this to hold.
 #[test]
-fn single_objective_pareto_degenerates_to_the_scalar_engine() {
-    let (sc, params, task, est) = setup();
-    for seed in [5u64, 17, 23] {
-        let cfg = evo_cfg(seed, RuntimeOptions::default());
-        let scalar = {
-            let rt = SearchRuntime::new(cfg.runtime.clone());
-            evolutionary_search_seeded_rt(&sc, &params, &task, &est, &cfg, &[], &rt)
+fn scalar_search_matches_the_pinned_standalone_engine() {
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 3);
+    let task = Task::qml_digits(&[0, 1, 2, 3], 40, 4, 4);
+    let params: Vec<f64> = (0..sc.num_params())
+        .map(|i| 0.2 * ((i % 5) as f64) - 0.4)
+        .collect();
+    let noisy = TrajectoryConfig {
+        trajectories: 4,
+        seed: 7,
+        readout: true,
+    };
+    let est = Estimator::new(Device::belem(), EstimatorKind::NoisySim(noisy), 2).with_valid_cap(8);
+    for pin in &SCALAR_PINS {
+        let base = EvoConfig {
+            iterations: 8,
+            population: 16,
+            parents: 5,
+            mutations: 7,
+            crossovers: 4,
+            ..EvoConfig::fast(pin.seed)
         };
-        let pareto = {
-            let rt = SearchRuntime::new(cfg.runtime.clone());
-            evolutionary_search_pareto_rt(
-                &sc,
-                &params,
-                &task,
-                &est,
-                &cfg,
-                &[Objective::Loss],
-                &[],
-                &rt,
-            )
+        let cfg = match pin.config {
+            "off" => base,
+            "proxy" => EvoConfig {
+                population: 24,
+                mutations: 12,
+                crossovers: 7,
+                proxy: ProxyOptions {
+                    enabled: true,
+                    keep: 0.25,
+                    warmup: 2,
+                },
+                ..base
+            },
+            "budget" => EvoConfig {
+                max_params: Some(20),
+                ..base
+            },
+            other => unreachable!("unknown pin config {other}"),
         };
-        assert_eq!(pareto.best, scalar.best, "seed {seed}: best gene differs");
-        assert_eq!(
-            pareto.best_score.to_bits(),
-            scalar.best_score.to_bits(),
-            "seed {seed}: best score differs"
-        );
-        assert_eq!(pareto.history.len(), scalar.history.len());
-        for (g, (a, b)) in pareto.history.iter().zip(&scalar.history).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "seed {seed}: generation {g} log differs"
-            );
-        }
-        assert_eq!(pareto.evaluations, scalar.evaluations, "seed {seed}");
-        assert_eq!(pareto.memo_hits, scalar.memo_hits, "seed {seed}");
-        // Every front member's loss sits at the best score (a 1D front is
-        // the set of exact minima).
-        assert!(!pareto.front.is_empty());
-        for point in &pareto.front {
-            assert_eq!(point.objectives.len(), 1);
-            assert_eq!(point.objectives[0].to_bits(), pareto.best_score.to_bits());
+        for workers in [1usize, 4] {
+            let cfg = EvoConfig {
+                runtime: RuntimeOptions {
+                    workers,
+                    ..Default::default()
+                },
+                ..cfg.clone()
+            };
+            let rt = SearchRuntime::new(cfg.runtime.clone());
+            let r = evolutionary_search_seeded_rt(&sc, &params, &task, &est, &cfg, &[], &rt);
+            let at = format!("{} seed {} at {workers} workers", pin.config, pin.seed);
+            let key = gene_key(&r.best);
+            assert_eq!((key.lo, key.hi), pin.best_key, "{at}: best gene");
+            assert_eq!(r.best_score.to_bits(), pin.best_score, "{at}: best score");
+            let history: Vec<u64> = r.history.iter().map(|h| h.to_bits()).collect();
+            assert_eq!(history, pin.history, "{at}: history");
+            assert_eq!(r.evaluations, pin.evaluations, "{at}: evaluations");
+            assert_eq!(r.memo_hits, pin.memo_hits, "{at}: memo hits");
         }
     }
 }
@@ -353,72 +509,33 @@ fn front_is_bitwise_identical_across_worker_counts() {
     }
 }
 
-/// Pareto snapshots carry their own wire kind: the scalar engine neither
-/// lists them (different label) nor decodes them (kind tag mismatch when
-/// one is planted under the scalar label), and falls back to a clean
-/// start either way.
+/// One snapshot kind serves both entry points: a scalar search killed at
+/// boundary 2 leaves `SEAR` frames, and the one-objective Pareto search
+/// resumes them to a result bitwise-identical to an uninterrupted run.
 #[test]
-fn pareto_snapshots_cannot_leak_into_the_scalar_engine() {
+fn scalar_snapshot_resumes_under_the_one_objective_pareto_search() {
     let (sc, params, task, est) = setup();
-    let dir = common::TempDir::new("pareto-kind");
+    let loss = [Objective::Loss];
+    let reference = {
+        let cfg = evo_cfg(17, RuntimeOptions::default());
+        let rt = SearchRuntime::new(cfg.runtime.clone());
+        evolutionary_search_pareto_rt(&sc, &params, &task, &est, &cfg, &loss, &[], &rt)
+    };
+    let dir = common::TempDir::new("one-kind");
     let crash_cfg = evo_cfg(17, ckpt_options(dir.path(), 1, false));
     let rt = SearchRuntime::new(crash_cfg.runtime.clone())
         .with_fault_plan(Arc::new(FaultPlan::new().crash_at_boundary(2)));
     expect_boundary_crash(|| {
-        evolutionary_search_pareto_rt(
-            &sc,
-            &params,
-            &task,
-            &est,
-            &crash_cfg,
-            &ALL_OBJECTIVES,
-            &[],
-            &rt,
-        );
+        evolutionary_search_seeded_rt(&sc, &params, &task, &est, &crash_cfg, &[], &rt);
     });
-    assert_eq!(common::snapshot_kind(dir.path(), "pareto"), PARETO_KIND);
-    assert_eq!(common::snapshot_kinds(dir.path()), vec![PARETO_KIND]);
+    assert_eq!(common::snapshot_kinds(dir.path()), vec![SEARCH_KIND]);
 
-    // A scalar resume in the same directory finds nothing under its label
-    // and must run fresh.
-    let fresh = {
-        let cfg = evo_cfg(17, RuntimeOptions::default());
-        let rt = SearchRuntime::new(cfg.runtime.clone());
-        evolutionary_search_seeded_rt(&sc, &params, &task, &est, &cfg, &[], &rt)
-    };
     let resume_cfg = evo_cfg(17, ckpt_options(dir.path(), 1, true));
     let rt = SearchRuntime::new(resume_cfg.runtime.clone());
-    let resumed = evolutionary_search_seeded_rt(&sc, &params, &task, &est, &resume_cfg, &[], &rt);
-    assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 0);
-    assert_eq!(resumed.best, fresh.best);
-    assert_eq!(resumed.best_score.to_bits(), fresh.best_score.to_bits());
-
-    // Plant a Pareto frame under the scalar label in a clean directory
-    // (the resume attempt above wrote genuine scalar snapshots next to
-    // the Pareto ones): the wire kind tag must reject it (counted as
-    // corrupt), again falling back to a fresh run.
-    let plant_dir = common::TempDir::new("pareto-kind-planted");
-    let planted = plant_dir.path().join("search-00000009.ckpt");
-    let pareto_file = std::fs::read_dir(dir.path())
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("pareto-"))
-        })
-        .expect("a pareto snapshot");
-    std::fs::copy(&pareto_file, &planted).unwrap();
-    assert_eq!(common::snapshot_file_kind(&planted), PARETO_KIND);
-    assert_ne!(PARETO_KIND, SCALAR_KIND);
-    let plant_cfg = evo_cfg(17, ckpt_options(plant_dir.path(), 1, true));
-    let rt = SearchRuntime::new(plant_cfg.runtime.clone());
-    let resumed = evolutionary_search_seeded_rt(&sc, &params, &task, &est, &plant_cfg, &[], &rt);
-    assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 0);
-    assert!(rt.metrics().counter(counters::CHECKPOINT_CORRUPT) >= 1);
-    assert_eq!(resumed.best, fresh.best);
-    assert_eq!(resumed.best_score.to_bits(), fresh.best_score.to_bits());
+    let resumed =
+        evolutionary_search_pareto_rt(&sc, &params, &task, &est, &resume_cfg, &loss, &[], &rt);
+    assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 1);
+    assert_pareto_bitwise_eq(&resumed, &reference);
 }
 
 /// A proxy-on Pareto snapshot must be rejected by a proxy-off resume (and

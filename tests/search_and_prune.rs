@@ -135,10 +135,9 @@ fn pruning_preserves_accuracy_and_shrinks_compiled_circuit() {
     assert!(t_after.circuit.num_ops() < t_before.circuit.num_ops());
 }
 
-/// The scalar search's snapshots carry the scalar wire kind — asserted
+/// The scalar search's snapshots carry the search wire kind — asserted
 /// through the shared helper, so a run that starts writing a different
-/// kind (e.g. the Pareto engine's) cannot silently pass this suite's
-/// stale-context expectations.
+/// kind cannot silently pass this suite's stale-context expectations.
 #[test]
 fn scalar_search_snapshots_carry_the_scalar_wire_kind() {
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);

@@ -16,8 +16,8 @@ pub enum QaRule {
     /// QA002 — ambient entropy (`thread_rng`, `from_entropy`, `OsRng`)
     /// breaks seed-determinism.
     Entropy,
-    /// QA003 — raw `thread::spawn` outside the runtime crate bypasses the
-    /// deterministic reduction engine.
+    /// QA003 — raw `thread::spawn` / `thread::scope` outside the worker
+    /// pool bypasses its deterministic in-order collection.
     Spawn,
     /// QA004 — `.unwrap()` / `panic!` in library crates that promise
     /// error returns.
@@ -63,7 +63,7 @@ impl QaRule {
         match self {
             QaRule::Wallclock => "wall-clock time reads in search-path code",
             QaRule::Entropy => "ambient OS entropy in search-path code",
-            QaRule::Spawn => "raw thread spawning outside the runtime crate",
+            QaRule::Spawn => "raw thread spawning outside the worker pool",
             QaRule::NoPanic => "panicking calls in no-panic library crates",
             QaRule::NondetIter => "iteration over HashMap/HashSet in randomized order",
             QaRule::DigestCoverage => "snapshot struct field missing from its encode body",

@@ -15,7 +15,7 @@
 //! |-------|-----------------|--------|
 //! | QA001 | wallclock       | no `Instant::now`/`SystemTime` in search-path crates |
 //! | QA002 | entropy         | no `thread_rng`/`from_entropy`/`OsRng` |
-//! | QA003 | spawn           | no `thread::spawn` outside qns-runtime |
+//! | QA003 | spawn           | no `thread::spawn`/`thread::scope` outside `sim/src/pool.rs` |
 //! | QA004 | no-panic        | no `.unwrap()`/`panic!` in no-panic crates |
 //! | QA005 | nondet-iter     | no order-observing HashMap/HashSet iteration |
 //! | QA006 | digest-coverage | every wire-struct field encoded or exempted |

@@ -34,8 +34,9 @@ pub const SEARCH_PATH_CRATES: &[&str] = &[
     "proxy",
 ];
 
-/// Crates that must not spawn threads directly (the runtime crate owns
-/// the worker pool and its deterministic reduction order).
+/// Crates that must not spawn threads directly (the simulator's worker
+/// pool, `sim/src/pool.rs`, owns every thread and its deterministic
+/// in-order collection).
 pub const NO_SPAWN_CRATES: &[&str] = &[
     "tensor",
     "circuit",
@@ -47,6 +48,7 @@ pub const NO_SPAWN_CRATES: &[&str] = &[
     "data",
     "chem",
     "core",
+    "runtime",
     "proxy",
 ];
 
@@ -87,12 +89,12 @@ pub fn pattern_rules() -> Vec<PatternRule> {
         },
         PatternRule {
             rule: QaRule::Spawn,
-            patterns: &["thread::spawn"],
+            patterns: &["thread::spawn", "thread::scope"],
             crates: NO_SPAWN_CRATES,
             allow_files: &[],
             // The simulator's persistent worker pool is the one audited
-            // spawn site outside the runtime crate; every other spawn in
-            // these crates must route through it or the runtime engine.
+            // spawn site; every other fan-out in these crates, scoped or
+            // not, must route through it.
             sanctioned_files: &["sim/src/pool.rs"],
         },
         PatternRule {

@@ -53,6 +53,13 @@ fn spawn_fixture_flags_the_spawn() {
 }
 
 #[test]
+fn scoped_spawn_in_the_runtime_crate_is_flagged() {
+    let f = scan_patterns(&fixture("scoped_spawn.rs", "runtime"));
+    assert_eq!(count(&f, QaRule::Spawn), 1, "{f:?}");
+    assert!(f[0].message.contains("thread::scope"), "{f:?}");
+}
+
+#[test]
 fn spawn_in_sanctioned_pool_module_is_accepted_when_justified() {
     // fixture() maps this to crates/sim/src/pool.rs — the one sanctioned
     // spawn site. The justified escape there must be honored.

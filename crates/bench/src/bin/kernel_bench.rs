@@ -26,9 +26,7 @@
 //! previously committed JSON and exits non-zero on a >20% regression.
 
 use qns_circuit::{Circuit, GateKind, Param};
-use qns_sim::{
-    parallel_map_hinted, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL,
-};
+use qns_sim::{parallel_map_with, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL};
 use qns_tensor::{Mat2, Mat4, C64};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -287,11 +285,11 @@ fn main() {
     // 2. Pool dispatch vs scoped spawn, per call.
     let items: Vec<u64> = (0..64).collect();
     let calls = if smoke { 20 } else { 2000 };
-    // A hint far above the cutoff forces the pool path even though the
-    // items are trivially cheap — this measures dispatch, not work.
+    // 64 items clear the pool's tiny-batch cutoff, so these trivially
+    // cheap items take the pool path — this measures dispatch, not work.
     let pool_s = time_median(reps, || {
         for _ in 0..calls {
-            let out = parallel_map_hinted(&items, 2, 1_000_000, |x| x + 1);
+            let out = parallel_map_with(&items, 2, |x| x + 1);
             assert_eq!(out.len(), items.len());
         }
     }) / calls as f64;

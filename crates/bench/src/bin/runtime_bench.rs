@@ -8,7 +8,7 @@
 //!
 //! Prints per-configuration wall time, evals/sec, cache hit rates, and
 //! the telemetry summary of the final run. On multi-core hosts the
-//! worker sweep demonstrates the engine speedup; on single-core
+//! worker sweep demonstrates the candidate fan-out speedup; on single-core
 //! containers the cache rows still show the warm-path win.
 
 use qns_noise::{Device, TrajectoryConfig};

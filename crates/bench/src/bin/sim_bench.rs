@@ -24,7 +24,6 @@
 
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::Workers;
 use qns_sim::{
     run_into_with, shifted_expectations, DiagObservable, ExecMode, FusedProgram, Observable,
     SimBackend, SimPlan, StateVec,
@@ -223,7 +222,7 @@ fn main() {
     let phys: Vec<usize> = (0..tn).collect();
     let device = Device::melbourne();
     let seq_exec = TrajectoryExecutor::new(device.clone(), cfg);
-    let par_exec = TrajectoryExecutor::new(device.clone(), cfg).with_workers(Workers::Fixed(4));
+    let par_exec = TrajectoryExecutor::new(device.clone(), cfg).with_workers(4);
     let seq = time_median(reps, || {
         let _ = seq_exec.expect_z(&tcirc, &tparams, &[], &phys);
     });

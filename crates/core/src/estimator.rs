@@ -7,7 +7,7 @@ use qns_circuit::Circuit;
 use qns_data::Dataset;
 use qns_ml::{accuracy, nll_loss};
 use qns_noise::{circuit_success_rate, Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::{counters, timers, Metrics, ShardedCache, Workers};
+use qns_runtime::{counters, timers, Metrics, ShardedCache};
 use qns_sim::{
     parallel_map, run, run_with, ExecMode, SimBackend, SimPlan, StateBatch, DEFAULT_BATCH_LANES,
     DEFAULT_FUSION_LEVEL,
@@ -73,10 +73,11 @@ pub struct Estimator {
     /// Which simulator kernels score candidates (`Fast` in production;
     /// `Reference` replays the naive oracle for differential runs).
     backend: SimBackend,
-    /// Worker policy for fanning noise trajectories of one candidate over
-    /// the runtime engine (VQE measurement path). Sample-parallel QML paths
-    /// keep trajectories sequential to avoid nested oversubscription.
-    traj_workers: Workers,
+    /// Worker count for fanning noise trajectories of one candidate over
+    /// the worker pool (VQE measurement path; `0` = process default).
+    /// Sample-parallel QML paths keep trajectories sequential to avoid
+    /// nested oversubscription.
+    traj_workers: usize,
 }
 
 impl Estimator {
@@ -92,7 +93,7 @@ impl Estimator {
             metrics: None,
             verify: VerifyLevel::Off,
             backend: SimBackend::Fast,
-            traj_workers: Workers::Fixed(1),
+            traj_workers: 1,
         }
     }
 
@@ -107,10 +108,10 @@ impl Estimator {
         self.backend
     }
 
-    /// Fans noise trajectories for one candidate over the runtime engine in
-    /// the trajectory-only paths (VQE measurement). Results are
-    /// bit-identical for any worker count.
-    pub fn with_trajectory_workers(mut self, workers: Workers) -> Self {
+    /// Fans noise trajectories for one candidate over `workers` pool
+    /// threads (`0` = the process default) in the trajectory-only paths
+    /// (VQE measurement). Results are bit-identical for any worker count.
+    pub fn with_trajectory_workers(mut self, workers: usize) -> Self {
         self.traj_workers = workers;
         self
     }
@@ -123,7 +124,7 @@ impl Estimator {
     }
 
     /// Turns on per-stage transpiler contract checking. A violation panics
-    /// with a [`PANIC_MARKER`]-prefixed message, which the batch engine
+    /// with a [`PANIC_MARKER`]-prefixed message, which the search runtime
     /// catches and classifies as a verification failure (a real error in
     /// the telemetry) instead of silently poisoning the score.
     pub fn with_verify(mut self, level: VerifyLevel) -> Self {
@@ -237,7 +238,7 @@ impl Estimator {
         }
         match result {
             Ok(t) => t,
-            // The marker lets the batch engine tell a contract violation
+            // The marker lets the search runtime tell a contract violation
             // from an arbitrary worker crash (and count it separately).
             Err(e) => {
                 let msg = e.to_string();
@@ -476,7 +477,7 @@ impl Estimator {
     ) -> f64 {
         let (offset, groups) = qwc_groups(hamiltonian);
         // One candidate at a time here, so its trajectories fan out over
-        // the runtime engine (bit-identical for any worker count).
+        // the worker pool (bit-identical for any worker count).
         let exec = TrajectoryExecutor::new(self.device.clone(), cfg)
             .with_workers(self.traj_workers)
             .with_backend(self.backend);
@@ -813,7 +814,7 @@ mod tests {
         let seq = Estimator::new(Device::belem(), EstimatorKind::NoisySim(cfg), 1)
             .score(&circuit, &params, &task, &layout);
         let par = Estimator::new(Device::belem(), EstimatorKind::NoisySim(cfg), 1)
-            .with_trajectory_workers(Workers::Fixed(4))
+            .with_trajectory_workers(4)
             .score(&circuit, &params, &task, &layout);
         assert_eq!(seq, par, "worker count changed the VQE energy");
     }

@@ -1,13 +1,14 @@
 //! Search-runtime integration: gene hashing, the score memo, and batch
-//! candidate evaluation on top of [`qns_runtime`]'s engine/cache/telemetry
-//! layers.
+//! candidate evaluation on top of [`qns_runtime`]'s cache/telemetry layers
+//! and [`qns_sim`]'s worker pool.
 //!
 //! Every search-style workload (evolutionary co-search, random search,
 //! iterative pruning, the pipeline) funnels candidate evaluation through
 //! [`SearchRuntime::score_batch`], which provides:
 //!
-//! - **parallel fan-out** over a scoped worker pool (work stealing,
-//!   deterministic in-order collection, panic isolation to `+inf`),
+//! - **parallel fan-out** over the persistent worker pool
+//!   ([`qns_sim::try_parallel_map`]: work stealing, deterministic in-order
+//!   collection, panic isolation to `+inf`),
 //! - **gene-level memoization** so duplicate genes produced by
 //!   crossover/mutation are never re-simulated,
 //! - **telemetry** — evaluation counters, per-generation events, and
@@ -18,8 +19,8 @@ use crate::checkpoint::{BackendConfig, CheckpointOptions};
 use crate::{Estimator, EstimatorKind, Gene, SubConfig};
 use qns_noise::Device;
 use qns_runtime::{
-    counters, timers, ByteWriter, CacheKey, CheckpointStore, Checkpointable, EvalEngine, FaultPlan,
-    Metrics, ShardedCache, StructuralHasher, Workers, FAULT_MARKER,
+    counters, timers, ByteWriter, CacheKey, CheckpointStore, Checkpointable, FaultPlan, Metrics,
+    ShardedCache, StructuralHasher, FAULT_MARKER,
 };
 use qns_transpile::{Layout, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
@@ -30,7 +31,8 @@ use std::time::{Duration, Instant};
 /// `--verify` / `--checkpoint-dir`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Worker threads for candidate evaluation; `0` = one per core.
+    /// Worker threads for candidate evaluation; `0` = the process default
+    /// (`qns_sim::set_parallelism`, else one per core).
     pub workers: usize,
     /// Enables the transpile cache and gene-score memo.
     pub cache: bool,
@@ -87,7 +89,7 @@ pub struct BatchOutcome {
     pub errors: Vec<(usize, String)>,
 }
 
-/// The per-search evaluation runtime: engine + caches + telemetry.
+/// The per-search evaluation runtime: fan-out + caches + telemetry.
 ///
 /// One instance serves one search context (fixed SuperCircuit, shared
 /// parameters, task, estimator). The score memo keys on the gene *and* a
@@ -104,7 +106,6 @@ pub struct BatchOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SearchRuntime {
-    engine: EvalEngine,
     options: RuntimeOptions,
     score_memo: Option<Arc<ShardedCache<f64>>>,
     transpile_cache: Option<Arc<ShardedCache<Transpiled>>>,
@@ -128,7 +129,6 @@ impl SearchRuntime {
             Arc::new(store)
         });
         SearchRuntime {
-            engine: EvalEngine::new(Workers::from(options.workers)),
             score_memo: options.cache.then(|| Arc::new(ShardedCache::new(32))),
             transpile_cache: options.cache.then(|| Arc::new(ShardedCache::new(32))),
             metrics: Arc::new(Metrics::new()),
@@ -148,11 +148,6 @@ impl SearchRuntime {
         &self.metrics
     }
 
-    /// The underlying evaluation engine.
-    pub fn engine(&self) -> &EvalEngine {
-        &self.engine
-    }
-
     /// The transpile cache, when caching is enabled.
     pub fn transpile_cache(&self) -> Option<&Arc<ShardedCache<Transpiled>>> {
         self.transpile_cache.as_ref()
@@ -169,11 +164,10 @@ impl SearchRuntime {
     }
 
     /// Attaches a fault-injection schedule: evaluation faults fire inside
-    /// the engine's panic-isolation scope, boundary crashes fire at
+    /// each candidate's panic-isolation scope, boundary crashes fire at
     /// [`SearchRuntime::fault_boundary`] call sites, torn writes corrupt
     /// the scheduled snapshot save.
     pub fn with_fault_plan(mut self, faults: Arc<FaultPlan>) -> Self {
-        self.engine = self.engine.with_fault_plan(faults.clone());
         self.faults = Some(faults);
         self
     }
@@ -268,11 +262,13 @@ impl SearchRuntime {
         }
     }
 
-    /// Runs `f` over `items` on the engine with the same panic isolation
-    /// and nested-parallelism guard as [`SearchRuntime::score_batch`], but
-    /// without memoization or evaluation accounting — the shape proxy
-    /// feature computation needs (cheap per-candidate work, cached by the
-    /// caller under its own digests).
+    /// Runs `f` over `items` on [`RuntimeOptions::workers`] pool threads
+    /// with the same panic isolation and fault hook as
+    /// [`SearchRuntime::score_batch`], but without memoization or
+    /// evaluation accounting — the shape proxy feature computation needs
+    /// (cheap per-candidate work, cached by the caller under its own
+    /// digests). Per-sample maps inside `f` run inline when the batch fans
+    /// out, so the cores are not oversubscribed.
     pub fn map_isolated<T, U>(
         &self,
         items: &[T],
@@ -280,19 +276,18 @@ impl SearchRuntime {
     ) -> Vec<Result<U, String>>
     where
         T: Sync,
-        U: Send + Sync,
+        U: Send,
     {
-        self.engine.try_run(items, |item| {
-            if self.engine.workers() > 1 {
-                qns_sim::sequential_scope(|| f(item))
-            } else {
-                f(item)
+        qns_sim::try_parallel_map(items, self.options.workers, |item| {
+            if let Some(plan) = &self.faults {
+                plan.before_eval();
             }
+            f(item)
         })
     }
 
-    /// Scores a batch of genes through the engine, memoizing by
-    /// `(context, gene)` digest when caching is enabled.
+    /// Scores a batch of genes through [`SearchRuntime::map_isolated`],
+    /// memoizing by `(context, gene)` digest when caching is enabled.
     ///
     /// `score` must be a pure function of its gene given the search
     /// context — the memo returns the first computed value for any
@@ -307,18 +302,12 @@ impl SearchRuntime {
         let start = Instant::now();
         let run_one = |gene: &Gene| -> f64 {
             self.metrics.incr(counters::EVALUATIONS, 1);
-            if self.engine.workers() > 1 {
-                // Outer parallelism owns the cores; nested per-sample
-                // fan-out inside the simulator would oversubscribe.
-                qns_sim::sequential_scope(|| score(gene))
-            } else {
-                score(gene)
-            }
+            score(gene)
         };
 
         let outcome = match &self.score_memo {
             None => {
-                let results = self.engine.try_run(genes, run_one);
+                let results = self.map_isolated(genes, run_one);
                 let mut scores = Vec::with_capacity(results.len());
                 let mut errors = Vec::new();
                 for (i, r) in results.into_iter().enumerate() {
@@ -360,7 +349,7 @@ impl SearchRuntime {
                     }
                 }
                 let fresh_genes: Vec<&Gene> = fresh.iter().map(|&i| &genes[i]).collect();
-                let fresh_results = self.engine.try_run(&fresh_genes, |g| run_one(g));
+                let fresh_results = self.map_isolated(&fresh_genes, |g| run_one(g));
                 let fresh_scores: Vec<f64> = fresh_results
                     .iter()
                     .map(|r| *r.as_ref().unwrap_or(&f64::INFINITY))
@@ -747,6 +736,25 @@ mod tests {
         assert_eq!(out2.evaluated, 1);
         assert_eq!(out2.scores, vec![1.0, 2.0, 4.0]);
         assert_eq!(rt.metrics().counter(qns_runtime::counters::PANICS), 1);
+    }
+
+    #[test]
+    fn injected_faults_poison_exactly_one_slot() {
+        let items: Vec<usize> = (0..12).collect();
+        let plan = Arc::new(FaultPlan::new().fail_eval(5));
+        let rt =
+            SearchRuntime::new(RuntimeOptions::sequential_uncached()).with_fault_plan(plan.clone());
+        let out = rt.map_isolated(&items, |&x| x);
+        let failed: Vec<usize> = out
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_err())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(failed, vec![4], "sequential mode fails the 5th eval");
+        let msg = out[4].as_ref().unwrap_err();
+        assert!(msg.starts_with(FAULT_MARKER), "got {msg:?}");
+        assert_eq!(plan.evals_seen(), 12);
     }
 
     #[test]

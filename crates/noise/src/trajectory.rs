@@ -1,24 +1,25 @@
 //! Monte-Carlo trajectory execution of circuits under device noise.
 //!
-//! Trajectories for one candidate are independent, so they fan out over the
-//! qns-runtime work-stealing engine when the executor is given more than one
-//! worker. Per-trajectory RNG seeds are derived deterministically from a
+//! Trajectories for one candidate are independent, so they fan out over
+//! `qns_sim::try_parallel_map` when the executor is given more than one
+//! worker (and run inline when the executor itself runs inside a candidate
+//! fan-out). Per-trajectory RNG seeds are derived deterministically from a
 //! structural digest of the candidate (circuit + resolved parameters +
 //! layout + base seed), so results are a pure function of the candidate and
-//! bit-identical for any worker count: the engine returns per-trajectory
+//! bit-identical for any worker count: the pool returns per-trajectory
 //! results in input order and the fold over them is sequential.
 
 use crate::{Device, KrausChannel};
 use qns_circuit::{Circuit, GateMatrix};
-use qns_runtime::{EvalEngine, StructuralHasher, Workers};
-use qns_sim::{MpsConfig, MpsState, SimBackend, StateBatch, StateVec};
+use qns_runtime::StructuralHasher;
+use qns_sim::{try_parallel_map, MpsConfig, MpsState, SimBackend, StateBatch, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Trajectories per [`StateBatch`] on the fast path. A **fixed** constant
 /// (never derived from the worker count): the chunk layout determines which
 /// trajectories share a batched sweep, so it must be identical for any
-/// `Workers` policy to keep results bitwise-stable. Single-sourced from the
+/// worker count to keep results bitwise-stable. Single-sourced from the
 /// simulator's micro-kernel tile width so one trajectory chunk is a whole
 /// number of planar tiles; 16 lanes bound the batch buffer (16 × 2ⁿ
 /// amplitudes) while amortizing gate dispatch.
@@ -87,7 +88,7 @@ pub struct NoisyResult {
 pub struct TrajectoryExecutor {
     device: Device,
     config: TrajectoryConfig,
-    workers: Workers,
+    workers: usize,
     backend: SimBackend,
 }
 
@@ -100,14 +101,15 @@ impl TrajectoryExecutor {
         TrajectoryExecutor {
             device,
             config,
-            workers: Workers::Fixed(1),
+            workers: 1,
             backend: SimBackend::Fast,
         }
     }
 
-    /// Sets the worker policy for fanning trajectories over the runtime
-    /// engine. Results are bit-identical for any worker count.
-    pub fn with_workers(mut self, workers: Workers) -> Self {
+    /// Sets the worker count for fanning trajectories over the worker
+    /// pool; `0` means the process default (`qns_sim::set_parallelism`,
+    /// else one per core). Results are bit-identical for any worker count.
+    pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
@@ -338,16 +340,16 @@ impl TrajectoryExecutor {
     }
 
     /// Runs every seeded trajectory and extracts one result per trajectory,
-    /// in seed order.
+    /// in seed order. A panicking trajectory yields `default`.
     ///
     /// Fast backend: trajectories run as lanes of [`StateBatch`] chunks of
     /// [`LANE_CHUNK`]; the chunks (not individual trajectories) fan out over
-    /// the runtime engine. Reference backend: the original per-trajectory
+    /// the worker pool. Reference backend: the original per-trajectory
     /// oracle path. `extract` receives the trajectory index, its final
     /// state, and its RNG (positioned exactly after the circuit's noise
     /// draws, for shot sampling).
     #[allow(clippy::too_many_arguments)]
-    fn run_trajectories<U: Send + Clone + Sync>(
+    fn run_trajectories<U: Send + Clone>(
         &self,
         circuit: &Circuit,
         train: &[f64],
@@ -357,32 +359,22 @@ impl TrajectoryExecutor {
         extract: impl Fn(usize, &StateVec, &mut StdRng) -> U + Sync,
         default: U,
     ) -> Vec<U> {
-        let engine = EvalEngine::new(self.workers);
         match self.backend {
-            SimBackend::Reference => {
+            SimBackend::Reference | SimBackend::Mps(_) => {
                 let items: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
-                engine.run(
-                    &items,
-                    |&(idx, s)| {
-                        let mut rng = StdRng::seed_from_u64(s);
-                        let state = self.run_one(circuit, train, input, phys_of, &mut rng);
-                        extract(idx, &state, &mut rng)
-                    },
-                    default,
-                )
-            }
-            SimBackend::Mps(config) => {
-                let items: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
-                engine.run(
-                    &items,
-                    |&(idx, s)| {
-                        let mut rng = StdRng::seed_from_u64(s);
-                        let state =
-                            self.run_one_mps(circuit, train, input, phys_of, config, &mut rng);
-                        extract(idx, &state, &mut rng)
-                    },
-                    default,
-                )
+                try_parallel_map(&items, self.workers, |&(idx, s)| {
+                    let mut rng = StdRng::seed_from_u64(s);
+                    let state = match self.backend {
+                        SimBackend::Mps(config) => {
+                            self.run_one_mps(circuit, train, input, phys_of, config, &mut rng)
+                        }
+                        _ => self.run_one(circuit, train, input, phys_of, &mut rng),
+                    };
+                    extract(idx, &state, &mut rng)
+                })
+                .into_iter()
+                .map(|slot| slot.unwrap_or_else(|_| default.clone()))
+                .collect()
             }
             SimBackend::Fast => {
                 let chunks: Vec<(usize, &[u64])> = seeds
@@ -390,31 +382,26 @@ impl TrajectoryExecutor {
                     .enumerate()
                     .map(|(ci, c)| (ci * LANE_CHUNK, c))
                     .collect();
-                let per_chunk = engine.run(
-                    &chunks,
-                    |&(start, chunk_seeds)| {
-                        let mut rngs: Vec<StdRng> = chunk_seeds
-                            .iter()
-                            .map(|&s| StdRng::seed_from_u64(s))
-                            .collect();
-                        let batch = self.run_chunk(circuit, train, input, phys_of, &mut rngs);
-                        (0..chunk_seeds.len())
-                            .map(|lane| {
-                                let state = batch.lane_state(lane);
-                                extract(start + lane, &state, &mut rngs[lane])
-                            })
-                            .collect::<Vec<U>>()
-                    },
-                    Vec::new(),
-                );
-                // Flatten in chunk order; a panicked chunk comes back as the
-                // empty on-panic default and is backfilled per trajectory.
+                let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_seeds)| {
+                    let mut rngs: Vec<StdRng> = chunk_seeds
+                        .iter()
+                        .map(|&s| StdRng::seed_from_u64(s))
+                        .collect();
+                    let batch = self.run_chunk(circuit, train, input, phys_of, &mut rngs);
+                    (0..chunk_seeds.len())
+                        .map(|lane| {
+                            let state = batch.lane_state(lane);
+                            extract(start + lane, &state, &mut rngs[lane])
+                        })
+                        .collect::<Vec<U>>()
+                });
+                // Flatten in chunk order; a panicked chunk is backfilled
+                // per trajectory.
                 let mut out = Vec::with_capacity(seeds.len());
                 for (res, (_, chunk_seeds)) in per_chunk.into_iter().zip(&chunks) {
-                    if res.len() == chunk_seeds.len() {
-                        out.extend(res);
-                    } else {
-                        out.extend((0..chunk_seeds.len()).map(|_| default.clone()));
+                    match res {
+                        Ok(lanes) => out.extend(lanes),
+                        Err(_) => out.extend(chunk_seeds.iter().map(|_| default.clone())),
                     }
                 }
                 out
@@ -822,13 +809,13 @@ mod tests {
         let c = bell();
         let seq = TrajectoryExecutor::new(Device::belem(), cfg).expect_z(&c, &[], &[], &[0, 1]);
         let par = TrajectoryExecutor::new(Device::belem(), cfg)
-            .with_workers(Workers::Fixed(4))
+            .with_workers(4)
             .expect_z(&c, &[], &[], &[0, 1]);
         assert_eq!(seq.expect_z, par.expect_z, "worker count changed results");
         let seq_counts =
             TrajectoryExecutor::new(Device::belem(), cfg).sample_counts(&c, &[], &[], &[0, 1], 300);
         let par_counts = TrajectoryExecutor::new(Device::belem(), cfg)
-            .with_workers(Workers::Auto)
+            .with_workers(0)
             .sample_counts(&c, &[], &[], &[0, 1], 300);
         assert_eq!(seq_counts, par_counts);
     }
@@ -907,7 +894,7 @@ mod tests {
         // And the fan-out over workers is bit-identical to sequential.
         let par = TrajectoryExecutor::new(Device::belem(), cfg)
             .with_backend(SimBackend::Mps(qns_sim::MpsConfig::exact()))
-            .with_workers(Workers::Fixed(4))
+            .with_workers(4)
             .expect_z(&c, &[0.7], &[], &[0, 1, 2]);
         assert_eq!(mps.expect_z, par.expect_z, "worker count changed results");
     }

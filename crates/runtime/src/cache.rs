@@ -31,7 +31,7 @@ impl CacheKey {
 ///
 /// Unlike `std::collections::hash_map::DefaultHasher`, the digest is
 /// stable across runs and platforms (no random state), so cache keys are
-/// reproducible — a requirement for the engine's determinism guarantees.
+/// reproducible — a requirement for the search's determinism guarantees.
 ///
 /// # Examples
 ///

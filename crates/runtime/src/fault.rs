@@ -46,7 +46,7 @@ impl FaultPlan {
     }
 
     /// Panics (with [`FAULT_MARKER`]) inside the `n`th candidate
-    /// evaluation, exercising the engine's panic-isolation path.
+    /// evaluation, exercising the per-candidate panic-isolation path.
     pub fn fail_eval(mut self, n: u64) -> Self {
         self.fail_eval_at = Some(n);
         self
@@ -67,7 +67,8 @@ impl FaultPlan {
         self
     }
 
-    /// Evaluation hook; called by the engine before each candidate eval.
+    /// Evaluation hook; the search runtime calls it first inside each
+    /// candidate evaluation's panic-isolation scope.
     ///
     /// # Panics
     ///

@@ -1,63 +1,57 @@
-//! `qns-runtime` — the parallel candidate-evaluation engine behind every
-//! search-style workload in the QuantumNAS reproduction.
+//! `qns-runtime` — the caching, telemetry and crash-safety substrate
+//! behind every search-style workload in the QuantumNAS reproduction.
 //!
 //! The evolutionary co-search (paper Section III-C) evaluates hundreds of
 //! (architecture, mapping) genes per run; each evaluation is a transpile
-//! plus a simulation. This crate owns the substrate that makes that loop
-//! tractable at scale, in three layers:
+//! plus a simulation. Candidates fan out over `qns_sim::try_parallel_map`,
+//! the workspace's one worker pool (work stealing, in-order results,
+//! per-candidate panic isolation). This crate owns the layers around
+//! that loop:
 //!
-//! 1. **[`EvalEngine`]** — fans a batch of candidates out over scoped
-//!    worker threads with work stealing (shared atomic claim index),
-//!    deterministic in-order result collection, and per-candidate panic
-//!    isolation: one bad transpile poisons its own score instead of
-//!    killing the search.
-//! 2. **Content-addressed caching** — [`StructuralHasher`] produces
+//! 1. **Content-addressed caching** — [`StructuralHasher`] produces
 //!    deterministic 128-bit digests over structured content (sub-circuit
 //!    config, layout, device fingerprint, opt level), keying a
 //!    [`ShardedCache`] used for both the transpile cache and the
 //!    gene-level score memo.
-//! 3. **[`Metrics`] telemetry** — counters, log₂ duration histograms, a
+//! 2. **[`Metrics`] telemetry** — counters, log₂ duration histograms, a
 //!    structured per-generation event log, and a text [`Metrics::summary`]
 //!    report (evaluations, cache hit rates, transpile vs. simulate wall
 //!    time, evals/sec).
-//! 4. **Crash safety** — a versioned, crc-guarded snapshot format with
+//! 3. **Crash safety** — a versioned, crc-guarded snapshot format with
 //!    atomic write-rename ([`CheckpointStore`], [`Checkpointable`]) and a
 //!    deterministic fault-injection schedule ([`FaultPlan`]) so recovery
 //!    paths are testable, not just claimed.
 //!
-//! The crate is dependency-free and domain-agnostic: it works on hashes
-//! and closures. The `quantumnas` core crate layers gene hashing, the
-//! score memo, and estimator integration on top.
+//! The crate is dependency-free, spawns no threads, and is domain-agnostic:
+//! it works on hashes and closures. The `quantumnas` core crate layers gene
+//! hashing, the score memo, and estimator integration on top.
 //!
 //! # Examples
 //!
 //! ```
-//! use qns_runtime::{EvalEngine, Metrics, ShardedCache, StructuralHasher, Workers};
+//! use qns_runtime::{Metrics, ShardedCache, StructuralHasher};
 //!
-//! let engine = EvalEngine::new(Workers::Auto);
 //! let cache: ShardedCache<f64> = ShardedCache::new(16);
 //! let metrics = Metrics::new();
 //!
 //! let candidates = vec![1u64, 2, 3, 2, 1];
-//! let scores = engine.run(
-//!     &candidates,
-//!     |&c| {
+//! let scores: Vec<f64> = candidates
+//!     .iter()
+//!     .map(|&c| {
 //!         let mut h = StructuralHasher::new();
 //!         h.write_u64(c);
 //!         *cache.get_or_insert_with(h.finish(), || {
 //!             metrics.incr("evaluations", 1);
 //!             (c * c) as f64
 //!         })
-//!     },
-//!     f64::INFINITY,
-//! );
+//!     })
+//!     .collect();
 //! assert_eq!(scores, vec![1.0, 4.0, 9.0, 4.0, 1.0]);
 //! assert_eq!(metrics.counter("evaluations"), 3); // duplicates memoized
 //! ```
 
 mod cache;
 mod checkpoint;
-mod engine;
 mod fault;
 mod telemetry;
 
@@ -66,6 +60,5 @@ pub use checkpoint::{
     crc32, decode_snapshot, encode_snapshot, ByteReader, ByteWriter, CheckpointError,
     CheckpointStore, Checkpointable, EXTENSION, FORMAT_VERSION, MAGIC,
 };
-pub use engine::{EvalEngine, Workers};
 pub use fault::{FaultPlan, FAULT_MARKER};
 pub use telemetry::{counters, timers, GenerationEvent, Histogram, Metrics};

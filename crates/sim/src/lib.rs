@@ -24,7 +24,11 @@
 //! - **exact gradients** via reverse-mode *adjoint differentiation* (one
 //!   forward + one backward sweep for all parameters) and the
 //!   *parameter-shift* rule (the paper's hardware-compatible alternative),
-//! - Pauli-Z expectations, weighted-Z observables, and shot sampling.
+//! - Pauli-Z expectations, weighted-Z observables, and shot sampling,
+//! - **the workspace's one worker pool** — [`parallel_map`] for per-sample
+//!   maps and [`try_parallel_map`] for panic-isolated candidate and
+//!   trajectory batches share one persistent set of threads; a map started
+//!   inside the item of a map that fanned out runs inline.
 //!
 //! # Examples
 //!
@@ -40,7 +44,6 @@
 //! assert!(state.expect_z(0).abs() < 1e-12);
 //! ```
 
-mod batch;
 mod exec;
 mod grad;
 mod mps;
@@ -49,10 +52,6 @@ mod pool;
 mod state;
 mod state_batch;
 
-pub use batch::{
-    parallel_map, parallel_map_hinted, parallel_map_with, sequential_scope, set_parallelism,
-    MIN_PARALLEL_ITEMS,
-};
 pub use exec::{
     run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, FusedProgram, SimBackend,
 };
@@ -62,5 +61,6 @@ pub use grad::{
 };
 pub use mps::{mps_stats, reset_mps_stats, MpsConfig, MpsState, MpsStats};
 pub use plan::{SimPlan, DEFAULT_FUSION_LEVEL};
+pub use pool::{parallel_map, parallel_map_with, set_parallelism, try_parallel_map};
 pub use state::{counts_to_expect_z, StateVec};
 pub use state_batch::{StateBatch, DEFAULT_BATCH_LANES, LANE_CHUNK};

@@ -90,6 +90,16 @@ fn expect_boundary_crash(f: impl FnOnce()) {
     );
 }
 
+/// Runs `f` as one item of a two-item pool fan-out, so every per-sample
+/// map inside it runs inline on that item's thread.
+fn with_inline_maps<U: Send>(f: impl Fn() -> U + Sync) -> U {
+    let mut slots = qns_sim::try_parallel_map(&[true, false], 2, |&run| run.then(&f));
+    slots
+        .swap_remove(0)
+        .expect("f panicked")
+        .expect("item 0 runs f")
+}
+
 fn assert_search_bitwise_eq(resumed: &SearchResult, reference: &SearchResult) {
     assert_eq!(resumed.best, reference.best);
     assert_eq!(resumed.best_score.to_bits(), reference.best_score.to_bits());
@@ -255,8 +265,7 @@ fn training_killed_and_resumed_is_bitwise_identical() {
         // Resume under forced-sequential simulation: per-sample fan-out
         // must not influence the trajectory.
         let rt = SearchRuntime::new(ckpt_options(dir.path(), 1, true));
-        let (params, history) =
-            qns_sim::sequential_scope(|| train_supercircuit_rt(&sc, &task, &cfg, &rt));
+        let (params, history) = with_inline_maps(|| train_supercircuit_rt(&sc, &task, &cfg, &rt));
         assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 1);
         assert_f64s_bitwise_eq(&params, &reference.0, "params");
         assert_f64s_bitwise_eq(&history, &reference.1, "history");
@@ -299,8 +308,7 @@ fn pruning_killed_and_resumed_is_bitwise_identical() {
         });
 
         let rt = SearchRuntime::new(ckpt_options(dir.path(), 1, true));
-        let resumed =
-            qns_sim::sequential_scope(|| iterative_prune_rt(&circuit, &params, &task, &cfg, &rt));
+        let resumed = with_inline_maps(|| iterative_prune_rt(&circuit, &params, &task, &cfg, &rt));
         assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 1);
         assert_prune_eq(&resumed, &reference);
     }

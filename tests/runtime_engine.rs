@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use qns_noise::Device;
-use qns_runtime::{counters, CacheKey, EvalEngine, StructuralHasher, Workers};
+use qns_runtime::{counters, CacheKey, StructuralHasher};
 use qns_transpile::Layout;
 use qns_verify::VerifyLevel;
 use quantumnas::{
@@ -128,16 +128,14 @@ fn random_search_is_deterministic_across_runtime_settings() {
 /// come back in order.
 #[test]
 fn engine_poisons_panicking_candidates_only() {
-    let engine = EvalEngine::new(Workers::Fixed(4));
     let items: Vec<i64> = (0..32).collect();
-    let out = engine.run(
-        &items,
-        |&x| {
-            assert!(x % 7 != 3, "synthetic failure");
-            x as f64
-        },
-        f64::INFINITY,
-    );
+    let out: Vec<f64> = qns_sim::try_parallel_map(&items, 4, |&x| {
+        assert!(x % 7 != 3, "synthetic failure");
+        x as f64
+    })
+    .into_iter()
+    .map(|slot| slot.unwrap_or(f64::INFINITY))
+    .collect();
     for (i, v) in out.iter().enumerate() {
         if i % 7 == 3 {
             assert!(v.is_infinite(), "slot {i} must be poisoned");

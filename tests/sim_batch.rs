@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::Workers;
 use qns_sim::{
     adjoint_gradient, adjoint_gradient_batch, run, DiagObservable, ExecMode, SimPlan, StateBatch,
     StateVec,
@@ -264,11 +263,11 @@ fn batched_trajectory_lanes_bitwise_stable_for_any_worker_count() {
         seed: 13,
         readout: true,
     };
-    let baseline = TrajectoryExecutor::new(Device::belem(), cfg).with_workers(Workers::Fixed(1));
+    let baseline = TrajectoryExecutor::new(Device::belem(), cfg).with_workers(1);
     let base_e = baseline.expect_z(&c, &train, &input, &phys);
     let base_m = baseline.expect_z_masks(&c, &train, &input, &phys, &[0b101, 0b011]);
     let base_s = baseline.sample_counts(&c, &train, &input, &phys, 500);
-    for workers in [Workers::Fixed(2), Workers::Fixed(5), Workers::Auto] {
+    for workers in [2, 5, 0] {
         let exec = TrajectoryExecutor::new(Device::belem(), cfg).with_workers(workers);
         assert_eq!(
             base_e.expect_z,
@@ -289,10 +288,10 @@ fn batched_trajectory_lanes_bitwise_stable_for_any_worker_count() {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-semantics suite: `parallel_map` now runs on a persistent process-wide
+// Pool-semantics suite: every fan-out runs on one persistent process-wide
 // worker pool, and every observable contract of the old per-call scoped
 // spawn must survive — input ordering, mid-process `set_parallelism`,
-// `sequential_scope` suppression, and panic payloads reaching the runtime's
+// inline nested fan-outs, and panic payloads reaching the per-candidate
 // isolation scope with their message intact.
 // ---------------------------------------------------------------------------
 
@@ -334,32 +333,54 @@ fn pool_honors_set_parallelism_mid_process() {
     );
 }
 
-/// `sequential_scope` still suppresses fan-out entirely (the trajectory
-/// executor relies on this inside its own worker threads) and restores
-/// the flag afterwards so later maps parallelize again.
+/// A map started inside a candidate item runs inline on that item's
+/// thread instead of oversubscribing the cores, and a 4-worker trajectory
+/// executor nested the same way stays bitwise equal to a 1-worker one.
 #[test]
-fn pool_respects_sequential_scope() {
-    let items: Vec<usize> = (0..64).collect();
-    let caller = std::thread::current().id();
-    let ids = qns_sim::sequential_scope(|| {
-        qns_sim::parallel_map_with(&items, 8, |_| std::thread::current().id())
+fn nested_fan_outs_stay_on_the_outer_items_thread() {
+    let mut c = Circuit::new(3);
+    c.push(GateKind::H, &[0], &[]);
+    c.push(GateKind::RX, &[1], &[Param::Input(0)]);
+    c.push(GateKind::CX, &[0, 1], &[]);
+    c.push(GateKind::RY, &[2], &[Param::Train(0)]);
+    c.push(GateKind::CZ, &[1, 2], &[]);
+    let (train, input, phys) = ([0.6], [0.25], [0usize, 1, 2]);
+    let cfg = TrajectoryConfig {
+        trajectories: 40,
+        seed: 21,
+        readout: true,
+    };
+    let reference = TrajectoryExecutor::new(Device::belem(), cfg)
+        .with_workers(1)
+        .expect_z(&c, &train, &input, &phys);
+    let nested = TrajectoryExecutor::new(Device::belem(), cfg).with_workers(4);
+    let candidates: Vec<usize> = (0..4).collect();
+    let results = qns_sim::try_parallel_map(&candidates, 2, |_| {
+        let outer = std::thread::current().id();
+        let samples: Vec<usize> = (0..64).collect();
+        let ids = qns_sim::parallel_map_with(&samples, 4, |_| std::thread::current().id());
+        let expect = nested.expect_z(&c, &train, &input, &phys);
+        (ids.iter().all(|&id| id == outer), expect)
     });
-    assert!(
-        ids.iter().all(|&id| id == caller),
-        "sequential_scope must keep every item on the caller"
-    );
-    let out = qns_sim::parallel_map_with(&items, 2, |&x| x + 1);
-    assert_eq!(out[63], 64, "parallelism must be restored after the scope");
+    for (i, slot) in results.into_iter().enumerate() {
+        let (inline, expect) = slot.expect("no candidate panics");
+        assert!(
+            inline,
+            "candidate {i}: inner items left the outer item's thread"
+        );
+        assert_eq!(
+            expect.expect_z, reference.expect_z,
+            "candidate {i}: nested trajectories drifted"
+        );
+    }
 }
 
 /// A panic inside a pooled chunk propagates out of `parallel_map` with
-/// its original payload, and the runtime's `EvalEngine` isolation scope
-/// classifies it into the same telemetry message a scoped spawn produced
-/// (the downcast-to-String path in `panic_message`).
+/// its original payload, and `try_parallel_map`'s per-item isolation
+/// scope classifies it into the same telemetry message a scoped spawn
+/// produced (the downcast-to-String path in `panic_message`).
 #[test]
 fn pool_panics_classify_correctly_in_telemetry() {
-    use qns_runtime::EvalEngine;
-
     // Payload survives the pool boundary verbatim.
     let items: Vec<usize> = (0..32).collect();
     let caught = std::panic::catch_unwind(|| {
@@ -376,12 +397,11 @@ fn pool_panics_classify_correctly_in_telemetry() {
         .expect("String payload must be preserved, not wrapped");
     assert!(msg.contains("lane 17 diverged"), "{msg}");
 
-    // And the engine's isolation scope turns it into a classified error
+    // And the per-item isolation scope turns it into a classified error
     // string for telemetry, while healthy slots keep their results. The
-    // engine evaluates candidates which themselves fan per-sample maps
-    // over the pool — the nesting must not deadlock either.
-    let engine = EvalEngine::new(Workers::Fixed(2));
-    let results = engine.try_run(&[1usize, 2, 3, 4], |&x| {
+    // candidates themselves fan per-sample maps out — the nesting must not
+    // deadlock either.
+    let results = qns_sim::try_parallel_map(&[1usize, 2, 3, 4], 2, |&x| {
         let inner: Vec<usize> = (0..8).collect();
         let sum: usize = qns_sim::parallel_map_with(&inner, 2, |&y| y * x)
             .into_iter()

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use qns_chem::{PauliString, PauliSum};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::{counters, Workers};
+use qns_runtime::counters;
 use qns_sim::{run_with, ExecMode, FusedOp, MpsConfig, MpsState, SimBackend, SimPlan, StateVec};
 use qns_transpile::optimize;
 use quantumnas::{
@@ -217,7 +217,7 @@ fn mps_trajectories_bit_identical_across_worker_counts() {
     let seq_e = sequential.expect_z(&c, &[], &[], &phys);
     let seq_m = sequential.expect_z_masks(&c, &[], &[], &phys, &[0b101, 0b011]);
     let seq_s = sequential.sample_counts(&c, &[], &[], &phys, 256);
-    for workers in [Workers::Fixed(2), Workers::Fixed(4), Workers::Auto] {
+    for workers in [2, 4, 0] {
         let parallel = TrajectoryExecutor::new(Device::yorktown(), cfg)
             .with_backend(backend)
             .with_workers(workers);

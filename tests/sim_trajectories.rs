@@ -1,4 +1,4 @@
-//! Trajectory-sampling battery: the engine-routed parallel trajectory
+//! Trajectory-sampling battery: the pool-routed parallel trajectory
 //! path must be (a) statistically faithful to the exact density-matrix
 //! channel expectation and (b) bit-identical to the sequential path for
 //! a fixed candidate, at every worker count.
@@ -7,7 +7,6 @@ mod common;
 
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{density_expect_z, Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::Workers;
 use qns_sim::SimBackend;
 
 fn noisy_circuit() -> Circuit {
@@ -38,7 +37,7 @@ fn trajectory_mean_converges_to_density_expectation() {
             readout: false,
         },
     )
-    .with_workers(Workers::Fixed(4));
+    .with_workers(4);
     let sampled = exec.expect_z(&c, &[], &[], &phys);
     for (q, (a, b)) in exact.iter().zip(sampled.expect_z.iter()).enumerate() {
         assert!(
@@ -63,7 +62,7 @@ fn parallel_trajectories_bit_identical_to_sequential() {
     let seq_e = sequential.expect_z(&c, &[], &[], &phys);
     let seq_m = sequential.expect_z_masks(&c, &[], &[], &phys, &[0b101, 0b011]);
     let seq_s = sequential.sample_counts(&c, &[], &[], &phys, 256);
-    for workers in [Workers::Fixed(2), Workers::Fixed(4), Workers::Auto] {
+    for workers in [2, 4, 0] {
         let parallel = TrajectoryExecutor::new(Device::yorktown(), cfg).with_workers(workers);
         let par_e = parallel.expect_z(&c, &[], &[], &phys);
         assert_eq!(

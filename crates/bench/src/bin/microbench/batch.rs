@@ -1,10 +1,5 @@
-//! `batch_bench` — timings for the batched multi-state engine, recorded
-//! as `BENCH_batch.json`.
-//!
-//! ```text
-//! cargo run -p qns-bench --release --bin batch_bench \
-//!     [-- --smoke] [-- --out PATH] [-- --check PATH]
-//! ```
+//! `batch` — timings for the batched multi-state engine, recorded as
+//! `BENCH_batch.json`; `--check` gates `epoch.batched_s`.
 //!
 //! Two sections, each per-sample-vs-batched:
 //!
@@ -15,11 +10,9 @@
 //!    under `parallel_map` vs. `adjoint_gradient_batch`. The acceptance
 //!    target is ≥2× here.
 //!
-//! `--smoke` shrinks both sections to a single cheap iteration so CI can
-//! run the binary as a build-and-run check without thresholds.
-//! `--check PATH` compares the fresh `epoch.batched_s` against a
-//! previously committed JSON and exits non-zero on a >20% regression.
+//! `--smoke` shrinks both sections to a single cheap iteration.
 
+use crate::{time_median, Floor, Json, Mode};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_ml::{cross_entropy_grad, nll_loss};
 use qns_sim::{
@@ -28,13 +21,11 @@ use qns_sim::{
 };
 use quantumnas::Readout;
 use std::cell::RefCell;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A QML-style benchmark candidate: an input-encoding layer (RY + affine
 /// RZ per qubit) followed by `layers` of U3 rotations and a CU3
 /// entangling ring — the SuperCircuit U3+CU3 design space shape.
-fn qml_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
+pub fn qml_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
     let mut c = Circuit::new(n);
     for q in 0..n {
         c.push(GateKind::RY, &[q], &[Param::Input(q)]);
@@ -71,30 +62,15 @@ fn qml_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-/// Deterministic sample features (angles) and labels.
-fn dataset(n_samples: usize, dim: usize, classes: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
-    let features = (0..n_samples)
+/// Deterministic sample features (angles).
+pub fn features(n_samples: usize, dim: usize) -> Vec<Vec<f64>> {
+    (0..n_samples)
         .map(|s| {
             (0..dim)
                 .map(|q| 0.3 * ((s * dim + q) as f64 % 11.0) - 1.2)
                 .collect()
         })
-        .collect();
-    let labels = (0..n_samples).map(|s| s % classes).collect();
-    (features, labels)
-}
-
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+        .collect()
 }
 
 /// One sample of the pre-batching training shape: a Static forward for
@@ -117,71 +93,13 @@ fn sample_grad_baseline(
     (loss, grad)
 }
 
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"epoch"` object of a flat JSON
-/// string written by this bin.
-fn epoch_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"epoch\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_batch.json".to_string());
-    let check_path = flag("--check");
-    let reps = if smoke { 1 } else { 9 };
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
-    json.str("bench", "batch");
-    json.str("mode", if smoke { "smoke" } else { "full" });
-    json.int("cores", cores);
-
+pub fn measure(Mode { smoke, reps, cores }: Mode, json: &mut Json) -> Vec<Floor> {
     let (n, layers, n_samples) = if smoke { (6, 1, 16) } else { (10, 3, 128) };
     let batch_size = 32.min(n_samples);
     let classes = 4;
     let (circuit, params) = qml_circuit(n, layers);
-    let (features, labels) = dataset(n_samples, n, classes);
+    let features = features(n_samples, n);
+    let labels: Vec<usize> = (0..n_samples).map(|s| s % classes).collect();
     let readout = Readout::per_qubit(classes, n);
 
     // 1. Forward-only minibatch inference.
@@ -231,13 +149,6 @@ fn main() {
         .collect();
         assert_eq!(logits.len(), n_samples);
     });
-    println!(
-        "forward (n={n}, {} samples): per-sample {:.3}ms batched {:.3}ms ({:.2}x)",
-        n_samples,
-        per_sample_fwd * 1e3,
-        batched_fwd * 1e3,
-        per_sample_fwd / batched_fwd.max(1e-12),
-    );
     json.obj("forward", |j| {
         j.int("qubits", n);
         j.int("samples", n_samples);
@@ -287,14 +198,6 @@ fn main() {
         }
     });
     let speedup = epoch_per_sample / epoch_batched.max(1e-12);
-    println!(
-        "epoch (n={n}, batch {batch_size}, {} samples, {} params): \
-         per-sample {:.3}ms batched {:.3}ms ({speedup:.2}x)",
-        n_samples,
-        circuit.num_train_params(),
-        epoch_per_sample * 1e3,
-        epoch_batched * 1e3,
-    );
     json.obj("epoch", |j| {
         j.int("qubits", n);
         j.int("batch", batch_size);
@@ -306,40 +209,12 @@ fn main() {
         j.num("speedup", speedup);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_batch.json");
-    println!("\nwrote {out_path}");
-
-    if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            epoch_num(&committed, "batched_s").expect("committed baseline has epoch.batched_s");
-        let ratio = epoch_batched / committed_s.max(1e-12);
-        println!(
-            "check vs {path}: committed epoch {:.3}ms, fresh {:.3}ms ({ratio:.2}x)",
-            committed_s * 1e3,
-            epoch_batched * 1e3,
-        );
-        if ratio > 1.2 {
-            eprintln!("regression: batched epoch is {ratio:.2}x the committed baseline (>1.20x)");
-            std::process::exit(1);
-        }
-    }
-
     // The acceptance comparison is serial-core: on multi-core hosts the
     // per-sample baseline fans out over all cores via `parallel_map` while
     // the batched path has only one chunk per minibatch to parallelize, so
     // the kernel-level speedup is only well-defined at one worker.
-    if !smoke && cores == 1 {
-        assert!(
-            speedup >= 2.0,
-            "acceptance: batched epoch speedup {speedup:.2}x is below the 2x target"
-        );
+    if cores != 1 {
+        return Vec::new();
     }
+    vec![Floor("batched epoch speedup", speedup, 2.0)]
 }

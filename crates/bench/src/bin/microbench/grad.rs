@@ -1,10 +1,11 @@
-//! Gradient-engine comparison: adjoint vs parameter-shift vs numeric.
+//! `grad` — gradient-engine comparison: adjoint vs parameter-shift vs
+//! numeric.
 //!
 //! Adjoint costs O(1) circuit sweeps regardless of parameter count;
 //! parameter-shift costs 2 evaluations per parameter — the design-choice
 //! ablation called out in DESIGN.md.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use crate::{time_median, Floor, Json, Mode};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_sim::{adjoint_gradient, numeric_gradient, parameter_shift_gradient, DiagObservable};
 
@@ -26,27 +27,22 @@ fn rotation_circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-fn bench_gradients(c: &mut Criterion) {
-    let mut group = c.benchmark_group("grad");
-    group.sample_size(10);
+pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     for &layers in &[2usize, 4, 8] {
         let (circuit, params) = rotation_circuit(6, layers);
         let obs = DiagObservable::new(vec![1.0; 6]);
-        let label = format!("{}params", params.len());
-        group.bench_with_input(BenchmarkId::new("adjoint", &label), &circuit, |b, circ| {
-            b.iter(|| adjoint_gradient(circ, &params, &[], &obs))
+        let adjoint = time_median(reps, || adjoint_gradient(&circuit, &params, &[], &obs));
+        let shift = time_median(reps, || {
+            parameter_shift_gradient(&circuit, &params, &[], &obs)
         });
-        group.bench_with_input(
-            BenchmarkId::new("parameter_shift", &label),
-            &circuit,
-            |b, circ| b.iter(|| parameter_shift_gradient(circ, &params, &[], &obs)),
-        );
-        group.bench_with_input(BenchmarkId::new("numeric", &label), &circuit, |b, circ| {
-            b.iter(|| numeric_gradient(circ, &params, &[], &obs, 1e-5))
+        let numeric = time_median(reps, || {
+            numeric_gradient(&circuit, &params, &[], &obs, 1e-5)
+        });
+        json.obj(&format!("params{}", params.len()), |j| {
+            j.num("adjoint_s", adjoint);
+            j.num("parameter_shift_s", shift);
+            j.num("numeric_s", numeric);
         });
     }
-    group.finish();
+    Vec::new()
 }
-
-criterion_group!(benches, bench_gradients);
-criterion_main!(benches);

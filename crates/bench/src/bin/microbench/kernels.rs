@@ -1,10 +1,6 @@
-//! `kernel_bench` — micro-benchmarks for the split-complex lane kernels
-//! and the persistent worker pool, recorded as `BENCH_kernels.json`.
-//!
-//! ```text
-//! cargo run -p qns-bench --release --bin kernel_bench \
-//!     [-- --smoke] [-- --out PATH] [-- --check PATH]
-//! ```
+//! `kernels` — micro-benchmarks for the split-complex lane kernels and
+//! the persistent worker pool, recorded as `BENCH_kernels.json`;
+//! `--check` gates `forward.batched_s`.
 //!
 //! Three sections:
 //!
@@ -20,16 +16,12 @@
 //!    readout) at the default lane width, the number the lane kernels
 //!    exist to move.
 //!
-//! `--smoke` shrinks every section to a cheap single iteration so CI can
-//! run the binary as a build-and-run check without thresholds.
-//! `--check PATH` compares the fresh `forward.batched_s` against a
-//! previously committed JSON and exits non-zero on a >20% regression.
+//! `--smoke` shrinks every section to a cheap single iteration.
 
-use qns_circuit::{Circuit, GateKind, Param};
+use crate::batch::{features, qml_circuit};
+use crate::{time_median, Floor, Json, Mode};
 use qns_sim::{parallel_map_with, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL};
 use qns_tensor::{Mat2, Mat4, C64};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Interleaved (array-of-structs) reference batch: identical element
 /// order to [`StateBatch`] (`amp * lanes + lane`) but `C64` pairs instead
@@ -103,19 +95,6 @@ fn ry(theta: f64) -> Mat2 {
     ])
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// The old dispatch shape: one scoped spawn per call, joined immediately.
 /// Kept here as the measured baseline for the `dispatch` section.
 fn scoped_map(items: &[u64], f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
@@ -129,105 +108,7 @@ fn scoped_map(items: &[u64], f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
     })
 }
 
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"forward"` object of a flat JSON
-/// string written by this bin.
-fn forward_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"forward\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The `batch_bench` QML candidate shape, reused for the end-to-end
-/// forward section.
-fn qml_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
-    let mut c = Circuit::new(n);
-    for q in 0..n {
-        c.push(GateKind::RY, &[q], &[Param::Input(q)]);
-        c.push(
-            GateKind::RZ,
-            &[q],
-            &[Param::AffineInput {
-                index: q,
-                scale: 0.5,
-                offset: 0.1,
-            }],
-        );
-    }
-    let mut t = 0;
-    for _ in 0..layers {
-        for q in 0..n {
-            c.push(
-                GateKind::U3,
-                &[q],
-                &[Param::Train(t), Param::Train(t + 1), Param::Train(t + 2)],
-            );
-            t += 3;
-        }
-        for q in 0..n {
-            c.push(
-                GateKind::CU3,
-                &[q, (q + 1) % n],
-                &[Param::Train(t), Param::Train(t + 1), Param::Train(t + 2)],
-            );
-            t += 3;
-        }
-    }
-    let params = (0..t).map(|i| 0.1 * (i as f64 % 7.0) - 0.3).collect();
-    (c, params)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let check_path = flag("--check");
-    let reps = if smoke { 1 } else { 9 };
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
-    json.str("bench", "kernels");
-    json.str("mode", if smoke { "smoke" } else { "full" });
-    json.int("cores", cores);
-
+pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     // 1. Planar vs interleaved lane sweeps.
     let n = if smoke { 6 } else { 10 };
     let lane_counts: &[usize] = if smoke { &[2, 8] } else { &[2, 8, 32, 64] };
@@ -265,11 +146,6 @@ fn main() {
             });
             let speedup = inter_s / planar_s.max(1e-12);
             let gf = flops_per_iter(lanes) * 1e-9;
-            println!(
-                "lanes={lanes}: planar {:.2} GFLOP/s, interleaved {:.2} GFLOP/s ({speedup:.2}x)",
-                gf / planar_s.max(1e-12),
-                gf / inter_s.max(1e-12),
-            );
             j.num(&format!("planar_gflops_{lanes}"), gf / planar_s.max(1e-12));
             j.num(
                 &format!("interleaved_gflops_{lanes}"),
@@ -300,11 +176,6 @@ fn main() {
         }
     }) / calls as f64;
     let dispatch_ratio = scoped_s / pool_s.max(1e-12);
-    println!(
-        "dispatch: pool {:.2}us/call, scoped spawn {:.2}us/call ({dispatch_ratio:.1}x)",
-        pool_s * 1e6,
-        scoped_s * 1e6,
-    );
     json.obj("dispatch", |j| {
         j.int("items", items.len());
         j.int("calls", calls);
@@ -317,13 +188,7 @@ fn main() {
     let (fn_, layers, samples) = if smoke { (6, 1, 16) } else { (10, 3, 128) };
     let lanes = DEFAULT_BATCH_LANES.min(samples);
     let (circuit, params) = qml_circuit(fn_, layers);
-    let features: Vec<Vec<f64>> = (0..samples)
-        .map(|s| {
-            (0..fn_)
-                .map(|q| 0.3 * ((s * fn_ + q) as f64 % 11.0) - 1.2)
-                .collect()
-        })
-        .collect();
+    let features = features(samples, fn_);
     let plan = SimPlan::compile(&circuit, DEFAULT_FUSION_LEVEL);
     let base = plan.materialize(&circuit, &params, &features[0]);
     let mut batch = StateBatch::zero_state(fn_, lanes);
@@ -335,10 +200,6 @@ fn main() {
             assert_eq!(ez.len(), inputs.len());
         }
     });
-    println!(
-        "forward (n={fn_}, {samples} samples, {lanes} lanes): batched {:.3}ms",
-        batched_s * 1e3,
-    );
     json.obj("forward", |j| {
         j.int("qubits", fn_);
         j.int("samples", samples);
@@ -347,42 +208,8 @@ fn main() {
         j.num("batched_s", batched_s);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_kernels.json");
-    println!("\nwrote {out_path}");
-
-    if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            forward_num(&committed, "batched_s").expect("committed baseline has forward.batched_s");
-        let ratio = batched_s / committed_s.max(1e-12);
-        println!(
-            "check vs {path}: committed forward {:.3}ms, fresh {:.3}ms ({ratio:.2}x)",
-            committed_s * 1e3,
-            batched_s * 1e3,
-        );
-        if ratio > 1.2 {
-            eprintln!("regression: batched forward is {ratio:.2}x the committed baseline (>1.20x)");
-            std::process::exit(1);
-        }
-    }
-
-    if !smoke {
-        assert!(
-            default_speedup >= 1.5,
-            "acceptance: planar lane kernels are {default_speedup:.2}x the interleaved \
-             reference at {DEFAULT_BATCH_LANES} lanes, below the 1.5x target"
-        );
-        assert!(
-            dispatch_ratio >= 5.0,
-            "acceptance: pool dispatch is only {dispatch_ratio:.1}x cheaper than scoped \
-             spawn, below the 5x target"
-        );
-    }
+    vec![
+        Floor("planar/interleaved at default lanes", default_speedup, 1.5),
+        Floor("scoped-spawn/pool dispatch", dispatch_ratio, 5.0),
+    ]
 }

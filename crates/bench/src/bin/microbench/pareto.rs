@@ -1,10 +1,5 @@
-//! `pareto_bench` — timings for the NSGA-II Pareto co-search machinery,
-//! recorded as `BENCH_pareto.json`.
-//!
-//! ```text
-//! cargo run -p qns-bench --release --bin pareto_bench \
-//!     [-- --smoke] [-- --out PATH] [-- --check PATH]
-//! ```
+//! `pareto` — timings for the NSGA-II Pareto co-search machinery,
+//! recorded as `BENCH_pareto.json`; `--check` gates `sort.per_point_s`.
 //!
 //! Two sections:
 //!
@@ -12,18 +7,16 @@
 //!    crowding-distance selection over a deterministic synthetic cloud of
 //!    3-objective points, the exact machinery the search runs once per
 //!    generation. Reports points selected per second and the per-point
-//!    cost (the `--check` regression metric), plus the hypervolume of the
-//!    cloud's first front as a correctness canary.
+//!    cost (the gated metric), plus the hypervolume of the cloud's first
+//!    front as a correctness canary.
 //! 2. `search` — end-to-end: the same evolutionary search run as the
 //!    scalar (loss-only) search and as the Pareto search over (loss,
 //!    depth, twoq). Reports wall-clock for both, the multi-objective overhead
 //!    ratio, the final front size, and its normalized hypervolume.
 //!
-//! `--smoke` shrinks both sections to a single cheap iteration so CI can
-//! run the binary as a build-and-run check without thresholds.
-//! `--check PATH` compares the fresh `sort.per_point_s` against a
-//! previously committed JSON and exits non-zero on a >20% regression.
+//! `--smoke` shrinks both sections to a single cheap iteration.
 
+use crate::{time_median, Floor, Json, Mode};
 use qns_noise::Device;
 use qns_runtime::CacheKey;
 use quantumnas::{
@@ -31,8 +24,6 @@ use quantumnas::{
     non_dominated_sort, normalize_objectives, selection_order, DesignSpace, Estimator,
     EstimatorKind, EvoConfig, Objective, SearchRuntime, SpaceKind, SuperCircuit, Task,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deterministic synthetic objective cloud: splitmix64 coordinates in
 /// [0, 1)^dims, so every run (and every machine) sorts the same points.
@@ -51,79 +42,7 @@ fn objective_cloud(n: usize, dims: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"sort"` object of a flat JSON
-/// string written by this bin.
-fn sort_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"sort\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_pareto.json".to_string());
-    let check_path = flag("--check");
-    let reps = if smoke { 1 } else { 9 };
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
-    json.str("bench", "pareto");
-    json.str("mode", if smoke { "smoke" } else { "full" });
-    json.int("cores", cores);
-
+pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     // 1. Selection throughput on a synthetic cloud: the per-generation
     // NSGA-II machinery (sort + crowding + total selection order).
     let n_points = if smoke { 64 } else { 512 };
@@ -150,11 +69,6 @@ fn main() {
         .collect();
     let hv = hypervolume(&first_front);
     let per_point = sort_s / n_points as f64;
-    println!(
-        "sort ({n_points} points, 3 objectives): {:.3}ms ({:.0} points/s, front {front_size}, hv {hv:.4})",
-        sort_s * 1e3,
-        1.0 / per_point.max(1e-12),
-    );
     json.obj("sort", |j| {
         j.int("points", n_points);
         j.int("front_size", front_size);
@@ -217,16 +131,6 @@ fn main() {
         .collect();
     let front_hv = hypervolume(&normalize_objectives(&front));
     let overhead = pareto_s / scalar_s.max(1e-12);
-    println!(
-        "search (pop {}, {} gens): scalar {:.3}ms (score {:.4}) \
-         pareto {:.3}ms (front {}, hv {front_hv:.4}) ({overhead:.2}x)",
-        cfg.population,
-        cfg.iterations,
-        scalar_s * 1e3,
-        scalar_result.best_score,
-        pareto_s * 1e3,
-        pareto_result.front.len(),
-    );
     json.obj("search", |j| {
         j.int("population", cfg.population);
         j.int("iterations", cfg.iterations);
@@ -239,34 +143,6 @@ fn main() {
         j.num("overhead", overhead);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_pareto.json");
-    println!("\nwrote {out_path}");
-
-    if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            sort_num(&committed, "per_point_s").expect("committed baseline has sort.per_point_s");
-        let ratio = per_point / committed_s.max(1e-12);
-        println!(
-            "check vs {path}: committed sort {:.3}us/point, fresh {:.3}us/point ({ratio:.2}x)",
-            committed_s * 1e6,
-            per_point * 1e6,
-        );
-        if ratio > 1.2 {
-            eprintln!(
-                "regression: pareto selection is {ratio:.2}x the committed baseline (>1.20x)"
-            );
-            std::process::exit(1);
-        }
-    }
-
     // The front must never be empty and its normalized hypervolume must
     // stay a valid fraction of the unit cube.
     assert!(!pareto_result.front.is_empty(), "empty final front");
@@ -274,4 +150,5 @@ fn main() {
         (0.0..=1.0).contains(&front_hv),
         "normalized hypervolume out of range: {front_hv}"
     );
+    Vec::new()
 }

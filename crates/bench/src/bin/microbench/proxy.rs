@@ -1,10 +1,5 @@
-//! `proxy_bench` — timings for the proxy-prescreening stage, recorded as
-//! `BENCH_proxy.json`.
-//!
-//! ```text
-//! cargo run -p qns-bench --release --bin proxy_bench \
-//!     [-- --smoke] [-- --out PATH] [-- --check PATH]
-//! ```
+//! `proxy` — timings for the proxy-prescreening stage, recorded as
+//! `BENCH_proxy.json`; `--check` gates `rank.per_candidate_s`.
 //!
 //! Two sections:
 //!
@@ -18,19 +13,15 @@
 //!    generation). Reports wall-clock for both, the speedup, the two
 //!    final scores, and the full-estimator evaluation counts.
 //!
-//! `--smoke` shrinks both sections to a single cheap iteration so CI can
-//! run the binary as a build-and-run check without thresholds.
-//! `--check PATH` compares the fresh `rank.per_candidate_s` against a
-//! previously committed JSON and exits non-zero on a >20% regression.
+//! `--smoke` shrinks both sections to a single cheap iteration.
 
+use crate::{time_median, Floor, Json, Mode};
 use qns_noise::{Device, TrajectoryConfig};
 use quantumnas::{
     candidate_seed, compute_features, evolutionary_search_seeded_rt, gene_key, DesignSpace,
     Estimator, EstimatorKind, EvoConfig, FusionModel, Gene, ProxyContext, ProxyOptions,
     SearchRuntime, SpaceKind, SubConfig, SuperCircuit, Task,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deterministic spread of candidates over the 4-qubit U3+CU3 space:
 /// every (depth, width-pattern, layout-rotation) combination.
@@ -54,79 +45,7 @@ fn candidate_genes(n_phys: usize, widths: usize) -> Vec<Gene> {
     genes
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"rank"` object of a flat JSON
-/// string written by this bin.
-fn rank_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"rank\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_proxy.json".to_string());
-    let check_path = flag("--check");
-    let reps = if smoke { 1 } else { 9 };
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
-    json.str("bench", "proxy");
-    json.str("mode", if smoke { "smoke" } else { "full" });
-    json.int("cores", cores);
-
+pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
     let task = Task::qml_digits(&[1, 8], 15, 4, 4);
     let params: Vec<f64> = (0..sc.num_params())
@@ -182,21 +101,14 @@ fn main() {
     });
     let per_candidate = proxy_s / genes.len() as f64;
     let ranked_per_s = 1.0 / per_candidate.max(1e-12);
-    println!(
-        "rank ({} candidates): proxy {:.3}ms full {:.3}ms ({:.0} ranked/s, {:.1}x cheaper)",
-        genes.len(),
-        proxy_s * 1e3,
-        full_s * 1e3,
-        ranked_per_s,
-        full_s / proxy_s.max(1e-12),
-    );
+    let cost_ratio = full_s / proxy_s.max(1e-12);
     json.obj("rank", |j| {
         j.int("candidates", genes.len());
         j.num("proxy_s", proxy_s);
         j.num("full_s", full_s);
         j.num("per_candidate_s", per_candidate);
         j.num("ranked_per_s", ranked_per_s);
-        j.num("cost_ratio", full_s / proxy_s.max(1e-12));
+        j.num("cost_ratio", cost_ratio);
     });
 
     // 2. End-to-end: the same 4x population searched with full scoring vs
@@ -246,17 +158,6 @@ fn main() {
     let full_result = full_result.expect("full search ran");
     let proxied_result = proxied_result.expect("proxied search ran");
     let speedup = full_search_s / proxied_search_s.max(1e-12);
-    println!(
-        "search (pop 32, {} gens): full {:.3}ms (score {:.4}, {} evals) \
-         proxied {:.3}ms (score {:.4}, {} evals) ({speedup:.2}x)",
-        full_cfg.iterations,
-        full_search_s * 1e3,
-        full_result.best_score,
-        full_result.candidates(),
-        proxied_search_s * 1e3,
-        proxied_result.best_score,
-        proxied_result.candidates(),
-    );
     json.obj("search", |j| {
         j.int("population", full_cfg.population);
         j.int("iterations", full_cfg.iterations);
@@ -271,41 +172,8 @@ fn main() {
         j.num("speedup", speedup);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_proxy.json");
-    println!("\nwrote {out_path}");
-
-    if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s = rank_num(&committed, "per_candidate_s")
-            .expect("committed baseline has rank.per_candidate_s");
-        let ratio = per_candidate / committed_s.max(1e-12);
-        println!(
-            "check vs {path}: committed rank {:.3}us/cand, fresh {:.3}us/cand ({ratio:.2}x)",
-            committed_s * 1e6,
-            per_candidate * 1e6,
-        );
-        if ratio > 1.2 {
-            eprintln!("regression: proxy ranking is {ratio:.2}x the committed baseline (>1.20x)");
-            std::process::exit(1);
-        }
-    }
-
     // The prescreener only pays off if ranking is much cheaper than full
     // scoring; anything below 5x means a proxy regressed into doing
     // estimator-scale work.
-    if !smoke {
-        let cost_ratio = full_s / proxy_s.max(1e-12);
-        assert!(
-            cost_ratio >= 5.0,
-            "acceptance: proxy ranking is only {cost_ratio:.1}x cheaper than full scoring \
-             (5x floor)"
-        );
-    }
+    vec![Floor("full-score/proxy cost ratio", cost_ratio, 5.0)]
 }

@@ -1,8 +1,8 @@
-//! State-vector throughput vs qubit count (supports the Figure 15
-//! scalability discussion: the cost wall that motivates the success-rate
-//! estimator on large machines).
+//! `scaling` — state-vector throughput vs qubit count (supports the
+//! Figure 15 scalability discussion: the cost wall that motivates the
+//! success-rate estimator on large machines).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use crate::{time_median, Floor, Json, Mode};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_sim::{run, ExecMode};
 
@@ -26,17 +26,11 @@ fn layered_circuit(n_qubits: usize, blocks: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-fn bench_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_scaling");
-    group.sample_size(10);
+pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     for &n in &[4usize, 8, 12, 16] {
         let (circuit, params) = layered_circuit(n, 2);
-        group.bench_with_input(BenchmarkId::new("qubits", n), &n, |b, _| {
-            b.iter(|| run(&circuit, &params, &[], ExecMode::Static))
-        });
+        let secs = time_median(reps, || run(&circuit, &params, &[], ExecMode::Static));
+        json.obj(&format!("qubits{n}"), |j| j.num("static_s", secs));
     }
-    group.finish();
+    Vec::new()
 }
-
-criterion_group!(benches, bench_scaling);
-criterion_main!(benches);

@@ -1,9 +1,5 @@
-//! `sim_bench` — timings for the fast simulation path, recorded as
+//! `sim` — timings for the fast simulation path, recorded as
 //! `BENCH_sim.json`.
-//!
-//! ```text
-//! cargo run -p qns-bench --release --bin sim_bench [-- --smoke] [-- --out PATH]
-//! ```
 //!
 //! Five sections, each fast-vs-reference:
 //!
@@ -15,23 +11,21 @@
 //!    compile + full run per shifted parameter set.
 //! 4. `trajectories` — noise-trajectory batch on the work-stealing
 //!    engine (4 workers) vs. sequential.
-//! 5. `end_to_end` — `Estimator` QML candidate score at 8 qubits,
+//! 5. `end_to_end` — `Estimator` QML candidate score at 10 qubits,
 //!    `SimBackend::Fast` vs. `SimBackend::Reference`. The acceptance
 //!    target is ≥2× here.
 //!
-//! `--smoke` shrinks every section to a single cheap iteration so CI can
-//! run the binary as a build-and-run check without thresholds.
+//! `--smoke` shrinks every section to a single cheap iteration.
 
+use crate::{time_median, Floor, Json, Mode};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_sim::{
-    run_into_with, shifted_expectations, DiagObservable, ExecMode, FusedProgram, Observable,
-    SimBackend, SimPlan, StateVec,
+    run_into_with, shifted_expectations, DiagObservable, ExecMode, Observable, SimBackend, SimPlan,
+    StateVec, DEFAULT_FUSION_LEVEL,
 };
 use qns_transpile::Layout;
 use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SuperCircuit, Task};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deep hardware-efficient benchmark circuit: `layers` of RZ·RX on every
 /// qubit plus a CX + CRY entangling ring.
@@ -54,66 +48,7 @@ fn deep_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let reps = if smoke { 1 } else { 9 };
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
-    json.str("bench", "sim");
-    json.str("mode", if smoke { "smoke" } else { "full" });
-    json.int("cores", cores);
-
+pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     // 1. Kernel sweep: same gate sequence, Dynamic mode (no fusion), so the
     // ratio isolates the structure-specialized kernels.
     let (n, layers) = if smoke { (6, 2) } else { (12, 8) };
@@ -139,13 +74,6 @@ fn main() {
             &mut state,
         );
     });
-    println!(
-        "kernels (n={n}, {} gates, Dynamic): fast {:.3}ms reference {:.3}ms ({:.2}x)",
-        circuit.num_ops(),
-        fast * 1e3,
-        reference * 1e3,
-        reference / fast.max(1e-12),
-    );
     json.obj("kernels", |j| {
         j.int("qubits", n);
         j.int("gates", circuit.num_ops());
@@ -161,19 +89,13 @@ fn main() {
         for level in 0..=3u8 {
             let plan = SimPlan::compile(&circuit, level);
             let blocks = plan.num_steps();
-            let base = plan.materialize(&circuit, &params, &[]);
             let secs = time_median(reps, || {
                 plan.execute_into(&circuit, &params, &[], &mut state);
             });
-            println!(
-                "fusion level {level}: {blocks} blocks, exec {:.3}ms",
-                secs * 1e3
-            );
             j.obj(&format!("level{level}"), |j| {
                 j.int("blocks", blocks);
                 j.num("exec_s", secs);
             });
-            let _ = base;
         }
     });
 
@@ -189,20 +111,13 @@ fn main() {
         let mut work = params.clone();
         for &(i, d) in &shifts {
             work[i] += d;
-            let prog = FusedProgram::compile(&circuit, &work, &[]);
+            let plan = SimPlan::compile(&circuit, DEFAULT_FUSION_LEVEL);
             let mut s = StateVec::zero_state(n);
-            prog.apply(&mut s);
+            plan.execute_into(&circuit, &work, &[], &mut s);
             let _ = obs.expect(&s);
             work[i] = params[i];
         }
     });
-    println!(
-        "replay ({} shifts): replay {:.3}ms recompile {:.3}ms ({:.2}x)",
-        shifts.len(),
-        replay * 1e3,
-        recompile * 1e3,
-        recompile / replay.max(1e-12),
-    );
     json.obj("replay", |j| {
         j.int("shifts", shifts.len());
         j.num("replay_s", replay);
@@ -229,13 +144,6 @@ fn main() {
     let par = time_median(reps, || {
         let _ = par_exec.expect_z(&tcirc, &tparams, &[], &phys);
     });
-    println!(
-        "trajectories ({} traj, n={tn}): sequential {:.3}ms 4 workers {:.3}ms ({:.2}x)",
-        cfg.trajectories,
-        seq * 1e3,
-        par * 1e3,
-        seq / par.max(1e-12),
-    );
     json.obj("trajectories", |j| {
         j.int("qubits", tn);
         j.int("trajectories", cfg.trajectories);
@@ -254,11 +162,7 @@ fn main() {
         en,
         if smoke { 1 } else { 3 },
     );
-    let encoder = match &task {
-        Task::Qml { encoder, .. } => encoder.clone(),
-        _ => unreachable!(),
-    };
-    let ecirc = sc.build(&sc.max_config(), Some(&encoder));
+    let ecirc = qns_bench::build(&sc, &sc.max_config(), &task);
     let eparams: Vec<f64> = (0..ecirc.num_train_params())
         .map(|i| 0.1 * (i as f64 % 7.0) - 0.3)
         .collect();
@@ -274,13 +178,6 @@ fn main() {
         ref_score = ref_est.score(&ecirc, &eparams, &task, &layout);
     });
     let speedup = e_ref / e_fast.max(1e-12);
-    println!(
-        "end_to_end (n={en}, {} gates): fast {:.3}ms reference {:.3}ms ({speedup:.2}x) \
-         score fast {fast_score:.6} reference {ref_score:.6}",
-        ecirc.num_ops(),
-        e_fast * 1e3,
-        e_ref * 1e3,
-    );
     assert!(
         (fast_score - ref_score).abs() < 1e-9,
         "fast and reference backends disagree on the candidate score"
@@ -294,18 +191,5 @@ fn main() {
         j.num("score", fast_score);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_sim.json");
-    println!("\nwrote {out_path}");
-    if !smoke {
-        assert!(
-            speedup >= 2.0,
-            "acceptance: end-to-end speedup {speedup:.2}x is below the 2x target"
-        );
-    }
+    vec![Floor("end-to-end speedup", speedup, 2.0)]
 }

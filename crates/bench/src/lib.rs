@@ -1,10 +1,11 @@
 //! Shared infrastructure for the QuantumNAS benchmark harness.
 //!
-//! The `repro` binary regenerates every table and figure of the paper; the
-//! Criterion benches time the underlying engines. Both build on the
-//! helpers here: a [`Scale`] that maps each experiment onto a laptop
-//! budget (or, with `--full`, onto paper-scale settings), task/space
+//! The `repro` binary regenerates every table and figure of the paper and
+//! builds on the helpers here: a [`Scale`] that maps each experiment onto a
+//! laptop budget (or, with `--full`, onto paper-scale settings), task/space
 //! constructors, and a uniform runner for the paper's baseline methods.
+//! The `microbench` binary times the underlying engines on its own
+//! harness (see its module docs).
 
 use qns_circuit::Circuit;
 use qns_noise::{Device, TrajectoryConfig};

@@ -175,13 +175,19 @@ fn cmd_spaces() {
 }
 
 fn cmd_run(args: &[String]) {
-    let get = |flag: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    // A value flag given last, or followed by another flag, is a usage
+    // error rather than a silent fallback to its default.
+    let value = |flag: &str| -> Option<String> {
+        let i = args.iter().position(|a| a == flag)?;
+        match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Some(v.clone()),
+            _ => {
+                eprintln!("{flag} needs a value");
+                usage()
+            }
+        }
     };
+    let get = |flag: &str, default: &str| value(flag).unwrap_or_else(|| default.to_string());
     let seed: u64 = get("--seed", "42").parse().unwrap_or_else(|_| usage());
     let samples: usize = get("--samples", "150").parse().unwrap_or_else(|_| usage());
     let task = parse_task(&get("--task", "mnist2"), samples, seed);
@@ -190,11 +196,7 @@ fn cmd_run(args: &[String]) {
         eprintln!("unknown device (see `qnas devices`)");
         usage()
     });
-    let qasm_path = args
-        .iter()
-        .position(|a| a == "--qasm")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let qasm_path = value("--qasm");
     // `--verify` alone means full checking; an optional value picks the
     // level (`--verify contracts` skips the equivalence spot check).
     let verify_level = match args.iter().position(|a| a == "--verify") {
@@ -237,21 +239,13 @@ fn cmd_run(args: &[String]) {
         eprintln!("--proxy-keep must be in (0, 1]");
         usage()
     }
-    let objectives = args
-        .iter()
-        .position(|a| a == "--objectives")
-        .and_then(|i| args.get(i + 1))
-        .map(|spec| {
-            quantumnas::parse_objectives(spec).unwrap_or_else(|e| {
-                eprintln!("--objectives: {e}");
-                usage()
-            })
-        });
-    let front_out = args
-        .iter()
-        .position(|a| a == "--front-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let objectives = value("--objectives").map(|spec| {
+        quantumnas::parse_objectives(&spec).unwrap_or_else(|e| {
+            eprintln!("--objectives: {e}");
+            usage()
+        })
+    });
+    let front_out = value("--front-out");
     if front_out.is_some() && objectives.is_none() {
         eprintln!("--front-out requires --objectives");
         usage()
@@ -273,17 +267,13 @@ fn cmd_run(args: &[String]) {
     // Per-sample simulation fan-out honors the same flag (it used to be
     // latched at first use, ignoring later settings).
     qns_sim::set_parallelism(workers);
-    let checkpoint = args
-        .iter()
-        .position(|a| a == "--checkpoint-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(|dir| CheckpointOptions {
-            dir: dir.into(),
-            every: get("--checkpoint-every", "1")
-                .parse()
-                .unwrap_or_else(|_| usage()),
-            resume: args.iter().any(|a| a == "--resume"),
-        });
+    let checkpoint = value("--checkpoint-dir").map(|dir| CheckpointOptions {
+        dir: dir.into(),
+        every: get("--checkpoint-every", "1")
+            .parse()
+            .unwrap_or_else(|_| usage()),
+        resume: args.iter().any(|a| a == "--resume"),
+    });
     if checkpoint.is_none() && args.iter().any(|a| a == "--resume") {
         eprintln!("--resume requires --checkpoint-dir");
         usage()
@@ -296,19 +286,11 @@ fn cmd_run(args: &[String]) {
     };
     let mut faults = FaultPlan::new();
     let mut have_faults = false;
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--fault-eval")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(n) = value("--fault-eval") {
         faults = faults.fail_eval(n.parse().unwrap_or_else(|_| usage()));
         have_faults = true;
     }
-    if let Some(k) = args
-        .iter()
-        .position(|a| a == "--fault-boundary")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(k) = value("--fault-boundary") {
         faults = faults.crash_at_boundary(k.parse().unwrap_or_else(|_| usage()));
         have_faults = true;
     }

@@ -50,78 +50,6 @@ pub enum FusedOp {
     Two(usize, usize, Mat4),
 }
 
-/// A fused, parameter-resolved program: the static-mode compilation product.
-///
-/// # Examples
-///
-/// ```
-/// use qns_circuit::{Circuit, GateKind};
-/// use qns_sim::FusedProgram;
-///
-/// let mut c = Circuit::new(1);
-/// c.push(GateKind::H, &[0], &[]);
-/// c.push(GateKind::X, &[0], &[]);
-/// c.push(GateKind::H, &[0], &[]);
-/// let prog = FusedProgram::compile(&c, &[], &[]);
-/// // Three 1q gates on the same qubit fuse into one block (HXH = Z).
-/// assert_eq!(prog.num_blocks(), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct FusedProgram {
-    n_qubits: usize,
-    blocks: Vec<FusedOp>,
-}
-
-impl FusedProgram {
-    /// Resolves parameters and fuses gates at [`DEFAULT_FUSION_LEVEL`].
-    ///
-    /// Fusion rules (see [`crate::SimPlan`] for the level ladder):
-    /// - consecutive one-qubit gates on the same qubit multiply into one 2×2,
-    /// - a pending 2×2 on either operand of a two-qubit gate folds into its
-    ///   4×4,
-    /// - two-qubit gates on the same qubit pair multiply into one 4×4
-    ///   (handling swapped operand order), merging across intervening blocks
-    ///   on disjoint qubits,
-    /// - trailing one-qubit gates fold into the last block on their qubit.
-    pub fn compile(circuit: &Circuit, train: &[f64], input: &[f64]) -> Self {
-        Self::compile_with_level(circuit, train, input, DEFAULT_FUSION_LEVEL)
-    }
-
-    /// Like [`FusedProgram::compile`] with an explicit fusion level 0..=3.
-    pub fn compile_with_level(circuit: &Circuit, train: &[f64], input: &[f64], level: u8) -> Self {
-        let plan = SimPlan::compile(circuit, level);
-        FusedProgram {
-            n_qubits: circuit.num_qubits(),
-            blocks: plan.materialize(circuit, train, input),
-        }
-    }
-
-    /// Number of fused blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Borrow of the block list.
-    pub fn blocks(&self) -> &[FusedOp] {
-        &self.blocks
-    }
-
-    /// Applies the program to a state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state width differs from the compiled width.
-    pub fn apply(&self, state: &mut StateVec) {
-        assert_eq!(state.num_qubits(), self.n_qubits, "width mismatch");
-        for b in &self.blocks {
-            match b {
-                FusedOp::One(q, m) => state.apply_1q(m, *q),
-                FusedOp::Two(a, b, m) => state.apply_2q(m, *a, *b),
-            }
-        }
-    }
-}
-
 /// Runs `circuit` from `|0...0>` with the given trainable parameters and
 /// per-sample input, returning the final state.
 ///
@@ -314,13 +242,12 @@ mod tests {
 
     #[test]
     fn fusion_reduces_block_count() {
-        let (c, train) = random_circuit(4, 60, 99);
-        let prog = FusedProgram::compile(&c, &train, &[]);
+        let (c, _) = random_circuit(4, 60, 99);
+        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).num_steps();
         assert!(
-            prog.num_blocks() < c.num_ops(),
-            "expected fusion to shrink {} ops, got {} blocks",
+            blocks < c.num_ops(),
+            "expected fusion to shrink {} ops, got {blocks} blocks",
             c.num_ops(),
-            prog.num_blocks()
         );
     }
 
@@ -330,9 +257,9 @@ mod tests {
         c.push(GateKind::H, &[0], &[]);
         c.push(GateKind::X, &[0], &[]);
         c.push(GateKind::H, &[0], &[]);
-        let prog = FusedProgram::compile(&c, &[], &[]);
-        assert_eq!(prog.num_blocks(), 1);
-        match &prog.blocks()[0] {
+        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).materialize(&c, &[], &[]);
+        assert_eq!(blocks.len(), 1);
+        match &blocks[0] {
             FusedOp::One(0, m) => assert!(m.approx_eq(&qns_tensor::Mat2::pauli_z(), 1e-12)),
             other => panic!("unexpected block {:?}", other),
         }
@@ -344,8 +271,8 @@ mod tests {
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::CX, &[1, 0], &[]);
         c.push(GateKind::CX, &[0, 1], &[]);
-        let prog = FusedProgram::compile(&c, &[], &[]);
-        assert_eq!(prog.num_blocks(), 1, "all three CX on one pair fuse");
+        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).num_steps();
+        assert_eq!(blocks, 1, "all three CX on one pair fuse");
         let a = run(&c, &[], &[], ExecMode::Dynamic);
         let b = run(&c, &[], &[], ExecMode::Static);
         assert!((a.inner(&b).abs() - 1.0).abs() < 1e-10);

@@ -8,7 +8,7 @@
 //! - **static mode** — gates are fused into 2×2 / 4×4 blocks before being
 //!   applied (fusion v2: commuting-window merging + trailing absorption),
 //!   cutting the number of state-vector sweeps (the paper reports ~2× from
-//!   this; see the `engine_speed` and `sim_kernels` benches),
+//!   this; see `microbench engine` and `microbench sim` in `qns-bench`),
 //! - **two backends** — [`SimBackend::Fast`] (structure-specialized,
 //!   cache-blocked kernels; the default) and [`SimBackend::Reference`] (the
 //!   original naive per-gate kernels, kept as the differential-test oracle),
@@ -52,9 +52,7 @@ mod pool;
 mod state;
 mod state_batch;
 
-pub use exec::{
-    run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, FusedProgram, SimBackend,
-};
+pub use exec::{run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, SimBackend};
 pub use grad::{
     adjoint_gradient, adjoint_gradient_batch, numeric_gradient, parameter_shift_gradient,
     shifted_expectations, DiagObservable, Observable,

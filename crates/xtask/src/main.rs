@@ -93,7 +93,7 @@ fn run_asm_check(flags: &[String]) -> ExitCode {
         Some(p) => std::path::PathBuf::from(p),
         None => {
             // Any release binary that links the batch sweeps works; the
-            // batch benchmark exercises every one of them.
+            // micro-benchmarks exercise every one of them.
             let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
             let status = std::process::Command::new(cargo)
                 .args([
@@ -102,7 +102,7 @@ fn run_asm_check(flags: &[String]) -> ExitCode {
                     "-p",
                     "qns-bench",
                     "--bin",
-                    "batch_bench",
+                    "microbench",
                 ])
                 .current_dir(&root)
                 .status();
@@ -117,7 +117,7 @@ fn run_asm_check(flags: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            root.join("target/release/batch_bench")
+            root.join("target/release/microbench")
         }
     };
 

@@ -12,7 +12,7 @@ mod common;
 
 use proptest::prelude::*;
 use qns_circuit::{Circuit, GateKind, Param};
-use qns_sim::{run_with, ExecMode, FusedProgram, SimBackend, StateVec};
+use qns_sim::{run_with, ExecMode, SimBackend, SimPlan, StateVec};
 use qns_transpile::optimize;
 
 const TOL: f64 = 1e-10;
@@ -104,9 +104,8 @@ proptest! {
     fn all_fusion_levels_agree_with_reference((circuit, train) in arb_any_circuit()) {
         let oracle = run_with(&circuit, &train, &[], ExecMode::Dynamic, SimBackend::Reference);
         for level in 0..=3u8 {
-            let prog = FusedProgram::compile_with_level(&circuit, &train, &[], level);
             let mut fast = StateVec::zero_state(circuit.num_qubits());
-            prog.apply(&mut fast);
+            SimPlan::compile(&circuit, level).execute_into(&circuit, &train, &[], &mut fast);
             assert_amplitudes_close(&fast, &oracle, &format!("fusion level {level}"));
         }
     }

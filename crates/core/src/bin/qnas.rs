@@ -48,6 +48,10 @@
 //!   --stats                            print the runtime telemetry summary
 //!   --qasm    <path>                   export the deployed circuit
 //! ```
+//!
+//! An unknown argument, an unknown value or a value flag without a value
+//! prints usage and exits 2. A `--qasm` or `--front-out` file that cannot
+//! be written exits 1 after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -70,6 +74,55 @@ fn usage() -> ! {
          [--fault-eval N] [--fault-boundary K] [--stats] [--qasm PATH]"
     );
     std::process::exit(2);
+}
+
+/// `qnas run` flags that take a value.
+const VALUE_FLAGS: [&str; 18] = [
+    "--task",
+    "--space",
+    "--device",
+    "--seed",
+    "--preset",
+    "--samples",
+    "--backend",
+    "--max-bond",
+    "--workers",
+    "--checkpoint-dir",
+    "--checkpoint-every",
+    "--proxy-keep",
+    "--proxy-warmup",
+    "--objectives",
+    "--front-out",
+    "--fault-eval",
+    "--fault-boundary",
+    "--qasm",
+];
+
+/// `qnas run` flags whose value is optional.
+const OPTIONAL_VALUE_FLAGS: [&str; 2] = ["--verify", "--proxy"];
+
+/// `qnas run` flags that take no value.
+const SWITCHES: [&str; 3] = ["--no-cache", "--resume", "--stats"];
+
+/// Rejects any argument that is neither a known flag nor a flag's value,
+/// so a typo such as `--wrokers 2` is a usage error instead of a run on
+/// the defaults.
+fn check_run_args(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        let optional = OPTIONAL_VALUE_FLAGS.contains(&arg);
+        i += if VALUE_FLAGS.contains(&arg)
+            || optional && args.get(i + 1).is_some_and(|v| !v.starts_with("--"))
+        {
+            2
+        } else if optional || SWITCHES.contains(&arg) {
+            1
+        } else {
+            eprintln!("unknown argument '{arg}'");
+            usage()
+        };
+    }
 }
 
 fn parse_task(name: &str, samples: usize, seed: u64) -> Task {
@@ -175,6 +228,7 @@ fn cmd_spaces() {
 }
 
 fn cmd_run(args: &[String]) {
+    check_run_args(args);
     // A value flag given last, or followed by another flag, is a usage
     // error rather than a silent fallback to its default.
     let value = |flag: &str| -> Option<String> {
@@ -341,6 +395,8 @@ fn cmd_run(args: &[String]) {
     }
     let nas = QuantumNas::new(space, device.clone(), task, config);
     let report = nas.run(seed);
+    // A failed output write still prints the whole report, then exits 1.
+    let mut write_failed = false;
 
     println!(
         "\nsearched architecture: {} blocks, {} parameters",
@@ -412,6 +468,7 @@ fn cmd_run(args: &[String]) {
                 println!("wrote Pareto front to {path}");
             } else {
                 eprintln!("failed to write {path}");
+                write_failed = true;
             }
         }
     }
@@ -435,10 +492,14 @@ fn cmd_run(args: &[String]) {
                     println!("wrote OpenQASM to {path}");
                 } else {
                     eprintln!("failed to write {path}");
+                    write_failed = true;
                 }
             }
             Err(gate) => eprintln!("cannot export gate {gate}"),
         }
+    }
+    if write_failed {
+        std::process::exit(1);
     }
 }
 

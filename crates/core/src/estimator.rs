@@ -365,12 +365,10 @@ impl Estimator {
                     parallel_map(&samples, |&i| {
                         let noisy =
                             exec.expect_z(&t.circuit, params, &valid.features[i], &t.phys_of);
-                        let logical: Vec<f64> = t
-                            .dense_of_logical
-                            .iter()
-                            .map(|&d| noisy.expect_z[d])
-                            .collect();
-                        nll_loss(&readout.logits(&logical), valid.labels[i])
+                        nll_loss(
+                            &readout.logits(&logical_z(&t, &noisy.expect_z)),
+                            valid.labels[i],
+                        )
                     })
                 });
                 mean(&losses)
@@ -387,9 +385,7 @@ impl Estimator {
                             &t.phys_of,
                             true,
                         );
-                        let logical: Vec<f64> =
-                            t.dense_of_logical.iter().map(|&d| exact[d]).collect();
-                        nll_loss(&readout.logits(&logical), valid.labels[i])
+                        nll_loss(&readout.logits(&logical_z(&t, &exact)), valid.labels[i])
                     })
                 });
                 mean(&losses)
@@ -426,39 +422,17 @@ impl Estimator {
                 self.vqe_energy_measured(circuit, params, hamiltonian, layout, cfg)
             }
             EstimatorKind::DensitySim => {
-                let (offset, groups) = qwc_groups(hamiltonian);
-                let mut energy = offset;
-                for group in &groups {
-                    let mut logical = circuit.clone();
-                    logical.extend_from(&group.rotation_circuit());
-                    let t = self.compile(&logical, layout);
-                    let masks: Vec<u64> = group
-                        .z_masks()
-                        .iter()
-                        .map(|&m| {
-                            let mut dense = 0u64;
-                            for l in 0..circuit.num_qubits() {
-                                if m & (1 << l) != 0 {
-                                    dense |= 1 << t.dense_of_logical[l];
-                                }
-                            }
-                            dense
-                        })
-                        .collect();
-                    let parities = self.timed_sim(|| {
-                        qns_noise::density_expect_masks(
-                            &t.circuit,
-                            params,
-                            &[],
-                            &self.device,
-                            &t.phys_of,
-                            &masks,
-                            true,
-                        )
-                    });
-                    energy += group.energy_from_parities(&parities);
-                }
-                energy
+                self.grouped_energy(circuit, hamiltonian, layout, |t, masks| {
+                    qns_noise::density_expect_masks(
+                        &t.circuit,
+                        params,
+                        &[],
+                        &self.device,
+                        &t.phys_of,
+                        masks,
+                        true,
+                    )
+                })
             }
         }
     }
@@ -475,18 +449,34 @@ impl Estimator {
         layout: &Layout,
         cfg: TrajectoryConfig,
     ) -> f64 {
-        let (offset, groups) = qwc_groups(hamiltonian);
         // One candidate at a time here, so its trajectories fan out over
         // the worker pool (bit-identical for any worker count).
         let exec = TrajectoryExecutor::new(self.device.clone(), cfg)
             .with_workers(self.traj_workers)
             .with_backend(self.backend);
+        self.grouped_energy(circuit, hamiltonian, layout, |t, masks| {
+            exec.expect_z_masks(&t.circuit, params, &[], &t.phys_of, masks)
+        })
+    }
+
+    /// Energy measured group by group: for each qubit-wise-commuting group
+    /// of `hamiltonian`, transpiles the ansatz plus the group's basis
+    /// rotation, translates the group's logical parity masks to dense
+    /// simulator qubits, evaluates them with `parities` (timed as
+    /// simulation), and recombines.
+    fn grouped_energy(
+        &self,
+        circuit: &Circuit,
+        hamiltonian: &qns_chem::PauliSum,
+        layout: &Layout,
+        parities: impl Fn(&Transpiled, &[u64]) -> Vec<f64>,
+    ) -> f64 {
+        let (offset, groups) = qwc_groups(hamiltonian);
         let mut energy = offset;
         for group in &groups {
             let mut logical = circuit.clone();
             logical.extend_from(&group.rotation_circuit());
             let t = self.compile(&logical, layout);
-            // Translate logical parity masks to dense simulator qubits.
             let masks: Vec<u64> = group
                 .z_masks()
                 .iter()
@@ -500,9 +490,8 @@ impl Estimator {
                     dense
                 })
                 .collect();
-            let parities =
-                self.timed_sim(|| exec.expect_z_masks(&t.circuit, params, &[], &t.phys_of, &masks));
-            energy += group.energy_from_parities(&parities);
+            let values = self.timed_sim(|| parities(&t, &masks));
+            energy += group.energy_from_parities(&values);
         }
         energy
     }
@@ -533,12 +522,7 @@ impl Estimator {
         let exec = TrajectoryExecutor::new(self.device.clone(), traj).with_backend(self.backend);
         let logits: Vec<Vec<f64>> = parallel_map(&test.features, |input| {
             let noisy = exec.expect_z(&t.circuit, params, input, &t.phys_of);
-            let logical: Vec<f64> = t
-                .dense_of_logical
-                .iter()
-                .map(|&d| noisy.expect_z[d])
-                .collect();
-            readout.logits(&logical)
+            readout.logits(&logical_z(&t, &noisy.expect_z))
         });
         accuracy(&logits, &test.labels)
     }
@@ -564,6 +548,12 @@ impl Estimator {
         });
         accuracy(&logits, &test.labels)
     }
+}
+
+/// Logical-qubit values read off a compiled circuit's dense simulator
+/// qubits.
+fn logical_z(t: &Transpiled, dense: &[f64]) -> Vec<f64> {
+    t.dense_of_logical.iter().map(|&d| dense[d]).collect()
 }
 
 fn mean(xs: &[f64]) -> f64 {

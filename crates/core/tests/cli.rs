@@ -1,5 +1,6 @@
-//! `qnas` command-line errors: a value flag with no value is a usage
-//! error (exit 2), not a silent fallback to its default.
+//! `qnas` command-line errors: a value flag with no value or an unknown
+//! argument is a usage error (exit 2), not a silent fallback to its
+//! default; an output file that cannot be written fails the run (exit 1).
 
 use std::process::Command;
 
@@ -47,5 +48,81 @@ fn unknown_values_are_usage_errors() {
         &["nosuch"],
     ] {
         assert_eq!(qnas(args).status.code(), Some(2), "qnas {}", args.join(" "));
+    }
+}
+
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    for args in [
+        &[
+            "run",
+            "--preset",
+            "smoke",
+            "--samples",
+            "40",
+            "--wrokers",
+            "2",
+        ][..],
+        &["run", "--preset", "smoke", "stray"],
+        &["run", "--stats", "--verify", "--nosuch"],
+        &["run", "--proxy", "on", "--resumee"],
+    ] {
+        let out = qnas(args);
+        assert_eq!(out.status.code(), Some(2), "qnas {}", args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown argument") && stderr.contains("usage: qnas"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn failed_output_writes_exit_nonzero_after_the_report() {
+    let missing = std::env::temp_dir()
+        .join(format!("qns-cli-{}-missing", std::process::id()))
+        .join("sub");
+    let qasm = missing.join("out.qasm");
+    let front = missing.join("front.json");
+    let smoke = [
+        "run",
+        "--preset",
+        "smoke",
+        "--samples",
+        "40",
+        "--workers",
+        "1",
+    ];
+    for extra in [
+        vec!["--qasm", qasm.to_str().unwrap()],
+        vec![
+            "--objectives",
+            "loss,depth",
+            "--front-out",
+            front.to_str().unwrap(),
+        ],
+    ] {
+        let mut args = smoke.to_vec();
+        args.extend(extra);
+        let out = qnas(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains("failed to write"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stdout.contains("search evaluations:"),
+            "qnas {}: report missing: {stdout}",
+            args.join(" ")
+        );
     }
 }

@@ -195,50 +195,16 @@ impl KrausChannel {
         }
     }
 
-    /// [`KrausChannel::apply_trajectory`] for one lane of a [`StateBatch`]:
-    /// the RNG draw, Born-probability CDF walk, Kraus selection, and
-    /// renormalization are bit-identical to the single-state path, so a
-    /// trajectory run in a batch lane reproduces the standalone trajectory
-    /// exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or `lane` is out of range for `batch`.
-    pub fn apply_trajectory_lane<R: Rng + ?Sized>(
-        &self,
-        batch: &mut StateBatch,
-        lane: usize,
-        q: usize,
-        rng: &mut R,
-    ) {
-        if self.ops.len() == 1 {
-            batch.lane_apply_1q(lane, &self.ops[0], q);
-            batch.lane_normalize(lane);
-            return;
-        }
-        let u: f64 = rng.gen();
-        let mut cdf = 0.0;
-        for (i, k) in self.ops.iter().enumerate() {
-            let p = kraus_prob_lane(batch, lane, k, q);
-            cdf += p;
-            if u <= cdf || i == self.ops.len() - 1 {
-                batch.lane_apply_1q(lane, k, q);
-                batch.lane_normalize(lane);
-                return;
-            }
-        }
-    }
-
     /// One stochastic trajectory step on **every** lane of a batch at
     /// once, drawing from `rngs[lane]`. Per lane this is bit-identical to
-    /// [`KrausChannel::apply_trajectory_lane`]: each lane makes the same
-    /// draw from its own RNG, walks the same Born CDF, and applies the
-    /// same operator and renormalization — but the Born probability of the
-    /// leading (no-error) operator, the Kraus application, and the
-    /// renormalization each run as one lanes-contiguous sweep instead of a
-    /// strided pass per lane. Lanes whose draw falls past the leading
-    /// operator (rare at hardware error rates) finish their CDF walk on
-    /// the per-lane path.
+    /// [`KrausChannel::apply_trajectory`] on that lane's state: each lane
+    /// makes the same draw from its own RNG, walks the same Born CDF, and
+    /// applies the same operator and renormalization — but the Born
+    /// probability of the leading (no-error) operator, the Kraus
+    /// application, and the renormalization each run as one
+    /// lanes-contiguous sweep instead of a strided pass per lane. Lanes
+    /// whose draw falls past the leading operator (rare at hardware error
+    /// rates) finish their CDF walk on the per-lane path.
     ///
     /// # Panics
     ///
@@ -447,33 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_trajectory_is_bit_identical_to_single_state() {
-        // Same seed stream: applying a channel to a batch lane must make
-        // exactly the same draws and produce exactly the same amplitudes as
-        // the standalone single-state trajectory.
-        for ch in [
-            KrausChannel::depolarizing(0.3),
-            KrausChannel::thermal_relaxation(50_000.0, 70_000.0, 300.0),
-            KrausChannel::new(vec![Mat2::pauli_x()]), // single-op fast path
-        ] {
-            let mut batch = StateBatch::zero_state(2, 3);
-            batch.apply_1q(&Mat2::hadamard(), 0);
-            let mut single = batch.lane_state(1);
-            let mut rng_b = StdRng::seed_from_u64(42);
-            let mut rng_s = StdRng::seed_from_u64(42);
-            for _ in 0..20 {
-                ch.apply_trajectory_lane(&mut batch, 1, 0, &mut rng_b);
-                ch.apply_trajectory(&mut single, 0, &mut rng_s);
-            }
-            assert_eq!(batch.lane_state(1).amplitudes(), single.amplitudes());
-        }
-    }
-
-    #[test]
     fn all_lanes_trajectory_is_bit_identical_to_per_lane() {
         // The lanes-contiguous batched channel step must make the same
-        // draws and produce the same amplitudes as applying the channel
-        // lane by lane — and therefore as the single-state path.
+        // draws and produce the same amplitudes as applying the channel to
+        // each lane's standalone single-state copy.
         for ch in [
             KrausChannel::depolarizing(0.3),
             KrausChannel::thermal_relaxation(50_000.0, 70_000.0, 300.0),
@@ -483,7 +426,7 @@ mod tests {
             let mut fast = StateBatch::zero_state(3, lanes);
             fast.apply_1q(&Mat2::hadamard(), 0);
             fast.apply_1q(&Mat2::hadamard(), 2);
-            let mut slow = fast.clone();
+            let mut singles: Vec<StateVec> = (0..lanes).map(|l| fast.lane_state(l)).collect();
             let mut rngs_f: Vec<StdRng> = (0..lanes)
                 .map(|l| StdRng::seed_from_u64(90 + l as u64))
                 .collect();
@@ -491,14 +434,14 @@ mod tests {
             for step in 0..30 {
                 let q = step % 3;
                 ch.apply_trajectory_all_lanes(&mut fast, q, &mut rngs_f);
-                for (lane, rng) in rngs_s.iter_mut().enumerate() {
-                    ch.apply_trajectory_lane(&mut slow, lane, q, rng);
+                for (single, rng) in singles.iter_mut().zip(&mut rngs_s) {
+                    ch.apply_trajectory(single, q, rng);
                 }
             }
-            for lane in 0..lanes {
+            for (lane, single) in singles.iter().enumerate() {
                 assert_eq!(
                     fast.lane_state(lane).amplitudes(),
-                    slow.lane_state(lane).amplitudes(),
+                    single.amplitudes(),
                     "lane {lane} diverged"
                 );
             }

@@ -7,6 +7,7 @@
 //! it to validate the trajectory sampler and for small high-precision
 //! estimates.
 
+use crate::model::{readout_affine, walk_noisy, Step};
 use crate::{Device, KrausChannel};
 use qns_circuit::{Circuit, GateMatrix};
 use qns_sim::StateVec;
@@ -270,13 +271,11 @@ pub fn density_expect_z(
     phys_of: &[usize],
     readout: bool,
 ) -> Vec<f64> {
-    let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
-    apply_noisy_ops(&mut rho, circuit, train, input, device, phys_of);
-    let mut e = rho.expect_z_all();
+    let mut e = noisy_density(circuit, train, input, device, phys_of).expect_z_all();
     if readout {
         for (q, eq) in e.iter_mut().enumerate() {
-            let c = device.qubit(phys_of[q]);
-            *eq = (1.0 - c.readout_p01 - c.readout_p10) * *eq + (c.readout_p10 - c.readout_p01);
+            let (scale, offset) = readout_affine(device.qubit(phys_of[q]));
+            *eq = scale * *eq + offset;
         }
     }
     e
@@ -304,9 +303,7 @@ pub fn density_expect_masks(
         assert!(m >> n == 0, "mask addresses qubits beyond circuit width");
     }
     // Evolve once, then read all masks off the diagonal.
-    let mut rho = DensityMatrix::zero_state(n);
-    apply_noisy_ops(&mut rho, circuit, train, input, device, phys_of);
-    let probs = rho.probabilities();
+    let probs = noisy_density(circuit, train, input, device, phys_of).probabilities();
     masks
         .iter()
         .map(|&mask| {
@@ -324,8 +321,7 @@ pub fn density_expect_masks(
             if readout {
                 for (q, &phys) in phys_of.iter().enumerate() {
                     if mask & (1 << q) != 0 {
-                        let c = device.qubit(phys);
-                        e *= 1.0 - c.readout_p01 - c.readout_p10;
+                        e *= readout_affine(device.qubit(phys)).0;
                     }
                 }
             }
@@ -334,52 +330,22 @@ pub fn density_expect_masks(
         .collect()
 }
 
-/// Shared noisy-evolution body for the density executors.
-fn apply_noisy_ops(
-    rho: &mut DensityMatrix,
+/// The exact noisy state of `circuit` on `device`: one loop over
+/// [`walk_noisy`], so channel placement matches the trajectory engines.
+fn noisy_density(
     circuit: &Circuit,
     train: &[f64],
     input: &[f64],
     device: &Device,
     phys_of: &[usize],
-) {
-    assert_eq!(
-        phys_of.len(),
-        circuit.num_qubits(),
-        "one physical qubit per circuit qubit"
-    );
-    for op in circuit.iter() {
-        let params = op.resolve_params(train, input);
-        match op.kind.matrix(&params) {
-            GateMatrix::One(m) => {
-                let q = op.qubits[0];
-                rho.apply_1q(&m, q);
-                let calib = device.qubit(phys_of[q]);
-                rho.apply_channel(&KrausChannel::depolarizing(calib.err_1q.min(1.0)), q);
-                rho.apply_channel(
-                    &KrausChannel::thermal_relaxation(calib.t1_ns, calib.t2_ns, device.dur_1q_ns()),
-                    q,
-                );
-            }
-            GateMatrix::Two(m) => {
-                let (a, b) = (op.qubits[0], op.qubits[1]);
-                rho.apply_2q(&m, a, b);
-                let e2 = device.err_2q(phys_of[a], phys_of[b]);
-                for &q in &[a, b] {
-                    rho.apply_channel(&KrausChannel::depolarizing(e2.min(1.0)), q);
-                    let calib = device.qubit(phys_of[q]);
-                    rho.apply_channel(
-                        &KrausChannel::thermal_relaxation(
-                            calib.t1_ns,
-                            calib.t2_ns,
-                            device.dur_2q_ns(),
-                        ),
-                        q,
-                    );
-                }
-            }
-        }
-    }
+) -> DensityMatrix {
+    let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
+    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+        Step::Gate(GateMatrix::One(m), [q, _]) => rho.apply_1q(m, q),
+        Step::Gate(GateMatrix::Two(m), [a, b]) => rho.apply_2q(m, a, b),
+        Step::Channel(ch, q) => rho.apply_channel(ch, q),
+    });
+    rho
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! - [`Device`] — ten synthetic quantum computers mirroring the paper's
 //!   machines (same qubit counts, coupling topologies and calibration-data
 //!   magnitudes; see `DESIGN.md` for the substitution argument),
+//! - a private noise model (`model.rs`) yielding each gate and then the
+//!   channels the device applies after it; every noisy engine loops over it,
 //! - [`TrajectoryExecutor`] — noisy circuit execution by averaging Kraus
 //!   trajectories, with readout-error-adjusted expectations and shot
 //!   sampling,
@@ -33,6 +35,7 @@ mod density;
 mod device;
 mod drift;
 mod mitigation;
+mod model;
 mod success;
 mod trajectory;
 

@@ -7,6 +7,7 @@
 //! tensor-product (uncorrelated) readout model our devices use, the
 //! per-qubit inverse is exact.
 
+use crate::model::readout_affine;
 use crate::Device;
 
 /// Inverts per-qubit readout confusion matrices.
@@ -46,13 +47,12 @@ impl ReadoutMitigator {
         let forward = phys
             .iter()
             .map(|&p| {
-                let c = device.qubit(p);
-                let scale = 1.0 - c.readout_p01 - c.readout_p10;
+                let (scale, offset) = readout_affine(device.qubit(p));
                 assert!(
                     scale.abs() > 1e-9,
                     "qubit {p}: confusion matrix is singular"
                 );
-                (scale, c.readout_p10 - c.readout_p01)
+                (scale, offset)
             })
             .collect();
         ReadoutMitigator { forward }

@@ -1,18 +1,24 @@
 //! Monte-Carlo trajectory execution of circuits under device noise.
 //!
-//! Trajectories for one candidate are independent, so they fan out over
-//! `qns_sim::try_parallel_map` when the executor is given more than one
-//! worker (and run inline when the executor itself runs inside a candidate
-//! fan-out). Per-trajectory RNG seeds are derived deterministically from a
-//! structural digest of the candidate (circuit + resolved parameters +
-//! layout + base seed), so results are a pure function of the candidate and
-//! bit-identical for any worker count: the pool returns per-trajectory
-//! results in input order and the fold over them is sequential.
+//! Each trajectory is one loop over the shared noise model's walk
+//! (`walk_noisy`: each gate, then its channels), on a lane of a
+//! [`StateBatch`] (`Fast`), a reference [`StateVec`] or an [`MpsState`].
+//! Trajectories for one candidate are independent, so one chunked runner
+//! fans them out over `qns_sim::try_parallel_map` — chunks of `LANE_CHUNK`
+//! on `Fast`, of one otherwise — when the executor is given more than one
+//! worker (and runs inline when the executor itself runs inside a
+//! candidate fan-out). Per-trajectory RNG seeds are derived
+//! deterministically from a structural digest of the candidate (circuit +
+//! resolved parameters + layout + base seed), so results are a pure
+//! function of the candidate and bit-identical for any worker count: the
+//! pool returns per-chunk results in input order and the fold over them is
+//! sequential.
 
-use crate::{Device, KrausChannel};
+use crate::model::{readout_affine, walk_noisy, Step};
+use crate::Device;
 use qns_circuit::{Circuit, GateMatrix};
 use qns_runtime::StructuralHasher;
-use qns_sim::{try_parallel_map, MpsConfig, MpsState, SimBackend, StateBatch, StateVec};
+use qns_sim::{try_parallel_map, MpsState, SimBackend, StateBatch, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -172,182 +178,77 @@ impl TrajectoryExecutor {
             .collect()
     }
 
-    /// Runs one noisy trajectory of `circuit` and returns the final state.
-    fn run_one(
-        &self,
-        circuit: &Circuit,
-        train: &[f64],
-        input: &[f64],
-        phys_of: &[usize],
-        rng: &mut StdRng,
-    ) -> StateVec {
-        let mut state = StateVec::zero_state(circuit.num_qubits());
-        for op in circuit.iter() {
-            let params = op.resolve_params(train, input);
-            match op.kind.matrix(&params) {
-                GateMatrix::One(m) => {
-                    let q = op.qubits[0];
-                    match self.backend {
-                        SimBackend::Reference => state.apply_1q_reference(&m, q),
-                        _ => state.apply_1q(&m, q),
-                    }
-                    self.apply_gate_noise(&mut state, q, phys_of, false, rng);
-                }
-                GateMatrix::Two(m) => {
-                    let (a, b) = (op.qubits[0], op.qubits[1]);
-                    match self.backend {
-                        SimBackend::Reference => state.apply_2q_reference(&m, a, b),
-                        _ => state.apply_2q(&m, a, b),
-                    }
-                    let e2 = self.device.err_2q(phys_of[a], phys_of[b]);
-                    for &q in &[a, b] {
-                        let ch = KrausChannel::depolarizing(e2.min(1.0));
-                        ch.apply_trajectory(&mut state, q, rng);
-                        self.apply_gate_noise(&mut state, q, phys_of, true, rng);
-                    }
-                }
-            }
-        }
-        state
-    }
-
-    /// [`TrajectoryExecutor::run_one`] on a matrix-product state: the same
-    /// gate/noise application order and the same per-channel RNG protocol
-    /// ([`KrausChannel::apply_trajectory_mps`]), densified to a state
-    /// vector at the end so result extraction is backend-agnostic. In the
-    /// exact regime (generous `max_bond`) every Born probability matches
-    /// the dense path to simulator tolerance, so the draw outcomes — and
-    /// the trajectory average — agree with the `Reference` oracle.
-    fn run_one_mps(
-        &self,
-        circuit: &Circuit,
-        train: &[f64],
-        input: &[f64],
-        phys_of: &[usize],
-        config: MpsConfig,
-        rng: &mut StdRng,
-    ) -> StateVec {
-        let mut mps = MpsState::zero_state(circuit.num_qubits(), config);
-        for op in circuit.iter() {
-            let params = op.resolve_params(train, input);
-            match op.kind.matrix(&params) {
-                GateMatrix::One(m) => {
-                    let q = op.qubits[0];
-                    mps.apply_1q(&m, q);
-                    self.apply_gate_noise_mps(&mut mps, q, phys_of, false, rng);
-                }
-                GateMatrix::Two(m) => {
-                    let (a, b) = (op.qubits[0], op.qubits[1]);
-                    mps.apply_2q(&m, a, b);
-                    let e2 = self.device.err_2q(phys_of[a], phys_of[b]);
-                    for &q in &[a, b] {
-                        let ch = KrausChannel::depolarizing(e2.min(1.0));
-                        ch.apply_trajectory_mps(&mut mps, q, rng);
-                        self.apply_gate_noise_mps(&mut mps, q, phys_of, true, rng);
-                    }
-                }
-            }
-        }
-        mps.to_statevec()
-    }
-
-    /// [`TrajectoryExecutor::apply_gate_noise`] on a matrix-product state:
-    /// identical channel construction and application order.
-    fn apply_gate_noise_mps(
-        &self,
-        mps: &mut MpsState,
-        q: usize,
-        phys_of: &[usize],
-        two_qubit: bool,
-        rng: &mut StdRng,
-    ) {
-        let phys = phys_of[q];
-        let calib = self.device.qubit(phys);
-        if !two_qubit {
-            let ch = KrausChannel::depolarizing(calib.err_1q.min(1.0));
-            ch.apply_trajectory_mps(mps, q, rng);
-        }
-        let dur = if two_qubit {
-            self.device.dur_2q_ns()
-        } else {
-            self.device.dur_1q_ns()
-        };
-        let relax = KrausChannel::thermal_relaxation(calib.t1_ns, calib.t2_ns, dur);
-        relax.apply_trajectory_mps(mps, q, rng);
-    }
-
-    /// Runs one chunk of trajectories as lanes of a [`StateBatch`]: the
-    /// shared unitary gates sweep every lane at once, and each stochastic
-    /// Kraus channel is applied to all lanes in one lanes-contiguous pass
-    /// ([`KrausChannel::apply_trajectory_all_lanes`]) drawing from each
-    /// lane's own RNG stream.
+    /// Runs one chunk of trajectories, one per seed, and hands each
+    /// trajectory's final state and RNG (positioned exactly after the
+    /// circuit's noise draws) to `each`, in seed order.
     ///
-    /// Lane `l` is bit-identical to [`TrajectoryExecutor::run_one`] with
-    /// `rngs[l]`: per lane the gate/noise application order, every Born
-    /// probability, and every RNG draw are the same (lanes hold
-    /// independent RNGs, so batching a channel across lanes never reorders
-    /// any single lane's draws), and channel construction (hoisted out of
-    /// the lane loop) is deterministic.
+    /// Every backend is one loop over [`walk_noisy`]. `Fast` runs the chunk
+    /// as lanes of a [`StateBatch`]: the shared unitary gates sweep every
+    /// lane at once, and each channel is applied to all lanes in one
+    /// lanes-contiguous pass ([`crate::KrausChannel::apply_trajectory_all_lanes`])
+    /// drawing from each lane's own RNG. Lane `l` is bit-identical to the
+    /// `Reference` trajectory of `seeds[l]`: per lane the gate/noise order,
+    /// every Born probability and every RNG draw are the same. `Reference`
+    /// and `Mps` run each trajectory on its own state; an MPS trajectory is
+    /// densified at the end so result extraction is backend-agnostic, and
+    /// in the exact regime its draw outcomes agree with `Reference`.
     fn run_chunk(
         &self,
         circuit: &Circuit,
         train: &[f64],
         input: &[f64],
         phys_of: &[usize],
-        rngs: &mut [StdRng],
-    ) -> StateBatch {
-        let mut batch = StateBatch::zero_state(circuit.num_qubits(), rngs.len());
-        for op in circuit.iter() {
-            let params = op.resolve_params(train, input);
-            match op.kind.matrix(&params) {
-                GateMatrix::One(m) => {
-                    let q = op.qubits[0];
-                    batch.apply_1q(&m, q);
-                    let calib = self.device.qubit(phys_of[q]);
-                    let depol = KrausChannel::depolarizing(calib.err_1q.min(1.0));
-                    let relax = KrausChannel::thermal_relaxation(
-                        calib.t1_ns,
-                        calib.t2_ns,
-                        self.device.dur_1q_ns(),
-                    );
-                    depol.apply_trajectory_all_lanes(&mut batch, q, rngs);
-                    relax.apply_trajectory_all_lanes(&mut batch, q, rngs);
+        seeds: &[u64],
+        mut each: impl FnMut(usize, &StateVec, &mut StdRng),
+    ) {
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let n = circuit.num_qubits();
+        let device = &self.device;
+        match self.backend {
+            SimBackend::Fast => {
+                let mut batch = StateBatch::zero_state(n, seeds.len());
+                walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                    Step::Gate(GateMatrix::One(m), [q, _]) => batch.apply_1q(m, q),
+                    Step::Gate(GateMatrix::Two(m), [a, b]) => batch.apply_2q(m, a, b),
+                    Step::Channel(ch, q) => ch.apply_trajectory_all_lanes(&mut batch, q, &mut rngs),
+                });
+                for (lane, rng) in rngs.iter_mut().enumerate() {
+                    each(lane, &batch.lane_state(lane), rng);
                 }
-                GateMatrix::Two(m) => {
-                    let (a, b) = (op.qubits[0], op.qubits[1]);
-                    batch.apply_2q(&m, a, b);
-                    let e2 = self.device.err_2q(phys_of[a], phys_of[b]);
-                    let depol = KrausChannel::depolarizing(e2.min(1.0));
-                    let relax: Vec<KrausChannel> = [a, b]
-                        .iter()
-                        .map(|&q| {
-                            let calib = self.device.qubit(phys_of[q]);
-                            KrausChannel::thermal_relaxation(
-                                calib.t1_ns,
-                                calib.t2_ns,
-                                self.device.dur_2q_ns(),
-                            )
-                        })
-                        .collect();
-                    for (qi, &q) in [a, b].iter().enumerate() {
-                        depol.apply_trajectory_all_lanes(&mut batch, q, rngs);
-                        relax[qi].apply_trajectory_all_lanes(&mut batch, q, rngs);
-                    }
+            }
+            SimBackend::Reference => {
+                for (lane, rng) in rngs.iter_mut().enumerate() {
+                    let mut state = StateVec::zero_state(n);
+                    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                        Step::Gate(GateMatrix::One(m), [q, _]) => state.apply_1q_reference(m, q),
+                        Step::Gate(GateMatrix::Two(m), [a, b]) => state.apply_2q_reference(m, a, b),
+                        Step::Channel(ch, q) => ch.apply_trajectory(&mut state, q, rng),
+                    });
+                    each(lane, &state, rng);
+                }
+            }
+            SimBackend::Mps(config) => {
+                for (lane, rng) in rngs.iter_mut().enumerate() {
+                    let mut mps = MpsState::zero_state(n, config);
+                    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                        Step::Gate(GateMatrix::One(m), [q, _]) => mps.apply_1q(m, q),
+                        Step::Gate(GateMatrix::Two(m), [a, b]) => mps.apply_2q(m, a, b),
+                        Step::Channel(ch, q) => ch.apply_trajectory_mps(&mut mps, q, rng),
+                    });
+                    each(lane, &mps.to_statevec(), rng);
                 }
             }
         }
-        batch
     }
 
     /// Runs every seeded trajectory and extracts one result per trajectory,
     /// in seed order. A panicking trajectory yields `default`.
     ///
-    /// Fast backend: trajectories run as lanes of [`StateBatch`] chunks of
-    /// [`LANE_CHUNK`]; the chunks (not individual trajectories) fan out over
-    /// the worker pool. Reference backend: the original per-trajectory
-    /// oracle path. `extract` receives the trajectory index, its final
-    /// state, and its RNG (positioned exactly after the circuit's noise
-    /// draws, for shot sampling).
+    /// Trajectories run in chunks of [`LANE_CHUNK`] on the `Fast` backend
+    /// (one [`StateBatch`] each) and of one otherwise; the chunks fan out
+    /// over the worker pool, and a panic poisons only its own chunk.
+    /// `extract` receives the trajectory index, its final state, and its
+    /// RNG (for shot sampling).
     #[allow(clippy::too_many_arguments)]
     fn run_trajectories<U: Send + Clone>(
         &self,
@@ -359,78 +260,38 @@ impl TrajectoryExecutor {
         extract: impl Fn(usize, &StateVec, &mut StdRng) -> U + Sync,
         default: U,
     ) -> Vec<U> {
-        match self.backend {
-            SimBackend::Reference | SimBackend::Mps(_) => {
-                let items: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
-                try_parallel_map(&items, self.workers, |&(idx, s)| {
-                    let mut rng = StdRng::seed_from_u64(s);
-                    let state = match self.backend {
-                        SimBackend::Mps(config) => {
-                            self.run_one_mps(circuit, train, input, phys_of, config, &mut rng)
-                        }
-                        _ => self.run_one(circuit, train, input, phys_of, &mut rng),
-                    };
-                    extract(idx, &state, &mut rng)
-                })
-                .into_iter()
-                .map(|slot| slot.unwrap_or_else(|_| default.clone()))
-                .collect()
-            }
-            SimBackend::Fast => {
-                let chunks: Vec<(usize, &[u64])> = seeds
-                    .chunks(LANE_CHUNK)
-                    .enumerate()
-                    .map(|(ci, c)| (ci * LANE_CHUNK, c))
-                    .collect();
-                let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_seeds)| {
-                    let mut rngs: Vec<StdRng> = chunk_seeds
-                        .iter()
-                        .map(|&s| StdRng::seed_from_u64(s))
-                        .collect();
-                    let batch = self.run_chunk(circuit, train, input, phys_of, &mut rngs);
-                    (0..chunk_seeds.len())
-                        .map(|lane| {
-                            let state = batch.lane_state(lane);
-                            extract(start + lane, &state, &mut rngs[lane])
-                        })
-                        .collect::<Vec<U>>()
-                });
-                // Flatten in chunk order; a panicked chunk is backfilled
-                // per trajectory.
-                let mut out = Vec::with_capacity(seeds.len());
-                for (res, (_, chunk_seeds)) in per_chunk.into_iter().zip(&chunks) {
-                    match res {
-                        Ok(lanes) => out.extend(lanes),
-                        Err(_) => out.extend(chunk_seeds.iter().map(|_| default.clone())),
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Thermal relaxation (always) plus depolarizing for 1-qubit gates.
-    fn apply_gate_noise(
-        &self,
-        state: &mut StateVec,
-        q: usize,
-        phys_of: &[usize],
-        two_qubit: bool,
-        rng: &mut StdRng,
-    ) {
-        let phys = phys_of[q];
-        let calib = self.device.qubit(phys);
-        if !two_qubit {
-            let ch = KrausChannel::depolarizing(calib.err_1q.min(1.0));
-            ch.apply_trajectory(state, q, rng);
-        }
-        let dur = if two_qubit {
-            self.device.dur_2q_ns()
+        let chunk = if self.backend == SimBackend::Fast {
+            LANE_CHUNK
         } else {
-            self.device.dur_1q_ns()
+            1
         };
-        let relax = KrausChannel::thermal_relaxation(calib.t1_ns, calib.t2_ns, dur);
-        relax.apply_trajectory(state, q, rng);
+        let chunks: Vec<(usize, &[u64])> = seeds
+            .chunks(chunk)
+            .enumerate()
+            .map(|(ci, c)| (ci * chunk, c))
+            .collect();
+        let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_seeds)| {
+            let mut out = Vec::with_capacity(chunk_seeds.len());
+            self.run_chunk(
+                circuit,
+                train,
+                input,
+                phys_of,
+                chunk_seeds,
+                |i, state, rng| out.push(extract(start + i, state, rng)),
+            );
+            out
+        });
+        // Flatten in chunk order; a panicked chunk is backfilled per
+        // trajectory.
+        let mut out = Vec::with_capacity(seeds.len());
+        for (res, (_, chunk_seeds)) in per_chunk.into_iter().zip(&chunks) {
+            match res {
+                Ok(lanes) => out.extend(lanes),
+                Err(_) => out.extend(chunk_seeds.iter().map(|_| default.clone())),
+            }
+        }
+        out
     }
 
     /// Noisy `<Z_q>` per circuit qubit, averaged over trajectories and
@@ -475,8 +336,8 @@ impl TrajectoryExecutor {
             .collect();
         if self.config.readout {
             for (q, e) in expect_z.iter_mut().enumerate() {
-                let c = self.device.qubit(phys_of[q]);
-                *e = (1.0 - c.readout_p01 - c.readout_p10) * *e + (c.readout_p10 - c.readout_p01);
+                let (scale, offset) = readout_affine(self.device.qubit(phys_of[q]));
+                *e = scale * *e + offset;
             }
         }
         NoisyResult { expect_z }
@@ -536,8 +397,7 @@ impl TrajectoryExecutor {
                 let mut factor = 1.0;
                 for (q, &phys) in phys_of.iter().enumerate() {
                     if mask & (1 << q) != 0 {
-                        let c = self.device.qubit(phys);
-                        factor *= 1.0 - c.readout_p01 - c.readout_p10;
+                        factor *= readout_affine(self.device.qubit(phys)).0;
                     }
                 }
                 *e *= factor;
@@ -822,28 +682,33 @@ mod tests {
 
     #[test]
     fn batched_chunk_lanes_are_bit_identical_to_run_one() {
-        // Each lane of a batched trajectory chunk must reproduce the
-        // standalone per-trajectory run exactly (amplitudes and RNG
-        // position), for circuits mixing 1q and 2q gates.
+        // Each lane of a batched `Fast` trajectory chunk must reproduce the
+        // standalone `Reference` trajectory of the same seed exactly
+        // (amplitudes and RNG position), for circuits mixing 1q and 2q
+        // gates.
         let mut c = Circuit::new(3);
         c.push(GateKind::H, &[0], &[]);
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::RX, &[2], &[qns_circuit::Param::Train(0)]);
         c.push(GateKind::CZ, &[1, 2], &[]);
         let exec = TrajectoryExecutor::new(Device::belem(), TrajectoryConfig::default());
+        let reference = exec.clone().with_backend(SimBackend::Reference);
         let seeds = [3u64, 99, 1234, 77, 5];
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let batch = exec.run_chunk(&c, &[0.7], &[], &[0, 1, 2], &mut rngs);
+        // Final amplitudes and the next draw of each trajectory's RNG.
+        let run = |exec: &TrajectoryExecutor, seeds: &[u64]| {
+            let mut out = Vec::new();
+            exec.run_chunk(&c, &[0.7], &[], &[0, 1, 2], seeds, |_, state, rng| {
+                out.push((state.amplitudes().to_vec(), rng.gen::<u64>()))
+            });
+            out
+        };
+        let lanes = run(&exec, &seeds);
+        assert_eq!(lanes.len(), seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let single = exec.run_one(&c, &[0.7], &[], &[0, 1, 2], &mut rng);
-            assert_eq!(
-                batch.lane_state(lane).amplitudes(),
-                single.amplitudes(),
-                "lane {lane}"
-            );
+            let single = run(&reference, &[seed]);
+            assert_eq!(lanes[lane].0, single[0].0, "lane {lane}");
             // RNG streams must be at the same position afterwards.
-            assert_eq!(rngs[lane].gen::<u64>(), rng.gen::<u64>(), "lane {lane} rng");
+            assert_eq!(lanes[lane].1, single[0].1, "lane {lane} rng");
         }
     }
 

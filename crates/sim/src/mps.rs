@@ -860,6 +860,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes this module's tests: they all move the process-wide
+    /// truncation counters, which `truncation_fires_and_is_counted` reads
+    /// back exactly.
+    static STATS_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Holds [`STATS_LOCK`] for one test. Poison-tolerant, so one failing
+    /// test does not fail the rest.
+    fn stats_guard() -> MutexGuard<'static, ()> {
+        STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn rz(t: f64) -> Mat2 {
         let (s, c) = (t / 2.0).sin_cos();
@@ -914,12 +926,14 @@ mod tests {
 
     #[test]
     fn zero_state_matches_statevec() {
+        let _guard = stats_guard();
         let mps = MpsState::zero_state(3, MpsConfig::exact());
         assert_close_to_statevec(&mps, &StateVec::zero_state(3), 1e-15, "zero state");
     }
 
     #[test]
     fn single_qubit_gates_match_statevec() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(7);
         let mut mps = MpsState::zero_state(4, MpsConfig::exact());
         let mut sv = StateVec::zero_state(4);
@@ -934,6 +948,7 @@ mod tests {
 
     #[test]
     fn adjacent_and_distant_2q_gates_match_statevec() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(11);
         let n = 5;
         let mut mps = MpsState::zero_state(n, MpsConfig::exact());
@@ -946,6 +961,7 @@ mod tests {
 
     #[test]
     fn expect_z_matches_statevec() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(3);
         let n = 4;
         let mut mps = MpsState::zero_state(n, MpsConfig::exact());
@@ -962,6 +978,7 @@ mod tests {
 
     #[test]
     fn norm_is_preserved_by_unitaries() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(5);
         let mut mps = MpsState::zero_state(6, MpsConfig::exact());
         for _ in 0..30 {
@@ -974,6 +991,7 @@ mod tests {
 
     #[test]
     fn truncation_fires_and_is_counted() {
+        let _guard = stats_guard();
         reset_mps_stats();
         let before = mps_stats();
         assert_eq!(before.truncation_events, 0);
@@ -995,6 +1013,7 @@ mod tests {
 
     #[test]
     fn canonicalize_preserves_state_and_gives_isometries() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(13);
         let n = 5;
         let mut mps = MpsState::zero_state(n, MpsConfig::exact());
@@ -1014,6 +1033,7 @@ mod tests {
 
     #[test]
     fn kraus_application_matches_statevec_protocol() {
+        let _guard = stats_guard();
         let mut rng = StdRng::seed_from_u64(21);
         let n = 3;
         let mut mps = MpsState::zero_state(n, MpsConfig::exact());
@@ -1039,6 +1059,7 @@ mod tests {
 
     #[test]
     fn config_equality_is_bitwise() {
+        let _guard = stats_guard();
         let a = MpsConfig {
             max_bond: 8,
             truncation_cutoff: 1e-9,

@@ -6,8 +6,10 @@
 mod common;
 
 use qns_circuit::{Circuit, GateKind, Param};
-use qns_noise::{density_expect_z, Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_sim::SimBackend;
+use qns_noise::{
+    density_expect_masks, density_expect_z, Device, TrajectoryConfig, TrajectoryExecutor,
+};
+use qns_sim::{MpsConfig, SimBackend};
 
 fn noisy_circuit() -> Circuit {
     let mut c = Circuit::new(3);
@@ -122,4 +124,229 @@ fn seeds_follow_the_candidate() {
     let a = exec.expect_z(&c, &[0.4], &[], &phys);
     let a_again = exec.expect_z(&c, &[0.4], &[], &phys);
     assert_eq!(a.expect_z, a_again.expect_z, "same candidate, same draws");
+}
+
+/// One 4-qubit candidate mixing fixed, trainable and input-encoded 1q and
+/// 2q gates, on a loud device, for [`noisy_engine_outputs_are_pinned`].
+/// Circuit qubit 0 sits on yorktown's hub (physical 2); the `CX 1,2` pair
+/// is uncoupled on the device and draws the worst-edge error.
+fn pinned_candidate() -> (Circuit, [f64; 3], [f64; 2], [usize; 4], Device) {
+    let mut c = Circuit::new(4);
+    c.push(GateKind::H, &[0], &[]);
+    c.push(GateKind::RY, &[1], &[Param::Train(0)]);
+    c.push(GateKind::CX, &[0, 1], &[]);
+    c.push(GateKind::RX, &[2], &[Param::Input(0)]);
+    c.push(
+        GateKind::CU3,
+        &[0, 2],
+        &[Param::Train(1), Param::Fixed(0.4), Param::Input(1)],
+    );
+    c.push(GateKind::RZZ, &[3, 0], &[Param::Train(2)]);
+    c.push(GateKind::SX, &[3], &[]);
+    c.push(GateKind::CX, &[1, 2], &[]);
+    let device = Device::yorktown().scaled_errors(3.0);
+    (c, [0.7, -0.3, 1.1], [0.5, 0.9], [2, 0, 1, 3], device)
+}
+
+const PINNED_MASKS: [u64; 4] = [0b0011, 0b0101, 0b1111, 0b1000];
+const PINNED_SHOTS: usize = 99;
+
+fn to_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `expect_z` then `expect_z_masks` bits, and `sample_counts`, of one
+/// trajectory configuration of [`pinned_candidate`].
+fn pinned_trajectory_outputs(
+    backend: SimBackend,
+    workers: usize,
+    readout: bool,
+) -> (Vec<u64>, Vec<(usize, u32)>) {
+    let (c, train, input, phys, device) = pinned_candidate();
+    let cfg = TrajectoryConfig {
+        trajectories: 33,
+        seed: 41,
+        readout,
+    };
+    let exec = TrajectoryExecutor::new(device, cfg)
+        .with_backend(backend)
+        .with_workers(workers);
+    let mut bits = to_bits(&exec.expect_z(&c, &train, &input, &phys).expect_z);
+    bits.extend(to_bits(&exec.expect_z_masks(
+        &c,
+        &train,
+        &input,
+        &phys,
+        &PINNED_MASKS,
+    )));
+    let counts = exec.sample_counts(&c, &train, &input, &phys, PINNED_SHOTS);
+    (bits, counts)
+}
+
+/// Bits of `expect_z` then `expect_z_masks`, and `sample_counts`, per
+/// trajectory backend and readout setting. Fast and Reference agree
+/// bitwise; exact MPS agrees with them to rounding and draws the same
+/// counts.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const PINNED_TRAJECTORIES: [(&str, bool, [u64; 8], &[(usize, u32)]); 8] = [
+    (
+        "fast",
+        false,
+        [
+            0x3f911430d499712b, 0xbfa6189931afe257, 0xbf529466a8713269, 0x3f232e19d80e2045,
+            0x3fe112a3f665bf31, 0x3fd9da3f6b7fb530, 0x3ed1c048da148500, 0x3f232e19d80e2045,
+        ],
+        &[
+            (0, 18), (1, 4), (3, 2), (4, 2), (5, 1), (6, 3), (7, 13), (8, 15), (9, 3), (10, 1),
+            (11, 3), (12, 5), (13, 1), (14, 4), (15, 24),
+        ],
+    ),
+    (
+        "fast",
+        true,
+        [
+            0x3fb2ad48a90e425f, 0x3f950c2987a9a496, 0xbf8e0c9e69f98b56, 0x3fc43275c6ca95f2,
+            0x3fd2035ec32b2239, 0x3fce3c5adb5d5818, 0x3eb39f556d5a7a2d, 0x3f188bcda15f4b24,
+        ],
+        &[
+            (0, 16), (1, 5), (2, 4), (3, 2), (4, 10), (5, 6), (6, 3), (7, 9), (8, 10), (9, 2),
+            (10, 2), (11, 1), (12, 4), (13, 2), (14, 9), (15, 14),
+        ],
+    ),
+    (
+        "reference",
+        false,
+        [
+            0x3f911430d499712b, 0xbfa6189931afe257, 0xbf529466a8713269, 0x3f232e19d80e2045,
+            0x3fe112a3f665bf31, 0x3fd9da3f6b7fb530, 0x3ed1c048da148500, 0x3f232e19d80e2045,
+        ],
+        &[
+            (0, 18), (1, 4), (3, 2), (4, 2), (5, 1), (6, 3), (7, 13), (8, 15), (9, 3), (10, 1),
+            (11, 3), (12, 5), (13, 1), (14, 4), (15, 24),
+        ],
+    ),
+    (
+        "reference",
+        true,
+        [
+            0x3fb2ad48a90e425f, 0x3f950c2987a9a496, 0xbf8e0c9e69f98b56, 0x3fc43275c6ca95f2,
+            0x3fd2035ec32b2239, 0x3fce3c5adb5d5818, 0x3eb39f556d5a7a2d, 0x3f188bcda15f4b24,
+        ],
+        &[
+            (0, 16), (1, 5), (2, 4), (3, 2), (4, 10), (5, 6), (6, 3), (7, 9), (8, 10), (9, 2),
+            (10, 2), (11, 1), (12, 4), (13, 2), (14, 9), (15, 14),
+        ],
+    ),
+    (
+        "mps-exact",
+        false,
+        [
+            0x3f911430d4997262, 0xbfa6189931afe198, 0xbf529466a87120be, 0x3f232e19d80e1a2f,
+            0x3fe112a3f665bf2d, 0x3fd9da3f6b7fb529, 0x3ed1c048da134700, 0x3f232e19d80e1a2f,
+        ],
+        &[
+            (0, 18), (1, 4), (3, 2), (4, 2), (5, 1), (6, 3), (7, 13), (8, 15), (9, 3), (10, 1),
+            (11, 3), (12, 5), (13, 1), (14, 4), (15, 24),
+        ],
+    ),
+    (
+        "mps-exact",
+        true,
+        [
+            0x3fb2ad48a90e4296, 0x3f950c2987a9a5b0, 0xbf8e0c9e69f98987, 0x3fc43275c6ca95f1,
+            0x3fd2035ec32b2235, 0x3fce3c5adb5d5810, 0x3eb39f556d591aa8, 0x3f188bcda15f435b,
+        ],
+        &[
+            (0, 16), (1, 5), (2, 4), (3, 2), (4, 10), (5, 6), (6, 3), (7, 9), (8, 10), (9, 2),
+            (10, 2), (11, 1), (12, 4), (13, 2), (14, 9), (15, 14),
+        ],
+    ),
+    (
+        "mps-bond1",
+        false,
+        [
+            0x3fa20ae36aeb9969, 0x3fa697aa6a95a22f, 0x3fb17bc8f82b4ab0, 0x3f232e19d80e1c46,
+            0x3f9f1a30dee1b844, 0x3f9b7f68c5782e68, 0x3ed05854fd3788ba, 0x3f232e19d80e1c46,
+        ],
+        &[
+            (0, 7), (1, 6), (2, 7), (3, 6), (4, 2), (5, 7), (6, 5), (7, 3), (8, 8), (9, 7),
+            (10, 6), (11, 4), (12, 8), (13, 6), (14, 11), (15, 6),
+        ],
+    ),
+    (
+        "mps-bond1",
+        true,
+        [
+            0x3fb61226bf5e4684, 0x3fb5c39c67ec7e04, 0x3fa596ec0f696c0d, 0x3fc43275c6ca95f2,
+            0x3f90685e94edf47f, 0x3f9014762f1318d9, 0x3eb2116f86c78e7d, 0x3f188bcda15f4607,
+        ],
+        &[
+            (0, 7), (1, 8), (2, 7), (3, 7), (4, 8), (5, 7), (6, 6), (7, 5), (8, 8), (9, 5),
+            (10, 4), (11, 1), (12, 7), (13, 4), (14, 9), (15, 6),
+        ],
+    ),
+];
+
+/// Bits of `density_expect_z` then `density_expect_masks` for readout off
+/// and on.
+#[rustfmt::skip]
+const PINNED_DENSITY: [(bool, [u64; 8]); 2] = [
+    (
+        false,
+        [
+            0x3f84b7afc2b2ed10, 0x3f738d08945f8da0, 0xbf8daa298bbf5cb0, 0x3f332d61eee02600,
+            0x3fe246f2c292322c, 0x3fdf64068b9cdd57, 0xbed2b7062c740000, 0x3f332d61eee02600,
+        ],
+    ),
+    (
+        true,
+        [
+            0x3fb17a1309b9246c, 0x3faca5c8afcc10d8, 0xbf9a377fdb02037a, 0x3fc4358705a77a9b,
+            0x3fd348a8c113bad4, 0x3fd25b41b6d278f1, 0xbeb4b01581cfcbd3, 0x3f288ae244424945,
+        ],
+    ),
+];
+
+/// Pins the exact output bits of every noisy engine on one candidate:
+/// trajectory `expect_z`, `expect_z_masks` and `sample_counts` on Fast,
+/// Reference, exact MPS and bond-1 MPS, at 33 trajectories (two full
+/// 16-lane chunks and a partial third), on 1 and 2 workers, readout off
+/// and on; and the exact `density_expect_z` and `density_expect_masks`.
+/// It fails if any channel, RNG draw or readout correction moves.
+/// Replacing the operand-wise two-qubit depolarizing channel with the
+/// 15-Pauli one (ROADMAP item 5) changes these values on purpose and
+/// re-pins them.
+#[test]
+fn noisy_engine_outputs_are_pinned() {
+    for (label, readout, bits, counts) in PINNED_TRAJECTORIES {
+        let backend = match label {
+            "fast" => SimBackend::Fast,
+            "reference" => SimBackend::Reference,
+            "mps-exact" => SimBackend::Mps(MpsConfig::exact()),
+            _ => SimBackend::Mps(MpsConfig::with_max_bond(1)),
+        };
+        for workers in [1, 2] {
+            let (got_bits, got_counts) = pinned_trajectory_outputs(backend, workers, readout);
+            let tag = format!("{label}, {workers} workers, readout {readout}");
+            assert_eq!(got_bits, bits, "{tag}: expectations moved");
+            assert_eq!(got_counts, counts, "{tag}: sampled counts moved");
+        }
+    }
+    let (c, train, input, phys, device) = pinned_candidate();
+    for (readout, bits) in PINNED_DENSITY {
+        let mut got = to_bits(&density_expect_z(
+            &c, &train, &input, &device, &phys, readout,
+        ));
+        got.extend(to_bits(&density_expect_masks(
+            &c,
+            &train,
+            &input,
+            &device,
+            &phys,
+            &PINNED_MASKS,
+            readout,
+        )));
+        assert_eq!(got, bits, "density, readout {readout}: expectations moved");
+    }
 }

@@ -1,9 +1,13 @@
 //! `search` — search-stage costs: estimator queries and evolution
-//! iterations, the measured side of Table I's cost model.
+//! iterations, the measured side of Table I's cost model. The
+//! `noisy_samples` drill-down times noisy scoring's inner call: one
+//! belem-compiled candidate's 24 samples × 6 trajectories as one batched
+//! `expect_z_batch` call against one `expect_z` per sample, both on one
+//! worker, after checking that the two agree bit for bit.
 
 use crate::{time_median, Floor, Json, Mode};
-use qns_noise::{Device, TrajectoryConfig};
-use qns_transpile::Layout;
+use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
+use qns_transpile::{transpile, Layout};
 use quantumnas::{
     evolutionary_search, train_supercircuit, DesignSpace, Estimator, EstimatorKind, EvoConfig,
     SpaceKind, SuperCircuit, SuperTrainConfig, Task,
@@ -44,6 +48,50 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
             let secs = time_median(reps, || est.score(&circuit, &shared, &task, &layout));
             j.num(&format!("{name}_s"), secs);
         }
+    });
+
+    let belem = Device::belem();
+    let t = transpile(&circuit, &belem, &layout, 2);
+    let inputs: Vec<&[f64]> = match &task {
+        Task::Qml { splits, .. } => splits.train.features[..24].iter().map(Vec::as_slice),
+        Task::Vqe { .. } => unreachable!(),
+    }
+    .collect();
+    let exec = TrajectoryExecutor::new(
+        belem,
+        TrajectoryConfig {
+            trajectories: 6,
+            seed: 1,
+            readout: true,
+        },
+    )
+    .with_workers(1);
+    let batched = || exec.expect_z_batch(&t.circuit, &shared, &inputs, &t.phys_of);
+    let per_sample = || -> Vec<_> {
+        inputs
+            .iter()
+            .map(|input| exec.expect_z(&t.circuit, &shared, input, &t.phys_of))
+            .collect()
+    };
+    let bits = |results: Vec<qns_noise::NoisyResult>| -> Vec<u64> {
+        results
+            .iter()
+            .flat_map(|r| r.expect_z.iter().map(|e| e.to_bits()))
+            .collect()
+    };
+    assert_eq!(
+        bits(batched()),
+        bits(per_sample()),
+        "batched noisy scoring diverged from per-sample expect_z"
+    );
+    let batched_s = time_median(reps, batched);
+    let per_sample_s = time_median(reps, per_sample);
+    json.obj("noisy_samples", |j| {
+        j.int("samples", inputs.len());
+        j.int("trajectories", 6);
+        j.num("batched_s", batched_s);
+        j.num("per_sample_s", per_sample_s);
+        j.num("speedup", per_sample_s / batched_s.max(1e-12));
     });
 
     // A full (small) evolutionary search.

@@ -49,9 +49,10 @@
 //!   --qasm    <path>                   export the deployed circuit
 //! ```
 //!
-//! An unknown argument, an unknown value or a value flag without a value
-//! prints usage and exits 2. A `--qasm` or `--front-out` file that cannot
-//! be written exits 1 after the report.
+//! An unknown argument, an unknown value, a value flag without a value or
+//! a `--samples` count too small to leave a validation sample prints usage
+//! and exits 2. A `--qasm` or `--front-out` file that cannot be written
+//! exits 1 after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -138,6 +139,25 @@ fn parse_task(name: &str, samples: usize, seed: u64) -> Task {
             eprintln!("unknown task '{other}'");
             usage()
         }
+    }
+}
+
+/// Rejects a `--samples` count that leaves a QML task no validation
+/// sample, which no candidate could be scored on: prints the smallest
+/// workable count and exits 2. Tasks with fixed data (vowel4, the VQE
+/// tasks) ignore `--samples` and always pass.
+fn check_samples(task: &Task, name: &str, samples: usize, seed: u64) {
+    let no_validation =
+        |t: &Task| matches!(t, Task::Qml { splits, .. } if splits.valid.num_samples() == 0);
+    if no_validation(task) {
+        let min = (samples + 1..)
+            .find(|&n| !no_validation(&parse_task(name, n, seed)))
+            .expect("some sample count fills the validation split");
+        eprintln!(
+            "--samples {samples} leaves {} no validation samples; use --samples {min} or more",
+            task.name()
+        );
+        usage()
     }
 }
 
@@ -244,7 +264,9 @@ fn cmd_run(args: &[String]) {
     let get = |flag: &str, default: &str| value(flag).unwrap_or_else(|| default.to_string());
     let seed: u64 = get("--seed", "42").parse().unwrap_or_else(|_| usage());
     let samples: usize = get("--samples", "150").parse().unwrap_or_else(|_| usage());
-    let task = parse_task(&get("--task", "mnist2"), samples, seed);
+    let task_name = get("--task", "mnist2");
+    let task = parse_task(&task_name, samples, seed);
+    check_samples(&task, &task_name, samples, seed);
     let space = parse_space(&get("--space", "u3cu3"));
     let device = Device::by_name(&get("--device", "yorktown")).unwrap_or_else(|| {
         eprintln!("unknown device (see `qnas devices`)");

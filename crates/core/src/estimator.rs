@@ -74,9 +74,9 @@ pub struct Estimator {
     /// `Reference` replays the naive oracle for differential runs).
     backend: SimBackend,
     /// Worker count for fanning noise trajectories of one candidate over
-    /// the worker pool (VQE measurement path; `0` = process default).
-    /// Sample-parallel QML paths keep trajectories sequential to avoid
-    /// nested oversubscription.
+    /// the worker pool in the VQE measurement path (`0` = process default).
+    /// The QML paths run all of a candidate's (sample, trajectory) lanes as
+    /// one batched call on the process default instead.
     traj_workers: usize,
 }
 
@@ -109,8 +109,10 @@ impl Estimator {
     }
 
     /// Fans noise trajectories for one candidate over `workers` pool
-    /// threads (`0` = the process default) in the trajectory-only paths
-    /// (VQE measurement). Results are bit-identical for any worker count.
+    /// threads (`0` = the process default) in the VQE measurement path.
+    /// The QML paths batch every sample's trajectories into one call on
+    /// the process default and ignore this. Results are bit-identical for
+    /// any worker count.
     pub fn with_trajectory_workers(mut self, workers: usize) -> Self {
         self.traj_workers = workers;
         self
@@ -357,19 +359,12 @@ impl Estimator {
             }
             EstimatorKind::NoisySim(cfg) => {
                 let t = self.compile(circuit, layout);
-                // Samples already fan out below; trajectories stay
-                // sequential inside each sample.
-                let exec =
-                    TrajectoryExecutor::new(self.device.clone(), cfg).with_backend(self.backend);
-                let losses = self.timed_sim(|| {
-                    parallel_map(&samples, |&i| {
-                        let noisy =
-                            exec.expect_z(&t.circuit, params, &valid.features[i], &t.phys_of);
-                        nll_loss(
-                            &readout.logits(&logical_z(&t, &noisy.expect_z)),
-                            valid.labels[i],
-                        )
-                    })
+                let losses: Vec<f64> = self.timed_sim(|| {
+                    self.noisy_expect_z(&t, params, &valid.features[..n], cfg)
+                        .iter()
+                        .zip(&valid.labels)
+                        .map(|(z, &label)| nll_loss(&readout.logits(z), label))
+                        .collect()
                 });
                 mean(&losses)
             }
@@ -519,12 +514,35 @@ impl Estimator {
         };
         let test = splits.test.subsample(n_test, 0x7E57);
         let t = self.compile(circuit, layout);
-        let exec = TrajectoryExecutor::new(self.device.clone(), traj).with_backend(self.backend);
-        let logits: Vec<Vec<f64>> = parallel_map(&test.features, |input| {
-            let noisy = exec.expect_z(&t.circuit, params, input, &t.phys_of);
-            readout.logits(&logical_z(&t, &noisy.expect_z))
-        });
+        let logits: Vec<Vec<f64>> = self
+            .noisy_expect_z(&t, params, &test.features, traj)
+            .iter()
+            .map(|z| readout.logits(z))
+            .collect();
         accuracy(&logits, &test.labels)
+    }
+
+    /// Logical noisy `<Z>` of a compiled QML candidate for each encoded
+    /// sample: one batched trajectory call whose (sample, trajectory) lanes
+    /// run as full 16-lane chunks on the process-default worker count.
+    /// Inside the search's candidate fan-out the chunks run inline; at
+    /// deployment they fan out over the pool. Bit-identical to one
+    /// [`TrajectoryExecutor::expect_z`] per sample.
+    fn noisy_expect_z(
+        &self,
+        t: &Transpiled,
+        params: &[f64],
+        features: &[Vec<f64>],
+        cfg: TrajectoryConfig,
+    ) -> Vec<Vec<f64>> {
+        let inputs: Vec<&[f64]> = features.iter().map(Vec::as_slice).collect();
+        TrajectoryExecutor::new(self.device.clone(), cfg)
+            .with_workers(0)
+            .with_backend(self.backend)
+            .expect_z_batch(&t.circuit, params, &inputs, &t.phys_of)
+            .iter()
+            .map(|noisy| logical_z(t, &noisy.expect_z))
+            .collect()
     }
 
     /// Noise-free accuracy on (a subset of) the test split.

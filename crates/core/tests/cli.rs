@@ -126,3 +126,74 @@ fn failed_output_writes_exit_nonzero_after_the_report() {
         );
     }
 }
+
+/// Runs `qnas run --preset smoke --task TASK --samples N` and checks it is
+/// a usage error naming `--samples MIN`, not a panic.
+fn assert_rejects_samples(task: &str, samples: &str, min: &str) {
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--task",
+        task,
+        "--samples",
+        samples,
+    ];
+    let out = qnas(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        stderr.contains(&format!("use --samples {min} or more")) && !stderr.contains("panicked"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+}
+
+#[test]
+fn zero_samples_is_a_usage_error() {
+    // No data at all: training must never start (it would panic drawing
+    // a minibatch from an empty split).
+    assert_rejects_samples("mnist2", "0", "7");
+}
+
+#[test]
+fn sample_counts_without_a_validation_sample_are_usage_errors() {
+    // Training data but no validation sample: every candidate score would
+    // panic on the empty split, so the run must not start.
+    assert_rejects_samples("mnist2", "6", "7");
+    assert_rejects_samples("fashion2", "3", "7");
+    assert_rejects_samples("mnist4", "3", "4");
+}
+
+#[test]
+fn the_smallest_workable_sample_count_runs() {
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--task",
+        "mnist4",
+        "--samples",
+        "4",
+        "--workers",
+        "1",
+    ];
+    let out = qnas(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+}

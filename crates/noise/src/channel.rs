@@ -1,6 +1,6 @@
 //! Kraus error channels with stochastic trajectory unraveling.
 
-use qns_sim::{MpsState, StateBatch, StateVec};
+use qns_sim::{MpsState, StateBatch, StateVec, LANE_CHUNK};
 use qns_tensor::{Mat2, C64};
 use rand::Rng;
 
@@ -199,12 +199,18 @@ impl KrausChannel {
     /// once, drawing from `rngs[lane]`. Per lane this is bit-identical to
     /// [`KrausChannel::apply_trajectory`] on that lane's state: each lane
     /// makes the same draw from its own RNG, walks the same Born CDF, and
-    /// applies the same operator and renormalization — but the Born
-    /// probability of the leading (no-error) operator, the Kraus
-    /// application, and the renormalization each run as one
-    /// lanes-contiguous sweep instead of a strided pass per lane. Lanes
-    /// whose draw falls past the leading operator (rare at hardware error
-    /// rates) finish their CDF walk on the per-lane path.
+    /// applies the same operator and renormalization. The Born probability
+    /// of the leading (no-error) operator and the renormalization each run
+    /// as one lanes-contiguous sweep; lanes whose draw falls past the
+    /// leading operator (rare at hardware error rates) finish their CDF
+    /// walk on the per-lane path. When every lane keeps the leading
+    /// operator, it is applied as one shared sweep; otherwise each lane's
+    /// chosen operator goes through [`StateBatch::apply_1q_per_lane`].
+    ///
+    /// Draws, probabilities and choices live in fixed [`LANE_CHUNK`]-wide
+    /// arrays, so the step does not allocate unless some lane errs.
+    /// Batches wider than [`LANE_CHUNK`] (the trajectory executor never
+    /// builds one) take the per-lane path for every lane.
     ///
     /// # Panics
     ///
@@ -222,61 +228,65 @@ impl KrausChannel {
             batch.normalize_lanes();
             return;
         }
-        let us: Vec<f64> = rngs.iter_mut().map(|rng| rng.gen()).collect();
-        let p0 = kraus_probs_all_lanes(batch, &self.ops[0], q);
-        let chosen: Vec<Mat2> = us
-            .iter()
-            .zip(&p0)
-            .enumerate()
-            .map(|(lane, (&u, &p))| {
-                if u <= p {
-                    return self.ops[0];
-                }
-                let mut cdf = p;
-                for (i, k) in self.ops.iter().enumerate().skip(1) {
-                    if i == self.ops.len() - 1 {
-                        break;
-                    }
-                    cdf += kraus_prob_lane(batch, lane, k, q);
-                    if u <= cdf {
-                        return self.ops[i];
-                    }
-                }
-                self.ops[self.ops.len() - 1]
-            })
-            .collect();
-        batch.apply_1q_per_lane(&chosen, q);
+        if lanes > LANE_CHUNK {
+            for (lane, rng) in rngs.iter_mut().enumerate() {
+                let u: f64 = rng.gen();
+                let k = &self.ops[self.choose(batch, lane, q, u, 0.0, 0)];
+                batch.lane_apply_1q(lane, k, q);
+                batch.lane_normalize(lane);
+            }
+            return;
+        }
+        let mut us = [0.0; LANE_CHUNK];
+        for (u, rng) in us.iter_mut().zip(rngs.iter_mut()) {
+            *u = rng.gen();
+        }
+        let mut p0 = [0.0; LANE_CHUNK];
+        batch.kraus_probs(&self.ops[0], q, &mut p0[..lanes]);
+        let mut chosen = [0usize; LANE_CHUNK];
+        let draws = us.iter().zip(&p0).take(lanes).enumerate();
+        for ((lane, (&u, &p)), c) in draws.zip(&mut chosen) {
+            *c = if u <= p {
+                0
+            } else {
+                self.choose(batch, lane, q, u, p, 1)
+            };
+        }
+        if chosen[..lanes].iter().all(|&i| i == 0) {
+            batch.apply_1q(&self.ops[0], q);
+        } else {
+            let mut ms = [self.ops[0]; LANE_CHUNK];
+            for (m, &i) in ms.iter_mut().zip(&chosen) {
+                *m = self.ops[i];
+            }
+            batch.apply_1q_per_lane(&ms[..lanes], q);
+        }
         batch.normalize_lanes();
     }
-}
 
-/// [`kraus_prob_lane`] for every lane in one lanes-contiguous sweep: the
-/// per-lane accumulation order (ascending base loop, row 0 before row 1)
-/// is identical, so `kraus_probs_all_lanes(..)[lane]` is bit-identical to
-/// `kraus_prob_lane(.., lane, ..)`.
-fn kraus_probs_all_lanes(batch: &StateBatch, k: &Mat2, q: usize) -> Vec<f64> {
-    let l = batch.lanes();
-    let stride = 1usize << q;
-    let len = 1usize << batch.num_qubits();
-    let (re, im) = (batch.re(), batch.im());
-    let [m00, m01, m10, m11] = k.m;
-    let mut acc = vec![0.0; l];
-    let mut base = 0;
-    while base < len {
-        for i in base..base + stride {
-            let (r0, i0) = (&re[i * l..(i + 1) * l], &im[i * l..(i + 1) * l]);
-            let j = i + stride;
-            let (r1, i1) = (&re[j * l..(j + 1) * l], &im[j * l..(j + 1) * l]);
-            for (lane, a) in acc.iter_mut().enumerate() {
-                let a0 = C64::new(r0[lane], i0[lane]);
-                let a1 = C64::new(r1[lane], i1[lane]);
-                *a += (m00 * a0 + m01 * a1).norm_sqr();
-                *a += (m10 * a0 + m11 * a1).norm_sqr();
+    /// The operator `lane` draws with `u`: the Born CDF walk of
+    /// [`KrausChannel::apply_trajectory`] from operator `first`, with `cdf`
+    /// the probability mass of the operators before it. The last operator
+    /// takes any remainder.
+    fn choose(
+        &self,
+        batch: &StateBatch,
+        lane: usize,
+        q: usize,
+        u: f64,
+        cdf: f64,
+        first: usize,
+    ) -> usize {
+        let last = self.ops.len() - 1;
+        let mut cdf = cdf;
+        for (i, k) in self.ops.iter().enumerate().take(last).skip(first) {
+            cdf += kraus_prob_lane(batch, lane, k, q);
+            if u <= cdf {
+                return i;
             }
         }
-        base += stride << 1;
+        last
     }
-    acc
 }
 
 /// [`kraus_prob`] for one lane of a batch: the same base-loop accumulation
@@ -445,6 +455,35 @@ mod tests {
                     "lane {lane} diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn wide_batch_trajectory_is_bit_identical_to_per_lane() {
+        // Batches wider than one lane chunk take the per-lane path, which
+        // must match each lane's standalone single-state step as well.
+        let ch = KrausChannel::depolarizing(0.3);
+        let lanes = LANE_CHUNK + 5;
+        let mut wide = StateBatch::zero_state(3, lanes);
+        wide.apply_1q(&Mat2::hadamard(), 1);
+        let mut singles: Vec<StateVec> = (0..lanes).map(|l| wide.lane_state(l)).collect();
+        let mut rngs_w: Vec<StdRng> = (0..lanes)
+            .map(|l| StdRng::seed_from_u64(40 + l as u64))
+            .collect();
+        let mut rngs_s = rngs_w.clone();
+        for step in 0..30 {
+            let q = step % 3;
+            ch.apply_trajectory_all_lanes(&mut wide, q, &mut rngs_w);
+            for (single, rng) in singles.iter_mut().zip(&mut rngs_s) {
+                ch.apply_trajectory(single, q, rng);
+            }
+        }
+        for (lane, single) in singles.iter().enumerate() {
+            assert_eq!(
+                wide.lane_state(lane).amplitudes(),
+                single.amplitudes(),
+                "lane {lane} diverged"
+            );
         }
     }
 

@@ -340,11 +340,13 @@ fn noisy_density(
     phys_of: &[usize],
 ) -> DensityMatrix {
     let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
-    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+    let apply = |step: Step<'_>| match step {
         Step::Gate(GateMatrix::One(m), [q, _]) => rho.apply_1q(m, q),
         Step::Gate(GateMatrix::Two(m), [a, b]) => rho.apply_2q(m, a, b),
+        Step::LaneGates(..) => unreachable!("one input shares every gate"),
         Step::Channel(ch, q) => rho.apply_channel(ch, q),
-    });
+    };
+    walk_noisy(device, circuit, train, &[input], phys_of, apply);
     rho
 }
 

@@ -13,7 +13,8 @@
 //! - a private noise model (`model.rs`) yielding each gate and then the
 //!   channels the device applies after it; every noisy engine loops over it,
 //! - [`TrajectoryExecutor`] — noisy circuit execution by averaging Kraus
-//!   trajectories, with readout-error-adjusted expectations and shot
+//!   trajectories, with readout-error-adjusted expectations (one input, or
+//!   many inputs' trajectories batched as one set of lanes) and shot
 //!   sampling,
 //! - [`circuit_success_rate`] / [`augmented_loss`] — the paper's fast second
 //!   estimator: noise-free loss divided by the product of per-gate success

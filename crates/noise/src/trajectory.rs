@@ -3,18 +3,22 @@
 //! Each trajectory is one loop over the shared noise model's walk
 //! (`walk_noisy`: each gate, then its channels), on a lane of a
 //! [`StateBatch`] (`Fast`), a reference [`StateVec`] or an [`MpsState`].
-//! Trajectories for one candidate are independent, so one chunked runner
-//! fans them out over `qns_sim::try_parallel_map` — chunks of `LANE_CHUNK`
-//! on `Fast`, of one otherwise — when the executor is given more than one
-//! worker (and runs inline when the executor itself runs inside a
+//! A lane is one (input, trajectory) pair:
+//! [`TrajectoryExecutor::expect_z_batch`] lays out a candidate's samples ×
+//! trajectories input-major, and the single-input calls are its one-input
+//! case. Lanes are independent, so one chunked runner fans them out over
+//! `qns_sim::try_parallel_map` — chunks of `LANE_CHUNK` on `Fast`, whatever
+//! inputs they mix, of one otherwise — when the executor is given more than
+//! one worker (and runs inline when the executor itself runs inside a
 //! candidate fan-out). Per-trajectory RNG seeds are derived
 //! deterministically from a structural digest of the candidate (circuit +
-//! resolved parameters + layout + base seed), so results are a pure
-//! function of the candidate and bit-identical for any worker count: the
-//! pool returns per-chunk results in input order and the fold over them is
-//! sequential.
+//! resolved parameters, input included + layout + base seed), so results
+//! are a pure function of the candidate and its input, bit-identical for
+//! any worker count and any mix of inputs in a chunk: the pool returns
+//! per-chunk results in lane order and each input's fold over its
+//! trajectories is sequential.
 
-use crate::model::{readout_affine, walk_noisy, Step};
+use crate::model::{readout_affine, walk_noisy, LaneGates, Step};
 use crate::Device;
 use qns_circuit::{Circuit, GateMatrix};
 use qns_runtime::StructuralHasher;
@@ -22,14 +26,17 @@ use qns_sim::{try_parallel_map, MpsState, SimBackend, StateBatch, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Trajectories per [`StateBatch`] on the fast path. A **fixed** constant
-/// (never derived from the worker count): the chunk layout determines which
-/// trajectories share a batched sweep, so it must be identical for any
-/// worker count to keep results bitwise-stable. Single-sourced from the
-/// simulator's micro-kernel tile width so one trajectory chunk is a whole
-/// number of planar tiles; 16 lanes bound the batch buffer (16 × 2ⁿ
-/// amplitudes) while amortizing gate dispatch.
+/// Lanes per [`StateBatch`] on the fast path. A **fixed** constant (never
+/// derived from the worker count): the chunk layout determines which lanes
+/// share a batched sweep, so it must be identical for any worker count to
+/// keep results bitwise-stable. Single-sourced from the simulator's
+/// micro-kernel tile width so one chunk is a whole number of planar tiles;
+/// 16 lanes bound the batch buffer (16 × 2ⁿ amplitudes) while amortizing
+/// gate dispatch.
 const LANE_CHUNK: usize = qns_sim::LANE_CHUNK;
+
+/// One trajectory lane: its input and its RNG seed.
+type Lane<'a> = (&'a [f64], u64);
 
 /// Configuration for the trajectory executor.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -165,51 +172,73 @@ impl TrajectoryExecutor {
         key.lo ^ key.hi
     }
 
-    /// Seeds for each trajectory index: a splitmix64 finalizer over the
-    /// candidate digest and the index.
-    fn trajectory_seeds(&self, digest: u64) -> Vec<u64> {
-        (0..self.config.trajectories as u64)
-            .map(|t| {
+    /// Every trajectory lane of one run: for each input in turn, its
+    /// trajectories in index order, each seeded by a splitmix64 finalizer
+    /// over the index and the digest of the candidate with that input.
+    fn lanes<'a>(
+        &self,
+        circuit: &Circuit,
+        train: &[f64],
+        inputs: &[&'a [f64]],
+        phys_of: &[usize],
+    ) -> Vec<Lane<'a>> {
+        let mut lanes = Vec::with_capacity(inputs.len() * self.config.trajectories);
+        for &input in inputs {
+            let digest = self.candidate_digest(circuit, train, input, phys_of);
+            for t in 0..self.config.trajectories as u64 {
                 let mut z = digest ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            })
-            .collect()
+                lanes.push((input, z ^ (z >> 31)));
+            }
+        }
+        lanes
     }
 
-    /// Runs one chunk of trajectories, one per seed, and hands each
-    /// trajectory's final state and RNG (positioned exactly after the
-    /// circuit's noise draws) to `each`, in seed order.
+    /// Runs one chunk of trajectory lanes, lane `l` on input `lanes[l].0`
+    /// and RNG seed `lanes[l].1`, and hands each lane's final state and RNG
+    /// (positioned exactly after the circuit's noise draws) to `each`, in
+    /// lane order.
     ///
     /// Every backend is one loop over [`walk_noisy`]. `Fast` runs the chunk
-    /// as lanes of a [`StateBatch`]: the shared unitary gates sweep every
-    /// lane at once, and each channel is applied to all lanes in one
-    /// lanes-contiguous pass ([`crate::KrausChannel::apply_trajectory_all_lanes`])
-    /// drawing from each lane's own RNG. Lane `l` is bit-identical to the
-    /// `Reference` trajectory of `seeds[l]`: per lane the gate/noise order,
-    /// every Born probability and every RNG draw are the same. `Reference`
-    /// and `Mps` run each trajectory on its own state; an MPS trajectory is
-    /// densified at the end so result extraction is backend-agnostic, and
-    /// in the exact regime its draw outcomes agree with `Reference`.
+    /// as lanes of a [`StateBatch`]: gates that do not read the input (or
+    /// that every lane reads from one input) sweep every lane at once, gates
+    /// whose input differs across lanes sweep once with a matrix per lane,
+    /// and each channel is applied to all lanes in one lanes-contiguous pass
+    /// ([`crate::KrausChannel::apply_trajectory_all_lanes`]) drawing from
+    /// each lane's own RNG. Lane `l` is bit-identical to the `Reference`
+    /// trajectory of `lanes[l]`: per lane the gate/noise order, every Born
+    /// probability and every RNG draw are the same. `Reference` and `Mps`
+    /// run each lane on its own state; an MPS trajectory is densified at the
+    /// end so result extraction is backend-agnostic, and in the exact
+    /// regime its draw outcomes agree with `Reference`.
     fn run_chunk(
         &self,
         circuit: &Circuit,
         train: &[f64],
-        input: &[f64],
         phys_of: &[usize],
-        seeds: &[u64],
+        lanes: &[Lane<'_>],
         mut each: impl FnMut(usize, &StateVec, &mut StdRng),
     ) {
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let mut rngs: Vec<StdRng> = lanes
+            .iter()
+            .map(|&(_, seed)| StdRng::seed_from_u64(seed))
+            .collect();
         let n = circuit.num_qubits();
-        let device = &self.device;
+        let walk = |inputs: &[&[f64]], visit: &mut dyn FnMut(Step<'_>)| {
+            walk_noisy(&self.device, circuit, train, inputs, phys_of, visit)
+        };
         match self.backend {
             SimBackend::Fast => {
-                let mut batch = StateBatch::zero_state(n, seeds.len());
-                walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                let inputs: Vec<&[f64]> = lanes.iter().map(|&(input, _)| input).collect();
+                let mut batch = StateBatch::zero_state(n, lanes.len());
+                walk(&inputs, &mut |step| match step {
                     Step::Gate(GateMatrix::One(m), [q, _]) => batch.apply_1q(m, q),
                     Step::Gate(GateMatrix::Two(m), [a, b]) => batch.apply_2q(m, a, b),
+                    Step::LaneGates(LaneGates::One(ms), [q, _]) => batch.apply_1q_per_lane(ms, q),
+                    Step::LaneGates(LaneGates::Two(ms), [a, b]) => {
+                        batch.apply_2q_per_lane(ms, a, b)
+                    }
                     Step::Channel(ch, q) => ch.apply_trajectory_all_lanes(&mut batch, q, &mut rngs),
                 });
                 for (lane, rng) in rngs.iter_mut().enumerate() {
@@ -217,22 +246,24 @@ impl TrajectoryExecutor {
                 }
             }
             SimBackend::Reference => {
-                for (lane, rng) in rngs.iter_mut().enumerate() {
+                for (lane, (&(input, _), rng)) in lanes.iter().zip(&mut rngs).enumerate() {
                     let mut state = StateVec::zero_state(n);
-                    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                    walk(&[input], &mut |step| match step {
                         Step::Gate(GateMatrix::One(m), [q, _]) => state.apply_1q_reference(m, q),
                         Step::Gate(GateMatrix::Two(m), [a, b]) => state.apply_2q_reference(m, a, b),
+                        Step::LaneGates(..) => unreachable!("one input shares every gate"),
                         Step::Channel(ch, q) => ch.apply_trajectory(&mut state, q, rng),
                     });
                     each(lane, &state, rng);
                 }
             }
             SimBackend::Mps(config) => {
-                for (lane, rng) in rngs.iter_mut().enumerate() {
+                for (lane, (&(input, _), rng)) in lanes.iter().zip(&mut rngs).enumerate() {
                     let mut mps = MpsState::zero_state(n, config);
-                    walk_noisy(device, circuit, train, input, phys_of, |step| match step {
+                    walk(&[input], &mut |step| match step {
                         Step::Gate(GateMatrix::One(m), [q, _]) => mps.apply_1q(m, q),
                         Step::Gate(GateMatrix::Two(m), [a, b]) => mps.apply_2q(m, a, b),
+                        Step::LaneGates(..) => unreachable!("one input shares every gate"),
                         Step::Channel(ch, q) => ch.apply_trajectory_mps(&mut mps, q, rng),
                     });
                     each(lane, &mps.to_statevec(), rng);
@@ -241,22 +272,20 @@ impl TrajectoryExecutor {
         }
     }
 
-    /// Runs every seeded trajectory and extracts one result per trajectory,
-    /// in seed order. A panicking trajectory yields `default`.
+    /// Runs every trajectory lane and extracts one result per lane, in lane
+    /// order. A lane of a panicking chunk yields `default`.
     ///
-    /// Trajectories run in chunks of [`LANE_CHUNK`] on the `Fast` backend
-    /// (one [`StateBatch`] each) and of one otherwise; the chunks fan out
-    /// over the worker pool, and a panic poisons only its own chunk.
-    /// `extract` receives the trajectory index, its final state, and its
-    /// RNG (for shot sampling).
-    #[allow(clippy::too_many_arguments)]
+    /// Lanes run in chunks of [`LANE_CHUNK`] on the `Fast` backend (one
+    /// [`StateBatch`] each, whatever inputs its lanes carry) and of one
+    /// otherwise; the chunks fan out over the worker pool, and a panic
+    /// poisons only its own chunk. `extract` receives the lane index, its
+    /// final state, and its RNG (for shot sampling).
     fn run_trajectories<U: Send + Clone>(
         &self,
         circuit: &Circuit,
         train: &[f64],
-        input: &[f64],
         phys_of: &[usize],
-        seeds: &[u64],
+        lanes: &[Lane<'_>],
         extract: impl Fn(usize, &StateVec, &mut StdRng) -> U + Sync,
         default: U,
     ) -> Vec<U> {
@@ -265,30 +294,24 @@ impl TrajectoryExecutor {
         } else {
             1
         };
-        let chunks: Vec<(usize, &[u64])> = seeds
+        let chunks: Vec<(usize, &[Lane<'_>])> = lanes
             .chunks(chunk)
             .enumerate()
             .map(|(ci, c)| (ci * chunk, c))
             .collect();
-        let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_seeds)| {
-            let mut out = Vec::with_capacity(chunk_seeds.len());
-            self.run_chunk(
-                circuit,
-                train,
-                input,
-                phys_of,
-                chunk_seeds,
-                |i, state, rng| out.push(extract(start + i, state, rng)),
-            );
+        let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_lanes)| {
+            let mut out = Vec::with_capacity(chunk_lanes.len());
+            self.run_chunk(circuit, train, phys_of, chunk_lanes, |i, state, rng| {
+                out.push(extract(start + i, state, rng))
+            });
             out
         });
-        // Flatten in chunk order; a panicked chunk is backfilled per
-        // trajectory.
-        let mut out = Vec::with_capacity(seeds.len());
-        for (res, (_, chunk_seeds)) in per_chunk.into_iter().zip(&chunks) {
+        // Flatten in chunk order; a panicked chunk is backfilled per lane.
+        let mut out = Vec::with_capacity(lanes.len());
+        for (res, (_, chunk_lanes)) in per_chunk.into_iter().zip(&chunks) {
             match res {
-                Ok(lanes) => out.extend(lanes),
-                Err(_) => out.extend(chunk_seeds.iter().map(|_| default.clone())),
+                Ok(results) => out.extend(results),
+                Err(_) => out.extend(chunk_lanes.iter().map(|_| default.clone())),
             }
         }
         out
@@ -297,6 +320,8 @@ impl TrajectoryExecutor {
     /// Noisy `<Z_q>` per circuit qubit, averaged over trajectories and
     /// adjusted for readout error via the affine map
     /// `E' = (1 − p01 − p10) E + (p10 − p01)`.
+    ///
+    /// This is [`TrajectoryExecutor::expect_z_batch`] with one input.
     ///
     /// # Panics
     ///
@@ -309,38 +334,73 @@ impl TrajectoryExecutor {
         input: &[f64],
         phys_of: &[usize],
     ) -> NoisyResult {
+        let mut results = self.expect_z_batch(circuit, train, &[input], phys_of);
+        results.pop().expect("one result per input")
+    }
+
+    /// [`TrajectoryExecutor::expect_z`] for each of `inputs`, one
+    /// [`NoisyResult`] per input in input order — each bit-identical to
+    /// `expect_z` on that input alone, for any worker count.
+    ///
+    /// Every (input, trajectory) pair is one lane, input-major, and every
+    /// lane keeps the seed `expect_z` gives it. On `Fast` the lanes run as
+    /// full [`LANE_CHUNK`]-lane batches, so a candidate's samples share
+    /// gate sweeps and channel passes instead of running one partly filled
+    /// batch each; an input's trajectories may straddle two chunks. Each
+    /// input's trajectories are folded in index order before the readout
+    /// correction. A panicking chunk poisons (NaN) every input it carried.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phys_of.len() != circuit.num_qubits()` or maps outside
+    /// the device.
+    pub fn expect_z_batch(
+        &self,
+        circuit: &Circuit,
+        train: &[f64],
+        inputs: &[&[f64]],
+        phys_of: &[usize],
+    ) -> Vec<NoisyResult> {
         self.validate(circuit, phys_of);
         let n = circuit.num_qubits();
-        let digest = self.candidate_digest(circuit, train, input, phys_of);
-        let seeds = self.trajectory_seeds(digest);
-        // Per-trajectory results come back in input order; the fold below is
-        // sequential, so the average is bit-identical for any worker count.
-        let per_traj = self.run_trajectories(
+        let lanes = self.lanes(circuit, train, inputs, phys_of);
+        // Per-lane results come back in lane order; the fold below is
+        // sequential, so each average is bit-identical for any worker count.
+        let per_lane = self.run_trajectories(
             circuit,
             train,
-            input,
             phys_of,
-            &seeds,
+            &lanes,
             |_, state, _| state.expect_z_all(),
             vec![f64::NAN; n],
         );
-        let mut acc = vec![0.0; n];
-        for v in &per_traj {
+        per_lane
+            .chunks(self.config.trajectories)
+            .map(|per_traj| {
+                let mut expect_z = self.trajectory_mean(per_traj, n);
+                if self.config.readout {
+                    for (q, e) in expect_z.iter_mut().enumerate() {
+                        let (scale, offset) = readout_affine(self.device.qubit(phys_of[q]));
+                        *e = scale * *e + offset;
+                    }
+                }
+                NoisyResult { expect_z }
+            })
+            .collect()
+    }
+
+    /// Component-wise mean of `width`-long per-trajectory results, summed
+    /// in trajectory order.
+    fn trajectory_mean(&self, per_traj: &[Vec<f64>], width: usize) -> Vec<f64> {
+        let mut acc = vec![0.0; width];
+        for v in per_traj {
             for (a, e) in acc.iter_mut().zip(v) {
                 *a += e;
             }
         }
-        let mut expect_z: Vec<f64> = acc
-            .into_iter()
+        acc.into_iter()
             .map(|a| a / self.config.trajectories as f64)
-            .collect();
-        if self.config.readout {
-            for (q, e) in expect_z.iter_mut().enumerate() {
-                let (scale, offset) = readout_affine(self.device.qubit(phys_of[q]));
-                *e = scale * *e + offset;
-            }
-        }
-        NoisyResult { expect_z }
+            .collect()
     }
 
     /// Noisy expectation of `⊗_{q ∈ mask} Z_q` for each bit mask over
@@ -366,14 +426,12 @@ impl TrajectoryExecutor {
         for &m in masks {
             assert!(m >> n == 0, "mask addresses qubits beyond circuit width");
         }
-        let digest = self.candidate_digest(circuit, train, input, phys_of);
-        let seeds = self.trajectory_seeds(digest);
+        let lanes = self.lanes(circuit, train, &[input], phys_of);
         let per_traj = self.run_trajectories(
             circuit,
             train,
-            input,
             phys_of,
-            &seeds,
+            &lanes,
             |_, state, _| {
                 masks
                     .iter()
@@ -382,16 +440,7 @@ impl TrajectoryExecutor {
             },
             vec![f64::NAN; masks.len()],
         );
-        let mut acc = vec![0.0; masks.len()];
-        for v in &per_traj {
-            for (a, e) in acc.iter_mut().zip(v) {
-                *a += e;
-            }
-        }
-        let mut out: Vec<f64> = acc
-            .into_iter()
-            .map(|a| a / self.config.trajectories as f64)
-            .collect();
+        let mut out = self.trajectory_mean(&per_traj, masks.len());
         if self.config.readout {
             for (e, &mask) in out.iter_mut().zip(masks) {
                 let mut factor = 1.0;
@@ -419,13 +468,12 @@ impl TrajectoryExecutor {
     ) -> Vec<(usize, u32)> {
         self.validate(circuit, phys_of);
         let per_traj = shots.div_ceil(self.config.trajectories);
-        let digest = self.candidate_digest(circuit, train, input, phys_of);
-        let mut seeds = self.trajectory_seeds(digest);
+        let mut lanes = self.lanes(circuit, train, &[input], phys_of);
         // Shot allotment per trajectory; trajectories with nothing to draw
         // are dropped entirely, exactly as before batching.
-        let mut takes: Vec<usize> = Vec::with_capacity(seeds.len());
+        let mut takes: Vec<usize> = Vec::with_capacity(lanes.len());
         let mut remaining = shots;
-        for _ in &seeds {
+        for _ in &lanes {
             if remaining == 0 {
                 break;
             }
@@ -433,16 +481,15 @@ impl TrajectoryExecutor {
             remaining -= take;
             takes.push(take);
         }
-        seeds.truncate(takes.len());
+        lanes.truncate(takes.len());
         // Each trajectory returns its readout-flipped shot outcomes,
         // sampled from the RNG stream it used for its circuit noise;
         // merging happens sequentially in input order below.
         let per_shot = self.run_trajectories(
             circuit,
             train,
-            input,
             phys_of,
-            &seeds,
+            &lanes,
             |traj, state, rng| {
                 let take = takes[traj];
                 let mut outcomes: Vec<usize> = Vec::with_capacity(take);
@@ -696,8 +743,9 @@ mod tests {
         let seeds = [3u64, 99, 1234, 77, 5];
         // Final amplitudes and the next draw of each trajectory's RNG.
         let run = |exec: &TrajectoryExecutor, seeds: &[u64]| {
+            let lanes: Vec<Lane<'_>> = seeds.iter().map(|&s| (&[][..], s)).collect();
             let mut out = Vec::new();
-            exec.run_chunk(&c, &[0.7], &[], &[0, 1, 2], seeds, |_, state, rng| {
+            exec.run_chunk(&c, &[0.7], &[0, 1, 2], &lanes, |_, state, rng| {
                 out.push((state.amplitudes().to_vec(), rng.gen::<u64>()))
             });
             out

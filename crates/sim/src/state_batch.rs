@@ -96,6 +96,30 @@ macro_rules! multiversion_sweep {
             self.$body($($arg),*)
         }
     };
+    // The same pair for a read-only sweep.
+    ($(#[$meta:meta])* $front:ident / $avx2:ident => $body:ident ( &self $(, $arg:ident : $ty:ty)* $(,)? )) => {
+        $(#[$meta])*
+        #[inline(never)]
+        fn $front(&self $(, $arg: $ty)*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: reached only when AVX2 was detected on the
+                    // running CPU.
+                    unsafe { self.$avx2($($arg),*) };
+                    return;
+                }
+            }
+            self.$body($($arg),*)
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[inline(never)]
+        unsafe fn $avx2(&self $(, $arg: $ty)*) {
+            self.$body($($arg),*)
+        }
+    };
 }
 
 /// [`for_each_2q_base`](crate::state::for_each_2q_base) at run
@@ -1325,25 +1349,94 @@ impl StateBatch {
         acc
     }
 
-    /// Renormalizes every lane in place; returns the pre-normalization
-    /// norms. Per lane this is bit-identical to
-    /// [`StateBatch::lane_normalize`] (same norm accumulation order, same
-    /// `1/norm` scale, zero-norm lanes untouched) with the per-lane strided
-    /// passes replaced by two contiguous sweeps.
-    pub fn normalize_lanes(&mut self) -> Vec<f64> {
-        let norms: Vec<f64> = self.lane_norms_sqr().iter().map(|n| n.sqrt()).collect();
-        let inv: Vec<f64> = norms
-            .iter()
-            .map(|&n| if n > 0.0 { 1.0 / n } else { 1.0 })
-            .collect();
+    /// `||K ψ||²` of the one-qubit operator `k` on qubit `q` for every lane,
+    /// into `out[lane]`: the Born probability of a Kraus operator, in one
+    /// lanes-contiguous sweep. Each lane sums over the amplitude pairs `(i,
+    /// i + 2^q)` in ascending base order, row 0 before row 1, with [`C64`]'s
+    /// operation order, so `out[lane]` is bit-identical to the same walk
+    /// over that lane's standalone [`StateVec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != lanes()` or `q` is out of range.
+    pub fn kraus_probs(&self, k: &Mat2, q: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.lanes, "one probability per lane");
+        assert!(q < self.n_qubits, "qubit {} out of range", q);
+        out.fill(0.0);
+        self.sweep_kraus_probs(k, q, out);
+    }
+
+    multiversion_sweep!(
+        sweep_kraus_probs / sweep_kraus_probs_avx2 => kraus_probs_body(&self, k: &Mat2, q: usize, out: &mut [f64])
+    );
+
+    #[inline(always)]
+    fn kraus_probs_body(&self, k: &Mat2, q: usize, out: &mut [f64]) {
         let l = self.lanes;
-        for (rr, ri) in self.re.chunks_exact_mut(l).zip(self.im.chunks_exact_mut(l)) {
-            for (lane, &s) in inv.iter().enumerate() {
-                rr[lane] *= s;
-                ri[lane] *= s;
+        let stride = (1usize << q) * l;
+        let [m00, m01, m10, m11] = k.m;
+        for (rc, ic) in self
+            .re
+            .chunks_exact(stride << 1)
+            .zip(self.im.chunks_exact(stride << 1))
+        {
+            let (lo_r, hi_r) = rc.split_at(stride);
+            let (lo_i, hi_i) = ic.split_at(stride);
+            let rows = lo_r
+                .chunks_exact(l)
+                .zip(lo_i.chunks_exact(l))
+                .zip(hi_r.chunks_exact(l).zip(hi_i.chunks_exact(l)));
+            for ((r0, i0), (r1, i1)) in rows {
+                let pairs = r0.iter().zip(i0).zip(r1.iter().zip(i1));
+                for (a, ((&r0, &i0), (&r1, &i1))) in out.iter_mut().zip(pairs) {
+                    let (a0, a1) = (C64::new(r0, i0), C64::new(r1, i1));
+                    *a += (m00 * a0 + m01 * a1).norm_sqr();
+                    *a += (m10 * a0 + m11 * a1).norm_sqr();
+                }
             }
         }
-        norms
+    }
+
+    /// Renormalizes every lane in place. Per lane this is bit-identical to
+    /// [`StateBatch::lane_normalize`] (same norm accumulation order, same
+    /// `1/norm` scale, zero-norm lanes untouched), with the per-lane strided
+    /// passes replaced by two contiguous sweeps per group of [`LANE_CHUNK`]
+    /// lanes, whose norms live in a fixed array: the step never allocates.
+    pub fn normalize_lanes(&mut self) {
+        self.sweep_normalize_lanes();
+    }
+
+    multiversion_sweep!(
+        sweep_normalize_lanes / sweep_normalize_lanes_avx2 => normalize_lanes_body(&mut self)
+    );
+
+    #[inline(always)]
+    fn normalize_lanes_body(&mut self) {
+        let l = self.lanes;
+        let mut start = 0;
+        while start < l {
+            let group = start..(start + LANE_CHUNK).min(l);
+            let mut scale = [0.0; LANE_CHUNK];
+            let scale = &mut scale[..group.len()];
+            for (rr, ri) in self.re.chunks_exact(l).zip(self.im.chunks_exact(l)) {
+                let (rr, ri) = (&rr[group.clone()], &ri[group.clone()]);
+                for ((a, &r), &i) in scale.iter_mut().zip(rr).zip(ri) {
+                    *a += r * r + i * i;
+                }
+            }
+            for a in scale.iter_mut() {
+                let norm = a.sqrt();
+                *a = if norm > 0.0 { 1.0 / norm } else { 1.0 };
+            }
+            for (rr, ri) in self.re.chunks_exact_mut(l).zip(self.im.chunks_exact_mut(l)) {
+                let (rr, ri) = (&mut rr[group.clone()], &mut ri[group.clone()]);
+                for ((r, i), &s) in rr.iter_mut().zip(ri.iter_mut()).zip(scale.iter()) {
+                    *r *= s;
+                    *i *= s;
+                }
+            }
+            start = group.end;
+        }
     }
 
     /// Scales every amplitude of lane `lane` by the diagonal of the
@@ -1546,11 +1639,47 @@ mod tests {
             let per_lane: Vec<f64> = (0..lanes).map(|l| batch.lane_norm_sqr(l)).collect();
             assert_eq!(batch.lane_norms_sqr(), per_lane, "{lanes} lanes");
             let mut slow = batch.clone();
-            let norms = batch.normalize_lanes();
-            for (lane, &norm) in norms.iter().enumerate() {
-                assert_eq!(norm, slow.lane_normalize(lane), "lane {lane} norm");
+            batch.normalize_lanes();
+            for lane in 0..lanes {
+                slow.lane_normalize(lane);
             }
             assert_eq!(batch, slow, "{lanes} lanes normalized state");
+        }
+    }
+
+    #[test]
+    fn kraus_probs_match_the_single_state_walk() {
+        // `||K ψ||²` over one standalone state, pairs in ascending base
+        // order, row 0 before row 1.
+        let single = |s: &StateVec, k: &Mat2, q: usize| {
+            let (amps, stride) = (s.amplitudes(), 1usize << q);
+            let [m00, m01, m10, m11] = k.m;
+            let mut acc = 0.0;
+            for base in (0..amps.len()).step_by(stride << 1) {
+                for i in base..base + stride {
+                    let (a0, a1) = (amps[i], amps[i + stride]);
+                    acc += (m00 * a0 + m01 * a1).norm_sqr();
+                    acc += (m10 * a0 + m11 * a1).norm_sqr();
+                }
+            }
+            acc
+        };
+        let diag = Mat2::new([
+            C64::new(0.9, 0.1),
+            C64::ZERO,
+            C64::ZERO,
+            C64::new(0.3, -0.2),
+        ]);
+        for lanes in [3, 16, 33] {
+            let (batch, singles) = scrambled(4, lanes, 55);
+            for k in [diag, ry(0.7), Mat2::hadamard()] {
+                for q in 0..4 {
+                    let mut out = vec![0.0; lanes];
+                    batch.kraus_probs(&k, q, &mut out);
+                    let want: Vec<f64> = singles.iter().map(|s| single(s, &k, q)).collect();
+                    assert_eq!(out, want, "{lanes} lanes, q {q}");
+                }
+            }
         }
     }
 

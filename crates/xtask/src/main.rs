@@ -60,6 +60,8 @@ const SWEEP_ANCHORS: &[&str] = &[
     "apply_2q_general",
     "sweep_2q_perlane_controlled",
     "sweep_2q_perlane_general",
+    "sweep_kraus_probs",
+    "sweep_normalize_lanes",
 ];
 
 fn run_asm_check(flags: &[String]) -> ExitCode {

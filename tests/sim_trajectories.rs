@@ -10,6 +10,8 @@ use qns_noise::{
     density_expect_masks, density_expect_z, Device, TrajectoryConfig, TrajectoryExecutor,
 };
 use qns_sim::{MpsConfig, SimBackend};
+use qns_transpile::Layout;
+use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SuperCircuit, Task};
 
 fn noisy_circuit() -> Circuit {
     let mut c = Circuit::new(3);
@@ -348,5 +350,97 @@ fn noisy_engine_outputs_are_pinned() {
             readout,
         )));
         assert_eq!(got, bits, "density, readout {readout}: expectations moved");
+    }
+}
+
+/// `expect_z_batch` over several inputs equals one `expect_z` per input,
+/// bit for bit, on every backend and worker count. 5 inputs × 7
+/// trajectories are 35 lanes: on `Fast` they straddle two 16-lane chunk
+/// boundaries, inputs 2 and 4 split across chunks, and input 1's zero
+/// feature turns its `RX` into the identity, so the first chunk's
+/// input-dependent 1q gate is a mixed-class per-lane batch.
+#[test]
+fn batched_inputs_match_one_expect_z_per_input() {
+    let (c, train, _, phys, device) = pinned_candidate();
+    let features = [
+        [0.5, 0.9],
+        [0.0, -0.3],
+        [1.7, 0.4],
+        [-0.8, 2.2],
+        [0.25, 0.6],
+    ];
+    let inputs: Vec<&[f64]> = features.iter().map(|x| &x[..]).collect();
+    let cfg = TrajectoryConfig {
+        trajectories: 7,
+        seed: 29,
+        readout: true,
+    };
+    common::for_each_backend(|backend, label| {
+        for workers in [1, 2] {
+            let exec = TrajectoryExecutor::new(device.clone(), cfg)
+                .with_backend(backend)
+                .with_workers(workers);
+            let batched = exec.expect_z_batch(&c, &train, &inputs, &phys);
+            assert_eq!(batched.len(), inputs.len(), "{label}: one result per input");
+            for (i, (got, input)) in batched.iter().zip(&inputs).enumerate() {
+                let single = exec.expect_z(&c, &train, input, &phys);
+                assert_eq!(
+                    to_bits(&got.expect_z),
+                    to_bits(&single.expect_z),
+                    "{label}, {workers} workers, input {i}"
+                );
+            }
+        }
+    });
+}
+
+/// A compiled 4-qubit MNIST-2 candidate on belem with a non-trivial
+/// layout, for [`noisy_estimator_outputs_are_pinned`].
+fn pinned_qml_candidate() -> (Task, Circuit, Vec<f64>, Layout) {
+    let task = Task::qml_digits(&[3, 6], 90, 4, 11);
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
+    let circuit = match &task {
+        Task::Qml { encoder, .. } => sc.build(&sc.max_config(), Some(encoder)),
+        Task::Vqe { .. } => unreachable!(),
+    };
+    let params: Vec<f64> = (0..circuit.num_train_params())
+        .map(|i| 0.3 * ((i % 7) as f64) - 0.8)
+        .collect();
+    (task, circuit, params, Layout::from_vec(vec![1, 3, 0, 4]))
+}
+
+/// Bits of the QML `NoisySim` score (7 validation samples) then of
+/// `test_accuracy` (9 test samples), per backend, at 6 trajectories.
+const PINNED_ESTIMATOR: [(&str, u64, u64); 3] = [
+    ("fast", 0x3fe30eb91da3efc6, 0x3fe1c71c71c71c72),
+    ("reference", 0x3fe30eb91da3efc6, 0x3fe1c71c71c71c72),
+    ("mps-exact", 0x3fe30eb91da3efc7, 0x3fe1c71c71c71c72),
+];
+
+/// Pins the bits of `Estimator::score` (QML, `NoisySim`) and
+/// `Estimator::test_accuracy` on one candidate. 7 validation samples × 6
+/// trajectories are 42 lanes and 9 test samples × 6 are 54, so on `Fast`
+/// both straddle 16-lane chunks and split samples across them.
+#[test]
+fn noisy_estimator_outputs_are_pinned() {
+    let (task, circuit, params, layout) = pinned_qml_candidate();
+    let cfg = TrajectoryConfig {
+        trajectories: 6,
+        seed: 19,
+        readout: true,
+    };
+    for (label, score_bits, accuracy_bits) in PINNED_ESTIMATOR {
+        let backend = match label {
+            "fast" => SimBackend::Fast,
+            "reference" => SimBackend::Reference,
+            _ => SimBackend::Mps(MpsConfig::exact()),
+        };
+        let est = Estimator::new(Device::belem(), EstimatorKind::NoisySim(cfg), 2)
+            .with_valid_cap(7)
+            .with_backend(backend);
+        let score = est.score(&circuit, &params, &task, &layout);
+        let accuracy = est.test_accuracy(&circuit, &params, &task, &layout, 9, cfg);
+        assert_eq!(score.to_bits(), score_bits, "{label}: score moved");
+        assert_eq!(accuracy.to_bits(), accuracy_bits, "{label}: accuracy moved");
     }
 }

@@ -106,7 +106,12 @@ pub(crate) fn qml_eval(
     (loss, acc)
 }
 
-/// Average loss and gradient over a QML batch (thread-parallel).
+/// Average loss and gradient over a QML batch.
+///
+/// The batch runs as lane chunks of at most [`DEFAULT_BATCH_LANES`]
+/// samples through [`parallel_map`], so a minibatch of up to 32 samples is
+/// one chunk and runs inline on the calling thread; only a minibatch of
+/// at least four chunks (128 samples) can fan out across the worker pool.
 fn qml_batch_grad(
     circuit: &Circuit,
     params: &[f64],
@@ -162,7 +167,8 @@ fn init_params(n: usize, seed: u64) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if the task width differs from the circuit width.
+/// Panics if the task width differs from the circuit width, or if
+/// `config.batch_size` is 0 on a QML task.
 pub fn train_task(
     circuit: &Circuit,
     task: &Task,
@@ -180,6 +186,10 @@ pub fn train_task(
         Task::Qml {
             splits, readout, ..
         } => {
+            assert!(
+                config.batch_size > 0,
+                "TrainConfig.batch_size must be at least 1 for a QML task"
+            );
             let data = &splits.train;
             let steps_per_epoch = data.num_samples().div_ceil(config.batch_size).max(1);
             let schedule = CosineSchedule::new(
@@ -287,6 +297,10 @@ impl Default for SuperTrainConfig {
 /// a minibatch, and updates only the sampled subset of shared parameters.
 ///
 /// Returns `(shared parameters, per-step loss history)`.
+///
+/// # Panics
+///
+/// Panics as [`train_supercircuit_rt`] does.
 pub fn train_supercircuit(
     supercircuit: &SuperCircuit,
     task: &Task,
@@ -302,6 +316,11 @@ pub fn train_supercircuit(
 /// sampler schedule) at step boundaries, and with `--resume` it continues
 /// from the latest valid snapshot bitwise — the resumed run's final
 /// parameters are exactly those of an uninterrupted run.
+///
+/// # Panics
+///
+/// Panics if the task width differs from the SuperCircuit width, or if
+/// `config.batch_size` is 0 on a QML task.
 pub fn train_supercircuit_rt(
     supercircuit: &SuperCircuit,
     task: &Task,
@@ -381,6 +400,10 @@ pub fn train_supercircuit_rt(
                 readout,
                 ..
             } => {
+                assert!(
+                    config.batch_size > 0,
+                    "SuperTrainConfig.batch_size must be at least 1 for a QML task"
+                );
                 let circuit = supercircuit.build(&cfg, Some(encoder));
                 let data = &splits.train;
                 let batch: Vec<usize> = (0..config.batch_size)
@@ -561,6 +584,37 @@ mod tests {
             trained_loss < fresh_loss,
             "super-training did not improve: {fresh_loss} -> {trained_loss}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig.batch_size must be at least 1")]
+    fn zero_batch_size_is_rejected_by_train_task() {
+        let task = tiny_qml_task();
+        let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 1);
+        let encoder = match &task {
+            Task::Qml { encoder, .. } => encoder.clone(),
+            _ => unreachable!(),
+        };
+        let circuit = sc.build(&sc.max_config(), Some(&encoder));
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 0,
+            ..Default::default()
+        };
+        train_task(&circuit, &task, &cfg, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "SuperTrainConfig.batch_size must be at least 1")]
+    fn zero_batch_size_is_rejected_by_supercircuit_training() {
+        let task = tiny_qml_task();
+        let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 1);
+        let cfg = SuperTrainConfig {
+            steps: 2,
+            batch_size: 0,
+            ..Default::default()
+        };
+        train_supercircuit(&sc, &task, &cfg);
     }
 
     #[test]

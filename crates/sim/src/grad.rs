@@ -126,12 +126,27 @@ fn bracket_2q(bra: &StateVec, ket: &StateVec, m: &Mat4, qa: usize, qb: usize) ->
     acc
 }
 
+/// Index of the first op with a trainable slot, or `circuit.num_ops()` if
+/// there is none. An op mixing input and trainable slots counts.
+///
+/// The backward sweeps stop here: every gradient contribution comes from
+/// an op at or after it, so un-applying the ops before it (typically the
+/// whole input encoder) could not change a single gradient bit.
+fn first_trainable_op(circuit: &Circuit) -> usize {
+    circuit
+        .iter()
+        .position(|op| op.params.iter().any(|p| p.is_trainable()))
+        .unwrap_or(circuit.num_ops())
+}
+
 /// Computes `<O>` and its gradient with respect to every trainable parameter
 /// via reverse-mode adjoint differentiation.
 ///
-/// Cost: one forward sweep plus one backward sweep over the circuit (each
-/// gate applied twice more), independent of the number of parameters —
-/// the state-vector analogue of backpropagation.
+/// Cost: one forward sweep over the circuit plus one backward sweep that
+/// stops at the first op with a trainable slot (each op from there on is
+/// applied twice more), independent of the number of parameters — the
+/// state-vector analogue of backpropagation. A parameter-free prefix such
+/// as an input encoder is only applied forward.
 ///
 /// Returns `(expectation, gradient)` where `gradient.len() ==
 /// circuit.num_train_params()`. Parameters referenced by several gates
@@ -168,7 +183,7 @@ pub fn adjoint_gradient(
     let mut cur = psi;
     let mut grad = vec![0.0; circuit.num_train_params()];
 
-    for op in circuit.iter().rev() {
+    for op in circuit.ops()[first_trainable_op(circuit)..].iter().rev() {
         let params = op.resolve_params(train, input);
         // Un-apply the gate: cur becomes the state before this op.
         match op.kind.matrix(&params) {
@@ -471,6 +486,11 @@ fn dmatrices(op: &Op, params: &[f64], slots: &[(usize, usize, f64)]) -> DMats {
 /// [`DiagObservable`]); the backward sweep then accumulates every lane's
 /// gradient simultaneously.
 ///
+/// Cost: the forward sweep applies every op to the lanes once; the
+/// backward sweep un-applies ops from the state and the bra batches only
+/// down to the first op with a trainable slot, as in [`adjoint_gradient`].
+/// The input encoder that opens a QML circuit is never un-applied.
+///
 /// Returns `(losses, grad)` where `losses.len() == inputs.len()` and
 /// `grad` is the element-wise sum over lanes (lane-ascending order) of the
 /// per-sample gradients. Losses are bit-identical to per-sample runs (the
@@ -529,7 +549,7 @@ pub fn adjoint_gradient_batch(
     let n_params = circuit.num_train_params();
     let mut grad_lanes = vec![vec![0.0; n_params]; lanes];
     let mut acc: Vec<C64> = Vec::new();
-    for op in circuit.iter().rev() {
+    for op in circuit.ops()[first_trainable_op(circuit)..].iter().rev() {
         // Un-apply the gate on every lane: cur becomes the pre-op batch.
         apply_op_batch(&mut cur, op, train, inputs, true);
         // All trainable slots of the op bracket against the same pair of

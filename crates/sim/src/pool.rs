@@ -313,9 +313,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Applies `f` to every item of `items`, splitting the work across the
 /// persistent worker pool, and returns results in input order.
 ///
-/// This is the batching primitive behind QML training: per-sample state
-/// simulations are independent, so they map across cores as pool chunks.
-/// Falls back to a sequential loop for tiny batches.
+/// Callers map independent pieces of simulation: lane chunks of a QML
+/// dataset or minibatch, or single samples. A map of fewer than 4 items
+/// (or below the measured dispatch cutoff) runs as a plain loop on the
+/// calling thread, so a QML training minibatch of at most
+/// [`DEFAULT_BATCH_LANES`](crate::DEFAULT_BATCH_LANES) samples, which is
+/// one lane chunk, never leaves the caller's thread.
 ///
 /// # Examples
 ///

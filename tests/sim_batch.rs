@@ -8,16 +8,19 @@
 //! parameter slots — through `replay_batch_into` and
 //! `adjoint_gradient_batch` at batch sizes {1, 3, 8, 32} and fusion
 //! levels 0–3, demanding ≤1e-12 agreement with N sequential
-//! single-state runs. A final check pins the batched trajectory path
-//! bitwise across worker counts.
+//! single-state runs. Six fixed circuits, one per edge case of where the
+//! adjoint backward sweep stops, also check both adjoint engines against
+//! finite differences at 1, 3, 16 and 33 lanes. A final check pins the
+//! batched trajectory path bitwise across worker counts.
 
 use proptest::prelude::*;
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_sim::{
-    adjoint_gradient, adjoint_gradient_batch, run, DiagObservable, ExecMode, SimPlan, StateBatch,
-    StateVec,
+    adjoint_gradient, adjoint_gradient_batch, numeric_gradient, run, DiagObservable, ExecMode,
+    SimPlan, StateBatch, StateVec,
 };
+use std::sync::Once;
 
 const TOL: f64 = 1e-12;
 const BATCH_SIZES: [usize; 4] = [1, 3, 8, 32];
@@ -190,55 +193,213 @@ proptest! {
 
     /// Batched adjoint: per-lane losses match per-sample Dynamic runs
     /// and the summed gradient matches the sum of per-sample
-    /// `adjoint_gradient` calls, at every batch size.
+    /// `adjoint_gradient` calls, at every batch size. The first case also
+    /// runs the fixed [`stop_boundary_circuits`], where both engines must
+    /// match finite differences as well: they share the backward sweep's
+    /// stop index, so comparing them with each other alone would miss a
+    /// wrong one.
     #[test]
     fn batched_adjoint_matches_per_sample_adjoint(
         (circuit, train, dim) in arb_batched_circuit()
     ) {
-        let samples: Vec<Vec<f64>> = (0..32).map(|l| lane_input(dim, l)).collect();
-        let n = circuit.num_qubits();
-        for &bs in &BATCH_SIZES {
-            let inputs: Vec<&[f64]> = samples[..bs].iter().map(|s| s.as_slice()).collect();
-            // Distinct diagonal weights per lane, as QML loss gradients are.
-            let weights: Vec<Vec<f64>> = (0..bs)
-                .map(|l| {
-                    (0..n)
-                        .map(|q| 0.4 * (l as f64 + 1.0) * ((q as f64) - 0.7))
-                        .collect()
-                })
-                .collect();
-            let (losses, grad) = adjoint_gradient_batch(
-                &circuit,
-                &train,
-                &inputs,
-                |lane, ez| (ez.iter().sum::<f64>(), weights[lane].clone()),
-            );
-            prop_assert_eq!(losses.len(), bs);
-            prop_assert_eq!(grad.len(), circuit.num_train_params());
-            let mut expected_grad = vec![0.0; circuit.num_train_params()];
-            for (lane, input) in inputs.iter().enumerate() {
-                let psi = run(&circuit, &train, input, ExecMode::Dynamic);
-                let expected_loss: f64 = psi.expect_z_all().iter().sum();
-                prop_assert!(
-                    (losses[lane] - expected_loss).abs() < TOL,
-                    "batch {}: lane {} loss {} vs {}",
-                    bs, lane, losses[lane], expected_loss
-                );
-                let obs = DiagObservable::new(weights[lane].clone());
-                let (_, g) = adjoint_gradient(&circuit, &train, input, &obs);
-                for (acc, gi) in expected_grad.iter_mut().zip(&g) {
-                    *acc += gi;
-                }
+        check_adjoint_engines("random", &circuit, &train, dim, &BATCH_SIZES, false);
+        BOUNDARY_CHECK.call_once(|| {
+            for (what, circuit, train) in stop_boundary_circuits() {
+                check_adjoint_engines(what, &circuit, &train, BOUNDARY_DIM, &BOUNDARY_LANES, true);
             }
-            for (ti, (a, b)) in grad.iter().zip(&expected_grad).enumerate() {
-                prop_assert!(
-                    (a - b).abs() < TOL,
-                    "batch {}: grad[{}] batched {} vs sequential {}",
-                    bs, ti, a, b
+        });
+    }
+}
+
+/// Runs the fixed stop-boundary inputs once per test process.
+static BOUNDARY_CHECK: Once = Once::new();
+
+/// Lane counts for the stop-boundary circuits: one lane, a few, one full
+/// 16-lane chunk, and one lane past a 32-lane training chunk.
+const BOUNDARY_LANES: [usize; 4] = [1, 3, 16, 33];
+
+/// Input features per lane in [`stop_boundary_circuits`].
+const BOUNDARY_DIM: usize = 3;
+
+/// Gradients against central finite differences (step 1e-5).
+const NUMERIC_TOL: f64 = 1e-6;
+
+/// Distinct diagonal readout weights per lane, as QML loss gradients are.
+fn lane_weights(n: usize, lane: usize) -> Vec<f64> {
+    (0..n)
+        .map(|q| 0.4 * (lane as f64 + 1.0) * ((q as f64) - 0.7))
+        .collect()
+}
+
+/// Checks `adjoint_gradient_batch` on the first `bs` lanes, for every
+/// `bs` in `lane_counts`: each lane's loss against a per-sample Dynamic
+/// run and the summed gradient against the sum of per-sample
+/// `adjoint_gradient` calls (both 1e-12). With `numeric`, both engines'
+/// gradients must also match `numeric_gradient` (1e-6). `what` names the
+/// circuit in failure messages.
+fn check_adjoint_engines(
+    what: &str,
+    circuit: &Circuit,
+    train: &[f64],
+    dim: usize,
+    lane_counts: &[usize],
+    numeric: bool,
+) {
+    let n = circuit.num_qubits();
+    let n_params = circuit.num_train_params();
+    let max_lanes = lane_counts.iter().copied().max().unwrap_or(0);
+    let samples: Vec<Vec<f64>> = (0..max_lanes).map(|l| lane_input(dim, l)).collect();
+    let weights: Vec<Vec<f64>> = (0..max_lanes).map(|l| lane_weights(n, l)).collect();
+    // Per lane: the Dynamic loss, the per-sample adjoint gradient and,
+    // with `numeric`, the finite-difference gradient.
+    let per_sample: Vec<(f64, Vec<f64>, Vec<f64>)> = samples
+        .iter()
+        .zip(&weights)
+        .enumerate()
+        .map(|(lane, (input, w))| {
+            let loss = run(circuit, train, input, ExecMode::Dynamic)
+                .expect_z_all()
+                .iter()
+                .sum();
+            let obs = DiagObservable::new(w.clone());
+            let (_, g) = adjoint_gradient(circuit, train, input, &obs);
+            let fd = if numeric {
+                let fd = numeric_gradient(circuit, train, input, &obs, 1e-5);
+                for (ti, (a, b)) in g.iter().zip(&fd).enumerate() {
+                    assert!(
+                        (a - b).abs() < NUMERIC_TOL,
+                        "{what}, lane {lane}: grad[{ti}] per-sample adjoint {a} vs numeric {b}"
+                    );
+                }
+                fd
+            } else {
+                Vec::new()
+            };
+            (loss, g, fd)
+        })
+        .collect();
+    for &bs in lane_counts {
+        let inputs: Vec<&[f64]> = samples[..bs].iter().map(|s| s.as_slice()).collect();
+        let (losses, grad) = adjoint_gradient_batch(circuit, train, &inputs, |lane, ez| {
+            (ez.iter().sum::<f64>(), weights[lane].clone())
+        });
+        assert_eq!(losses.len(), bs);
+        assert_eq!(grad.len(), n_params);
+        let mut expected_grad = vec![0.0; n_params];
+        let mut expected_numeric = vec![0.0; n_params];
+        for (lane, (loss, g, fd)) in per_sample[..bs].iter().enumerate() {
+            assert!(
+                (losses[lane] - loss).abs() < TOL,
+                "{what}, batch {bs}: lane {lane} loss {} vs {loss}",
+                losses[lane]
+            );
+            for (acc, gi) in expected_grad.iter_mut().zip(g) {
+                *acc += gi;
+            }
+            for (acc, fi) in expected_numeric.iter_mut().zip(fd) {
+                *acc += fi;
+            }
+        }
+        for (ti, (a, b)) in grad.iter().zip(&expected_grad).enumerate() {
+            assert!(
+                (a - b).abs() < TOL,
+                "{what}, batch {bs}: grad[{ti}] batched {a} vs sequential {b}"
+            );
+        }
+        if numeric {
+            for (ti, (a, b)) in grad.iter().zip(&expected_numeric).enumerate() {
+                assert!(
+                    (a - b).abs() < NUMERIC_TOL,
+                    "{what}, batch {bs}: grad[{ti}] batched {a} vs numeric {b}"
                 );
             }
         }
     }
+}
+
+/// One fixed 3-qubit circuit per edge case of where the adjoint backward
+/// sweep stops (at the first op with a trainable slot), with its
+/// trainable values. Each reads [`BOUNDARY_DIM`] input features.
+fn stop_boundary_circuits() -> Vec<(&'static str, Circuit, Vec<f64>)> {
+    let encoder = |c: &mut Circuit| {
+        for q in 0..3 {
+            c.push(GateKind::RY, &[q], &[Param::Input(q)]);
+            let angle = Param::AffineInput {
+                index: q,
+                scale: 0.5,
+                offset: 0.1,
+            };
+            c.push(GateKind::RZ, &[q], &[angle]);
+        }
+    };
+    let entangle = |c: &mut Circuit| {
+        for q in 0..3 {
+            c.push(GateKind::H, &[q], &[]);
+        }
+        c.push(GateKind::CX, &[0, 1], &[]);
+        c.push(GateKind::CX, &[1, 2], &[]);
+    };
+    let u3 = |t: usize| [Param::Train(t), Param::Train(t + 1), Param::Train(t + 2)];
+
+    // No trainable op: nothing to walk back over, an empty gradient.
+    let mut none = Circuit::new(3);
+    encoder(&mut none);
+    entangle(&mut none);
+
+    // The first op is trainable: the sweep walks the whole circuit.
+    let mut first = Circuit::new(3);
+    first.push(GateKind::RY, &[0], &[Param::Train(0)]);
+    encoder(&mut first);
+    first.push(GateKind::CRX, &[0, 2], &[Param::Train(1)]);
+
+    // Encoder, then a fixed H/CX layer, then trainable ops.
+    let mut layered = Circuit::new(3);
+    encoder(&mut layered);
+    entangle(&mut layered);
+    layered.push(GateKind::U3, &[1], &u3(0));
+    layered.push(GateKind::CU3, &[1, 2], &u3(3));
+
+    // A parameter-free op between trainable ops must still be un-applied.
+    let mut gap = Circuit::new(3);
+    encoder(&mut gap);
+    gap.push(GateKind::RX, &[0], &[Param::Train(0)]);
+    gap.push(GateKind::H, &[0], &[]);
+    gap.push(GateKind::CX, &[0, 2], &[]);
+    gap.push(GateKind::RZZ, &[0, 2], &[Param::Train(1)]);
+
+    // An op mixing Input and Train slots inside the encoder: it is the
+    // first trainable op, and the input ops after it are walked back.
+    let mut mixed = Circuit::new(3);
+    mixed.push(GateKind::RY, &[0], &[Param::Input(0)]);
+    mixed.push(
+        GateKind::U3,
+        &[1],
+        &[Param::Input(1), Param::Train(0), Param::Input(0)],
+    );
+    encoder(&mut mixed);
+    mixed.push(GateKind::CRY, &[2, 1], &[Param::Train(1)]);
+
+    // An affine trainable slot is the first trainable slot.
+    let mut affine = Circuit::new(3);
+    encoder(&mut affine);
+    entangle(&mut affine);
+    let slot = Param::AffineTrain {
+        index: 0,
+        scale: -0.5,
+        offset: 0.3,
+    };
+    affine.push(GateKind::RX, &[2], &[slot]);
+    affine.push(GateKind::CU3, &[2, 0], &u3(1));
+
+    let train = |k: usize| (0..k).map(|i| 0.7 - 0.45 * i as f64).collect::<Vec<_>>();
+    vec![
+        ("no trainable op", none, train(0)),
+        ("trainable first op", first, train(2)),
+        ("encoder, fixed layer, trainables", layered, train(6)),
+        ("parameter-free op between trainables", gap, train(2)),
+        ("mixed input/train op in the encoder", mixed, train(2)),
+        ("affine trainable slot first", affine, train(4)),
+    ]
 }
 
 /// Trajectory lanes are chunked by a fixed constant, never by worker

@@ -8,10 +8,7 @@ use qns_data::Dataset;
 use qns_ml::{accuracy, nll_loss};
 use qns_noise::{circuit_success_rate, Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_runtime::{counters, timers, Metrics, ShardedCache};
-use qns_sim::{
-    parallel_map, run, run_with, ExecMode, SimBackend, SimPlan, StateBatch, DEFAULT_BATCH_LANES,
-    DEFAULT_FUSION_LEVEL,
-};
+use qns_sim::{expect_z_batch, parallel_map, run_with, ExecMode, SimBackend};
 use qns_transpile::{transpile_with, Layout, TranspileOptions, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
 use std::sync::Arc;
@@ -73,11 +70,6 @@ pub struct Estimator {
     /// Which simulator kernels score candidates (`Fast` in production;
     /// `Reference` replays the naive oracle for differential runs).
     backend: SimBackend,
-    /// Worker count for fanning noise trajectories of one candidate over
-    /// the worker pool in the VQE measurement path (`0` = process default).
-    /// The QML paths run all of a candidate's (sample, trajectory) lanes as
-    /// one batched call on the process default instead.
-    traj_workers: usize,
 }
 
 impl Estimator {
@@ -93,7 +85,6 @@ impl Estimator {
             metrics: None,
             verify: VerifyLevel::Off,
             backend: SimBackend::Fast,
-            traj_workers: 1,
         }
     }
 
@@ -106,16 +97,6 @@ impl Estimator {
     /// The configured simulation backend.
     pub fn backend(&self) -> SimBackend {
         self.backend
-    }
-
-    /// Fans noise trajectories for one candidate over `workers` pool
-    /// threads (`0` = the process default) in the VQE measurement path.
-    /// The QML paths batch every sample's trajectories into one call on
-    /// the process default and ignore this. Results are bit-identical for
-    /// any worker count.
-    pub fn with_trajectory_workers(mut self, workers: usize) -> Self {
-        self.traj_workers = workers;
-        self
     }
 
     /// Caps how many validation samples each score call touches.
@@ -274,65 +255,9 @@ impl Estimator {
         }
     }
 
-    /// Per-sample validation losses via the batched fast path: the fusion
-    /// plan is compiled once, the blocks are materialized once, and the
-    /// samples replay in lane-batches — shared blocks sweep every lane at
-    /// once, only input-encoding blocks re-materialize per lane. The
-    /// reference backend re-runs the naive per-gate oracle instead.
-    fn qml_losses(
-        &self,
-        circuit: &Circuit,
-        params: &[f64],
-        valid: &Dataset,
-        readout: &Readout,
-        samples: &[usize],
-    ) -> Vec<f64> {
-        match self.backend {
-            SimBackend::Fast => {
-                let plan = SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL);
-                let base = plan.materialize(circuit, params, &valid.features[samples[0]]);
-                let chunks: Vec<&[usize]> = samples.chunks(DEFAULT_BATCH_LANES).collect();
-                let per_chunk: Vec<Vec<f64>> = parallel_map(&chunks, |chunk| {
-                    let inputs: Vec<&[f64]> = chunk
-                        .iter()
-                        .map(|&i| valid.features[i].as_slice())
-                        .collect();
-                    let mut batch = StateBatch::zero_state(circuit.num_qubits(), inputs.len());
-                    plan.replay_batch_into(circuit, &base, params, &inputs, &mut batch);
-                    batch
-                        .expect_z_all_lanes()
-                        .iter()
-                        .zip(chunk.iter())
-                        .map(|(ez, &i)| nll_loss(&readout.logits(ez), valid.labels[i]))
-                        .collect()
-                });
-                per_chunk.into_iter().flatten().collect()
-            }
-            SimBackend::Reference => parallel_map(samples, |&i| {
-                let s = run_with(
-                    circuit,
-                    params,
-                    &valid.features[i],
-                    ExecMode::Dynamic,
-                    SimBackend::Reference,
-                );
-                nll_loss(&readout.logits(&s.expect_z_all()), valid.labels[i])
-            }),
-            // MPS replays the same fused block program as the fast path,
-            // one sample per matrix-product state, densified for readout.
-            SimBackend::Mps(_) => parallel_map(samples, |&i| {
-                let s = run_with(
-                    circuit,
-                    params,
-                    &valid.features[i],
-                    ExecMode::Static,
-                    self.backend,
-                );
-                nll_loss(&readout.logits(&s.expect_z_all()), valid.labels[i])
-            }),
-        }
-    }
-
+    /// Validation NLL of a QML candidate: every estimator kind yields the
+    /// logical per-qubit `<Z>` of each capped validation sample, and the
+    /// loss is reduced from them in one place.
     fn score_qml(
         &self,
         circuit: &Circuit,
@@ -343,49 +268,44 @@ impl Estimator {
     ) -> f64 {
         let n = valid.num_samples().min(self.valid_cap);
         assert!(n > 0, "empty validation split");
-        let samples: Vec<usize> = (0..n).collect();
-        match self.kind {
-            EstimatorKind::Noiseless => {
-                let losses =
-                    self.timed_sim(|| self.qml_losses(circuit, params, valid, readout, &samples));
-                mean(&losses)
-            }
-            EstimatorKind::SuccessRate => {
-                let t = self.compile(circuit, layout);
-                let rate = circuit_success_rate(&t.circuit, &self.device, &t.phys_of, true);
-                let losses =
-                    self.timed_sim(|| self.qml_losses(circuit, params, valid, readout, &samples));
-                qns_noise::augmented_loss(mean(&losses), rate.max(1e-6))
+        let inputs: Vec<&[f64]> = valid.features[..n].iter().map(Vec::as_slice).collect();
+        let zs = match self.kind {
+            EstimatorKind::Noiseless | EstimatorKind::SuccessRate => {
+                self.timed_sim(|| expect_z_batch(circuit, params, &inputs, self.backend))
             }
             EstimatorKind::NoisySim(cfg) => {
                 let t = self.compile(circuit, layout);
-                let losses: Vec<f64> = self.timed_sim(|| {
-                    self.noisy_expect_z(&t, params, &valid.features[..n], cfg)
-                        .iter()
-                        .zip(&valid.labels)
-                        .map(|(z, &label)| nll_loss(&readout.logits(z), label))
-                        .collect()
-                });
-                mean(&losses)
+                self.timed_sim(|| self.noisy_expect_z(&t, params, &inputs, cfg))
             }
             EstimatorKind::DensitySim => {
                 let t = self.compile(circuit, layout);
-                let losses = self.timed_sim(|| {
-                    parallel_map(&samples, |&i| {
+                self.timed_sim(|| {
+                    parallel_map(&inputs, |input| {
                         let exact = qns_noise::density_expect_z(
                             &t.circuit,
                             params,
-                            &valid.features[i],
+                            input,
                             &self.device,
                             &t.phys_of,
                             true,
                         );
-                        nll_loss(&readout.logits(&logical_z(&t, &exact)), valid.labels[i])
+                        logical_z(&t, &exact)
                     })
-                });
-                mean(&losses)
+                })
             }
+        };
+        let losses: Vec<f64> = zs
+            .iter()
+            .zip(&valid.labels)
+            .map(|(z, &label)| nll_loss(&readout.logits(z), label))
+            .collect();
+        let loss = mean(&losses);
+        if self.kind != EstimatorKind::SuccessRate {
+            return loss;
         }
+        let t = self.compile(circuit, layout);
+        let rate = circuit_success_rate(&t.circuit, &self.device, &t.phys_of, true);
+        qns_noise::augmented_loss(loss, rate.max(1e-6))
     }
 
     fn score_vqe(
@@ -444,10 +364,11 @@ impl Estimator {
         layout: &Layout,
         cfg: TrajectoryConfig,
     ) -> f64 {
-        // One candidate at a time here, so its trajectories fan out over
-        // the worker pool (bit-identical for any worker count).
+        // The process-default worker count, as in `noisy_expect_z`: inside
+        // the search's candidate fan-out the chunks run inline, and results
+        // are bit-identical for any worker count.
         let exec = TrajectoryExecutor::new(self.device.clone(), cfg)
-            .with_workers(self.traj_workers)
+            .with_workers(0)
             .with_backend(self.backend);
         self.grouped_energy(circuit, hamiltonian, layout, |t, masks| {
             exec.expect_z_masks(&t.circuit, params, &[], &t.phys_of, masks)
@@ -513,9 +434,10 @@ impl Estimator {
             Task::Vqe { .. } => panic!("test_accuracy is a QML metric"),
         };
         let test = splits.test.subsample(n_test, 0x7E57);
+        let inputs: Vec<&[f64]> = test.features.iter().map(Vec::as_slice).collect();
         let t = self.compile(circuit, layout);
         let logits: Vec<Vec<f64>> = self
-            .noisy_expect_z(&t, params, &test.features, traj)
+            .noisy_expect_z(&t, params, &inputs, traj)
             .iter()
             .map(|z| readout.logits(z))
             .collect();
@@ -532,20 +454,24 @@ impl Estimator {
         &self,
         t: &Transpiled,
         params: &[f64],
-        features: &[Vec<f64>],
+        inputs: &[&[f64]],
         cfg: TrajectoryConfig,
     ) -> Vec<Vec<f64>> {
-        let inputs: Vec<&[f64]> = features.iter().map(Vec::as_slice).collect();
         TrajectoryExecutor::new(self.device.clone(), cfg)
             .with_workers(0)
             .with_backend(self.backend)
-            .expect_z_batch(&t.circuit, params, &inputs, &t.phys_of)
+            .expect_z_batch(&t.circuit, params, inputs, &t.phys_of)
             .iter()
             .map(|noisy| logical_z(t, &noisy.expect_z))
             .collect()
     }
 
-    /// Noise-free accuracy on (a subset of) the test split.
+    /// Noise-free accuracy on (a subset of) the test split, simulated on
+    /// the configured backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a VQE task.
     pub fn ideal_accuracy(
         &self,
         circuit: &Circuit,
@@ -560,10 +486,11 @@ impl Estimator {
             Task::Vqe { .. } => panic!("ideal_accuracy is a QML metric"),
         };
         let test = splits.test.subsample(n_test, 0x7E57);
-        let logits: Vec<Vec<f64>> = parallel_map(&test.features, |input| {
-            let s = run(circuit, params, input, ExecMode::Static);
-            readout.logits(&s.expect_z_all())
-        });
+        let inputs: Vec<&[f64]> = test.features.iter().map(Vec::as_slice).collect();
+        let logits: Vec<Vec<f64>> = expect_z_batch(circuit, params, &inputs, self.backend)
+            .iter()
+            .map(|z| readout.logits(z))
+            .collect();
         accuracy(&logits, &test.labels)
     }
 }
@@ -583,6 +510,7 @@ mod tests {
     use super::*;
     use crate::{DesignSpace, SpaceKind, SuperCircuit};
     use qns_chem::Molecule;
+    use qns_sim::run;
 
     fn tiny_setup() -> (Task, Circuit, Vec<f64>) {
         let task = Task::qml_digits(&[1, 8], 15, 4, 2);
@@ -804,27 +732,6 @@ mod tests {
                 "{kind:?}: fast {fast} vs mps {via_mps}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_trajectory_vqe_is_bit_identical() {
-        let mol = Molecule::h2();
-        let task = Task::vqe(&mol);
-        let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 2, 1);
-        let circuit = sc.build(&sc.max_config(), None);
-        let params = vec![0.25; circuit.num_train_params()];
-        let layout = Layout::trivial(2);
-        let cfg = TrajectoryConfig {
-            trajectories: 12,
-            seed: 4,
-            readout: true,
-        };
-        let seq = Estimator::new(Device::belem(), EstimatorKind::NoisySim(cfg), 1)
-            .score(&circuit, &params, &task, &layout);
-        let par = Estimator::new(Device::belem(), EstimatorKind::NoisySim(cfg), 1)
-            .with_trajectory_workers(4)
-            .score(&circuit, &params, &task, &layout);
-        assert_eq!(seq, par, "worker count changed the VQE energy");
     }
 
     #[test]

@@ -616,25 +616,14 @@ pub fn evolutionary_search_pareto_rt(
                     );
                     compute_features(&cx)
                 });
-                let mut proxy_panics = 0u64;
                 for (&u, r) in missing.iter().zip(computed) {
-                    let feats = match r {
-                        Ok(f) => f,
-                        // A panicked proxy poisons its features (ranked
-                        // last) instead of killing the search.
-                        Err(_) => {
-                            proxy_panics += 1;
-                            ProxyFeatures::poisoned()
-                        }
-                    };
-                    pre.record_features(keys[u], feats);
+                    // A panicked proxy poisons its features (ranked last)
+                    // instead of killing the search.
+                    pre.record_features(keys[u], r.unwrap_or_else(|_| ProxyFeatures::poisoned()));
                 }
                 proxy_evals += missing.len() as u64;
                 rt.metrics()
                     .incr(counters::PROXY_EVALS, missing.len() as u64);
-                if proxy_panics > 0 {
-                    rt.metrics().incr(counters::PANICS, proxy_panics);
-                }
 
                 let feats: Vec<ProxyFeatures> = keys
                     .iter()
@@ -844,7 +833,8 @@ pub fn evolutionary_search_pareto_rt(
 /// Converts isolated compiled-shape results into objective coordinates,
 /// poisoning a panicked candidate to `+inf` on both shape axes so it can
 /// never dominate a healthy one. Every poisoned candidate is surfaced in
-/// telemetry — the generic panic counter plus the dedicated
+/// telemetry — classified with every other isolated failure by
+/// [`SearchRuntime::map_isolated`], plus the dedicated
 /// `pareto_shape_poisoned` counter — so a search losing candidates to
 /// compile crashes is auditable from `--stats` instead of invisible.
 fn poison_shapes(
@@ -863,7 +853,6 @@ fn poison_shapes(
         })
         .collect();
     if poisoned > 0 {
-        rt.metrics().incr(counters::PANICS, poisoned);
         rt.metrics().incr(counters::PARETO_SHAPE_POISONED, poisoned);
     }
     out

@@ -262,13 +262,15 @@ impl SearchRuntime {
         }
     }
 
-    /// Runs `f` over `items` on [`RuntimeOptions::workers`] pool threads
-    /// with the same panic isolation and fault hook as
-    /// [`SearchRuntime::score_batch`], but without memoization or
-    /// evaluation accounting — the shape proxy feature computation needs
-    /// (cheap per-candidate work, cached by the caller under its own
-    /// digests). Per-sample maps inside `f` run inline when the batch fans
-    /// out, so the cores are not oversubscribed.
+    /// Runs `f` over `items` on [`RuntimeOptions::workers`] pool threads,
+    /// each item under panic isolation and the fault plan's evaluation
+    /// hook — the one path every isolated evaluation takes: full scoring
+    /// ([`SearchRuntime::score_batch`]), proxy features and compiled
+    /// shapes. Each failed item is counted once, by its message: contract
+    /// violations carry the verifier's marker, injected faults the fault
+    /// plan's, and anything else is an organic worker panic. Per-sample
+    /// maps inside `f` run inline when the batch fans out, so the cores
+    /// are not oversubscribed.
     pub fn map_isolated<T, U>(
         &self,
         items: &[T],
@@ -278,12 +280,23 @@ impl SearchRuntime {
         T: Sync,
         U: Send,
     {
-        qns_sim::try_parallel_map(items, self.options.workers, |item| {
+        let results = qns_sim::try_parallel_map(items, self.options.workers, |item| {
             if let Some(plan) = &self.faults {
                 plan.before_eval();
             }
             f(item)
-        })
+        });
+        for msg in results.iter().filter_map(|r| r.as_ref().err()) {
+            let counter = if msg.contains(PANIC_MARKER) {
+                counters::VERIFY_VIOLATIONS
+            } else if msg.contains(FAULT_MARKER) {
+                counters::INJECTED_FAULTS
+            } else {
+                counters::PANICS
+            };
+            self.metrics.incr(counter, 1);
+        }
+        results
     }
 
     /// Scores a batch of genes through [`SearchRuntime::map_isolated`],
@@ -388,32 +401,6 @@ impl SearchRuntime {
             }
         };
 
-        // Contract violations carry the verifier's marker, injected
-        // faults the fault plan's; everything else is a generic worker
-        // panic. All poison their slot to +inf, but they land in distinct
-        // telemetry counters.
-        let violations = outcome
-            .errors
-            .iter()
-            .filter(|(_, msg)| msg.contains(PANIC_MARKER))
-            .count();
-        let injected = outcome
-            .errors
-            .iter()
-            .filter(|(_, msg)| msg.contains(FAULT_MARKER))
-            .count();
-        let panics = outcome.errors.len() - violations - injected;
-        if violations > 0 {
-            self.metrics
-                .incr(counters::VERIFY_VIOLATIONS, violations as u64);
-        }
-        if injected > 0 {
-            self.metrics
-                .incr(counters::INJECTED_FAULTS, injected as u64);
-        }
-        if panics > 0 {
-            self.metrics.incr(counters::PANICS, panics as u64);
-        }
         self.metrics
             .incr(counters::MEMO_HITS, outcome.memo_hits as u64);
         self.metrics
@@ -736,6 +723,24 @@ mod tests {
         assert_eq!(out2.evaluated, 1);
         assert_eq!(out2.scores, vec![1.0, 2.0, 4.0]);
         assert_eq!(rt.metrics().counter(qns_runtime::counters::PANICS), 1);
+    }
+
+    #[test]
+    fn a_failing_gene_duplicated_in_a_batch_is_counted_once() {
+        let rt = SearchRuntime::new(RuntimeOptions {
+            workers: 1,
+            cache: true,
+            ..Default::default()
+        });
+        let bad = gene(vec![vec![3, 3]], vec![0, 1]);
+        let out = rt.score_batch(CacheKey { lo: 3, hi: 4 }, &[bad.clone(), bad], |_| {
+            panic!("synthetic panic")
+        });
+        assert_eq!(out.errors.len(), 2, "both copies are poisoned");
+        assert_eq!(out.evaluated, 1);
+        let counter = |name| rt.metrics().counter(name);
+        assert_eq!(counter(qns_runtime::counters::EVALUATIONS), 1);
+        assert_eq!(counter(qns_runtime::counters::PANICS), 1);
     }
 
     #[test]

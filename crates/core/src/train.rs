@@ -8,8 +8,8 @@ use qns_data::Dataset;
 use qns_ml::{accuracy, cross_entropy_grad, nll_loss, Adam, AdamConfig, CosineSchedule};
 use qns_runtime::StructuralHasher;
 use qns_sim::{
-    adjoint_gradient, adjoint_gradient_batch, parallel_map, run, DiagObservable, ExecMode,
-    Observable, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL,
+    adjoint_gradient, adjoint_gradient_batch, expect_z_batch, parallel_map, run, DiagObservable,
+    ExecMode, Observable, SimBackend, DEFAULT_BATCH_LANES,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -79,23 +79,11 @@ pub(crate) fn qml_eval(
     if data.features.is_empty() {
         return (0.0, accuracy(&[], &data.labels));
     }
-    // Compile the fusion plan once, then replay whole lane-batches of
-    // samples at a time: shared blocks sweep all lanes in one pass and only
-    // the input-encoding steps re-materialize per lane.
-    let plan = SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL);
-    let base = plan.materialize(circuit, params, &data.features[0]);
-    let chunks: Vec<&[Vec<f64>]> = data.features.chunks(DEFAULT_BATCH_LANES).collect();
-    let chunk_logits: Vec<Vec<Vec<f64>>> = parallel_map(&chunks, |chunk| {
-        let inputs: Vec<&[f64]> = chunk.iter().map(|s| s.as_slice()).collect();
-        let mut batch = StateBatch::zero_state(circuit.num_qubits(), inputs.len());
-        plan.replay_batch_into(circuit, &base, params, &inputs, &mut batch);
-        batch
-            .expect_z_all_lanes()
-            .iter()
-            .map(|ez| readout.logits(ez))
-            .collect()
-    });
-    let logits: Vec<Vec<f64>> = chunk_logits.into_iter().flatten().collect();
+    let inputs: Vec<&[f64]> = data.features.iter().map(Vec::as_slice).collect();
+    let logits: Vec<Vec<f64>> = expect_z_batch(circuit, params, &inputs, SimBackend::Fast)
+        .iter()
+        .map(|ez| readout.logits(ez))
+        .collect();
     let loss: f64 = logits
         .iter()
         .zip(&data.labels)

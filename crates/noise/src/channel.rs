@@ -208,13 +208,13 @@ impl KrausChannel {
     /// chosen operator goes through [`StateBatch::apply_1q_per_lane`].
     ///
     /// Draws, probabilities and choices live in fixed [`LANE_CHUNK`]-wide
-    /// arrays, so the step does not allocate unless some lane errs.
-    /// Batches wider than [`LANE_CHUNK`] (the trajectory executor never
-    /// builds one) take the per-lane path for every lane.
+    /// arrays, so the step does not allocate unless some lane errs; the
+    /// trajectory executor never builds a wider batch.
     ///
     /// # Panics
     ///
-    /// Panics if `rngs.len() != batch.lanes()` or `q` is out of range.
+    /// Panics if `rngs.len() != batch.lanes()`, if the batch has more than
+    /// [`LANE_CHUNK`] lanes, or if `q` is out of range.
     pub fn apply_trajectory_all_lanes<R: Rng>(
         &self,
         batch: &mut StateBatch,
@@ -223,18 +223,13 @@ impl KrausChannel {
     ) {
         let lanes = batch.lanes();
         assert_eq!(rngs.len(), lanes, "one RNG per lane");
+        assert!(
+            lanes <= LANE_CHUNK,
+            "a trajectory batch holds at most {LANE_CHUNK} lanes, got {lanes}"
+        );
         if self.ops.len() == 1 {
             batch.apply_1q(&self.ops[0], q);
             batch.normalize_lanes();
-            return;
-        }
-        if lanes > LANE_CHUNK {
-            for (lane, rng) in rngs.iter_mut().enumerate() {
-                let u: f64 = rng.gen();
-                let k = &self.ops[self.choose(batch, lane, q, u, 0.0, 0)];
-                batch.lane_apply_1q(lane, k, q);
-                batch.lane_normalize(lane);
-            }
             return;
         }
         let mut us = [0.0; LANE_CHUNK];
@@ -249,7 +244,7 @@ impl KrausChannel {
             *c = if u <= p {
                 0
             } else {
-                self.choose(batch, lane, q, u, p, 1)
+                self.choose_past_leading(batch, lane, q, u, p)
             };
         }
         if chosen[..lanes].iter().all(|&i| i == 0) {
@@ -264,22 +259,21 @@ impl KrausChannel {
         batch.normalize_lanes();
     }
 
-    /// The operator `lane` draws with `u`: the Born CDF walk of
-    /// [`KrausChannel::apply_trajectory`] from operator `first`, with `cdf`
-    /// the probability mass of the operators before it. The last operator
-    /// takes any remainder.
-    fn choose(
+    /// The operator `lane` draws with a `u` past `p0`, the Born probability
+    /// of the leading operator: the rest of the CDF walk of
+    /// [`KrausChannel::apply_trajectory`], from operator 1. The last
+    /// operator takes any remainder.
+    fn choose_past_leading(
         &self,
         batch: &StateBatch,
         lane: usize,
         q: usize,
         u: f64,
-        cdf: f64,
-        first: usize,
+        p0: f64,
     ) -> usize {
         let last = self.ops.len() - 1;
-        let mut cdf = cdf;
-        for (i, k) in self.ops.iter().enumerate().take(last).skip(first) {
+        let mut cdf = p0;
+        for (i, k) in self.ops.iter().enumerate().take(last).skip(1) {
             cdf += kraus_prob_lane(batch, lane, k, q);
             if u <= cdf {
                 return i;
@@ -455,35 +449,6 @@ mod tests {
                     "lane {lane} diverged"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn wide_batch_trajectory_is_bit_identical_to_per_lane() {
-        // Batches wider than one lane chunk take the per-lane path, which
-        // must match each lane's standalone single-state step as well.
-        let ch = KrausChannel::depolarizing(0.3);
-        let lanes = LANE_CHUNK + 5;
-        let mut wide = StateBatch::zero_state(3, lanes);
-        wide.apply_1q(&Mat2::hadamard(), 1);
-        let mut singles: Vec<StateVec> = (0..lanes).map(|l| wide.lane_state(l)).collect();
-        let mut rngs_w: Vec<StdRng> = (0..lanes)
-            .map(|l| StdRng::seed_from_u64(40 + l as u64))
-            .collect();
-        let mut rngs_s = rngs_w.clone();
-        for step in 0..30 {
-            let q = step % 3;
-            ch.apply_trajectory_all_lanes(&mut wide, q, &mut rngs_w);
-            for (single, rng) in singles.iter_mut().zip(&mut rngs_s) {
-                ch.apply_trajectory(single, q, rng);
-            }
-        }
-        for (lane, single) in singles.iter().enumerate() {
-            assert_eq!(
-                wide.lane_state(lane).amplitudes(),
-                single.amplitudes(),
-                "lane {lane} diverged"
-            );
         }
     }
 

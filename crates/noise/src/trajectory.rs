@@ -344,11 +344,12 @@ impl TrajectoryExecutor {
     ///
     /// Every (input, trajectory) pair is one lane, input-major, and every
     /// lane keeps the seed `expect_z` gives it. On `Fast` the lanes run as
-    /// full [`LANE_CHUNK`]-lane batches, so a candidate's samples share
-    /// gate sweeps and channel passes instead of running one partly filled
-    /// batch each; an input's trajectories may straddle two chunks. Each
-    /// input's trajectories are folded in index order before the readout
-    /// correction. A panicking chunk poisons (NaN) every input it carried.
+    /// full [`LANE_CHUNK`](qns_sim::LANE_CHUNK)-lane batches, so a
+    /// candidate's samples share gate sweeps and channel passes instead of
+    /// running one partly filled batch each; an input's trajectories may
+    /// straddle two chunks. Each input's trajectories are folded in index
+    /// order before the readout correction. A panicking chunk poisons
+    /// (NaN) every input it carried.
     ///
     /// # Panics
     ///

@@ -241,7 +241,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Element-count specification for [`vec`]: a fixed size or a range.
+    /// Element-count specification for [`vec()`]: a fixed size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -281,7 +281,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -17,7 +17,9 @@ pub mod counters {
     pub const TRANSPILE_HITS: &str = "transpile_hits";
     /// Transpile-cache misses (fresh compilations).
     pub const TRANSPILE_MISSES: &str = "transpile_misses";
-    /// Candidate evaluations that panicked and were poisoned to `+inf`.
+    /// Isolated candidate evaluations (score, proxy features or compiled
+    /// shape) that panicked with neither a verifier nor a fault-plan
+    /// marker; each poisons its candidate.
     pub const PANICS: &str = "eval_panics";
     /// Verified transpiles: pipelines run with contract checking enabled.
     pub const VERIFY_CHECKS: &str = "verify_checks";

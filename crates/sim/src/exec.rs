@@ -2,7 +2,7 @@
 
 use crate::mps::{MpsConfig, MpsState};
 use crate::plan::{SimPlan, DEFAULT_FUSION_LEVEL};
-use crate::StateVec;
+use crate::{parallel_map, StateBatch, StateVec, DEFAULT_BATCH_LANES};
 use qns_circuit::{Circuit, GateMatrix};
 use qns_tensor::{Mat2, Mat4};
 
@@ -149,6 +149,65 @@ pub fn run_into_with(
             run_mps(circuit, train, input, mode, &mut mps);
             mps.to_statevec_into(state);
         }
+    }
+}
+
+/// Noise-free per-qubit `<Z>` of `circuit` for each of `inputs`, in input
+/// order: the one batched noise-free evaluation, which scoring, accuracy
+/// and dataset evaluation all call. It is the noise-free counterpart of
+/// the trajectory executor's batched call in `qns-noise`.
+///
+/// On `Fast` the fusion plan compiles once and its blocks materialize
+/// once; the inputs then replay in [`DEFAULT_BATCH_LANES`]-lane
+/// [`StateBatch`]es mapped over [`parallel_map`], so shared blocks sweep
+/// every lane at once and only input-encoding blocks re-materialize per
+/// lane. Every lane is bit-identical to a standalone static run of its
+/// input. `Reference` runs each input through the naive per-gate oracle,
+/// and `Mps` replays the fused block program on one matrix-product state
+/// per input, densified for readout.
+///
+/// # Panics
+///
+/// Panics if a referenced parameter index is out of bounds for `train` or
+/// for an input.
+///
+/// # Examples
+///
+/// ```
+/// use qns_circuit::{Circuit, GateKind, Param};
+/// use qns_sim::{expect_z_batch, SimBackend};
+///
+/// let mut c = Circuit::new(1);
+/// c.push(GateKind::RX, &[0], &[Param::Input(0)]);
+/// let inputs: Vec<&[f64]> = vec![&[0.0], &[std::f64::consts::PI]];
+/// let ez = expect_z_batch(&c, &[], &inputs, SimBackend::Fast);
+/// assert!((ez[0][0] - 1.0).abs() < 1e-12 && (ez[1][0] + 1.0).abs() < 1e-12);
+/// ```
+pub fn expect_z_batch(
+    circuit: &Circuit,
+    train: &[f64],
+    inputs: &[&[f64]],
+    backend: SimBackend,
+) -> Vec<Vec<f64>> {
+    let Some(first) = inputs.first() else {
+        return Vec::new();
+    };
+    match backend {
+        SimBackend::Fast => {
+            let plan = SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL);
+            let base = plan.materialize(circuit, train, first);
+            let chunks: Vec<&[&[f64]]> = inputs.chunks(DEFAULT_BATCH_LANES).collect();
+            let per_chunk = parallel_map(&chunks, |chunk| {
+                let mut batch = StateBatch::zero_state(circuit.num_qubits(), chunk.len());
+                plan.replay_batch_into(circuit, &base, train, chunk, &mut batch);
+                batch.expect_z_all_lanes()
+            });
+            per_chunk.into_iter().flatten().collect()
+        }
+        // `Reference` ignores the mode; `Mps` replays the fused blocks.
+        SimBackend::Reference | SimBackend::Mps(_) => parallel_map(inputs, |input| {
+            run_with(circuit, train, input, ExecMode::Static, backend).expect_z_all()
+        }),
     }
 }
 

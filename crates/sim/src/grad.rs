@@ -255,22 +255,16 @@ fn apply_op_batch(
     }
 }
 
-/// Per-lane `<bra| M_s |ket>` restricted to qubit `q` for SEVERAL
-/// derivative matrices in one amplitude sweep. The bracket is linear in
-/// the matrix, so the sweep accumulates the per-lane transfer matrix
-/// `T_jk = Σ_i bra_j(i)* ket_k(i)` once, and every slot's bracket is the
-/// O(1) projection `Σ_jk m_jk T_jk` afterwards — multi-parameter gates
-/// (U3, CU3) pay one sweep instead of one per trainable slot. `acc` is
-/// slot-major: `acc[s * lanes + lane]`. The projection reassociates the
-/// floating-point sum relative to [`bracket_1q`], changing results only
-/// at the ~1e-15 level.
-fn bracket_1q_lanes_multi(
-    bra: &StateBatch,
-    ket: &StateBatch,
-    mats: &[Mat2],
-    q: usize,
-    acc: &mut [C64],
-) {
+/// Per-lane transfer matrices of qubit `q`: for each lane, `T_jk = Σ_i
+/// bra_j(i)* ket_k(i)` over the amplitude pairs `(i, i + 2^q)` in
+/// ascending base order, four entries per lane (lane-major, `j`-major
+/// within a lane). The bracket `<bra| M |ket>` restricted to `q` is linear
+/// in `M`, so on each lane it is the O(1) [`project`]ion of `M` against
+/// that lane's entries: every derivative matrix of an op — one shared set,
+/// or one set per lane when the op reads the input — projects against the
+/// same single sweep. The projection reassociates the floating-point sum
+/// relative to [`bracket_1q`], changing results only at the ~1e-15 level.
+fn transfer_1q(bra: &StateBatch, ket: &StateBatch, q: usize) -> Vec<C64> {
     let l = bra.lanes();
     let stride = 1usize << q;
     let len = 1usize << bra.num_qubits();
@@ -293,25 +287,12 @@ fn bracket_1q_lanes_multi(
         }
         base += stride << 1;
     }
-    for (s, m) in mats.iter().enumerate() {
-        let [m00, m01, m10, m11] = m.m;
-        for (lane, tl) in t.chunks_exact(4).enumerate() {
-            acc[s * l + lane] = m00 * tl[0] + m01 * tl[1] + m10 * tl[2] + m11 * tl[3];
-        }
-    }
+    t
 }
 
-/// Two-qubit sibling of [`bracket_1q_lanes_multi`] (`qa` = high bit):
-/// one sweep accumulates the per-lane 4×4 transfer matrix, then each
-/// slot projects its derivative matrix against it.
-fn bracket_2q_lanes_multi(
-    bra: &StateBatch,
-    ket: &StateBatch,
-    mats: &[Mat4],
-    qa: usize,
-    qb: usize,
-    acc: &mut [C64],
-) {
+/// Two-qubit sibling of [`transfer_1q`] (`qa` = high bit): sixteen entries
+/// per lane, over the amplitude quadruples the pair couples.
+fn transfer_2q(bra: &StateBatch, ket: &StateBatch, qa: usize, qb: usize) -> Vec<C64> {
     let l = bra.lanes();
     let ba = 1usize << qa;
     let bb = 1usize << qb;
@@ -343,134 +324,35 @@ fn bracket_2q_lanes_multi(
             }
         }
     }
-    for (s, m) in mats.iter().enumerate() {
-        for (lane, tl) in t.chunks_exact(16).enumerate() {
+    t
+}
+
+/// `Σ_jk d_jk T_jk`: the bracket of derivative matrix `d` on one lane,
+/// from that lane's transfer entries `t` ([`transfer_1q`] or
+/// [`transfer_2q`], matching `d`'s arity).
+fn project(d: &GateMatrix, t: &[C64]) -> C64 {
+    match d {
+        GateMatrix::One(m) => {
+            let [m00, m01, m10, m11] = m.m;
+            m00 * t[0] + m01 * t[1] + m10 * t[2] + m11 * t[3]
+        }
+        GateMatrix::Two(m) => {
             let mut br = C64::ZERO;
-            for (jk, &tjk) in tl.iter().enumerate() {
-                br += m.m[jk] * tjk;
+            for (&mjk, &tjk) in m.m.iter().zip(t) {
+                br += mjk * tjk;
             }
-            acc[s * l + lane] = br;
+            br
         }
     }
 }
 
-/// Single-lane variant of [`bracket_1q_lanes_multi`], for per-lane
-/// derivative matrices (input-encoding ops): `acc[s]` is slot `s`'s
-/// bracket on `lane`.
-fn bracket_1q_lane_multi(
-    bra: &StateBatch,
-    ket: &StateBatch,
-    lane: usize,
-    mats: &[Mat2],
-    q: usize,
-    acc: &mut [C64],
-) {
-    let l = bra.lanes();
-    let stride = 1usize << q;
-    let len = 1usize << bra.num_qubits();
-    let mut t = [C64::ZERO; 4];
-    let mut base = 0;
-    while base < len {
-        for i in base..base + stride {
-            let e0 = i * l + lane;
-            let e1 = (i + stride) * l + lane;
-            let k0 = ket.amp(e0);
-            let k1 = ket.amp(e1);
-            let b0 = bra.amp(e0).conj();
-            let b1 = bra.amp(e1).conj();
-            t[0] += b0 * k0;
-            t[1] += b0 * k1;
-            t[2] += b1 * k0;
-            t[3] += b1 * k1;
-        }
-        base += stride << 1;
-    }
-    for (s, m) in mats.iter().enumerate() {
-        let [m00, m01, m10, m11] = m.m;
-        acc[s] = m00 * t[0] + m01 * t[1] + m10 * t[2] + m11 * t[3];
-    }
-}
-
-/// Single-lane variant of [`bracket_2q_lanes_multi`].
-fn bracket_2q_lane_multi(
-    bra: &StateBatch,
-    ket: &StateBatch,
-    lane: usize,
-    mats: &[Mat4],
-    qa: usize,
-    qb: usize,
-    acc: &mut [C64],
-) {
-    let l = bra.lanes();
-    let ba = 1usize << qa;
-    let bb = 1usize << qb;
-    let mask = ba | bb;
-    let len = 1usize << bra.num_qubits();
-    let mut t = [C64::ZERO; 16];
-    for i in 0..len {
-        if i & mask != 0 {
-            continue;
-        }
-        let idx = [i, i | bb, i | ba, i | mask];
-        let v = [
-            ket.amp(idx[0] * l + lane),
-            ket.amp(idx[1] * l + lane),
-            ket.amp(idx[2] * l + lane),
-            ket.amp(idx[3] * l + lane),
-        ];
-        let bc = [
-            bra.amp(idx[0] * l + lane).conj(),
-            bra.amp(idx[1] * l + lane).conj(),
-            bra.amp(idx[2] * l + lane).conj(),
-            bra.amp(idx[3] * l + lane).conj(),
-        ];
-        for j in 0..4 {
-            for (kk, &vk) in v.iter().enumerate() {
-                t[j * 4 + kk] += bc[j] * vk;
-            }
-        }
-    }
-    for (s, m) in mats.iter().enumerate() {
-        let mut br = C64::ZERO;
-        for (jk, &tjk) in t.iter().enumerate() {
-            br += m.m[jk] * tjk;
-        }
-        acc[s] = br;
-    }
-}
-
-/// Derivative matrices of one op for each listed trainable slot — all
-/// slots of an op share the gate's arity, so they collect into one list.
-enum DMats {
-    One(Vec<Mat2>),
-    Two(Vec<Mat4>),
-}
-
-fn dmatrices(op: &Op, params: &[f64], slots: &[(usize, usize, f64)]) -> DMats {
-    match op.kind.dmatrix(params, slots[0].0) {
-        GateMatrix::One(first) => {
-            let mut mats = vec![first];
-            mats.extend(slots[1..].iter().filter_map(|&(which, _, _)| {
-                match op.kind.dmatrix(params, which) {
-                    GateMatrix::One(d) => Some(d),
-                    GateMatrix::Two(_) => None, // arity is fixed per gate kind
-                }
-            }));
-            debug_assert_eq!(mats.len(), slots.len());
-            DMats::One(mats)
-        }
-        GateMatrix::Two(first) => {
-            let mut mats = vec![first];
-            mats.extend(slots[1..].iter().filter_map(|&(which, _, _)| {
-                match op.kind.dmatrix(params, which) {
-                    GateMatrix::Two(d) => Some(d),
-                    GateMatrix::One(_) => None, // arity is fixed per gate kind
-                }
-            }));
-            debug_assert_eq!(mats.len(), slots.len());
-            DMats::Two(mats)
-        }
-    }
+/// Derivative matrices of `op` at `params`, one per listed trainable slot
+/// `(which, train index, scale)`.
+fn dmatrices(op: &Op, params: &[f64], slots: &[(usize, usize, f64)]) -> Vec<GateMatrix> {
+    slots
+        .iter()
+        .map(|&(which, _, _)| op.kind.dmatrix(params, which))
+        .collect()
 }
 
 /// Batched adjoint differentiation: per-sample losses and the *summed*
@@ -548,12 +430,14 @@ pub fn adjoint_gradient_batch(
 
     let n_params = circuit.num_train_params();
     let mut grad_lanes = vec![vec![0.0; n_params]; lanes];
-    let mut acc: Vec<C64> = Vec::new();
     for op in circuit.ops()[first_trainable_op(circuit)..].iter().rev() {
         // Un-apply the gate on every lane: cur becomes the pre-op batch.
         apply_op_batch(&mut cur, op, train, inputs, true);
-        // All trainable slots of the op bracket against the same pair of
-        // states, so their derivative matrices share one amplitude sweep.
+        // Every trainable slot on every lane brackets against the same pair
+        // of batches: one sweep builds each lane's transfer matrix, and
+        // each slot's derivative matrix projects against it. An op that
+        // reads the input (mixed slots) has per-lane derivative matrices;
+        // any other op shares one set across the lanes.
         let slots: Vec<(usize, usize, f64)> = op
             .params
             .iter()
@@ -561,52 +445,24 @@ pub fn adjoint_gradient_batch(
             .filter_map(|(which, slot)| slot.train_component().map(|(ti, s)| (which, ti, s)))
             .collect();
         if !slots.is_empty() {
-            if op_uses_input(op) {
-                // Mixed op (trainable + input slots): the derivative
-                // matrices themselves depend on the lane's input.
-                acc.clear();
-                acc.resize(slots.len(), C64::ZERO);
-                for (lane, input) in inputs.iter().enumerate() {
-                    let params = op.resolve_params(train, input);
-                    match dmatrices(op, &params, &slots) {
-                        DMats::One(mats) => {
-                            bracket_1q_lane_multi(&lam, &cur, lane, &mats, op.qubits[0], &mut acc);
-                        }
-                        DMats::Two(mats) => bracket_2q_lane_multi(
-                            &lam,
-                            &cur,
-                            lane,
-                            &mats,
-                            op.qubits[0],
-                            op.qubits[1],
-                            &mut acc,
-                        ),
+            let t = match op.kind.num_qubits() {
+                1 => transfer_1q(&lam, &cur, op.qubits[0]),
+                _ => transfer_2q(&lam, &cur, op.qubits[0], op.qubits[1]),
+            };
+            let shared =
+                (!op_uses_input(op)).then(|| dmatrices(op, &op.resolve_params(train, &[]), &slots));
+            let per_lane = t.chunks_exact(t.len() / lanes).zip(inputs);
+            for ((tl, input), grad) in per_lane.zip(&mut grad_lanes) {
+                let own;
+                let dms = match &shared {
+                    Some(dms) => dms,
+                    None => {
+                        own = dmatrices(op, &op.resolve_params(train, input), &slots);
+                        &own
                     }
-                    for (s, &(_, ti, scale)) in slots.iter().enumerate() {
-                        grad_lanes[lane][ti] += 2.0 * scale * acc[s].re;
-                    }
-                }
-            } else {
-                let params = op.resolve_params(train, &[]);
-                acc.clear();
-                acc.resize(slots.len() * lanes, C64::ZERO);
-                match dmatrices(op, &params, &slots) {
-                    DMats::One(mats) => {
-                        bracket_1q_lanes_multi(&lam, &cur, &mats, op.qubits[0], &mut acc);
-                    }
-                    DMats::Two(mats) => bracket_2q_lanes_multi(
-                        &lam,
-                        &cur,
-                        &mats,
-                        op.qubits[0],
-                        op.qubits[1],
-                        &mut acc,
-                    ),
-                }
-                for (s, &(_, ti, scale)) in slots.iter().enumerate() {
-                    for lane in 0..lanes {
-                        grad_lanes[lane][ti] += 2.0 * scale * acc[s * lanes + lane].re;
-                    }
+                };
+                for (d, &(_, ti, scale)) in dms.iter().zip(&slots) {
+                    grad[ti] += 2.0 * scale * project(d, tl).re;
                 }
             }
         }

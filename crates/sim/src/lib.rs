@@ -19,8 +19,11 @@
 //!   vectors structure-of-arrays (amplitude-major, batch-contiguous lanes)
 //!   so every shared gate is applied once across the whole minibatch, with
 //!   per-lane kernels for input-encoder steps and per-trajectory noise;
-//!   [`SimPlan::replay_batch_into`] and [`adjoint_gradient_batch`] run a
-//!   whole minibatch's forward pass and adjoint gradient in one sweep,
+//!   [`expect_z_batch`] is the one noise-free batched forward pass (every
+//!   input's `<Z>` on any backend), and [`adjoint_gradient_batch`] runs a
+//!   whole minibatch's adjoint gradient in one sweep, where every
+//!   trainable slot, mixed with input slots or not, projects against one
+//!   all-lanes transfer sweep per op,
 //! - **exact gradients** via reverse-mode *adjoint differentiation* (one
 //!   forward + one backward sweep for all parameters) and the
 //!   *parameter-shift* rule (the paper's hardware-compatible alternative),
@@ -52,7 +55,9 @@ mod pool;
 mod state;
 mod state_batch;
 
-pub use exec::{run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, SimBackend};
+pub use exec::{
+    expect_z_batch, run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, SimBackend,
+};
 pub use grad::{
     adjoint_gradient, adjoint_gradient_batch, numeric_gradient, parameter_shift_gradient,
     shifted_expectations, DiagObservable, Observable,

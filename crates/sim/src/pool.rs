@@ -70,14 +70,12 @@ thread_local! {
 /// process.
 static PARALLELISM_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Hard floor below which [`parallel_map`] never consults the pool: maps
-/// of 1–3 items run inline on the caller, full stop, regardless of what
-/// the overhead calibration says.
+/// Floor below which [`parallel_map`] never consults the pool: maps of
+/// 1–3 items run inline on the caller. One warm dispatch round-trip costs
+/// about a microsecond (DESIGN.md, "Persistent worker pool"), well under
+/// the lightest item a production map carries, so any larger map may fan
+/// out.
 const MIN_PARALLEL_ITEMS: usize = 4;
-
-/// Per-item work estimate for the tiny-batch cutoff: roughly one 8-qubit
-/// forward simulation, the lightest item any production map carries.
-const PER_ITEM_NS: u64 = 100_000;
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
@@ -149,42 +147,6 @@ fn try_help() -> bool {
     };
     job();
     true
-}
-
-/// Measured cost of one warm pool dispatch round-trip, in nanoseconds.
-///
-/// Calibrated once per process (minimum over a few no-op dispatches, so a
-/// cold first round or a scheduler hiccup cannot inflate it) and cached.
-fn dispatch_overhead_ns() -> u64 {
-    static OVERHEAD: OnceLock<u64> = OnceLock::new();
-    *OVERHEAD.get_or_init(measure_dispatch_overhead)
-}
-
-fn measure_dispatch_overhead() -> u64 {
-    ensure_workers(1);
-    let mut best = u64::MAX;
-    for _ in 0..8 {
-        let (tx, rx) = channel::<()>();
-        // lint:allow(wallclock) — one-time calibration of the pool's
-        // dispatch latency for the tiny-batch cutoff; the reading gates
-        // only *whether* to fan out and never feeds a simulation result.
-        let t0 = std::time::Instant::now();
-        submit(Box::new(move || {
-            let _ = tx.send(());
-        }));
-        let _ = rx.recv();
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best.max(1)
-}
-
-/// Items below which a [`parallel_map`] dispatch is not worth it: fanning
-/// out must buy back at least ~4 dispatch round-trips of
-/// [`PER_ITEM_NS`]-sized work. Clamped so a slow calibration cannot
-/// disable parallelism entirely.
-fn parallel_cutoff() -> usize {
-    let overhead = dispatch_overhead_ns();
-    (overhead.saturating_mul(4).div_ceil(PER_ITEM_NS) as usize).clamp(MIN_PARALLEL_ITEMS, 4096)
 }
 
 /// Sets the process-wide worker count used by maps called with
@@ -315,8 +277,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Callers map independent pieces of simulation: lane chunks of a QML
 /// dataset or minibatch, or single samples. A map of fewer than 4 items
-/// (or below the measured dispatch cutoff) runs as a plain loop on the
-/// calling thread, so a QML training minibatch of at most
+/// runs as a plain loop on the calling thread, so a QML training minibatch
+/// of at most
 /// [`DEFAULT_BATCH_LANES`](crate::DEFAULT_BATCH_LANES) samples, which is
 /// one lane chunk, never leaves the caller's thread.
 ///
@@ -351,13 +313,7 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let threads = resolve_workers(workers).min(items.len());
-    // The floor and the nesting check come first so small and nested maps
-    // return before any pool access (including the overhead calibration).
-    if threads <= 1
-        || items.len() < MIN_PARALLEL_ITEMS
-        || in_claim_loop()
-        || items.len() < parallel_cutoff()
-    {
+    if threads <= 1 || items.len() < MIN_PARALLEL_ITEMS || in_claim_loop() {
         return items.iter().map(&f).collect();
     }
     let chunk = items.len().div_ceil(threads);

@@ -1301,54 +1301,6 @@ impl StateBatch {
         out
     }
 
-    /// Squared norm of one lane (amplitude-ascending sum, matching
-    /// [`StateVec::norm_sqr`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_norm_sqr(&self, lane: usize) -> f64 {
-        assert!(lane < self.lanes, "lane out of range");
-        let l = self.lanes;
-        (0..1usize << self.n_qubits)
-            .map(|i| {
-                let e = i * l + lane;
-                self.re[e] * self.re[e] + self.im[e] * self.im[e]
-            })
-            .sum()
-    }
-
-    /// Renormalizes one lane in place; returns the pre-normalization norm.
-    /// Mirrors [`StateVec::normalize`].
-    pub fn lane_normalize(&mut self, lane: usize) -> f64 {
-        let norm = self.lane_norm_sqr(lane).sqrt();
-        if norm > 0.0 {
-            let inv = 1.0 / norm;
-            let l = self.lanes;
-            for i in 0..1usize << self.n_qubits {
-                let e = i * l + lane;
-                self.set(e, self.amp(e).scale(inv));
-            }
-        }
-        norm
-    }
-
-    /// Squared norm of every lane in one lanes-contiguous sweep. Each
-    /// lane's sum accumulates in the same ascending amplitude order as
-    /// [`StateBatch::lane_norm_sqr`], so `lane_norms_sqr()[lane]` is
-    /// bit-identical to `lane_norm_sqr(lane)` — but the walk touches the
-    /// planes front to back instead of making one strided pass per lane.
-    pub fn lane_norms_sqr(&self) -> Vec<f64> {
-        let l = self.lanes;
-        let mut acc = vec![0.0; l];
-        for (rr, ri) in self.re.chunks_exact(l).zip(self.im.chunks_exact(l)) {
-            for (lane, a) in acc.iter_mut().enumerate() {
-                *a += rr[lane] * rr[lane] + ri[lane] * ri[lane];
-            }
-        }
-        acc
-    }
-
     /// `||K ψ||²` of the one-qubit operator `k` on qubit `q` for every lane,
     /// into `out[lane]`: the Born probability of a Kraus operator, in one
     /// lanes-contiguous sweep. Each lane sums over the amplitude pairs `(i,
@@ -1398,10 +1350,10 @@ impl StateBatch {
     }
 
     /// Renormalizes every lane in place. Per lane this is bit-identical to
-    /// [`StateBatch::lane_normalize`] (same norm accumulation order, same
-    /// `1/norm` scale, zero-norm lanes untouched), with the per-lane strided
-    /// passes replaced by two contiguous sweeps per group of [`LANE_CHUNK`]
-    /// lanes, whose norms live in a fixed array: the step never allocates.
+    /// [`StateVec::normalize`] on that lane's state (same ascending norm
+    /// accumulation, same `1/norm` scale, zero-norm lanes untouched), in
+    /// two contiguous sweeps per group of [`LANE_CHUNK`] lanes, whose norms
+    /// live in a fixed array: the step never allocates.
     pub fn normalize_lanes(&mut self) {
         self.sweep_normalize_lanes();
     }
@@ -1635,15 +1587,16 @@ mod tests {
     #[test]
     fn batched_lane_norms_match_per_lane() {
         for lanes in [3, 16, 33] {
-            let (mut batch, _) = scrambled(4, lanes, 77);
-            let per_lane: Vec<f64> = (0..lanes).map(|l| batch.lane_norm_sqr(l)).collect();
-            assert_eq!(batch.lane_norms_sqr(), per_lane, "{lanes} lanes");
-            let mut slow = batch.clone();
+            let (mut batch, mut singles) = scrambled(4, lanes, 77);
+            // Break the norm of one lane, as a kept Kraus operator does.
+            let scaled = Mat2::hadamard().scale(C64::real(1.7));
+            batch.lane_apply_1q(1, &scaled, 2);
+            singles[1].apply_1q(&scaled, 2);
             batch.normalize_lanes();
-            for lane in 0..lanes {
-                slow.lane_normalize(lane);
+            for s in &mut singles {
+                s.normalize();
             }
-            assert_eq!(batch, slow, "{lanes} lanes normalized state");
+            assert_lanes_match(&batch, &singles, &format!("{lanes} lanes normalized"));
         }
     }
 
@@ -1733,18 +1686,6 @@ mod tests {
         for (lane, s) in singles.iter().enumerate() {
             assert_eq!(ez[lane], s.expect_z_all(), "lane {lane}");
         }
-    }
-
-    #[test]
-    fn lane_normalize_matches_single_state() {
-        let (mut batch, mut singles) = scrambled(2, 3, 21);
-        // Break norms on one lane only.
-        batch.lane_apply_1q(1, &Mat2::hadamard().scale(C64::real(2.0)), 0);
-        singles[1].apply_1q(&Mat2::hadamard().scale(C64::real(2.0)), 0);
-        let pre_batch = batch.lane_normalize(1);
-        let pre_single = singles[1].normalize();
-        assert_eq!(pre_batch.to_bits(), pre_single.to_bits());
-        assert_lanes_match(&batch, &singles, "normalize");
     }
 
     #[test]

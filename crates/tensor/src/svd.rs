@@ -50,10 +50,11 @@ impl Svd {
 
 /// Computes the thin SVD of `a` by one-sided Jacobi rotations.
 ///
-/// Numerically-zero singular values (below [`RANK_FLOOR`] relative to the
-/// largest) are dropped, so the returned factors have the revealed rank of
-/// `a` rather than `min(rows, cols)` columns. A zero matrix yields a rank-1
-/// factorization with a single zero singular value (factors cannot be empty).
+/// Numerically-zero singular values (below `RANK_FLOOR` = 1e-14 relative
+/// to the largest) are dropped, so the returned factors have the revealed
+/// rank of `a` rather than `min(rows, cols)` columns. A zero matrix yields
+/// a rank-1 factorization with a single zero singular value (factors
+/// cannot be empty).
 ///
 /// # Panics
 ///

@@ -11,8 +11,8 @@ use qns_noise::Device;
 use qns_runtime::{counters, CacheKey, StructuralHasher};
 use quantumnas::{
     evolutionary_search_seeded_rt, gene_key, CheckpointOptions, DesignSpace, Estimator,
-    EstimatorKind, EvoConfig, FaultPlan, Gene, RuntimeOptions, SearchRuntime, SpaceKind,
-    SuperCircuit, Task, FAULT_MARKER,
+    EstimatorKind, EvoConfig, FaultPlan, Gene, ProxyOptions, RuntimeOptions, SearchRuntime,
+    SpaceKind, SuperCircuit, Task, FAULT_MARKER,
 };
 
 struct TempDir(PathBuf);
@@ -106,6 +106,34 @@ fn injected_eval_fault_is_isolated_and_classified() {
     assert_eq!(rt.metrics().counter(counters::VERIFY_VIOLATIONS), 0);
     assert_eq!(faulted.best, reference.best);
     assert_eq!(faulted.best_score.to_bits(), reference.best_score.to_bits());
+}
+
+/// With proxy prescreening on, the first isolated evaluation of a search
+/// computes proxy features. A fault injected there is counted as an
+/// injected fault, exactly as one injected into full scoring is, and not
+/// as an organic panic.
+#[test]
+fn injected_proxy_fault_is_classified_as_injected() {
+    let (sc, params, task, est) = setup();
+    let cfg = EvoConfig {
+        proxy: ProxyOptions {
+            enabled: true,
+            keep: 0.5,
+            warmup: 1,
+        },
+        ..evo_cfg(RuntimeOptions {
+            workers: 1,
+            cache: false,
+            ..Default::default()
+        })
+    };
+    let rt = SearchRuntime::new(cfg.runtime.clone())
+        .with_fault_plan(Arc::new(FaultPlan::new().fail_eval(1)));
+    evolutionary_search_seeded_rt(&sc, &params, &task, &est, &cfg, &[], &rt);
+
+    assert_eq!(rt.metrics().counter(counters::INJECTED_FAULTS), 1);
+    assert_eq!(rt.metrics().counter(counters::PANICS), 0);
+    assert_eq!(rt.metrics().counter(counters::VERIFY_VIOLATIONS), 0);
 }
 
 /// The score memo must never absorb a fault: a faulted candidate's `+inf`

@@ -11,14 +11,20 @@
 //! single-state runs. Six fixed circuits, one per edge case of where the
 //! adjoint backward sweep stops, also check both adjoint engines against
 //! finite differences at 1, 3, 16 and 33 lanes. A final check pins the
-//! batched trajectory path bitwise across worker counts.
+//! batched trajectory path bitwise across worker counts, and one pin fixes
+//! the bits of every noise-free batched evaluation the search and training
+//! loops read.
 
 use proptest::prelude::*;
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_sim::{
     adjoint_gradient, adjoint_gradient_batch, numeric_gradient, run, DiagObservable, ExecMode,
-    SimPlan, StateBatch, StateVec,
+    MpsConfig, SimBackend, SimPlan, StateBatch, StateVec,
+};
+use qns_transpile::Layout;
+use quantumnas::{
+    eval_task, DesignSpace, Estimator, EstimatorKind, SpaceKind, Split, SuperCircuit, Task,
 };
 use std::sync::Once;
 
@@ -444,6 +450,186 @@ fn batched_trajectory_lanes_bitwise_stable_for_any_worker_count() {
             base_s,
             exec.sample_counts(&c, &train, &input, &phys, 500),
             "{workers:?}: sampled counts drifted"
+        );
+    }
+}
+
+/// FNV-1a over the bit patterns of `xs`: one number that moves when any
+/// bit of any value does.
+fn bits_digest(xs: &[f64]) -> u64 {
+    xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A 4-qubit, 2-block U3+CU3 SubCircuit behind `task`'s encoder, with
+/// fixed synthetic parameters.
+fn pinned_subcircuit(task: &Task) -> (Circuit, Vec<f64>) {
+    let Task::Qml { encoder, .. } = task else {
+        unreachable!("a QML task")
+    };
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
+    let circuit = sc.build(&sc.max_config(), Some(encoder));
+    let params = (0..circuit.num_train_params())
+        .map(|i| 0.3 * ((i % 7) as f64) - 0.8)
+        .collect();
+    (circuit, params)
+}
+
+/// A 3-qubit circuit whose U3 mixes `Input` and `Train` slots and whose
+/// CU3 mixes `Train`, `AffineInput` and `AffineTrain` slots, with its
+/// trainable values; it reads three input features per lane.
+fn mixed_slot_circuit() -> (Circuit, Vec<f64>) {
+    let mut c = Circuit::new(3);
+    for q in 0..3 {
+        c.push(GateKind::RY, &[q], &[Param::Input(q)]);
+    }
+    c.push(
+        GateKind::U3,
+        &[1],
+        &[Param::Train(0), Param::Input(2), Param::Train(1)],
+    );
+    c.push(GateKind::CX, &[0, 1], &[]);
+    let affine_in = Param::AffineInput {
+        index: 0,
+        scale: 0.6,
+        offset: -0.2,
+    };
+    let affine_train = Param::AffineTrain {
+        index: 3,
+        scale: -1.3,
+        offset: 0.4,
+    };
+    c.push(
+        GateKind::CU3,
+        &[2, 0],
+        &[Param::Train(2), affine_in, affine_train],
+    );
+    c.push(GateKind::RZZ, &[1, 2], &[Param::Train(4)]);
+    c.push(
+        GateKind::U3,
+        &[0],
+        &[Param::Train(5), Param::Train(6), Param::Train(7)],
+    );
+    let train = (0..8).map(|i| 0.9 - 0.37 * i as f64).collect();
+    (c, train)
+}
+
+/// Label and bits of every pinned noise-free output; see
+/// [`noise_free_batched_outputs_are_pinned`].
+const PINNED_NOISE_FREE: [(&str, u64); 33] = [
+    ("mnist4 score noiseless fast", 0x3ff8478b8464efd7),
+    ("mnist4 score noiseless reference", 0x3ff8478b8464efd5),
+    ("mnist4 score noiseless mps-exact", 0x3ff8478b8464efdb),
+    ("mnist4 score success-rate fast", 0x4008842af8b0f0b9),
+    ("mnist4 score success-rate reference", 0x4008842af8b0f0b7),
+    ("mnist4 score success-rate mps-exact", 0x4008842af8b0f0bd),
+    ("mnist4 eval train loss", 0x3ff5ff77efc31090),
+    ("mnist4 eval train accuracy", 0x3fd35e50d79435e5),
+    ("mnist4 eval valid loss", 0x3ff8478b8464efd7),
+    ("mnist4 eval valid accuracy", 0x3fc8000000000000),
+    ("mnist4 eval test loss", 0x3ff5de1fd176a46a),
+    ("mnist4 eval test accuracy", 0x3fd4cccccccccccd),
+    ("vowel4 score noiseless fast", 0x3ff5efd9d7ffdb6a),
+    ("vowel4 score noiseless reference", 0x3ff5efd9d7ffdb6a),
+    ("vowel4 score noiseless mps-exact", 0x3ff5efd9d7ffdb6a),
+    ("vowel4 score success-rate fast", 0x4005d21e6e2ac8ee),
+    ("vowel4 score success-rate reference", 0x4005d21e6e2ac8ee),
+    ("vowel4 score success-rate mps-exact", 0x4005d21e6e2ac8ee),
+    ("vowel4 eval train loss", 0x3ff583a23cdfc3a4),
+    ("vowel4 eval train accuracy", 0x3fd1219dbcc48677),
+    ("vowel4 eval valid loss", 0x3ff5a146714d15d8),
+    ("vowel4 eval valid accuracy", 0x3fd0cede62433b7a),
+    ("vowel4 eval test loss", 0x3ff5eba459f563f8),
+    ("vowel4 eval test accuracy", 0x3fcfe46ae1d4e701),
+    ("vowel4 ideal accuracy", 0x3fd5c28f5c28f5c3),
+    ("adjoint 1 lanes losses", 0x44bb6e47fe131861),
+    ("adjoint 1 lanes gradient", 0x2a385c8de9895fbb),
+    ("adjoint 3 lanes losses", 0x0f8f04a40cb7db09),
+    ("adjoint 3 lanes gradient", 0xefc4305d816058fa),
+    ("adjoint 16 lanes losses", 0xe6fc554b21610834),
+    ("adjoint 16 lanes gradient", 0x52fe1f0ed0262726),
+    ("adjoint 33 lanes losses", 0xb53a004150eb434a),
+    ("adjoint 33 lanes gradient", 0xeb2ec14d371df19e),
+];
+
+/// Pins the bits of every noise-free batched evaluation: QML
+/// `Estimator::score` under `Noiseless` and `SuccessRate` on `Fast`,
+/// `Reference` and exact MPS, on MNIST-4 (16 validation samples, one lane
+/// chunk) and on Vowel-4 (40 of 99 validation samples, two 32-lane
+/// chunks); `ideal_accuracy` on 50 Vowel-4 test samples; `eval_task`'s
+/// loss and accuracy on every split of both tasks; and the losses and
+/// gradient of `adjoint_gradient_batch` at 1, 3, 16 and 33 lanes on
+/// [`mixed_slot_circuit`]. Floating-point sums and matrix products are
+/// not associative, so any reordering of the arithmetic moves a bit here.
+#[test]
+fn noise_free_batched_outputs_are_pinned() {
+    let mnist = Task::qml_digits(&[0, 1, 2, 3], 100, 4, 9);
+    let vowel = Task::qml_vowel(5);
+    for (task, valid) in [(&mnist, 16), (&vowel, 99)] {
+        let Task::Qml { splits, .. } = task else {
+            unreachable!("a QML task")
+        };
+        assert_eq!(splits.valid.num_samples(), valid, "{}", task.name());
+    }
+    let layout = Layout::from_vec(vec![1, 3, 0, 4]);
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (name, task, cap) in [("mnist4", &mnist, 24), ("vowel4", &vowel, 40)] {
+        let (circuit, params) = pinned_subcircuit(task);
+        for (kind_name, kind) in [
+            ("noiseless", EstimatorKind::Noiseless),
+            ("success-rate", EstimatorKind::SuccessRate),
+        ] {
+            for (backend_name, backend) in [
+                ("fast", SimBackend::Fast),
+                ("reference", SimBackend::Reference),
+                ("mps-exact", SimBackend::Mps(MpsConfig::exact())),
+            ] {
+                let est = Estimator::new(Device::belem(), kind, 2)
+                    .with_valid_cap(cap)
+                    .with_backend(backend);
+                let score = est.score(&circuit, &params, task, &layout);
+                got.push((
+                    format!("{name} score {kind_name} {backend_name}"),
+                    score.to_bits(),
+                ));
+            }
+        }
+        for (split_name, split) in [
+            ("train", Split::Train),
+            ("valid", Split::Valid),
+            ("test", Split::Test),
+        ] {
+            let (loss, acc) = eval_task(&circuit, &params, task, split);
+            got.push((format!("{name} eval {split_name} loss"), loss.to_bits()));
+            got.push((format!("{name} eval {split_name} accuracy"), acc.to_bits()));
+        }
+    }
+    let (circuit, params) = pinned_subcircuit(&vowel);
+    let ideal = Estimator::new(Device::belem(), EstimatorKind::Noiseless, 2)
+        .ideal_accuracy(&circuit, &params, &vowel, 50);
+    got.push(("vowel4 ideal accuracy".to_string(), ideal.to_bits()));
+
+    let (circuit, train) = mixed_slot_circuit();
+    let samples: Vec<Vec<f64>> = (0..33).map(|l| lane_input(3, l)).collect();
+    for &bs in &BOUNDARY_LANES {
+        let inputs: Vec<&[f64]> = samples[..bs].iter().map(|s| s.as_slice()).collect();
+        let (losses, grad) = adjoint_gradient_batch(&circuit, &train, &inputs, |lane, ez| {
+            (ez.iter().sum::<f64>(), lane_weights(3, lane))
+        });
+        got.push((format!("adjoint {bs} lanes losses"), bits_digest(&losses)));
+        got.push((format!("adjoint {bs} lanes gradient"), bits_digest(&grad)));
+    }
+
+    assert_eq!(got.len(), PINNED_NOISE_FREE.len(), "pinned output count");
+    for ((label, bits), (want_label, want)) in got.iter().zip(PINNED_NOISE_FREE) {
+        assert_eq!(label, want_label);
+        assert_eq!(
+            *bits,
+            want,
+            "{label} moved: {} vs pinned {}",
+            f64::from_bits(*bits),
+            f64::from_bits(want)
         );
     }
 }

@@ -27,7 +27,7 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         },
     );
     let device = Device::yorktown();
-    let circuit = qns_bench::build(&sc, &sc.max_config(), &task);
+    let circuit = sc.build_for(&sc.max_config(), &task);
     let layout = Layout::trivial(4);
 
     // One estimator query per backend kind (the inner loop of the search).

@@ -162,7 +162,7 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         en,
         if smoke { 1 } else { 3 },
     );
-    let ecirc = qns_bench::build(&sc, &sc.max_config(), &task);
+    let ecirc = sc.build_for(&sc.max_config(), &task);
     let eparams: Vec<f64> = (0..ecirc.num_train_params())
         .map(|i| 0.1 * (i as f64 % 7.0) - 0.3)
         .collect();

@@ -1,6 +1,6 @@
 //! Table VI and Figures 18–23: ablations and analysis experiments.
 
-use crate::{banner, build, measure, noisy_estimator, qml_task, Scale};
+use crate::{banner, measure, noisy_estimator, qml_task, Scale};
 use qns_noise::{Device, DriftingDevice, TrajectoryConfig};
 use qns_transpile::Layout;
 use quantumnas::{
@@ -69,7 +69,7 @@ pub fn tab6(scale: &Scale) {
             // Deploy both against the true (frozen) device, compiled at
             // the same optimization level the search assumed.
             let eval = |gene: &quantumnas::Gene, seed: u64| -> f64 {
-                let circuit = build(&sc, &gene.config, &task);
+                let circuit = sc.build_for(&gene.config, &task);
                 let (params, _) = train_task(&circuit, &task, &scale.train(seed), None);
                 Estimator::new(device.clone(), EstimatorKind::Noiseless, opt_level).test_accuracy(
                     &circuit,
@@ -126,7 +126,7 @@ pub fn fig18(scale: &Scale) {
         let run_variant_once = |search_arch: bool, search_layout: bool, seed: u64| -> f64 {
             if !search_arch && !search_layout {
                 // Pure human baseline: human design, trivial layout.
-                let circuit = build(&sc, &human_gene.config, &task);
+                let circuit = sc.build_for(&human_gene.config, &task);
                 let (params, _) = train_task(&circuit, &task, &scale.train(seed), None);
                 return measure(
                     &task,
@@ -150,7 +150,7 @@ pub fn fig18(scale: &Scale) {
                 &evo,
                 std::slice::from_ref(&human_gene),
             );
-            let circuit = build(&sc, &search.best.config, &task);
+            let circuit = sc.build_for(&search.best.config, &task);
             let (params, _) = train_task(&circuit, &task, &scale.train(seed), None);
             measure(
                 &task,
@@ -229,7 +229,7 @@ pub fn fig19(scale: &Scale) {
             let mut evo = scale.evo.clone();
             evo.seed = seed ^ 29;
             let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-            let circuit = build(&sc, &search.best.config, &task);
+            let circuit = sc.build_for(&search.best.config, &task);
             let (params, _) = train_task(&circuit, &task, &scale.train(seed ^ 4), None);
             measure(
                 &task,
@@ -277,7 +277,7 @@ pub fn fig20(scale: &Scale) {
         let mut evo = scale.evo.clone();
         evo.seed = 37;
         let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-        let circuit = build(&sc, &search.best.config, &task);
+        let circuit = sc.build_for(&search.best.config, &task);
         let (params, _) = train_task(&circuit, &task, &scale.train(5), None);
         let searched = measure(
             &task,
@@ -340,7 +340,7 @@ pub fn fig21_22(scale: &Scale) {
     }
 
     let finish = |gene: &quantumnas::Gene, seed: u64| -> f64 {
-        let circuit = build(&sc, &gene.config, &task);
+        let circuit = sc.build_for(&gene.config, &task);
         let (params, _) = train_task(&circuit, &task, &scale.train(seed), None);
         measure(&task, &device, scale, &circuit, &params, &gene.layout()).measured
     };
@@ -381,7 +381,7 @@ pub fn fig23(scale: &Scale) {
         let mut evo = scale.evo.clone();
         evo.seed = 53;
         let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-        let circuit = build(&sc, &search.best.config, &task);
+        let circuit = sc.build_for(&search.best.config, &task);
         let (params, _) = train_task(&circuit, &task, &scale.train(6), None);
 
         print!("{:<12} {:<12}", task_name, DesignSpace::new(space).kind());

@@ -1,6 +1,6 @@
 //! Table I, Table II, Figure 9, Figure 10, Figure 12, Figure 15.
 
-use crate::{banner, build, qml_task, Scale};
+use crate::{banner, qml_task, Scale};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_ml::spearman;
 use qns_noise::Device;
@@ -103,7 +103,7 @@ pub fn fig9(scale: &Scale) {
                     })
                     .collect(),
             };
-            let circuit = build(&sc, &cfg, &task);
+            let circuit = sc.build_for(&cfg, &task);
             let (inh_loss, _) = eval_task(&circuit, &shared, &task, Split::Valid);
             let (params, _) = train_task(&circuit, &task, &scale.train(k as u64), None);
             let (scr_loss, _) = eval_task(&circuit, &params, &task, Split::Valid);
@@ -165,7 +165,7 @@ pub fn fig10(scale: &Scale) {
                 .map(|_| (0..2).map(|_| rng.gen_range(1..=4)).collect())
                 .collect(),
         };
-        let circuit = build(&sc, &cfg, &task);
+        let circuit = sc.build_for(&cfg, &task);
         let layout = Layout::trivial(4);
         // Estimated: inherited params + search estimator.
         let est = estimator.score(&circuit, &shared, &task, &layout);
@@ -278,13 +278,13 @@ pub fn fig15(scale: &Scale) {
         };
         evo.seed = 5;
         let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-        let nas_circuit = build(&sc, &search.best.config, &task);
+        let nas_circuit = sc.build_for(&search.best.config, &task);
         let mut tc = scale.train(1);
         tc.epochs = tc.epochs.max(40);
         let (nas_params, _) = train_task(&nas_circuit, &task, &tc, None);
         let budget = nas_circuit.referenced_train_indices().len().max(4);
         let human_cfg = quantumnas::human_design(&sc, budget);
-        let human_circuit = build(&sc, &human_cfg, &task);
+        let human_circuit = sc.build_for(&human_cfg, &task);
         let (human_params, _) = train_task(&human_circuit, &task, &tc, None);
 
         // Measured accuracy with a small trajectory budget (10-qubit

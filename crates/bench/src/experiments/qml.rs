@@ -1,8 +1,6 @@
 //! Figures 2, 3, 13, 14 and Tables III, IV, V, VII.
 
-use crate::{
-    banner, build, measure, noisy_estimator, prepare, qml_task, run_method, Method, Scale,
-};
+use crate::{banner, measure, noisy_estimator, prepare, qml_task, run_method, Method, Scale};
 use qns_ml::{mean, std_dev};
 use qns_noise::Device;
 use qns_transpile::Layout;
@@ -36,7 +34,7 @@ pub fn fig2(scale: &Scale) {
         let mut measured = Vec::new();
         for s in 0..designs_per_budget {
             let cfg = random_design(&sc, budget, 1000 + s);
-            let circuit = build(&sc, &cfg, &task);
+            let circuit = sc.build_for(&cfg, &task);
             let (params, _) = train_task(&circuit, &task, &scale.train(s), None);
             let r = measure(
                 &task,
@@ -84,7 +82,7 @@ pub fn fig3(scale: &Scale) {
     for &budget in &budgets {
         // Human at this budget.
         let human_cfg = human_design(&sc, budget);
-        let human_circuit = build(&sc, &human_cfg, &task);
+        let human_circuit = sc.build_for(&human_cfg, &task);
         let (hp, _) = train_task(&human_circuit, &task, &scale.train(1), None);
         let human = measure(
             &task,
@@ -111,7 +109,7 @@ pub fn fig3(scale: &Scale) {
             &evo,
             &[seed_gene],
         );
-        let nas_circuit = build(&sc, &search.best.config, &task);
+        let nas_circuit = sc.build_for(&search.best.config, &task);
         let (np, _) = train_task(&nas_circuit, &task, &scale.train(2), None);
         let nas = measure(
             &task,
@@ -145,7 +143,7 @@ pub fn tab3(scale: &Scale) {
     );
     for k in 0..4u64 {
         let cfg = random_design(&sc, 24 + 6 * k as usize, k);
-        let circuit = build(&sc, &cfg, &task);
+        let circuit = sc.build_for(&cfg, &task);
         // Vary training length so the circuits span an accuracy range,
         // like the paper's four checkpoints.
         let mut train = scale.train(k);
@@ -277,7 +275,7 @@ pub fn fig14(scale: &Scale) {
         let mut evo = scale.evo.clone();
         evo.seed = 23;
         let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-        let nas_circuit = build(&sc, &search.best.config, &task);
+        let nas_circuit = sc.build_for(&search.best.config, &task);
         let (np, _) = train_task(&nas_circuit, &task, &scale.train(1), None);
         let nas = measure(
             &task,
@@ -290,12 +288,12 @@ pub fn fig14(scale: &Scale) {
         let budget = nas.n_params.max(4);
 
         let human_cfg = human_design(&sc, budget);
-        let hc = build(&sc, &human_cfg, &task);
+        let hc = sc.build_for(&human_cfg, &task);
         let (hp, _) = train_task(&hc, &task, &scale.train(2), None);
         let human = measure(&task, &device, scale, &hc, &hp, &Layout::trivial(4));
 
         let rand_cfg = random_design(&sc, budget, 3);
-        let rc = build(&sc, &rand_cfg, &task);
+        let rc = sc.build_for(&rand_cfg, &task);
         let (rp, _) = train_task(&rc, &task, &scale.train(3), None);
         let random = measure(&task, &device, scale, &rc, &rp, &Layout::trivial(4));
 
@@ -351,7 +349,7 @@ pub fn tab5(scale: &Scale) {
             &evo,
             &[human_seed],
         );
-        let circuit = build(&sc, &search.best.config, &task);
+        let circuit = sc.build_for(&search.best.config, &task);
         let (params, _) = train_task(&circuit, &task, &scale.train(i as u64), None);
         trained.push((circuit, params, search.best.layout()));
     }
@@ -398,7 +396,7 @@ pub fn tab7(scale: &Scale) {
             let mut evo = scale.evo.clone();
             evo.seed = 41;
             let s_search = evolutionary_search(&small_sc, &small_shared, &task, &estimator, &evo);
-            let s_circuit = build(&small_sc, &s_search.best.config, &task);
+            let s_circuit = small_sc.build_for(&s_search.best.config, &task);
             let (sp, _) = train_task(&s_circuit, &task, &scale.train(1), None);
             let small = measure(
                 &task,
@@ -413,7 +411,7 @@ pub fn tab7(scale: &Scale) {
             let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, scale.blocks.max(3));
             let (shared, _) = train_supercircuit(&sc, &task, &scale.super_train(3));
             let search = evolutionary_search(&sc, &shared, &task, &estimator, &evo);
-            let circuit = build(&sc, &search.best.config, &task);
+            let circuit = sc.build_for(&search.best.config, &task);
             let (p, _) = train_task(&circuit, &task, &scale.train(2), None);
             let ours = measure(&task, device, scale, &circuit, &p, &search.best.layout());
 

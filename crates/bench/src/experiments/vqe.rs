@@ -1,6 +1,6 @@
 //! Figures 16 and 17: VQE expectation values.
 
-use crate::{banner, build, Scale};
+use crate::{banner, Scale};
 use qns_chem::{uccsd_ansatz, Molecule};
 use qns_noise::Device;
 use qns_transpile::Layout;
@@ -103,7 +103,7 @@ pub fn fig16(scale: &Scale) {
             &evo,
             &[human_seed],
         );
-        let circuit = build(&sc, &search.best.config, &task);
+        let circuit = sc.build_for(&search.best.config, &task);
         let (params, _) = train_task(&circuit, &task, &vqe_train(scale, 1), None);
         let nas_measured = measured_energy(
             &task,
@@ -116,10 +116,10 @@ pub fn fig16(scale: &Scale) {
         let budget = circuit.referenced_train_indices().len().max(2);
 
         // Human and random baselines at matched budget.
-        let hc = build(&sc, &human_design(&sc, budget), &task);
+        let hc = sc.build_for(&human_design(&sc, budget), &task);
         let (hp, _) = train_task(&hc, &task, &vqe_train(scale, 2), None);
         let human_measured = measured_energy(&task, &device, scale, &hc, &hp, &Layout::trivial(2));
-        let rc = build(&sc, &random_design(&sc, budget, 5), &task);
+        let rc = sc.build_for(&random_design(&sc, budget, 5), &task);
         let (rp, _) = train_task(&rc, &task, &vqe_train(scale, 3), None);
         let random_measured = measured_energy(&task, &device, scale, &rc, &rp, &Layout::trivial(2));
 
@@ -220,7 +220,7 @@ pub fn fig17(scale: &Scale) {
             &evo,
             &[human_seed],
         );
-        let circuit = build(&sc, &search.best.config, &task);
+        let circuit = sc.build_for(&search.best.config, &task);
         let mut tc = vqe_train(scale, 5);
         if n > 6 {
             tc.epochs = tc.epochs.min(120);

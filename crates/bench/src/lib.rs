@@ -233,7 +233,7 @@ pub fn prepare(
     };
     let search =
         quantumnas::evolutionary_search_seeded(&sc, &shared, task, &estimator, &evo, &[human_seed]);
-    let circuit = build(&sc, &search.best.config, task);
+    let circuit = sc.build_for(&search.best.config, task);
     let budget = circuit.referenced_train_indices().len().max(4);
     Prepared {
         sc,
@@ -254,14 +254,6 @@ pub fn noisy_estimator(device: &Device, scale: &Scale) -> Estimator {
         readout: true,
     });
     Estimator::new(device.clone(), kind, 2).with_valid_cap(if scale.full { 48 } else { 10 })
-}
-
-/// Builds a SubCircuit for the task (encoder prepended for QML).
-pub fn build(sc: &SuperCircuit, config: &SubConfig, task: &Task) -> Circuit {
-    match task {
-        Task::Qml { encoder, .. } => sc.build(config, Some(encoder)),
-        Task::Vqe { .. } => sc.build(config, None),
-    }
 }
 
 /// Trains, compiles, and measures one method. `prepared` carries the
@@ -295,7 +287,7 @@ pub fn run_method(
             let mut best: Option<(SubConfig, f64)> = None;
             for s in 0..3 {
                 let cfg = random_design(sc, prepared.budget, seed ^ s);
-                let circuit = build(sc, &cfg, task);
+                let circuit = sc.build_for(&cfg, task);
                 let score = estimator.score(&circuit, &prepared.shared, task, &trivial);
                 if best.as_ref().map(|(_, b)| score < *b).unwrap_or(true) {
                     best = Some((cfg, score));
@@ -316,7 +308,7 @@ pub fn run_method(
         }
     };
 
-    let circuit = build(sc, &config, task);
+    let circuit = sc.build_for(&config, task);
     let (mut params, _) = train_task(&circuit, task, &scale.train(seed), None);
     let mut final_circuit = circuit.clone();
     if method == Method::QuantumNasPruned {

@@ -284,12 +284,6 @@ impl PauliSum {
             .map(|(c, _)| c)
             .sum()
     }
-
-    /// A crude upper bound on `‖H‖`: the 1-norm of coefficients. Used to
-    /// shift the spectrum for power/Lanczos iterations.
-    pub fn norm_bound(&self) -> f64 {
-        self.terms.iter().map(|(c, _)| c.abs()).sum()
-    }
 }
 
 impl qns_sim::Observable for PauliSum {

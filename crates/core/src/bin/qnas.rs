@@ -16,8 +16,9 @@
 //!                                      a bond-truncated matrix-product state
 //!                                      and reports truncation telemetry in
 //!                                      --stats
-//!   --max-bond <n>                     MPS bond-dimension cap (default 64;
-//!                                      only meaningful with --backend mps)
+//!   --max-bond <n>                     MPS bond-dimension cap, at least 1
+//!                                      (default 64; only meaningful with
+//!                                      --backend mps)
 //!   --workers <n>                      evaluation workers (0 = one per core)
 //!   --no-cache                         disable transpile cache + score memo
 //!   --verify [off|contracts|full]      per-stage transpiler verification
@@ -49,14 +50,16 @@
 //!   --qasm    <path>                   export the deployed circuit
 //! ```
 //!
-//! An unknown argument, an unknown value, a value flag without a value or
-//! a `--samples` count too small to leave a validation sample prints usage
-//! and exits 2. A `--qasm` or `--front-out` file that cannot be written
-//! exits 1 after the report.
+//! An unknown argument, an unknown value, a value flag without a value, a
+//! `--max-bond` of 0 or a `--samples` count too small to leave a
+//! validation sample prints usage and exits 2. A `--checkpoint-dir` that
+//! cannot be created exits 1 before the run starts; a `--qasm` or
+//! `--front-out` file that cannot be written exits 1 after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
 use qns_noise::Device;
+use qns_runtime::CheckpointStore;
 use qns_transpile::transpile;
 use qns_verify::VerifyLevel;
 use quantumnas::{
@@ -327,11 +330,15 @@ fn cmd_run(args: &[String]) {
         usage()
     }
     let max_bond: usize = get("--max-bond", "64").parse().unwrap_or_else(|_| usage());
+    if max_bond == 0 {
+        eprintln!("--max-bond must be at least 1");
+        usage()
+    }
     let backend = match get("--backend", "statevec").as_str() {
         "statevec" | "fast" => qns_sim::SimBackend::Fast,
         "reference" => qns_sim::SimBackend::Reference,
         "mps" => qns_sim::SimBackend::Mps(qns_sim::MpsConfig {
-            max_bond: max_bond.max(1),
+            max_bond,
             ..Default::default()
         }),
         other => {
@@ -414,6 +421,12 @@ fn cmd_run(args: &[String]) {
             ..Default::default()
         };
         config.prune = None;
+    }
+    if let Some(ck) = &checkpoint {
+        if let Err(e) = CheckpointStore::open(&ck.dir) {
+            eprintln!("cannot open checkpoint dir {}: {e}", ck.dir.display());
+            std::process::exit(1);
+        }
     }
     let nas = QuantumNas::new(space, device.clone(), task, config);
     let report = nas.run(seed);

@@ -181,6 +181,15 @@ fn get_gene(r: &mut ByteReader<'_>) -> Result<Gene, CheckpointError> {
     Ok(Gene { config, layout })
 }
 
+/// What [`SearchRuntime::resume`](crate::SearchRuntime::resume) reads of
+/// a loop snapshot: the run that wrote it and how far its loop got.
+pub trait LoopSnapshot: Checkpointable {
+    /// Digest of the run configuration that wrote the snapshot.
+    fn context(&self) -> CacheKey;
+    /// Loop units completed: training steps, generations or rounds.
+    fn done(&self) -> usize;
+}
+
 /// Snapshot of the evolutionary-search loop at a generation boundary,
 /// for one objective (the scalar search) or several (Pareto co-search).
 #[derive(Clone, Debug, PartialEq)]
@@ -308,6 +317,15 @@ impl Checkpointable for SearchCheckpoint {
     }
 }
 
+impl LoopSnapshot for SearchCheckpoint {
+    fn context(&self) -> CacheKey {
+        self.context
+    }
+    fn done(&self) -> usize {
+        self.generation
+    }
+}
+
 /// Snapshot of the SuperCircuit training loop at a step boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainCheckpoint {
@@ -370,6 +388,15 @@ impl Checkpointable for TrainCheckpoint {
     }
 }
 
+impl LoopSnapshot for TrainCheckpoint {
+    fn context(&self) -> CacheKey {
+        self.context
+    }
+    fn done(&self) -> usize {
+        self.step
+    }
+}
+
 /// Snapshot of the iterative-pruning loop at a round boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PruneCheckpoint {
@@ -416,6 +443,15 @@ impl Checkpointable for PruneCheckpoint {
             mask,
             final_loss: r.get_f64()?,
         })
+    }
+}
+
+impl LoopSnapshot for PruneCheckpoint {
+    fn context(&self) -> CacheKey {
+        self.context
+    }
+    fn done(&self) -> usize {
+        self.round
     }
 }
 

@@ -7,7 +7,7 @@ use qns_circuit::Circuit;
 use qns_data::Dataset;
 use qns_ml::{accuracy, nll_loss};
 use qns_noise::{circuit_success_rate, Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_runtime::{counters, timers, Metrics, ShardedCache};
+use qns_runtime::{counters, timers, DigestCache, Metrics};
 use qns_sim::{expect_z_batch, parallel_map, run_with, ExecMode, SimBackend};
 use qns_transpile::{transpile_with, Layout, TranspileOptions, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
@@ -62,7 +62,7 @@ pub struct Estimator {
     /// evaluates the full validation split).
     valid_cap: usize,
     /// Shared transpile cache; `None` compiles every call.
-    transpile_cache: Option<Arc<ShardedCache<Transpiled>>>,
+    transpile_cache: Option<Arc<DigestCache<Transpiled>>>,
     /// Shared telemetry registry; `None` skips all accounting.
     metrics: Option<Arc<Metrics>>,
     /// Per-stage contract checking on every fresh transpile.
@@ -171,7 +171,7 @@ impl Estimator {
     /// land in `metrics`.
     pub fn attach_runtime(
         &mut self,
-        cache: Option<Arc<ShardedCache<Transpiled>>>,
+        cache: Option<Arc<DigestCache<Transpiled>>>,
         metrics: Option<Arc<Metrics>>,
     ) {
         self.transpile_cache = cache;
@@ -659,7 +659,7 @@ mod tests {
     fn attached_cache_reuses_transpiles_and_separates_devices() {
         let (task, circuit, params) = tiny_setup();
         let layout = Layout::trivial(4);
-        let cache = Arc::new(ShardedCache::new(8));
+        let cache = Arc::new(DigestCache::new());
         let metrics = Arc::new(Metrics::new());
         let mut est =
             Estimator::new(Device::yorktown(), EstimatorKind::SuccessRate, 1).with_valid_cap(2);

@@ -61,7 +61,9 @@ mod train;
 
 pub use analysis::{barren_plateau_scan, gradient_variance, plateau_relief, PlateauPoint};
 pub use baselines::{human_design, random_design};
-pub use checkpoint::{CheckpointOptions, PruneCheckpoint, SearchCheckpoint, TrainCheckpoint};
+pub use checkpoint::{
+    CheckpointOptions, LoopSnapshot, PruneCheckpoint, SearchCheckpoint, TrainCheckpoint,
+};
 pub use cost::{CircuitRunCounter, RunCost};
 pub use estimator::{Estimator, EstimatorKind};
 pub use feature_map::{

@@ -33,8 +33,7 @@
 use crate::checkpoint::SearchCheckpoint;
 use crate::runtime::{gene_key, search_context_key, SearchRuntime};
 use crate::search::{
-    build_gene_circuit, mean_finite, record_rank_quality, score_gene, seed_population, GenePool,
-    EVOLUTION_SALT,
+    mean_finite, record_rank_quality, score_gene, seed_population, GenePool, EVOLUTION_SALT,
 };
 use crate::{Estimator, EvoConfig, Gene, SuperCircuit, Task};
 use qns_noise::{circuit_success_rate, Device};
@@ -543,30 +542,24 @@ pub fn evolutionary_search_pareto_rt(
         }
         h.finish()
     };
-    if let Some(ck) = rt.load_checkpoint::<SearchCheckpoint>() {
-        let compatible = ck.context == resume_context
-            && ck.generation <= config.iterations
-            && ck.population.len() == config.population
-            && ck.proxy.is_some() == config.proxy.enabled;
-        if compatible {
-            start_generation = ck.generation;
-            population = ck.population;
-            pool.rng = StdRng::from_state(ck.rng);
-            archive = ck.archive;
-            best = ck.best;
-            history = ck.history;
-            evaluations = ck.evaluations;
-            memo_hits = ck.memo_hits;
-            rt.restore_memo(&ck.memo);
-            if let Some(state) = &ck.proxy {
-                prescreener = Some(Prescreener::from_state(config.proxy, state));
-                proxy_evals = state.proxy_evals;
-                proxy_escalations = state.proxy_escalations;
-                proxy_dedup_hits = state.proxy_dedup_hits;
-            }
-            rt.note_resumed();
-        } else {
-            rt.note_checkpoint_rejected();
+    let fits = |ck: &SearchCheckpoint| {
+        ck.population.len() == config.population && ck.proxy.is_some() == config.proxy.enabled
+    };
+    if let Some(ck) = rt.resume(resume_context, config.iterations, fits) {
+        start_generation = ck.generation;
+        population = ck.population;
+        pool.rng = StdRng::from_state(ck.rng);
+        archive = ck.archive;
+        best = ck.best;
+        history = ck.history;
+        evaluations = ck.evaluations;
+        memo_hits = ck.memo_hits;
+        rt.restore_memo(&ck.memo);
+        if let Some(state) = &ck.proxy {
+            prescreener = Some(Prescreener::from_state(config.proxy, state));
+            proxy_evals = state.proxy_evals;
+            proxy_escalations = state.proxy_escalations;
+            proxy_dedup_hits = state.proxy_dedup_hits;
         }
     }
 
@@ -607,7 +600,7 @@ pub fn evolutionary_search_pareto_rt(
                 let missing_genes: Vec<&Gene> =
                     missing.iter().map(|&u| &population[uniq[u]]).collect();
                 let computed = rt.map_isolated(&missing_genes, |g| {
-                    let circuit = build_gene_circuit(sc, task, g);
+                    let circuit = sc.build_for(&g.config, task);
                     let key = gene_key(g);
                     let cx = estimator.proxy_context(
                         &circuit,
@@ -673,7 +666,7 @@ pub fn evolutionary_search_pareto_rt(
         let shapes: Option<Vec<(f64, f64)>> = needs_shape.then(|| {
             let refs: Vec<&Gene> = candidates.iter().collect();
             let computed = rt.map_isolated(&refs, |g| {
-                let circuit = build_gene_circuit(sc, task, g);
+                let circuit = sc.build_for(&g.config, task);
                 estimator.compiled_shape(&circuit, &g.layout())
             });
             poison_shapes(rt, computed)
@@ -790,27 +783,22 @@ pub fn evolutionary_search_pareto_rt(
         next.truncate(config.population);
         population = next;
 
-        // Snapshot the state *entering* generation + 1 at the boundary,
-        // then give the fault plan its chance to kill the process — the
-        // order mirrors a real crash landing between two generations.
-        if rt.should_checkpoint(generation + 1, config.iterations) {
-            rt.save_checkpoint(&SearchCheckpoint {
-                context: resume_context,
-                generation: generation + 1,
-                population: population.clone(),
-                rng: pool.rng.state(),
-                archive: archive.clone(),
-                best: best.clone(),
-                history: history.clone(),
-                evaluations,
-                memo_hits,
-                memo: rt.memo_entries(),
-                proxy: prescreener
-                    .as_ref()
-                    .map(|p| p.snapshot(proxy_evals, proxy_escalations, proxy_dedup_hits)),
-            });
-        }
-        rt.fault_boundary();
+        // The snapshot holds the state *entering* generation + 1.
+        rt.boundary(generation + 1, config.iterations, || SearchCheckpoint {
+            context: resume_context,
+            generation: generation + 1,
+            population: population.clone(),
+            rng: pool.rng.state(),
+            archive: archive.clone(),
+            best: best.clone(),
+            history: history.clone(),
+            evaluations,
+            memo_hits,
+            memo: rt.memo_entries(),
+            proxy: prescreener
+                .as_ref()
+                .map(|p| p.snapshot(proxy_evals, proxy_escalations, proxy_dedup_hits)),
+        });
     }
 
     let (best, best_score) = best.expect("at least one iteration");
@@ -882,7 +870,7 @@ pub fn match_front_to_device(
         {
             continue;
         }
-        let circuit = build_gene_circuit(sc, task, &point.gene);
+        let circuit = sc.build_for(&point.gene.config, task);
         let t = qns_transpile::transpile(&circuit, device, &point.gene.layout(), opt_level);
         let err = 1.0 - circuit_success_rate(&t.circuit, device, &t.phys_of, true);
         if best.map(|(_, e)| err < e).unwrap_or(true) {
@@ -992,7 +980,7 @@ mod tests {
         let genes = [good, bad];
         let refs: Vec<&Gene> = genes.iter().collect();
         let computed = rt.map_isolated(&refs, |g| {
-            let circuit = build_gene_circuit(&sc, &task, g);
+            let circuit = sc.build_for(&g.config, &task);
             estimator.compiled_shape(&circuit, &g.layout())
         });
         let shapes = poison_shapes(&rt, computed);

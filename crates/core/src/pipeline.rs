@@ -266,10 +266,7 @@ impl QuantumNas {
         let search = pareto.into_search_result();
 
         // Stage 3: train the searched SubCircuit from scratch.
-        let circuit = match &self.task {
-            Task::Qml { encoder, .. } => sc.build(&search.best.config, Some(encoder)),
-            Task::Vqe { .. } => sc.build(&search.best.config, None),
-        };
+        let circuit = sc.build_for(&search.best.config, &self.task);
         let mut train_cfg = self.config.train;
         train_cfg.seed = seed ^ 0x7A11;
         let (params, _) = train_task(&circuit, &self.task, &train_cfg, None);

@@ -162,20 +162,13 @@ pub fn iterative_prune_rt(
     let mut final_loss = f64::NAN;
     let mut start_step = 0usize;
 
-    if let Some(ck) = rt.load_checkpoint::<PruneCheckpoint>() {
-        let compatible = ck.context == resume_context
-            && ck.round <= config.steps
-            && ck.params.len() == params.len()
-            && ck.mask.len() == mask.len();
-        if compatible {
-            start_step = ck.round;
-            params = ck.params;
-            mask = ck.mask;
-            final_loss = ck.final_loss;
-            rt.note_resumed();
-        } else {
-            rt.note_checkpoint_rejected();
-        }
+    let fits =
+        |ck: &PruneCheckpoint| ck.params.len() == params.len() && ck.mask.len() == mask.len();
+    if let Some(ck) = rt.resume(resume_context, config.steps, fits) {
+        start_step = ck.round;
+        params = ck.params;
+        mask = ck.mask;
+        final_loss = ck.final_loss;
     }
 
     for step in start_step..config.steps {
@@ -227,16 +220,13 @@ pub fn iterative_prune_rt(
             elapsed: round_start.elapsed(),
         });
 
-        if rt.should_checkpoint(step + 1, config.steps) {
-            rt.save_checkpoint(&PruneCheckpoint {
-                context: resume_context,
-                round: step + 1,
-                params: params.clone(),
-                mask: mask.clone(),
-                final_loss,
-            });
-        }
-        rt.fault_boundary();
+        rt.boundary(step + 1, config.steps, || PruneCheckpoint {
+            context: resume_context,
+            round: step + 1,
+            params: params.clone(),
+            mask: mask.clone(),
+            final_loss,
+        });
     }
 
     let pruned = mask.iter().filter(|&&m| !m).count();

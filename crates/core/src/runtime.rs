@@ -14,13 +14,18 @@
 //! - **telemetry** — evaluation counters, per-generation events, and
 //!   transpile/simulate wall-time histograms via the shared [`Metrics`]
 //!   registry.
+//!
+//! It also holds the one resume protocol of the three checkpointed loops
+//! (SuperCircuit training, evolutionary search, iterative pruning): each
+//! loop calls [`SearchRuntime::resume`] once before its first unit and
+//! [`SearchRuntime::boundary`] after every unit.
 
-use crate::checkpoint::{BackendConfig, CheckpointOptions};
+use crate::checkpoint::{BackendConfig, CheckpointOptions, LoopSnapshot};
 use crate::{Estimator, EstimatorKind, Gene, SubConfig};
 use qns_noise::Device;
 use qns_runtime::{
-    counters, timers, ByteWriter, CacheKey, CheckpointStore, Checkpointable, FaultPlan, Metrics,
-    ShardedCache, StructuralHasher, FAULT_MARKER,
+    counters, timers, ByteWriter, CacheKey, CheckpointStore, Checkpointable, DigestCache,
+    FaultPlan, Metrics, StructuralHasher, FAULT_MARKER,
 };
 use qns_transpile::{Layout, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
@@ -107,8 +112,8 @@ pub struct BatchOutcome {
 #[derive(Clone, Debug)]
 pub struct SearchRuntime {
     options: RuntimeOptions,
-    score_memo: Option<Arc<ShardedCache<f64>>>,
-    transpile_cache: Option<Arc<ShardedCache<Transpiled>>>,
+    score_memo: Option<Arc<DigestCache<f64>>>,
+    transpile_cache: Option<Arc<DigestCache<Transpiled>>>,
     metrics: Arc<Metrics>,
     checkpoints: Option<Arc<CheckpointStore>>,
     faults: Option<Arc<FaultPlan>>,
@@ -129,8 +134,8 @@ impl SearchRuntime {
             Arc::new(store)
         });
         SearchRuntime {
-            score_memo: options.cache.then(|| Arc::new(ShardedCache::new(32))),
-            transpile_cache: options.cache.then(|| Arc::new(ShardedCache::new(32))),
+            score_memo: options.cache.then(|| Arc::new(DigestCache::new())),
+            transpile_cache: options.cache.then(|| Arc::new(DigestCache::new())),
             metrics: Arc::new(Metrics::new()),
             checkpoints,
             faults: None,
@@ -148,11 +153,6 @@ impl SearchRuntime {
         &self.metrics
     }
 
-    /// The transpile cache, when caching is enabled.
-    pub fn transpile_cache(&self) -> Option<&Arc<ShardedCache<Transpiled>>> {
-        self.transpile_cache.as_ref()
-    }
-
     /// A copy of `estimator` wired into this runtime: compiles go through
     /// the shared transpile cache, wall time lands in the metrics registry,
     /// and the runtime's [`RuntimeOptions::verify`] level applies to every
@@ -164,61 +164,27 @@ impl SearchRuntime {
     }
 
     /// Attaches a fault-injection schedule: evaluation faults fire inside
-    /// each candidate's panic-isolation scope, boundary crashes fire at
-    /// [`SearchRuntime::fault_boundary`] call sites, torn writes corrupt
-    /// the scheduled snapshot save.
+    /// each candidate's panic-isolation scope, boundary crashes fire in
+    /// [`SearchRuntime::boundary`], torn writes corrupt the scheduled
+    /// snapshot save.
     pub fn with_fault_plan(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
-    /// Loop-boundary hook for the fault plan: a scheduled boundary crash
-    /// panics here, *outside* any isolation scope, simulating a process
-    /// kill between checkpoints. A no-op without a plan.
-    pub fn fault_boundary(&self) {
-        if let Some(plan) = &self.faults {
-            plan.at_boundary();
-        }
-    }
-
-    /// Whether a snapshot should be written after `completed` of `total`
-    /// loop units. Always saves the final boundary; otherwise every
-    /// [`CheckpointOptions::every`] units. `false` when checkpointing is
-    /// disabled.
-    pub fn should_checkpoint(&self, completed: usize, total: usize) -> bool {
-        match (&self.checkpoints, &self.options.checkpoint) {
-            (Some(_), Some(ck)) => completed == total || completed.is_multiple_of(ck.every.max(1)),
-            _ => false,
-        }
-    }
-
-    /// Writes a snapshot (counted in telemetry). An I/O failure is
-    /// counted and swallowed: losing one checkpoint must not kill a run
-    /// that would otherwise finish.
-    pub fn save_checkpoint<T: Checkpointable>(&self, state: &T) {
-        let Some(store) = &self.checkpoints else {
-            return;
-        };
-        match store.save(state, self.faults.as_deref()) {
-            Ok(_) => self.metrics.incr(counters::CHECKPOINT_WRITES, 1),
-            Err(e) => {
-                self.metrics.incr(counters::CHECKPOINT_IO_ERRORS, 1);
-                eprintln!("warning: checkpoint save failed: {e}");
-            }
-        }
-    }
-
-    /// Loads the latest valid snapshot when resuming is enabled. Corrupt
-    /// snapshots skipped on the way are counted in telemetry; the caller
-    /// must still validate the snapshot's context digest against the
-    /// current run and call [`SearchRuntime::note_resumed`] or
-    /// [`SearchRuntime::note_checkpoint_rejected`] accordingly.
-    pub fn load_checkpoint<T: Checkpointable>(&self) -> Option<T> {
+    /// The snapshot a loop resumes from, called once before its first
+    /// unit: the latest valid `T` when resuming is enabled, accepted only
+    /// if it carries `context`, stops at or before `total` units, and
+    /// passes the loop's own `fits` checks. Corrupt snapshots skipped on
+    /// the way count as `checkpoint_corrupt`; the latest valid one counts
+    /// as `checkpoint_resumes` when accepted and `checkpoint_rejected`
+    /// otherwise, and a rejected run starts clean.
+    pub fn resume<T: LoopSnapshot>(
+        &self,
+        context: CacheKey,
+        total: usize,
+        fits: impl FnOnce(&T) -> bool,
+    ) -> Option<T> {
         let resume = self.options.checkpoint.as_ref().is_some_and(|ck| ck.resume);
         if !resume {
             return None;
@@ -229,18 +195,44 @@ impl SearchRuntime {
             self.metrics
                 .incr(counters::CHECKPOINT_CORRUPT, corrupt as u64);
         }
-        state
+        let state = state?;
+        let accepted = state.context() == context && state.done() <= total && fits(&state);
+        let counter = if accepted {
+            counters::CHECKPOINT_RESUMES
+        } else {
+            counters::CHECKPOINT_REJECTED
+        };
+        self.metrics.incr(counter, 1);
+        accepted.then_some(state)
     }
 
-    /// Records a successful resume from a snapshot.
-    pub fn note_resumed(&self) {
-        self.metrics.incr(counters::CHECKPOINT_RESUMES, 1);
-    }
-
-    /// Records a snapshot rejected at resume (stale context: the run's
-    /// configuration no longer matches the one that wrote it).
-    pub fn note_checkpoint_rejected(&self) {
-        self.metrics.incr(counters::CHECKPOINT_REJECTED, 1);
+    /// The end of a loop's `done`th of `total` units: writes `snapshot()`
+    /// when one is due (every [`CheckpointOptions::every`] units, and
+    /// always the last), then fires the fault plan's boundary, so a
+    /// scheduled crash lands after the snapshot like a kill between two
+    /// units. A failed save is counted and warned about, never fatal:
+    /// losing one checkpoint must not kill a run that would otherwise
+    /// finish.
+    pub fn boundary<T: Checkpointable>(
+        &self,
+        done: usize,
+        total: usize,
+        snapshot: impl FnOnce() -> T,
+    ) {
+        if let (Some(store), Some(ck)) = (&self.checkpoints, &self.options.checkpoint) {
+            if done == total || done.is_multiple_of(ck.every.max(1)) {
+                match store.save(&snapshot(), self.faults.as_deref()) {
+                    Ok(_) => self.metrics.incr(counters::CHECKPOINT_WRITES, 1),
+                    Err(e) => {
+                        self.metrics.incr(counters::CHECKPOINT_IO_ERRORS, 1);
+                        eprintln!("warning: checkpoint save failed: {e}");
+                    }
+                }
+            }
+        }
+        if let Some(plan) = &self.faults {
+            plan.at_boundary();
+        }
     }
 
     /// A deterministic dump of the score memo (sorted by key), for
@@ -592,6 +584,7 @@ pub fn search_context_key(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::PruneCheckpoint;
     use qns_noise::TrajectoryConfig;
 
     fn gene(widths: Vec<Vec<usize>>, layout: Vec<usize>) -> Gene {
@@ -760,6 +753,125 @@ mod tests {
         let msg = out[4].as_ref().unwrap_err();
         assert!(msg.starts_with(FAULT_MARKER), "got {msg:?}");
         assert_eq!(plan.evals_seen(), 12);
+    }
+
+    /// A fresh snapshot directory for one test, removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("qns-rt-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn checkpointed(dir: &TempDir, every: usize, resume: bool) -> SearchRuntime {
+        let ck = CheckpointOptions::new(&dir.0).every(every);
+        SearchRuntime::new(RuntimeOptions {
+            checkpoint: Some(if resume { ck.resume() } else { ck }),
+            ..RuntimeOptions::sequential_uncached()
+        })
+    }
+
+    const CTX: CacheKey = CacheKey { lo: 5, hi: 6 };
+
+    fn snapshot(round: usize) -> PruneCheckpoint {
+        PruneCheckpoint {
+            context: CTX,
+            round,
+            params: vec![0.5; 3],
+            mask: vec![true; 3],
+            final_loss: 0.25,
+        }
+    }
+
+    #[test]
+    fn resume_accepts_a_snapshot_of_this_run() {
+        let dir = TempDir::new("accept");
+        checkpointed(&dir, 1, false).boundary(2, 3, || snapshot(2));
+        let rt = checkpointed(&dir, 1, true);
+        let resumed = rt.resume(CTX, 3, |ck: &PruneCheckpoint| ck.mask.len() == 3);
+        assert_eq!(resumed, Some(snapshot(2)));
+        assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 1);
+        assert_eq!(rt.metrics().counter(counters::CHECKPOINT_REJECTED), 0);
+        // Without resuming enabled the snapshot is not even read.
+        let fresh = checkpointed(&dir, 1, false);
+        assert_eq!(fresh.resume::<PruneCheckpoint>(CTX, 3, |_| true), None);
+        assert_eq!(fresh.metrics().counter(counters::CHECKPOINT_RESUMES), 0);
+    }
+
+    #[test]
+    fn resume_rejects_another_context_a_misfit_and_an_overrun() {
+        let dir = TempDir::new("reject");
+        checkpointed(&dir, 1, false).boundary(2, 3, || snapshot(2));
+        let other = CacheKey { lo: 7, hi: 8 };
+        // (context, total, fits): a stale context, a failed `fits` check,
+        // and a snapshot past the loop's end.
+        for (context, total, fits) in [(other, 3, true), (CTX, 3, false), (CTX, 1, true)] {
+            let rt = checkpointed(&dir, 1, true);
+            assert_eq!(rt.resume::<PruneCheckpoint>(context, total, |_| fits), None);
+            assert_eq!(rt.metrics().counter(counters::CHECKPOINT_REJECTED), 1);
+            assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 0);
+        }
+    }
+
+    #[test]
+    fn resume_counts_and_skips_a_corrupt_snapshot() {
+        let dir = TempDir::new("corrupt");
+        let writer =
+            checkpointed(&dir, 1, false).with_fault_plan(Arc::new(FaultPlan::new().torn_write(2)));
+        writer.boundary(1, 3, || snapshot(1));
+        writer.boundary(2, 3, || snapshot(2));
+        let rt = checkpointed(&dir, 1, true);
+        assert_eq!(rt.resume(CTX, 3, |_| true), Some(snapshot(1)));
+        assert_eq!(rt.metrics().counter(counters::CHECKPOINT_CORRUPT), 1);
+        assert_eq!(rt.metrics().counter(counters::CHECKPOINT_RESUMES), 1);
+    }
+
+    #[test]
+    fn boundary_writes_every_n_units_and_always_the_last() {
+        let dir = TempDir::new("every");
+        let rt = checkpointed(&dir, 2, false);
+        let mut written = Vec::new();
+        for done in 1..=5 {
+            rt.boundary(done, 5, || {
+                written.push(done);
+                snapshot(done)
+            });
+        }
+        assert_eq!(written, vec![2, 4, 5]);
+        assert_eq!(rt.metrics().counter(counters::CHECKPOINT_WRITES), 3);
+        // Without a checkpoint directory no snapshot is ever built.
+        let off = SearchRuntime::new(RuntimeOptions::sequential_uncached());
+        off.boundary(1, 1, || -> PruneCheckpoint {
+            unreachable!("no snapshot is due")
+        });
+        assert_eq!(off.metrics().counter(counters::CHECKPOINT_WRITES), 0);
+    }
+
+    #[test]
+    fn boundary_writes_the_snapshot_before_a_scheduled_crash() {
+        let dir = TempDir::new("crash");
+        let plan = Arc::new(FaultPlan::new().crash_at_boundary(2));
+        let rt = checkpointed(&dir, 1, false).with_fault_plan(plan.clone());
+        rt.boundary(1, 3, || snapshot(1));
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.boundary(2, 3, || snapshot(2));
+        }));
+        assert!(crash.is_err(), "boundary 2 crashes");
+        assert_eq!(plan.boundaries_seen(), 2);
+        let store = CheckpointStore::open(&dir.0).expect("open snapshot dir");
+        assert_eq!(
+            store.load_latest::<PruneCheckpoint>(),
+            (Some(snapshot(2)), 0)
+        );
     }
 
     #[test]

@@ -295,18 +295,6 @@ impl<'a> GenePool<'a> {
     }
 }
 
-/// The logical circuit a gene denotes under the task's encoder.
-pub(crate) fn build_gene_circuit(
-    sc: &SuperCircuit,
-    task: &Task,
-    gene: &Gene,
-) -> qns_circuit::Circuit {
-    match task {
-        Task::Qml { encoder, .. } => sc.build(&gene.config, Some(encoder)),
-        Task::Vqe { .. } => sc.build(&gene.config, None),
-    }
-}
-
 pub(crate) fn score_gene(
     sc: &SuperCircuit,
     shared_params: &[f64],
@@ -315,7 +303,7 @@ pub(crate) fn score_gene(
     gene: &Gene,
     max_params: Option<usize>,
 ) -> f64 {
-    let circuit = build_gene_circuit(sc, task, gene);
+    let circuit = sc.build_for(&gene.config, task);
     if let Some(cap) = max_params {
         if circuit.referenced_train_indices().len() > cap {
             return 1e9;

@@ -1,6 +1,6 @@
 //! The gate-sharing SuperCircuit and SubCircuit construction.
 
-use crate::{DesignSpace, LayerArrangement};
+use crate::{DesignSpace, LayerArrangement, Task};
 use qns_circuit::{Circuit, Param};
 
 /// A SubCircuit architecture: how many blocks, and each layer's width.
@@ -23,15 +23,6 @@ impl SubConfig {
             n_blocks,
             widths: vec![vec![n_qubits; space.layers_per_block().len()]; n_blocks],
         }
-    }
-
-    /// Total number of gates in the active blocks (prefix layers
-    /// excluded).
-    pub fn num_gates(&self) -> usize {
-        self.widths[..self.n_blocks]
-            .iter()
-            .flat_map(|b| b.iter())
-            .sum()
     }
 
     /// Number of layers that differ from `other` (counting depth-excluded
@@ -224,6 +215,19 @@ impl SuperCircuit {
         }
         c.set_num_train_params(self.n_params);
         c
+    }
+
+    /// The circuit `config` denotes for `task`: the task's data encoder
+    /// prepended for QML, the bare SubCircuit for VQE.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`SuperCircuit::build`] does.
+    pub fn build_for(&self, config: &SubConfig, task: &Task) -> Circuit {
+        match task {
+            Task::Qml { encoder, .. } => self.build(config, Some(encoder)),
+            Task::Vqe { .. } => self.build(config, None),
+        }
     }
 
     /// The shared-parameter indices a config actually uses — the active

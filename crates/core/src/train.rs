@@ -360,61 +360,44 @@ pub fn train_supercircuit_rt(
         h.write_u64(sampler_cfg.seed);
         h.finish()
     };
-    if let Some(ck) = rt.load_checkpoint::<TrainCheckpoint>() {
-        let compatible = ck.context == resume_context
-            && ck.step <= config.steps
-            && ck.params.len() == n_params
-            && ck.opt_m.len() == n_params
-            && ck.opt_v.len() == n_params;
-        if compatible {
-            start_step = ck.step;
-            params = ck.params;
-            opt.restore(ck.opt_m, ck.opt_v, ck.opt_t);
-            history = ck.history;
-            rng = StdRng::from_state(ck.rng);
-            sampler.restore(ck.sampler_prev, ck.sampler_step, ck.sampler_rng);
-            rt.note_resumed();
-        } else {
-            rt.note_checkpoint_rejected();
-        }
+    let fits = |ck: &TrainCheckpoint| {
+        ck.params.len() == n_params && ck.opt_m.len() == n_params && ck.opt_v.len() == n_params
+    };
+    if let Some(ck) = rt.resume(resume_context, config.steps, fits) {
+        start_step = ck.step;
+        params = ck.params;
+        opt.restore(ck.opt_m, ck.opt_v, ck.opt_t);
+        history = ck.history;
+        rng = StdRng::from_state(ck.rng);
+        sampler.restore(ck.sampler_prev, ck.sampler_step, ck.sampler_rng);
     }
 
     for step in start_step..config.steps {
-        let cfg = sampler.next_config();
-        match task {
+        let circuit = supercircuit.build_for(&sampler.next_config(), task);
+        let (loss, grad) = match task {
             Task::Qml {
-                splits,
-                encoder,
-                readout,
-                ..
+                splits, readout, ..
             } => {
                 assert!(
                     config.batch_size > 0,
                     "SuperTrainConfig.batch_size must be at least 1 for a QML task"
                 );
-                let circuit = supercircuit.build(&cfg, Some(encoder));
                 let data = &splits.train;
                 let batch: Vec<usize> = (0..config.batch_size)
                     .map(|_| rng.gen_range(0..data.num_samples()))
                     .collect();
-                let (loss, grad) = qml_batch_grad(&circuit, &params, data, &batch, readout);
-                let active = circuit.referenced_train_indices();
-                opt.step_masked(&mut params, &grad, schedule.lr(step), &active);
-                history.push(loss);
+                qml_batch_grad(&circuit, &params, data, &batch, readout)
             }
-            Task::Vqe { hamiltonian, .. } => {
-                let circuit = supercircuit.build(&cfg, None);
-                let (energy, grad) = adjoint_gradient(&circuit, &params, &[], hamiltonian);
-                let active = circuit.referenced_train_indices();
-                opt.step_masked(&mut params, &grad, schedule.lr(step), &active);
-                history.push(energy);
-            }
-        }
+            Task::Vqe { hamiltonian, .. } => adjoint_gradient(&circuit, &params, &[], hamiltonian),
+        };
+        let active = circuit.referenced_train_indices();
+        opt.step_masked(&mut params, &grad, schedule.lr(step), &active);
+        history.push(loss);
 
-        if rt.should_checkpoint(step + 1, config.steps) {
+        rt.boundary(step + 1, config.steps, || {
             let (sampler_prev, sampler_step, sampler_rng) = sampler.state();
             let (m, v, t) = opt.state();
-            rt.save_checkpoint(&TrainCheckpoint {
+            TrainCheckpoint {
                 context: resume_context,
                 step: step + 1,
                 params: params.clone(),
@@ -426,9 +409,8 @@ pub fn train_supercircuit_rt(
                 sampler_prev,
                 sampler_step,
                 sampler_rng,
-            });
-        }
-        rt.fault_boundary();
+            }
+        });
     }
     (params, history)
 }
@@ -442,10 +424,7 @@ pub fn inherited_eval(
     task: &Task,
     split: Split,
 ) -> (f64, f64) {
-    let circuit = match task {
-        Task::Qml { encoder, .. } => supercircuit.build(config, Some(encoder)),
-        Task::Vqe { .. } => supercircuit.build(config, None),
-    };
+    let circuit = supercircuit.build_for(config, task);
     eval_task(&circuit, shared_params, task, split)
 }
 

@@ -1,6 +1,7 @@
-//! `qnas` command-line errors: a value flag with no value or an unknown
-//! argument is a usage error (exit 2), not a silent fallback to its
-//! default; an output file that cannot be written fails the run (exit 1).
+//! `qnas` command-line errors: a value flag with no value, an unknown
+//! argument or an unusable value is a usage error (exit 2), not a silent
+//! fallback to its default; a checkpoint directory or an output file that
+//! cannot be written fails the run (exit 1), never with a panic.
 
 use std::process::Command;
 
@@ -125,6 +126,71 @@ fn failed_output_writes_exit_nonzero_after_the_report() {
             args.join(" ")
         );
     }
+}
+
+#[test]
+fn a_checkpoint_dir_that_cannot_be_created_exits_1_before_the_run() {
+    // A directory under a regular file can never be created.
+    let file = std::env::temp_dir().join(format!("qns-cli-{}-file", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("write temp file");
+    let dir = file.join("ckpt");
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--samples",
+        "40",
+        "--checkpoint-dir",
+        dir.to_str().unwrap(),
+    ];
+    let out = qnas(&args);
+    let _ = std::fs::remove_file(&file);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        stderr.contains("cannot open checkpoint dir") && !stderr.contains("panicked"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        !stdout.contains("search evaluations:"),
+        "qnas {}: the run started: {stdout}",
+        args.join(" ")
+    );
+}
+
+#[test]
+fn a_zero_max_bond_is_a_usage_error() {
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--samples",
+        "40",
+        "--backend",
+        "mps",
+        "--max-bond",
+        "0",
+    ];
+    let out = qnas(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        stderr.contains("--max-bond must be at least 1") && stderr.contains("usage: qnas"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
 }
 
 /// Runs `qnas run --preset smoke --task TASK --samples N` and checks it is

@@ -95,11 +95,6 @@ impl Pca {
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained
     }
-
-    /// Number of kept components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
 }
 
 #[cfg(test)]

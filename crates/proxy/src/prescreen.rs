@@ -16,7 +16,7 @@
 
 use crate::fusion::FusionModel;
 use crate::proxies::{ProxyFeatures, NUM_PROXIES};
-use qns_runtime::{ByteReader, ByteWriter, CacheKey, CheckpointError, ShardedCache};
+use qns_runtime::{ByteReader, ByteWriter, CacheKey, CheckpointError, DigestCache};
 
 /// How the prescreening stage behaves; carried on the search config.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,7 +48,7 @@ impl Default for ProxyOptions {
 pub struct Prescreener {
     options: ProxyOptions,
     fusion: FusionModel,
-    features: ShardedCache<ProxyFeatures>,
+    features: DigestCache<ProxyFeatures>,
 }
 
 impl Prescreener {
@@ -66,7 +66,7 @@ impl Prescreener {
         Prescreener {
             options,
             fusion: FusionModel::new(),
-            features: ShardedCache::new(16),
+            features: DigestCache::new(),
         }
     }
 
@@ -75,7 +75,7 @@ impl Prescreener {
         let pre = Prescreener {
             options,
             fusion: state.fusion.clone(),
-            features: ShardedCache::new(16),
+            features: DigestCache::new(),
         };
         for (key, feats) in &state.features {
             pre.features.insert(*key, *feats);

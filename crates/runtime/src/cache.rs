@@ -1,8 +1,7 @@
 //! Content-addressed caching: a deterministic structural hasher and a
-//! sharded concurrent map keyed by 128-bit structural digests.
+//! concurrent map keyed by 128-bit structural digests.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A 128-bit content digest produced by [`StructuralHasher`].
@@ -16,15 +15,6 @@ pub struct CacheKey {
     pub lo: u64,
     /// High half of the digest.
     pub hi: u64,
-}
-
-impl CacheKey {
-    /// The shard index for `n_shards` shards.
-    fn shard(&self, n_shards: usize) -> usize {
-        // hi is well-mixed; fold both halves so shard choice is not
-        // correlated with equality on either half alone.
-        ((self.hi ^ self.lo.rotate_left(32)) as usize) % n_shards
-    }
 }
 
 /// Deterministic streaming hasher over structured content.
@@ -103,7 +93,8 @@ impl StructuralHasher {
 
     /// The 128-bit digest.
     pub fn finish(&self) -> CacheKey {
-        // A final avalanche pass so short inputs still spread over shards.
+        // A final avalanche pass so short inputs still spread over the
+        // whole digest.
         let mix = |mut z: u64| {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -116,118 +107,73 @@ impl StructuralHasher {
     }
 }
 
-/// Hit/miss counters shared by all shards of a cache.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheStats {
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to compute.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 when empty.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-}
-
-/// A sharded concurrent map from [`CacheKey`] to `Arc<V>`.
+/// A concurrent map from [`CacheKey`] to `Arc<V>` behind one lock.
 ///
-/// Lock contention is bounded by sharding: each key maps to one of
-/// `n_shards` independent mutex-protected tables. Values are returned as
-/// `Arc<V>` so large entries (e.g. transpiled circuits) are shared, never
-/// cloned.
+/// Values are returned as `Arc<V>` so large entries (e.g. transpiled
+/// circuits) are shared, never cloned.
 ///
 /// # Examples
 ///
 /// ```
-/// use qns_runtime::{ShardedCache, StructuralHasher};
+/// use qns_runtime::{DigestCache, StructuralHasher};
 ///
-/// let cache: ShardedCache<String> = ShardedCache::new(8);
+/// let cache: DigestCache<String> = DigestCache::new();
 /// let mut h = StructuralHasher::new();
 /// h.write_str("circuit-0");
 /// let key = h.finish();
 /// let v = cache.get_or_insert_with(key, || "compiled".to_string());
 /// assert_eq!(*v, "compiled");
-/// assert_eq!(cache.stats().misses(), 1);
 /// let again = cache.get_or_insert_with(key, || unreachable!());
 /// assert_eq!(*again, "compiled");
-/// assert_eq!(cache.stats().hits(), 1);
+/// assert_eq!(cache.len(), 1);
 /// ```
 #[derive(Debug)]
-pub struct ShardedCache<V> {
-    shards: Vec<Mutex<HashMap<CacheKey, Arc<V>>>>,
-    stats: CacheStats,
+pub struct DigestCache<V> {
+    map: Mutex<HashMap<CacheKey, Arc<V>>>,
 }
 
-impl<V> ShardedCache<V> {
-    /// A cache with `n_shards` independent shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` is zero.
-    pub fn new(n_shards: usize) -> Self {
-        assert!(n_shards > 0, "need at least one shard");
-        ShardedCache {
-            shards: (0..n_shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            stats: CacheStats::default(),
+impl<V> Default for DigestCache<V> {
+    fn default() -> Self {
+        DigestCache {
+            map: Mutex::new(HashMap::new()),
         }
+    }
+}
+
+impl<V> DigestCache<V> {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Looks `key` up, computing and inserting with `f` on a miss.
     ///
-    /// The compute runs *outside* the shard lock so long-running builds
+    /// The compute runs *outside* the lock so long-running builds
     /// (transpiles) do not serialize unrelated lookups; two threads racing
     /// on the same fresh key may both compute, with one result kept.
     pub fn get_or_insert_with(&self, key: CacheKey, f: impl FnOnce() -> V) -> Arc<V> {
         if let Some(v) = self.get(key) {
             return v;
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let value = Arc::new(f());
-        let mut shard = self.lock_shard(key);
-        shard.entry(key).or_insert_with(|| value.clone()).clone()
+        self.lock().entry(key).or_insert(value).clone()
     }
 
-    /// Looks `key` up without computing; counts a hit when present.
+    /// Looks `key` up without computing.
     pub fn get(&self, key: CacheKey) -> Option<Arc<V>> {
-        let shard = self.lock_shard(key);
-        let found = shard.get(&key).cloned();
-        if found.is_some() {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.lock().get(&key).cloned()
     }
 
-    /// Inserts without lookup accounting (seeding / warm-up).
+    /// Inserts (or replaces) the value under `key`.
     pub fn insert(&self, key: CacheKey, value: V) -> Arc<V> {
         let value = Arc::new(value);
-        let mut shard = self.lock_shard(key);
-        shard.insert(key, value.clone());
+        self.lock().insert(key, value.clone());
         value
     }
 
-    /// Total entries across all shards.
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.lock().len()
     }
 
     /// Whether the cache holds no entries.
@@ -235,40 +181,23 @@ impl<V> ShardedCache<V> {
         self.len() == 0
     }
 
-    /// Drops every entry (keeps hit/miss statistics).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
-        }
-    }
-
-    /// Lookup statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
     /// A deterministic dump of every `(key, value)` pair, sorted by key —
     /// the shape checkpoints need to persist and restore a score memo
-    /// bitwise regardless of shard layout or insertion order.
+    /// bitwise regardless of insertion order.
     pub fn entries(&self) -> Vec<(CacheKey, V)>
     where
         V: Clone,
     {
-        let mut out: Vec<(CacheKey, V)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            // lint:allow(nondet-iter) — collected across all shards, then
-            // sorted by key below before anything observes the order
-            out.extend(shard.iter().map(|(&k, v)| (k, (**v).clone())));
-        }
+        let map = self.lock();
+        // lint:allow(nondet-iter) — sorted by key below before anything
+        // observes the order
+        let mut out: Vec<(CacheKey, V)> = map.iter().map(|(&k, v)| (k, (**v).clone())).collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 
-    fn lock_shard(&self, key: CacheKey) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<V>>> {
-        self.shards[key.shard(self.shards.len())]
-            .lock()
-            .expect("cache shard poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<V>>> {
+        self.map.lock().expect("cache lock poisoned")
     }
 }
 
@@ -303,39 +232,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_counts_hits_and_misses() {
-        let cache: ShardedCache<u64> = ShardedCache::new(4);
+    fn cache_computes_each_key_once() {
+        let cache: DigestCache<u64> = DigestCache::new();
         for i in 0..10 {
             cache.get_or_insert_with(key_of(&[i]), || i * 100);
         }
-        assert_eq!(cache.stats().misses(), 10);
-        assert_eq!(cache.stats().hits(), 0);
         for i in 0..10 {
             let v = cache.get_or_insert_with(key_of(&[i]), || unreachable!());
             assert_eq!(*v, i * 100);
         }
-        assert_eq!(cache.stats().hits(), 10);
         assert_eq!(cache.len(), 10);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_stats() {
-        let cache: ShardedCache<u64> = ShardedCache::new(2);
-        cache.get_or_insert_with(key_of(&[9]), || 9);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses(), 1);
     }
 
     #[test]
     fn entries_are_sorted_regardless_of_insertion_order() {
-        // Regression for a QA005 triage: entries() walks each shard's
-        // HashMap, so the dump must be sorted before anyone observes it.
-        // Two caches with different shard counts and opposite insertion
-        // orders must produce identical dumps.
-        let a: ShardedCache<u64> = ShardedCache::new(3);
-        let b: ShardedCache<u64> = ShardedCache::new(7);
+        // Regression for a QA005 triage: entries() walks a HashMap, so the
+        // dump must be sorted before anyone observes it. Two caches filled
+        // in opposite insertion orders must produce identical dumps.
+        let a: DigestCache<u64> = DigestCache::new();
+        let b: DigestCache<u64> = DigestCache::new();
         for i in 0..50u64 {
             a.insert(key_of(&[i]), i);
             b.insert(key_of(&[49 - i]), 49 - i);
@@ -348,7 +263,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_converge() {
-        let cache = std::sync::Arc::new(ShardedCache::<usize>::new(8));
+        let cache = std::sync::Arc::new(DigestCache::<usize>::new());
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let cache = cache.clone();

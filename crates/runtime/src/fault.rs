@@ -81,7 +81,8 @@ impl FaultPlan {
         }
     }
 
-    /// Boundary hook; called by the loops after each checkpoint boundary.
+    /// Boundary hook; called once at the end of each loop unit, after
+    /// that unit's snapshot (if one is due) is written.
     ///
     /// # Panics
     ///

@@ -11,12 +11,12 @@
 //! 1. **Content-addressed caching** — [`StructuralHasher`] produces
 //!    deterministic 128-bit digests over structured content (sub-circuit
 //!    config, layout, device fingerprint, opt level), keying a
-//!    [`ShardedCache`] used for both the transpile cache and the
+//!    [`DigestCache`] used for both the transpile cache and the
 //!    gene-level score memo.
-//! 2. **[`Metrics`] telemetry** — counters, log₂ duration histograms, a
-//!    structured per-generation event log, and a text [`Metrics::summary`]
-//!    report (evaluations, cache hit rates, transpile vs. simulate wall
-//!    time, evals/sec).
+//! 2. **[`Metrics`] telemetry** — counters, the three [`timers`] as log₂
+//!    duration histograms, a structured per-generation event log, and a
+//!    text [`Metrics::summary`] report (evaluations, cache hit rates,
+//!    transpile vs. simulate wall time, evals/sec).
 //! 3. **Crash safety** — a versioned, crc-guarded snapshot format with
 //!    atomic write-rename ([`CheckpointStore`], [`Checkpointable`]) and a
 //!    deterministic fault-injection schedule ([`FaultPlan`]) so recovery
@@ -29,9 +29,9 @@
 //! # Examples
 //!
 //! ```
-//! use qns_runtime::{Metrics, ShardedCache, StructuralHasher};
+//! use qns_runtime::{DigestCache, Metrics, StructuralHasher};
 //!
-//! let cache: ShardedCache<f64> = ShardedCache::new(16);
+//! let cache: DigestCache<f64> = DigestCache::new();
 //! let metrics = Metrics::new();
 //!
 //! let candidates = vec![1u64, 2, 3, 2, 1];
@@ -55,7 +55,7 @@ mod checkpoint;
 mod fault;
 mod telemetry;
 
-pub use cache::{CacheKey, CacheStats, ShardedCache, StructuralHasher};
+pub use cache::{CacheKey, DigestCache, StructuralHasher};
 pub use checkpoint::{
     crc32, decode_snapshot, encode_snapshot, ByteReader, ByteWriter, CheckpointError,
     CheckpointStore, Checkpointable, EXTENSION, FORMAT_VERSION, MAGIC,

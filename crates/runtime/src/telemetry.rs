@@ -75,7 +75,7 @@ pub mod counters {
     pub const MPS_MAX_BOND: &str = "mps_max_bond";
 }
 
-/// Well-known timer names.
+/// The timer names: [`Metrics`] holds exactly these three histograms.
 pub mod timers {
     /// Wall time inside the transpiler.
     pub const TRANSPILE: &str = "transpile";
@@ -178,7 +178,7 @@ pub struct GenerationEvent {
     pub elapsed: Duration,
 }
 
-/// The runtime's metrics registry: named counters, named duration
+/// The runtime's metrics registry: named counters, the three [`timers`]
 /// histograms, and the per-generation event log.
 ///
 /// All recording paths are `&self` and thread-safe, so one registry can be
@@ -199,7 +199,9 @@ pub struct GenerationEvent {
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: Mutex<Vec<(String, AtomicU64)>>,
-    histograms: Mutex<Vec<(String, std::sync::Arc<Histogram>)>>,
+    transpile: Histogram,
+    simulate: Histogram,
+    batch: Histogram,
     events: Mutex<Vec<GenerationEvent>>,
     started: Mutex<Option<Instant>>,
 }
@@ -235,23 +237,28 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Records a duration into the named histogram.
+    /// Records a duration into the named [`timers`] histogram; panics on
+    /// any other name.
     pub fn record(&self, name: &str, d: Duration) {
         self.histogram(name).record(d);
     }
 
-    /// The named histogram, created on first use.
-    pub fn histogram(&self, name: &str) -> std::sync::Arc<Histogram> {
-        let mut hists = self.histograms.lock().expect("metrics lock");
-        if let Some((_, h)) = hists.iter().find(|(n, _)| n == name) {
-            return h.clone();
+    /// The histogram behind a [`timers`] name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not one of the [`timers`] names.
+    pub fn histogram(&self, name: &str) -> &Histogram {
+        match name {
+            timers::TRANSPILE => &self.transpile,
+            timers::SIMULATE => &self.simulate,
+            timers::BATCH => &self.batch,
+            other => panic!("unknown timer {other:?}"),
         }
-        let h = std::sync::Arc::new(Histogram::default());
-        hists.push((name.to_string(), h.clone()));
-        h
     }
 
-    /// Times `f`, recording its wall time into the named histogram.
+    /// Times `f`, recording its wall time into the named [`timers`]
+    /// histogram; panics on any other name.
     pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
@@ -335,15 +342,10 @@ impl Metrics {
                     - 1.0;
             out.push_str(&format!("  {:<22} {mean_rho:+.3}\n", "proxy rank corr"));
         }
-        {
-            let hists = self.histograms.lock().expect("metrics lock");
-            let mut sorted: Vec<(&str, &std::sync::Arc<Histogram>)> =
-                hists.iter().map(|(n, h)| (n.as_str(), h)).collect();
-            sorted.sort_unstable_by_key(|(n, _)| *n);
-            for (name, h) in sorted {
-                if h.count() == 0 {
-                    continue;
-                }
+        // Sorted by name, as the report has always listed them.
+        for name in [timers::BATCH, timers::SIMULATE, timers::TRANSPILE] {
+            let h = self.histogram(name);
+            if h.count() > 0 {
                 out.push_str(&format!(
                     "  {name:<22} n={} total={:?} mean={:?} p90~{:?} max={:?}\n",
                     h.count(),
@@ -438,5 +440,11 @@ mod tests {
         let v = m.time(timers::SIMULATE, || 41 + 1);
         assert_eq!(v, 42);
         assert_eq!(m.histogram(timers::SIMULATE).count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown timer")]
+    fn only_the_three_timers_exist() {
+        Metrics::new().record("compile", Duration::from_micros(1));
     }
 }

@@ -81,28 +81,10 @@ pub fn run_with(
     state
 }
 
-/// Runs `circuit` into an existing (pre-reset) state buffer, avoiding
-/// reallocation in hot loops.
-///
-/// The state is reset to `|0...0>` first.
-///
-/// # Panics
-///
-/// Panics if `state` has a different width than `circuit`, or if a
-/// referenced parameter index is out of bounds.
-pub fn run_into(
-    circuit: &Circuit,
-    train: &[f64],
-    input: &[f64],
-    mode: ExecMode,
-    state: &mut StateVec,
-) {
-    run_into_with(circuit, train, input, mode, SimBackend::default(), state);
-}
-
-/// [`run_into`] with an explicit backend. `Reference` always executes gate
-/// at a time with the naive kernels (fusion would defeat its purpose as an
-/// oracle); `Fast` honors `mode`.
+/// Runs `circuit` on `backend` into an existing state buffer, avoiding
+/// reallocation in hot loops; the state is reset to `|0...0>` first.
+/// `Reference` always executes gate at a time with the naive kernels
+/// (fusion would defeat its purpose as an oracle); `Fast` honors `mode`.
 ///
 /// # Panics
 ///
@@ -372,10 +354,24 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push(GateKind::X, &[0], &[]);
         let mut buf = StateVec::zero_state(2);
-        run_into(&c, &[], &[], ExecMode::Dynamic, &mut buf);
+        run_into_with(
+            &c,
+            &[],
+            &[],
+            ExecMode::Dynamic,
+            SimBackend::default(),
+            &mut buf,
+        );
         assert!((buf.probability(1) - 1.0).abs() < 1e-12);
         // Second run resets first.
-        run_into(&c, &[], &[], ExecMode::Static, &mut buf);
+        run_into_with(
+            &c,
+            &[],
+            &[],
+            ExecMode::Static,
+            SimBackend::default(),
+            &mut buf,
+        );
         assert!((buf.probability(1) - 1.0).abs() < 1e-12);
     }
 }

@@ -56,7 +56,7 @@ mod state;
 mod state_batch;
 
 pub use exec::{
-    expect_z_batch, run, run_into, run_into_with, run_mps, run_with, ExecMode, FusedOp, SimBackend,
+    expect_z_batch, run, run_into_with, run_mps, run_with, ExecMode, FusedOp, SimBackend,
 };
 pub use grad::{
     adjoint_gradient, adjoint_gradient_batch, numeric_gradient, parameter_shift_gradient,

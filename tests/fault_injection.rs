@@ -1,18 +1,20 @@
 //! Fault-injection drills: injected evaluation panics must stay isolated
 //! and correctly classified, the score memo must never absorb a fault,
-//! and torn or truncated snapshots must be detected and skipped in favor
-//! of the previous valid one.
+//! torn or truncated snapshots must be detected and skipped in favor of
+//! the previous valid one, and loop boundaries are numbered the way the
+//! CI kill drill assumes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use qns_noise::Device;
-use qns_runtime::{counters, CacheKey, StructuralHasher};
+use qns_runtime::{counters, CacheKey, CheckpointStore, StructuralHasher};
 use quantumnas::{
     evolutionary_search_seeded_rt, gene_key, CheckpointOptions, DesignSpace, Estimator,
-    EstimatorKind, EvoConfig, FaultPlan, Gene, ProxyOptions, RuntimeOptions, SearchRuntime,
-    SpaceKind, SuperCircuit, Task, FAULT_MARKER,
+    EstimatorKind, EvoConfig, FaultPlan, Gene, ProxyOptions, PruneCheckpoint, PruneConfig,
+    QuantumNas, QuantumNasConfig, RuntimeOptions, SearchCheckpoint, SearchRuntime, SpaceKind,
+    SuperCircuit, Task, TrainCheckpoint, FAULT_MARKER,
 };
 
 struct TempDir(PathBuf);
@@ -256,4 +258,67 @@ fn truncated_snapshot_is_skipped_not_fatal() {
     assert_eq!(resumed.best, reference.best);
     assert_eq!(resumed.best_score.to_bits(), reference.best_score.to_bits());
     assert_eq!(resumed.evaluations, reference.evaluations);
+}
+
+/// The `qnas run --preset smoke` configuration: 12 SuperCircuit training
+/// steps, 2 search generations and 1 pruning round.
+fn smoke_config() -> QuantumNasConfig {
+    let mut config = QuantumNasConfig::fast();
+    config.super_train.steps = 12;
+    config.super_train.warmup_steps = 2;
+    config.evo.iterations = 2;
+    config.evo.population = 6;
+    config.evo.parents = 2;
+    config.evo.mutations = 2;
+    config.evo.crossovers = 2;
+    config.estimator = EstimatorKind::SuccessRate;
+    config.train.epochs = 3;
+    config.n_test = 10;
+    config.prune = Some(PruneConfig {
+        steps: 1,
+        finetune_epochs: 1,
+        ..Default::default()
+    });
+    config.measure.trajectories = 4;
+    config
+}
+
+/// A pipeline's loop boundaries are its SuperCircuit steps, then its
+/// search generations, then its pruning rounds, and nothing else. The CI
+/// smoke drill relies on this numbering: it kills a run at boundary 13,
+/// which must land after search generation 1.
+#[test]
+fn smoke_pipeline_boundaries_are_steps_then_generations_then_rounds() {
+    let run = |config: QuantumNasConfig| {
+        let task = Task::qml_digits(&[3, 6], 40, 4, 42);
+        QuantumNas::new(SpaceKind::U3Cu3, Device::yorktown(), task, config).run(42)
+    };
+
+    let plan = Arc::new(FaultPlan::new());
+    let config = QuantumNasConfig {
+        faults: Some(plan.clone()),
+        ..smoke_config()
+    };
+    let rounds = config.prune.map_or(0, |p| p.steps);
+    let expected = config.super_train.steps + config.evo.iterations + rounds;
+    run(config);
+    assert_eq!(plan.boundaries_seen(), expected as u64);
+    assert_eq!(expected, 15);
+
+    // Kill the same run at boundary 13: training and search generation 1
+    // are on disk; generation 2 and pruning never ran.
+    let dir = TempDir::new("smoke-drill");
+    let mut config = QuantumNasConfig {
+        faults: Some(Arc::new(FaultPlan::new().crash_at_boundary(13))),
+        ..smoke_config()
+    };
+    config.runtime.checkpoint = Some(CheckpointOptions::new(dir.path()));
+    let crash = catch_unwind(AssertUnwindSafe(|| run(config)));
+    assert!(crash.is_err(), "boundary crash should fire");
+    let store = CheckpointStore::open(dir.path()).expect("open snapshot dir");
+    let train = store.load_latest::<TrainCheckpoint>().0;
+    let search = store.load_latest::<SearchCheckpoint>().0;
+    assert_eq!(train.map(|ck| ck.step), Some(12));
+    assert_eq!(search.map(|ck| ck.generation), Some(1));
+    assert!(store.load_latest::<PruneCheckpoint>().0.is_none());
 }

@@ -3,11 +3,16 @@
 //! `noisy_samples` drill-down times noisy scoring's inner call: one
 //! belem-compiled candidate's 24 samples × 6 trajectories as one batched
 //! `expect_z_batch` call against one `expect_z` per sample, both on one
-//! worker, after checking that the two agree bit for bit.
+//! worker, after checking that the two agree bit for bit. The
+//! `noisy_groups` drill-down does the same for VQE scoring: one 2-block
+//! LiH candidate's 14 jakarta-compiled measurement groups × 6 trajectories
+//! as one packed `expect_z_masks_packed` call against one `expect_z_masks`
+//! per group.
 
 use crate::{time_median, Floor, Json, Mode};
-use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
-use qns_transpile::{transpile, Layout};
+use qns_chem::{qwc_groups, Molecule};
+use qns_noise::{Device, MaskedCircuit, TrajectoryConfig, TrajectoryExecutor};
+use qns_transpile::{transpile, Layout, Transpiled};
 use quantumnas::{
     evolutionary_search, train_supercircuit, DesignSpace, Estimator, EstimatorKind, EvoConfig,
     SpaceKind, SuperCircuit, SuperTrainConfig, Task,
@@ -94,6 +99,8 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         j.num("speedup", per_sample_s / batched_s.max(1e-12));
     });
 
+    noisy_groups(reps, json);
+
     // A full (small) evolutionary search.
     let est = Estimator::new(device, EstimatorKind::SuccessRate, 2).with_valid_cap(8);
     let cfg = EvoConfig {
@@ -109,4 +116,79 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     });
     json.obj("evolution_4x8", |j| j.num("search_s", secs));
     Vec::new()
+}
+
+/// The `noisy_groups` drill-down: a 2-block LiH candidate on jakarta,
+/// each measurement group compiled with its basis rotation, scored at 6
+/// trajectories on one worker as one packed call and as one call per
+/// group.
+fn noisy_groups(reps: usize, json: &mut Json) {
+    let task = Task::vqe(&Molecule::lih());
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 6, 2);
+    let circuit = sc.build_for(&sc.max_config(), &task);
+    let params: Vec<f64> = (0..circuit.num_train_params())
+        .map(|i| 0.1 * (i % 11) as f64 - 0.5)
+        .collect();
+    let jakarta = Device::jakarta();
+    let layout = Layout::from_vec(vec![1, 3, 5, 4, 6, 0]);
+    let (_, groups) = qwc_groups(Molecule::lih().hamiltonian());
+    let compiled: Vec<(Transpiled, Vec<u64>)> = groups
+        .iter()
+        .map(|group| {
+            let mut logical = circuit.clone();
+            logical.extend_from(&group.rotation_circuit());
+            let t = transpile(&logical, &jakarta, &layout, 2);
+            let masks = group
+                .z_masks()
+                .iter()
+                .map(|&m| {
+                    (0..circuit.num_qubits())
+                        .filter(|&l| m & (1 << l) != 0)
+                        .fold(0u64, |dense, l| dense | 1 << t.dense_of_logical[l])
+                })
+                .collect();
+            (t, masks)
+        })
+        .collect();
+    let packed: Vec<MaskedCircuit<'_>> = compiled
+        .iter()
+        .map(|(t, masks)| MaskedCircuit {
+            circuit: &t.circuit,
+            phys_of: &t.phys_of,
+            masks,
+        })
+        .collect();
+    let exec = TrajectoryExecutor::new(
+        jakarta,
+        TrajectoryConfig {
+            trajectories: 6,
+            seed: 1,
+            readout: true,
+        },
+    )
+    .with_workers(1);
+    let packed_call = || exec.expect_z_masks_packed(&packed, &params, &[]);
+    let per_group = || -> Vec<Vec<f64>> {
+        packed
+            .iter()
+            .map(|c| exec.expect_z_masks(c.circuit, &params, &[], c.phys_of, c.masks))
+            .collect()
+    };
+    let bits = |results: Vec<Vec<f64>>| -> Vec<u64> {
+        results.iter().flatten().map(|e| e.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(packed_call()),
+        bits(per_group()),
+        "packed group scoring diverged from per-group expect_z_masks"
+    );
+    let packed_s = time_median(reps, packed_call);
+    let per_group_s = time_median(reps, per_group);
+    json.obj("noisy_groups", |j| {
+        j.int("groups", packed.len());
+        j.int("trajectories", 6);
+        j.num("packed_s", packed_s);
+        j.num("per_group_s", per_group_s);
+        j.num("speedup", per_group_s / packed_s.max(1e-12));
+    });
 }

@@ -24,7 +24,8 @@
 //!   --verify [off|contracts|full]      per-stage transpiler verification
 //!                                      (bare --verify = full)
 //!   --checkpoint-dir <path>            snapshot train/search/prune state
-//!   --checkpoint-every <n>             snapshot every n loop units (default 1)
+//!   --checkpoint-every <n>             snapshot every n loop units, at
+//!                                      least 1 (default 1)
 //!   --resume                           continue from the latest valid
 //!                                      snapshot in --checkpoint-dir; the
 //!                                      resumed run's results are bitwise
@@ -350,11 +351,16 @@ fn cmd_run(args: &[String]) {
     // Per-sample simulation fan-out honors the same flag (it used to be
     // latched at first use, ignoring later settings).
     qns_sim::set_parallelism(workers);
+    let every: usize = get("--checkpoint-every", "1")
+        .parse()
+        .unwrap_or_else(|_| usage());
+    if every == 0 {
+        eprintln!("--checkpoint-every must be at least 1");
+        usage()
+    }
     let checkpoint = value("--checkpoint-dir").map(|dir| CheckpointOptions {
         dir: dir.into(),
-        every: get("--checkpoint-every", "1")
-            .parse()
-            .unwrap_or_else(|_| usage()),
+        every,
         resume: args.iter().any(|a| a == "--resume"),
     });
     if checkpoint.is_none() && args.iter().any(|a| a == "--resume") {

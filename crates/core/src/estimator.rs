@@ -6,7 +6,9 @@ use qns_chem::qwc_groups;
 use qns_circuit::Circuit;
 use qns_data::Dataset;
 use qns_ml::{accuracy, nll_loss};
-use qns_noise::{circuit_success_rate, Device, TrajectoryConfig, TrajectoryExecutor};
+use qns_noise::{
+    circuit_success_rate, Device, MaskedCircuit, TrajectoryConfig, TrajectoryExecutor,
+};
 use qns_runtime::{counters, timers, DigestCache, Metrics};
 use qns_sim::{expect_z_batch, parallel_map, run_with, ExecMode, SimBackend};
 use qns_transpile::{transpile_with, Layout, TranspileOptions, Transpiled};
@@ -337,25 +339,34 @@ impl Estimator {
                 self.vqe_energy_measured(circuit, params, hamiltonian, layout, cfg)
             }
             EstimatorKind::DensitySim => {
-                self.grouped_energy(circuit, hamiltonian, layout, |t, masks| {
-                    qns_noise::density_expect_masks(
-                        &t.circuit,
-                        params,
-                        &[],
-                        &self.device,
-                        &t.phys_of,
-                        masks,
-                        true,
-                    )
+                self.grouped_energy(circuit, hamiltonian, layout, |groups| {
+                    groups
+                        .iter()
+                        .map(|(t, masks)| {
+                            qns_noise::density_expect_masks(
+                                &t.circuit,
+                                params,
+                                &[],
+                                &self.device,
+                                &t.phys_of,
+                                masks,
+                                true,
+                            )
+                        })
+                        .collect()
                 })
             }
         }
     }
 
     /// "Measured" VQE energy: transpiles the ansatz plus each
-    /// qubit-wise-commuting group's basis rotation, runs the noisy
-    /// trajectory executor, and recombines parities — the full hardware
-    /// estimation path.
+    /// qubit-wise-commuting group's basis rotation, runs every group's
+    /// trajectories through one packed trajectory call
+    /// ([`TrajectoryExecutor::expect_z_masks_packed`]), and recombines
+    /// parities — the full hardware estimation path. On `Fast` the groups'
+    /// lanes share full 16-lane chunks, each running the compiled op
+    /// prefix its groups share once; every value is bit-identical to one
+    /// [`TrajectoryExecutor::expect_z_masks`] call per group.
     pub fn vqe_energy_measured(
         &self,
         circuit: &Circuit,
@@ -370,44 +381,58 @@ impl Estimator {
         let exec = TrajectoryExecutor::new(self.device.clone(), cfg)
             .with_workers(0)
             .with_backend(self.backend);
-        self.grouped_energy(circuit, hamiltonian, layout, |t, masks| {
-            exec.expect_z_masks(&t.circuit, params, &[], &t.phys_of, masks)
+        self.grouped_energy(circuit, hamiltonian, layout, |groups| {
+            let packed: Vec<MaskedCircuit<'_>> = groups
+                .iter()
+                .map(|(t, masks)| MaskedCircuit {
+                    circuit: &t.circuit,
+                    phys_of: &t.phys_of,
+                    masks,
+                })
+                .collect();
+            exec.expect_z_masks_packed(&packed, params, &[])
         })
     }
 
-    /// Energy measured group by group: for each qubit-wise-commuting group
-    /// of `hamiltonian`, transpiles the ansatz plus the group's basis
-    /// rotation, translates the group's logical parity masks to dense
-    /// simulator qubits, evaluates them with `parities` (timed as
-    /// simulation), and recombines.
+    /// Energy measured group by group: transpiles, in group order, the
+    /// ansatz plus each qubit-wise-commuting group's basis rotation and
+    /// translates the group's logical parity masks to dense simulator
+    /// qubits; then evaluates every group's parities with one `parities`
+    /// call (timed as one simulation) and recombines them in group order.
     fn grouped_energy(
         &self,
         circuit: &Circuit,
         hamiltonian: &qns_chem::PauliSum,
         layout: &Layout,
-        parities: impl Fn(&Transpiled, &[u64]) -> Vec<f64>,
+        parities: impl FnOnce(&[(Arc<Transpiled>, Vec<u64>)]) -> Vec<Vec<f64>>,
     ) -> f64 {
         let (offset, groups) = qwc_groups(hamiltonian);
-        let mut energy = offset;
-        for group in &groups {
-            let mut logical = circuit.clone();
-            logical.extend_from(&group.rotation_circuit());
-            let t = self.compile(&logical, layout);
-            let masks: Vec<u64> = group
-                .z_masks()
-                .iter()
-                .map(|&m| {
-                    let mut dense = 0u64;
-                    for l in 0..circuit.num_qubits() {
-                        if m & (1 << l) != 0 {
-                            dense |= 1 << t.dense_of_logical[l];
+        let compiled: Vec<(Arc<Transpiled>, Vec<u64>)> = groups
+            .iter()
+            .map(|group| {
+                let mut logical = circuit.clone();
+                logical.extend_from(&group.rotation_circuit());
+                let t = self.compile(&logical, layout);
+                let masks = group
+                    .z_masks()
+                    .iter()
+                    .map(|&m| {
+                        let mut dense = 0u64;
+                        for l in 0..circuit.num_qubits() {
+                            if m & (1 << l) != 0 {
+                                dense |= 1 << t.dense_of_logical[l];
+                            }
                         }
-                    }
-                    dense
-                })
-                .collect();
-            let values = self.timed_sim(|| parities(&t, &masks));
-            energy += group.energy_from_parities(&values);
+                        dense
+                    })
+                    .collect();
+                (t, masks)
+            })
+            .collect();
+        let values = self.timed_sim(|| parities(&compiled));
+        let mut energy = offset;
+        for (group, values) in groups.iter().zip(&values) {
+            energy += group.energy_from_parities(values);
         }
         energy
     }

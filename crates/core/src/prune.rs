@@ -5,8 +5,7 @@ use crate::runtime::{hash_circuit, RuntimeOptions, SearchRuntime};
 use crate::train::{eval_task, Split};
 use crate::{train_task, Task, TrainConfig};
 use qns_circuit::{Circuit, Param};
-use qns_runtime::{timers, GenerationEvent, StructuralHasher};
-use std::time::Instant;
+use qns_runtime::{timers, StructuralHasher};
 
 /// Pruning hyperparameters (paper Section III-D / IV-A: polynomial decay
 /// from an initial ratio of 0.05, finetuning at LR 2e-5 — LR raised here
@@ -172,8 +171,6 @@ pub fn iterative_prune_rt(
     }
 
     for step in start_step..config.steps {
-        // lint:allow(wallclock) — round timing feeds progress logs, not results
-        let round_start = Instant::now();
         let progress = (step + 1) as f64 / config.steps as f64;
         let ratio = polynomial_ratio(config.initial_ratio, config.final_ratio, progress);
         // Rank referenced parameters by |normalized angle|.
@@ -211,14 +208,6 @@ pub fn iterative_prune_rt(
             eval_task(&masked_circuit, &params, task, Split::Valid)
         });
         final_loss = loss;
-        rt.metrics().push_event(GenerationEvent {
-            generation: step,
-            best_score: loss,
-            mean_score: loss,
-            evaluations: 1,
-            memo_hits: 0,
-            elapsed: round_start.elapsed(),
-        });
 
         rt.boundary(step + 1, config.steps, || PruneCheckpoint {
             context: resume_context,

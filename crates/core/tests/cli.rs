@@ -193,6 +193,63 @@ fn a_zero_max_bond_is_a_usage_error() {
     );
 }
 
+#[test]
+fn a_zero_checkpoint_interval_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("qns-cli-every0-{}", std::process::id()));
+    let dir = dir.to_string_lossy().into_owned();
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--samples",
+        "40",
+        "--checkpoint-dir",
+        &dir,
+        "--checkpoint-every",
+        "0",
+    ];
+    let out = qnas(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        stderr.contains("--checkpoint-every must be at least 1") && stderr.contains("usage: qnas"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+}
+
+/// The `--stats` line `NAME  VALUE` of a run's report, parsed.
+fn stat(stdout: &str, name: &str) -> Option<usize> {
+    stdout.lines().find_map(|line| {
+        let mut words = line.split_whitespace();
+        (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
+    })
+}
+
+#[test]
+fn stats_count_search_generations_only() {
+    // The smoke preset runs a 2-generation Pareto search and then one
+    // pruning round; the round is not a generation.
+    let args = ["run", "--preset", "smoke", "--samples", "40", "--stats"];
+    let out = qnas(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "qnas {}", args.join(" "));
+    let generations = stat(&stdout, "generations");
+    assert!(generations.is_some(), "no generation count: {stdout}");
+    assert_eq!(
+        generations,
+        stat(&stdout, "pareto_generations"),
+        "qnas {}: {stdout}",
+        args.join(" ")
+    );
+}
+
 /// Runs `qnas run --preset smoke --task TASK --samples N` and checks it is
 /// a usage error naming `--samples MIN`, not a panic.
 fn assert_rejects_samples(task: &str, samples: &str, min: &str) {

@@ -346,7 +346,15 @@ fn noisy_density(
         Step::LaneGates(..) => unreachable!("one input shares every gate"),
         Step::Channel(ch, q) => rho.apply_channel(ch, q),
     };
-    walk_noisy(device, circuit, train, &[input], phys_of, apply);
+    walk_noisy(
+        device,
+        circuit,
+        0..circuit.num_ops(),
+        train,
+        &[input],
+        phys_of,
+        apply,
+    );
     rho
 }
 

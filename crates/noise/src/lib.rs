@@ -14,7 +14,10 @@
 //!   channels the device applies after it; every noisy engine loops over it,
 //! - [`TrajectoryExecutor`] — noisy circuit execution by averaging Kraus
 //!   trajectories, with readout-error-adjusted expectations (one input, or
-//!   many inputs' trajectories batched as one set of lanes) and shot
+//!   many inputs' trajectories batched as one set of lanes), masked parities
+//!   (one circuit, or several compiled circuits — a VQE candidate's
+//!   measurement groups — packed into shared lane chunks that run the op
+//!   prefix the circuits share once; see [`MaskedCircuit`]) and shot
 //!   sampling,
 //! - [`circuit_success_rate`] / [`augmented_loss`] — the paper's fast second
 //!   estimator: noise-free loss divided by the product of per-gate success
@@ -46,4 +49,4 @@ pub use device::{Device, QubitCalib, Topology};
 pub use drift::DriftingDevice;
 pub use mitigation::ReadoutMitigator;
 pub use success::{augmented_loss, circuit_success_rate};
-pub use trajectory::{NoisyResult, TrajectoryConfig, TrajectoryExecutor};
+pub use trajectory::{MaskedCircuit, NoisyResult, TrajectoryConfig, TrajectoryExecutor};

@@ -9,6 +9,7 @@
 use crate::{Device, KrausChannel, QubitCalib};
 use qns_circuit::{Circuit, GateMatrix};
 use qns_tensor::{Mat2, Mat4};
+use std::ops::Range;
 
 /// One step of a noisy circuit.
 pub(crate) enum Step<'a> {
@@ -28,9 +29,9 @@ pub(crate) enum LaneGates<'a> {
     Two(&'a [Mat4]),
 }
 
-/// Walks `circuit` under `device` noise for a batch of lanes, lane `l`
-/// reading the input `inputs[l]`, calling `visit` on each gate and then on
-/// the channels that follow it:
+/// Walks the ops `ops` of `circuit` under `device` noise for a batch of
+/// lanes, lane `l` reading the input `inputs[l]`, calling `visit` on each
+/// gate and then on the channels that follow it:
 ///
 /// - a 1q gate: depolarizing at the qubit's `err_1q`, then thermal
 ///   relaxation over `dur_1q`;
@@ -41,7 +42,10 @@ pub(crate) enum LaneGates<'a> {
 /// A gate is one shared [`Step::Gate`] unless its parameters read the
 /// input and the lanes carry different input slices; then it is resolved
 /// per lane (once per run of lanes sharing a slice) as [`Step::LaneGates`].
-/// A walk over one input therefore yields only shared gates.
+/// A walk over one input therefore yields only shared gates. Walking
+/// `0..k` and then `k..num_ops` yields exactly the steps of one walk over
+/// every op, which is what lets a trajectory chunk run the op prefix its
+/// circuits share once and fork for the rest.
 ///
 /// `phys_of` maps circuit qubit `i` to the physical qubit whose
 /// calibration applies. Each qubit's one-qubit channels are built once per
@@ -49,10 +53,12 @@ pub(crate) enum LaneGates<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `phys_of.len() != circuit.num_qubits()` or `inputs` is empty.
+/// Panics if `phys_of.len() != circuit.num_qubits()`, `inputs` is empty
+/// or `ops` runs past the circuit.
 pub(crate) fn walk_noisy(
     device: &Device,
     circuit: &Circuit,
+    ops: Range<usize>,
     train: &[f64],
     inputs: &[&[f64]],
     phys_of: &[usize],
@@ -80,7 +86,7 @@ pub(crate) fn walk_noisy(
         })
         .collect();
     let (mut ones, mut twos): (Vec<Mat2>, Vec<Mat4>) = (Vec::new(), Vec::new());
-    for op in circuit.iter() {
+    for op in &circuit.ops()[ops] {
         let reads_input = op.params.iter().any(|p| p.input_index().is_some());
         if reads_input && !shared_input {
             ones.clear();

@@ -3,20 +3,28 @@
 //! Each trajectory is one loop over the shared noise model's walk
 //! (`walk_noisy`: each gate, then its channels), on a lane of a
 //! [`StateBatch`] (`Fast`), a reference [`StateVec`] or an [`MpsState`].
-//! A lane is one (input, trajectory) pair:
-//! [`TrajectoryExecutor::expect_z_batch`] lays out a candidate's samples ×
-//! trajectories input-major, and the single-input calls are its one-input
-//! case. Lanes are independent, so one chunked runner fans them out over
-//! `qns_sim::try_parallel_map` — chunks of `LANE_CHUNK` on `Fast`, whatever
-//! inputs they mix, of one otherwise — when the executor is given more than
-//! one worker (and runs inline when the executor itself runs inside a
-//! candidate fan-out). Per-trajectory RNG seeds are derived
-//! deterministically from a structural digest of the candidate (circuit +
-//! resolved parameters, input included + layout + base seed), so results
-//! are a pure function of the candidate and its input, bit-identical for
-//! any worker count and any mix of inputs in a chunk: the pool returns
-//! per-chunk results in lane order and each input's fold over its
-//! trajectories is sequential.
+//! A lane is one (circuit, input, trajectory) triple:
+//! [`TrajectoryExecutor::expect_z_batch`] lays out one circuit's samples ×
+//! trajectories input-major, [`TrajectoryExecutor::expect_z_masks_packed`]
+//! lays out several compiled circuits' trajectories circuit-major, and the
+//! single-input, single-circuit calls are their one-element cases. Lanes
+//! are independent, so one chunked runner fans them out over
+//! `qns_sim::try_parallel_map` — chunks of `LANE_CHUNK` consecutive lanes
+//! on `Fast`, whatever inputs or circuits they mix, as long as the
+//! circuits share one mapping; of one lane otherwise — when the executor
+//! is given more than one worker (and runs inline when the executor itself
+//! runs inside a candidate fan-out). A `Fast` chunk over several circuits
+//! runs the op prefix they share once over all its lanes, then forks each
+//! circuit's lanes into a batch of their own for the rest.
+//!
+//! Per-trajectory RNG seeds are derived deterministically from a
+//! structural digest of the candidate (circuit + resolved parameters,
+//! input included + layout + base seed), so results are a pure function of
+//! the candidate and its input, bit-identical for any worker count and any
+//! mix of inputs or circuits in a chunk: a lane's gate order, channel
+//! order, Born probabilities and draws do not depend on its chunk-mates,
+//! the pool returns per-chunk results in lane order, and each (circuit,
+//! input)'s fold over its trajectories is sequential.
 
 use crate::model::{readout_affine, walk_noisy, LaneGates, Step};
 use crate::Device;
@@ -25,6 +33,7 @@ use qns_runtime::StructuralHasher;
 use qns_sim::{try_parallel_map, MpsState, SimBackend, StateBatch, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Lanes per [`StateBatch`] on the fast path. A **fixed** constant (never
 /// derived from the worker count): the chunk layout determines which lanes
@@ -35,8 +44,30 @@ use rand::{Rng, SeedableRng};
 /// gate dispatch.
 const LANE_CHUNK: usize = qns_sim::LANE_CHUNK;
 
-/// One trajectory lane: its input and its RNG seed.
-type Lane<'a> = (&'a [f64], u64);
+/// One trajectory lane: the index of the circuit it walks, its input and
+/// its RNG seed.
+struct Lane<'a> {
+    circuit: usize,
+    input: &'a [f64],
+    seed: u64,
+}
+
+/// A circuit a run's lanes walk, with the physical qubit of each circuit
+/// qubit.
+type Mapped<'a> = (&'a Circuit, &'a [usize]);
+
+/// One compiled circuit of [`TrajectoryExecutor::expect_z_masks_packed`]:
+/// the circuit, the physical qubit whose calibration applies to each
+/// circuit qubit, and the parity masks to read off it.
+#[derive(Clone, Copy, Debug)]
+pub struct MaskedCircuit<'a> {
+    /// The compiled circuit, over dense circuit qubits.
+    pub circuit: &'a Circuit,
+    /// Physical qubit of each circuit qubit.
+    pub phys_of: &'a [usize],
+    /// Bit masks over circuit qubits; each reads `<⊗_{q ∈ mask} Z_q>`.
+    pub masks: &'a [u64],
+}
 
 /// Configuration for the trajectory executor.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -172,15 +203,16 @@ impl TrajectoryExecutor {
         key.lo ^ key.hi
     }
 
-    /// Every trajectory lane of one run: for each input in turn, its
-    /// trajectories in index order, each seeded by a splitmix64 finalizer
-    /// over the index and the digest of the candidate with that input.
+    /// The trajectory lanes of circuit `index` of a run: for each input in
+    /// turn, its trajectories in index order, each seeded by a splitmix64
+    /// finalizer over the index and the digest of the candidate with that
+    /// input.
     fn lanes<'a>(
         &self,
-        circuit: &Circuit,
+        index: usize,
+        (circuit, phys_of): Mapped<'_>,
         train: &[f64],
         inputs: &[&'a [f64]],
-        phys_of: &[usize],
     ) -> Vec<Lane<'a>> {
         let mut lanes = Vec::with_capacity(inputs.len() * self.config.trajectories);
         for &input in inputs {
@@ -189,16 +221,21 @@ impl TrajectoryExecutor {
                 let mut z = digest ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                lanes.push((input, z ^ (z >> 31)));
+                lanes.push(Lane {
+                    circuit: index,
+                    input,
+                    seed: z ^ (z >> 31),
+                });
             }
         }
         lanes
     }
 
-    /// Runs one chunk of trajectory lanes, lane `l` on input `lanes[l].0`
-    /// and RNG seed `lanes[l].1`, and hands each lane's final state and RNG
+    /// Runs one chunk of trajectory lanes, lane `l` walking circuit
+    /// `circuits[lanes[l].circuit]` on input `lanes[l].input` from RNG seed
+    /// `lanes[l].seed`, and hands each lane's final state and RNG
     /// (positioned exactly after the circuit's noise draws) to `each`, in
-    /// lane order.
+    /// lane order. On `Fast` a chunk's circuits must share one mapping.
     ///
     /// Every backend is one loop over [`walk_noisy`]. `Fast` runs the chunk
     /// as lanes of a [`StateBatch`]: gates that do not read the input (or
@@ -206,112 +243,164 @@ impl TrajectoryExecutor {
     /// whose input differs across lanes sweep once with a matrix per lane,
     /// and each channel is applied to all lanes in one lanes-contiguous pass
     /// ([`crate::KrausChannel::apply_trajectory_all_lanes`]) drawing from
-    /// each lane's own RNG. Lane `l` is bit-identical to the `Reference`
-    /// trajectory of `lanes[l]`: per lane the gate/noise order, every Born
-    /// probability and every RNG draw are the same. `Reference` and `Mps`
-    /// run each lane on its own state; an MPS trajectory is densified at the
-    /// end so result extraction is backend-agnostic, and in the exact
-    /// regime its draw outcomes agree with `Reference`.
+    /// each lane's own RNG. When the chunk's lanes walk several circuits,
+    /// the batch first runs the longest op prefix they all share (equal
+    /// ops under one mapping are equal steps), then each circuit's lanes —
+    /// consecutive, as the runs lay them out — are copied into a batch of
+    /// their own that finishes that circuit's remaining ops. Lane `l` is
+    /// bit-identical to the `Reference` trajectory of `lanes[l]`: per lane
+    /// the gate/noise order, every Born probability and every RNG draw are
+    /// the same. `Reference` and `Mps` run each lane on its own state; an
+    /// MPS trajectory is densified at the end so result extraction is
+    /// backend-agnostic, and in the exact regime its draw outcomes agree
+    /// with `Reference`.
     fn run_chunk(
         &self,
-        circuit: &Circuit,
+        circuits: &[Mapped<'_>],
         train: &[f64],
-        phys_of: &[usize],
         lanes: &[Lane<'_>],
         mut each: impl FnMut(usize, &StateVec, &mut StdRng),
     ) {
         let mut rngs: Vec<StdRng> = lanes
             .iter()
-            .map(|&(_, seed)| StdRng::seed_from_u64(seed))
+            .map(|lane| StdRng::seed_from_u64(lane.seed))
             .collect();
-        let n = circuit.num_qubits();
-        let walk = |inputs: &[&[f64]], visit: &mut dyn FnMut(Step<'_>)| {
-            walk_noisy(&self.device, circuit, train, inputs, phys_of, visit)
+        let walk = |(circuit, phys_of): Mapped<'_>,
+                    ops: Range<usize>,
+                    inputs: &[&[f64]],
+                    visit: &mut dyn FnMut(Step<'_>)| {
+            walk_noisy(&self.device, circuit, ops, train, inputs, phys_of, visit)
         };
         match self.backend {
             SimBackend::Fast => {
-                let inputs: Vec<&[f64]> = lanes.iter().map(|&(input, _)| input).collect();
-                let mut batch = StateBatch::zero_state(n, lanes.len());
-                walk(&inputs, &mut |step| match step {
-                    Step::Gate(GateMatrix::One(m), [q, _]) => batch.apply_1q(m, q),
-                    Step::Gate(GateMatrix::Two(m), [a, b]) => batch.apply_2q(m, a, b),
-                    Step::LaneGates(LaneGates::One(ms), [q, _]) => batch.apply_1q_per_lane(ms, q),
-                    Step::LaneGates(LaneGates::Two(ms), [a, b]) => {
-                        batch.apply_2q_per_lane(ms, a, b)
-                    }
-                    Step::Channel(ch, q) => ch.apply_trajectory_all_lanes(&mut batch, q, &mut rngs),
+                let inputs: Vec<&[f64]> = lanes.iter().map(|lane| lane.input).collect();
+                let walk_batch = |mapped: Mapped<'_>,
+                                  ops: Range<usize>,
+                                  lanes: Range<usize>,
+                                  batch: &mut StateBatch,
+                                  rngs: &mut [StdRng]| {
+                    let rngs = &mut rngs[lanes.clone()];
+                    walk(mapped, ops, &inputs[lanes], &mut |step| match step {
+                        Step::Gate(GateMatrix::One(m), [q, _]) => batch.apply_1q(m, q),
+                        Step::Gate(GateMatrix::Two(m), [a, b]) => batch.apply_2q(m, a, b),
+                        Step::LaneGates(LaneGates::One(ms), [q, _]) => {
+                            batch.apply_1q_per_lane(ms, q)
+                        }
+                        Step::LaneGates(LaneGates::Two(ms), [a, b]) => {
+                            batch.apply_2q_per_lane(ms, a, b)
+                        }
+                        Step::Channel(ch, q) => ch.apply_trajectory_all_lanes(batch, q, rngs),
+                    })
+                };
+                // Walk the ops every circuit of the chunk shares (all of
+                // them when it walks one circuit) over all its lanes, then
+                // finish each circuit on a copy of its own lanes.
+                let runs = runs(lanes.len(), |start, end| {
+                    lanes[start].circuit != lanes[end].circuit
                 });
-                for (lane, rng) in rngs.iter_mut().enumerate() {
-                    each(lane, &batch.lane_state(lane), rng);
+                let first = circuits[lanes[0].circuit];
+                let prefix = runs
+                    .iter()
+                    .map(|run| shared_prefix(first.0, circuits[lanes[run.start].circuit].0))
+                    .min()
+                    .expect("a chunk has lanes");
+                let mut batch = StateBatch::zero_state(first.0.num_qubits(), lanes.len());
+                walk_batch(first, 0..prefix, 0..lanes.len(), &mut batch, &mut rngs);
+                if runs.len() == 1 {
+                    for (lane, rng) in rngs.iter_mut().enumerate() {
+                        each(lane, &batch.lane_state(lane), rng);
+                    }
+                    return;
+                }
+                for run in runs {
+                    let mapped = circuits[lanes[run.start].circuit];
+                    let mut fork = batch.copy_lanes(run.clone());
+                    let rest = prefix..mapped.0.num_ops();
+                    walk_batch(mapped, rest, run.clone(), &mut fork, &mut rngs);
+                    for (i, lane) in run.enumerate() {
+                        each(lane, &fork.lane_state(i), &mut rngs[lane]);
+                    }
                 }
             }
             SimBackend::Reference => {
-                for (lane, (&(input, _), rng)) in lanes.iter().zip(&mut rngs).enumerate() {
-                    let mut state = StateVec::zero_state(n);
-                    walk(&[input], &mut |step| match step {
+                for (l, (lane, rng)) in lanes.iter().zip(&mut rngs).enumerate() {
+                    let mapped = circuits[lane.circuit];
+                    let mut state = StateVec::zero_state(mapped.0.num_qubits());
+                    let ops = 0..mapped.0.num_ops();
+                    walk(mapped, ops, &[lane.input], &mut |step| match step {
                         Step::Gate(GateMatrix::One(m), [q, _]) => state.apply_1q_reference(m, q),
                         Step::Gate(GateMatrix::Two(m), [a, b]) => state.apply_2q_reference(m, a, b),
                         Step::LaneGates(..) => unreachable!("one input shares every gate"),
                         Step::Channel(ch, q) => ch.apply_trajectory(&mut state, q, rng),
                     });
-                    each(lane, &state, rng);
+                    each(l, &state, rng);
                 }
             }
             SimBackend::Mps(config) => {
-                for (lane, (&(input, _), rng)) in lanes.iter().zip(&mut rngs).enumerate() {
-                    let mut mps = MpsState::zero_state(n, config);
-                    walk(&[input], &mut |step| match step {
+                for (l, (lane, rng)) in lanes.iter().zip(&mut rngs).enumerate() {
+                    let mapped = circuits[lane.circuit];
+                    let mut mps = MpsState::zero_state(mapped.0.num_qubits(), config);
+                    let ops = 0..mapped.0.num_ops();
+                    walk(mapped, ops, &[lane.input], &mut |step| match step {
                         Step::Gate(GateMatrix::One(m), [q, _]) => mps.apply_1q(m, q),
                         Step::Gate(GateMatrix::Two(m), [a, b]) => mps.apply_2q(m, a, b),
                         Step::LaneGates(..) => unreachable!("one input shares every gate"),
                         Step::Channel(ch, q) => ch.apply_trajectory_mps(&mut mps, q, rng),
                     });
-                    each(lane, &mps.to_statevec(), rng);
+                    each(l, &mps.to_statevec(), rng);
                 }
             }
         }
     }
 
-    /// Runs every trajectory lane and extracts one result per lane, in lane
-    /// order. A lane of a panicking chunk yields `default`.
-    ///
-    /// Lanes run in chunks of [`LANE_CHUNK`] on the `Fast` backend (one
-    /// [`StateBatch`] each, whatever inputs its lanes carry) and of one
-    /// otherwise; the chunks fan out over the worker pool, and a panic
-    /// poisons only its own chunk. `extract` receives the lane index, its
-    /// final state, and its RNG (for shot sampling).
-    fn run_trajectories<U: Send + Clone>(
-        &self,
-        circuit: &Circuit,
-        train: &[f64],
-        phys_of: &[usize],
-        lanes: &[Lane<'_>],
-        extract: impl Fn(usize, &StateVec, &mut StdRng) -> U + Sync,
-        default: U,
-    ) -> Vec<U> {
-        let chunk = if self.backend == SimBackend::Fast {
+    /// The chunks a run's lanes fan out in, as lane ranges. On `Fast` each
+    /// chunk is up to [`LANE_CHUNK`] consecutive lanes, cut early where
+    /// the next lane's circuit has another mapping (and so, validated,
+    /// possibly another width) than the chunk's first; otherwise each lane
+    /// is its own chunk. The layout depends only on the lanes, never on
+    /// the worker count.
+    fn chunks(&self, circuits: &[Mapped<'_>], lanes: &[Lane<'_>]) -> Vec<Range<usize>> {
+        let width = if self.backend == SimBackend::Fast {
             LANE_CHUNK
         } else {
             1
         };
-        let chunks: Vec<(usize, &[Lane<'_>])> = lanes
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk, c))
-            .collect();
-        let per_chunk = try_parallel_map(&chunks, self.workers, |&(start, chunk_lanes)| {
-            let mut out = Vec::with_capacity(chunk_lanes.len());
-            self.run_chunk(circuit, train, phys_of, chunk_lanes, |i, state, rng| {
-                out.push(extract(start + i, state, rng))
+        let phys_of = |lane: usize| circuits[lanes[lane].circuit].1;
+        runs(lanes.len(), |start, end| {
+            end - start == width || phys_of(start) != phys_of(end)
+        })
+    }
+
+    /// Runs every trajectory lane and extracts one result per lane, in lane
+    /// order. A lane of a panicking chunk yields `default(lane)`.
+    ///
+    /// The lanes run in [`TrajectoryExecutor::chunks`]: one
+    /// [`StateBatch`] each on `Fast`, one lane each otherwise; the chunks
+    /// fan out over the worker pool, and a panic poisons only its own
+    /// chunk. `extract` receives the lane index, its final state, and its
+    /// RNG (for shot sampling).
+    fn run_trajectories<U: Send>(
+        &self,
+        circuits: &[Mapped<'_>],
+        train: &[f64],
+        lanes: &[Lane<'_>],
+        extract: impl Fn(usize, &StateVec, &mut StdRng) -> U + Sync,
+        default: impl Fn(usize) -> U,
+    ) -> Vec<U> {
+        let chunks = self.chunks(circuits, lanes);
+        let per_chunk = try_parallel_map(&chunks, self.workers, |chunk| {
+            let mut out = Vec::with_capacity(chunk.len());
+            self.run_chunk(circuits, train, &lanes[chunk.clone()], |i, state, rng| {
+                out.push(extract(chunk.start + i, state, rng))
             });
             out
         });
         // Flatten in chunk order; a panicked chunk is backfilled per lane.
         let mut out = Vec::with_capacity(lanes.len());
-        for (res, (_, chunk_lanes)) in per_chunk.into_iter().zip(&chunks) {
+        for (res, chunk) in per_chunk.into_iter().zip(chunks) {
             match res {
                 Ok(results) => out.extend(results),
-                Err(_) => out.extend(chunk_lanes.iter().map(|_| default.clone())),
+                Err(_) => out.extend(chunk.map(&default)),
             }
         }
         out
@@ -364,16 +453,16 @@ impl TrajectoryExecutor {
     ) -> Vec<NoisyResult> {
         self.validate(circuit, phys_of);
         let n = circuit.num_qubits();
-        let lanes = self.lanes(circuit, train, inputs, phys_of);
+        let mapped = [(circuit, phys_of)];
+        let lanes = self.lanes(0, mapped[0], train, inputs);
         // Per-lane results come back in lane order; the fold below is
         // sequential, so each average is bit-identical for any worker count.
         let per_lane = self.run_trajectories(
-            circuit,
+            &mapped,
             train,
-            phys_of,
             &lanes,
             |_, state, _| state.expect_z_all(),
-            vec![f64::NAN; n],
+            |_| vec![f64::NAN; n],
         );
         per_lane
             .chunks(self.config.trajectories)
@@ -411,6 +500,9 @@ impl TrajectoryExecutor {
     /// (`Π_q (1 − p01 − p10)`), the symmetric-confusion approximation;
     /// additive asymmetry terms are second-order for multi-qubit strings.
     ///
+    /// This is [`TrajectoryExecutor::expect_z_masks_packed`] with one
+    /// circuit.
+    ///
     /// # Panics
     ///
     /// Panics if a mask addresses qubits beyond the circuit width.
@@ -422,38 +514,89 @@ impl TrajectoryExecutor {
         phys_of: &[usize],
         masks: &[u64],
     ) -> Vec<f64> {
-        self.validate(circuit, phys_of);
-        let n = circuit.num_qubits();
-        for &m in masks {
-            assert!(m >> n == 0, "mask addresses qubits beyond circuit width");
-        }
-        let lanes = self.lanes(circuit, train, &[input], phys_of);
-        let per_traj = self.run_trajectories(
+        let packed = [MaskedCircuit {
             circuit,
-            train,
             phys_of,
+            masks,
+        }];
+        let mut results = self.expect_z_masks_packed(&packed, train, input);
+        results.pop().expect("one result per circuit")
+    }
+
+    /// [`TrajectoryExecutor::expect_z_masks`] for each of several compiled
+    /// circuits sharing `train` and `input`, one parity vector per circuit
+    /// in circuit order — each bit-identical to `expect_z_masks` on that
+    /// circuit alone, for any worker count.
+    ///
+    /// Every (circuit, trajectory) pair is one lane, circuit-major, and
+    /// every lane keeps the seed `expect_z_masks` gives it. On `Fast` the
+    /// lanes run as full [`LANE_CHUNK`](qns_sim::LANE_CHUNK)-lane chunks
+    /// that straddle circuit boundaries, except that a chunk never spans
+    /// two circuits of different mapping. A chunk runs the op prefix its
+    /// circuits share once over all its lanes, then finishes each
+    /// circuit's remaining ops on a copy of that circuit's lanes: the
+    /// measurement-basis variants of one ansatz share most of their
+    /// compiled ops. Each circuit's trajectories are folded in index order
+    /// before the readout factor. A panicking chunk poisons (NaN) every
+    /// circuit it carried.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a circuit's mapping does not fit it or the device, or one
+    /// of its masks addresses qubits beyond its width.
+    pub fn expect_z_masks_packed(
+        &self,
+        circuits: &[MaskedCircuit<'_>],
+        train: &[f64],
+        input: &[f64],
+    ) -> Vec<Vec<f64>> {
+        for c in circuits {
+            self.validate(c.circuit, c.phys_of);
+            for &m in c.masks {
+                assert!(
+                    m >> c.circuit.num_qubits() == 0,
+                    "mask addresses qubits beyond circuit width"
+                );
+            }
+        }
+        let mapped: Vec<Mapped<'_>> = circuits.iter().map(|c| (c.circuit, c.phys_of)).collect();
+        let lanes: Vec<Lane<'_>> = mapped
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &m)| self.lanes(i, m, train, &[input]))
+            .collect();
+        let masks_of = |lane: usize| circuits[lanes[lane].circuit].masks;
+        let per_lane = self.run_trajectories(
+            &mapped,
+            train,
             &lanes,
-            |_, state, _| {
-                masks
+            |lane, state, _| {
+                masks_of(lane)
                     .iter()
                     .map(|&mask| expect_parity(state, mask))
                     .collect::<Vec<f64>>()
             },
-            vec![f64::NAN; masks.len()],
+            |lane| vec![f64::NAN; masks_of(lane).len()],
         );
-        let mut out = self.trajectory_mean(&per_traj, masks.len());
-        if self.config.readout {
-            for (e, &mask) in out.iter_mut().zip(masks) {
-                let mut factor = 1.0;
-                for (q, &phys) in phys_of.iter().enumerate() {
-                    if mask & (1 << q) != 0 {
-                        factor *= readout_affine(self.device.qubit(phys)).0;
+        circuits
+            .iter()
+            .zip(per_lane.chunks(self.config.trajectories))
+            .map(|(c, per_traj)| {
+                let mut out = self.trajectory_mean(per_traj, c.masks.len());
+                if self.config.readout {
+                    for (e, &mask) in out.iter_mut().zip(c.masks) {
+                        let mut factor = 1.0;
+                        for (q, &phys) in c.phys_of.iter().enumerate() {
+                            if mask & (1 << q) != 0 {
+                                factor *= readout_affine(self.device.qubit(phys)).0;
+                            }
+                        }
+                        *e *= factor;
                     }
                 }
-                *e *= factor;
-            }
-        }
-        out
+                out
+            })
+            .collect()
     }
 
     /// Samples `shots` noisy measurement outcomes, including readout bit
@@ -469,7 +612,8 @@ impl TrajectoryExecutor {
     ) -> Vec<(usize, u32)> {
         self.validate(circuit, phys_of);
         let per_traj = shots.div_ceil(self.config.trajectories);
-        let mut lanes = self.lanes(circuit, train, &[input], phys_of);
+        let mapped = [(circuit, phys_of)];
+        let mut lanes = self.lanes(0, mapped[0], train, &[input]);
         // Shot allotment per trajectory; trajectories with nothing to draw
         // are dropped entirely, exactly as before batching.
         let mut takes: Vec<usize> = Vec::with_capacity(lanes.len());
@@ -487,9 +631,8 @@ impl TrajectoryExecutor {
         // sampled from the RNG stream it used for its circuit noise;
         // merging happens sequentially in input order below.
         let per_shot = self.run_trajectories(
-            circuit,
+            &mapped,
             train,
-            phys_of,
             &lanes,
             |traj, state, rng| {
                 let take = takes[traj];
@@ -516,7 +659,7 @@ impl TrajectoryExecutor {
                 }
                 outcomes
             },
-            Vec::new(),
+            |_| Vec::new(),
         );
         let mut counts: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
         for outcomes in per_shot {
@@ -554,6 +697,25 @@ fn expect_parity(state: &StateVec, mask: u64) -> f64 {
         }
     }
     e
+}
+
+/// Splits `0..len` into consecutive ranges, ending the current range
+/// `start..end` before `end` whenever `cut(start, end)` holds.
+fn runs(len: usize, cut: impl Fn(usize, usize) -> bool) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for end in 1..=len {
+        if end == len || cut(start, end) {
+            runs.push(start..end);
+            start = end;
+        }
+    }
+    runs
+}
+
+/// Number of leading ops `a` and `b` share.
+fn shared_prefix(a: &Circuit, b: &Circuit) -> usize {
+    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]
@@ -744,9 +906,16 @@ mod tests {
         let seeds = [3u64, 99, 1234, 77, 5];
         // Final amplitudes and the next draw of each trajectory's RNG.
         let run = |exec: &TrajectoryExecutor, seeds: &[u64]| {
-            let lanes: Vec<Lane<'_>> = seeds.iter().map(|&s| (&[][..], s)).collect();
+            let lanes: Vec<Lane<'_>> = seeds
+                .iter()
+                .map(|&seed| Lane {
+                    circuit: 0,
+                    input: &[],
+                    seed,
+                })
+                .collect();
             let mut out = Vec::new();
-            exec.run_chunk(&c, &[0.7], &[0, 1, 2], &lanes, |_, state, rng| {
+            exec.run_chunk(&[(&c, &[0, 1, 2])], &[0.7], &lanes, |_, state, rng| {
                 out.push((state.amplitudes().to_vec(), rng.gen::<u64>()))
             });
             out

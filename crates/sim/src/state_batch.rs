@@ -43,6 +43,7 @@
 use crate::state::{for_each_2q_base, mat4_is_controlled, mat4_is_diagonal};
 use crate::StateVec;
 use qns_tensor::{Mat2, Mat4, C64};
+use std::ops::Range;
 
 /// Default lane count consumers chunk minibatches into.
 ///
@@ -805,6 +806,37 @@ impl StateBatch {
         s
     }
 
+    /// Copies the lanes `lanes` into a new batch of `lanes.len()` lanes, in
+    /// order: lane `i` of the copy holds lane `lanes.start + i`'s amplitudes
+    /// bit for bit. A trajectory chunk forks its circuits' lanes this way
+    /// after running the op prefix they share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty or runs past the batch.
+    pub fn copy_lanes(&self, lanes: Range<usize>) -> StateBatch {
+        assert!(
+            lanes.start < lanes.end && lanes.end <= self.lanes,
+            "lanes out of range"
+        );
+        let len = (1usize << self.n_qubits) * lanes.len();
+        let (mut re, mut im) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        for (rr, ri) in self
+            .re
+            .chunks_exact(self.lanes)
+            .zip(self.im.chunks_exact(self.lanes))
+        {
+            re.extend_from_slice(&rr[lanes.clone()]);
+            im.extend_from_slice(&ri[lanes.clone()]);
+        }
+        StateBatch {
+            n_qubits: self.n_qubits,
+            lanes: lanes.len(),
+            re,
+            im,
+        }
+    }
+
     /// Applies a one-qubit unitary to qubit `q` of **every** lane,
     /// dispatching to the same structure-specialized paths as
     /// [`StateVec::apply_1q`].
@@ -1470,6 +1502,20 @@ mod tests {
         for lane in 0..3 {
             let s = b.lane_state(lane);
             assert!((s.probability(0) - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn copied_lanes_keep_their_amplitudes_bitwise() {
+        for (n, lanes) in [(1, 1), (3, 5), (4, 16)] {
+            let (batch, singles) = scrambled(n, lanes, 31 + lanes as u64);
+            for start in 0..lanes {
+                for end in start + 1..=lanes {
+                    let copy = batch.copy_lanes(start..end);
+                    assert_eq!((copy.num_qubits(), copy.lanes()), (n, end - start));
+                    assert_lanes_match(&copy, &singles[start..end], "copied lanes");
+                }
+            }
         }
     }
 

@@ -5,13 +5,17 @@
 
 mod common;
 
+use qns_chem::{qwc_groups, Molecule};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{
-    density_expect_masks, density_expect_z, Device, TrajectoryConfig, TrajectoryExecutor,
+    density_expect_masks, density_expect_z, Device, MaskedCircuit, TrajectoryConfig,
+    TrajectoryExecutor,
 };
+use qns_runtime::DigestCache;
 use qns_sim::{MpsConfig, SimBackend};
-use qns_transpile::Layout;
-use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SuperCircuit, Task};
+use qns_transpile::{transpile, Layout, Transpiled};
+use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SubConfig, SuperCircuit, Task};
+use std::sync::Arc;
 
 fn noisy_circuit() -> Circuit {
     let mut c = Circuit::new(3);
@@ -443,4 +447,188 @@ fn noisy_estimator_outputs_are_pinned() {
         assert_eq!(score.to_bits(), score_bits, "{label}: score moved");
         assert_eq!(accuracy.to_bits(), accuracy_bits, "{label}: accuracy moved");
     }
+}
+
+/// A compiled 1-block LiH candidate on jakarta with a non-trivial layout,
+/// for [`noisy_vqe_outputs_are_pinned`].
+fn pinned_vqe_candidate() -> (Task, Circuit, Vec<f64>, Layout) {
+    let task = Task::vqe(&Molecule::lih());
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 6, 1);
+    let config = SubConfig {
+        n_blocks: 1,
+        widths: vec![vec![5, 3]],
+    };
+    let circuit = sc.build_for(&config, &task);
+    let params: Vec<f64> = (0..circuit.num_train_params())
+        .map(|i| 0.37 * ((i % 9) as f64) - 1.1)
+        .collect();
+    (
+        task,
+        circuit,
+        params,
+        Layout::from_vec(vec![3, 5, 1, 0, 6, 4]),
+    )
+}
+
+/// Bits of the LiH `NoisySim` score per backend, at (trajectories,
+/// readout) = (6, on), (16, on), (7, off); then of `vqe_energy_measured`
+/// on H₂/belem.
+const PINNED_VQE: [(&str, [u64; 3], u64); 3] = [
+    (
+        "fast",
+        [0xbff79313a9b6dabd, 0xbff3edb306942f66, 0xbff5c0b721b93ede],
+        0xbff468ad44fef5a3,
+    ),
+    (
+        "reference",
+        [0xbff79313a9b6dabd, 0xbff3edb306942f66, 0xbff5c0b721b93ede],
+        0xbff468ad44fef5a3,
+    ),
+    (
+        "mps-exact",
+        [0xbff79313a9b6dab8, 0xbff3edb306942f61, 0xbff5c0b721b93ed9],
+        0xbff468ad44fef584,
+    ),
+];
+
+/// Pins the bits of `Estimator::score` (VQE, `NoisySim`) on LiH/jakarta,
+/// whose 14 measurement groups each compile the ansatz plus their basis
+/// rotation, at 6 and 16 trajectories with readout and 7 without; and of
+/// `vqe_energy_measured` on H₂/belem at 9 trajectories. One transpile
+/// cache serves every backend, so each group compiles once.
+#[test]
+fn noisy_vqe_outputs_are_pinned() {
+    let (task, circuit, params, layout) = pinned_vqe_candidate();
+    let cache = Arc::new(DigestCache::new());
+    let h2 = Molecule::h2();
+    let h2_circuit = {
+        let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 2, 2);
+        sc.build(&sc.max_config(), None)
+    };
+    let h2_params: Vec<f64> = (0..h2_circuit.num_train_params())
+        .map(|i| 0.21 * i as f64 - 0.5)
+        .collect();
+    for (label, bits, h2_bits) in PINNED_VQE {
+        let backend = match label {
+            "fast" => SimBackend::Fast,
+            "reference" => SimBackend::Reference,
+            _ => SimBackend::Mps(MpsConfig::exact()),
+        };
+        let got: Vec<u64> = [(6, true), (16, true), (7, false)]
+            .into_iter()
+            .map(|(trajectories, readout)| {
+                let cfg = TrajectoryConfig {
+                    trajectories,
+                    seed: 31,
+                    readout,
+                };
+                let mut est = Estimator::new(Device::jakarta(), EstimatorKind::NoisySim(cfg), 2)
+                    .with_backend(backend);
+                est.attach_runtime(Some(cache.clone()), None);
+                est.score(&circuit, &params, &task, &layout).to_bits()
+            })
+            .collect();
+        assert_eq!(got, bits, "{label}: LiH score moved");
+        let cfg = TrajectoryConfig {
+            trajectories: 9,
+            seed: 5,
+            readout: true,
+        };
+        let h2_energy = Estimator::new(Device::belem(), EstimatorKind::Noiseless, 2)
+            .with_backend(backend)
+            .vqe_energy_measured(
+                &h2_circuit,
+                &h2_params,
+                h2.hamiltonian(),
+                &Layout::from_vec(vec![4, 2]),
+                cfg,
+            );
+        assert_eq!(h2_energy.to_bits(), h2_bits, "{label}: H2 energy moved");
+    }
+}
+
+/// Each LiH measurement group of `circuit` compiled with its basis
+/// rotation on jakarta under `layout`, with the group's parity masks
+/// over the compiled circuit's dense qubits.
+fn compiled_groups(circuit: &Circuit, layout: &Layout) -> Vec<(Transpiled, Vec<u64>)> {
+    let (_, groups) = qwc_groups(Molecule::lih().hamiltonian());
+    groups
+        .iter()
+        .map(|group| {
+            let mut logical = circuit.clone();
+            logical.extend_from(&group.rotation_circuit());
+            let t = transpile(&logical, &Device::jakarta(), layout, 2);
+            let masks = group
+                .z_masks()
+                .iter()
+                .map(|&m| {
+                    (0..circuit.num_qubits())
+                        .filter(|&l| m & (1 << l) != 0)
+                        .fold(0u64, |dense, l| dense | 1 << t.dense_of_logical[l])
+                })
+                .collect();
+            (t, masks)
+        })
+        .collect()
+}
+
+/// `expect_z_masks_packed` equals one `expect_z_masks` per circuit, bit
+/// for bit, on every backend and worker count. The circuits are a small
+/// LiH candidate's 14 measurement groups with group 9 repeated right after
+/// itself (a chunk whose circuits share every op), and between groups 6
+/// and 7 one group compiled under another layout, whose mapping differs
+/// and so cuts a chunk short. At 1, 5, 6, 7, 16 and 17 trajectories the
+/// `Fast` chunks straddle circuit boundaries in every phase, or hold
+/// exactly one circuit.
+#[test]
+fn packed_groups_match_one_expect_z_masks_per_circuit() {
+    let (task, _, params, layout) = pinned_vqe_candidate();
+    let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 6, 1);
+    let circuit = sc.build_for(
+        &SubConfig {
+            n_blocks: 1,
+            widths: vec![vec![3, 1]],
+        },
+        &task,
+    );
+    let mut compiled = compiled_groups(&circuit, &layout);
+    let other_layout = compiled_groups(&circuit, &Layout::from_vec(vec![0, 1, 2, 3, 4, 5]));
+    assert_ne!(other_layout[3].0.phys_of, compiled[3].0.phys_of);
+    compiled.insert(10, compiled[9].clone());
+    compiled.insert(7, other_layout[3].clone());
+    let packed: Vec<MaskedCircuit<'_>> = compiled
+        .iter()
+        .map(|(t, masks)| MaskedCircuit {
+            circuit: &t.circuit,
+            phys_of: &t.phys_of,
+            masks,
+        })
+        .collect();
+    common::for_each_backend(|backend, label| {
+        for trajectories in [1, 5, 6, 7, 16, 17] {
+            let cfg = TrajectoryConfig {
+                trajectories,
+                seed: 43,
+                readout: trajectories % 2 == 1,
+            };
+            let exec = TrajectoryExecutor::new(Device::jakarta(), cfg).with_backend(backend);
+            let per_circuit: Vec<Vec<u64>> = packed
+                .iter()
+                .map(|c| to_bits(&exec.expect_z_masks(c.circuit, &params, &[], c.phys_of, c.masks)))
+                .collect();
+            for workers in [1, 2] {
+                let got: Vec<Vec<u64>> = exec
+                    .clone()
+                    .with_workers(workers)
+                    .expect_z_masks_packed(&packed, &params, &[])
+                    .iter()
+                    .map(|v| to_bits(v))
+                    .collect();
+                assert_eq!(
+                    got, per_circuit,
+                    "{label}, {trajectories} trajectories, {workers} workers"
+                );
+            }
+        }
+    });
 }

@@ -7,11 +7,17 @@
 //! `noisy_groups` drill-down does the same for VQE scoring: one 2-block
 //! LiH candidate's 14 jakarta-compiled measurement groups × 6 trajectories
 //! as one packed `expect_z_masks_packed` call against one `expect_z_masks`
-//! per group.
+//! per group. The `channel_step` drill-down times one step of the
+//! channels a noisy gate is followed by (depolarizing, then thermal
+//! relaxation) through `KrausChannel::apply_trajectory_all_lanes` at 4
+//! and 7 qubits × 16, 6 and 3 lanes, after checking it against each
+//! lane's standalone `StateVec` trajectory bit for bit.
 
 use crate::{time_median, Floor, Json, Mode};
 use qns_chem::{qwc_groups, Molecule};
-use qns_noise::{Device, MaskedCircuit, TrajectoryConfig, TrajectoryExecutor};
+use qns_noise::{Device, KrausChannel, MaskedCircuit, TrajectoryConfig, TrajectoryExecutor};
+use qns_sim::{StateBatch, StateVec};
+use qns_tensor::{Mat2, C64};
 use qns_transpile::{transpile, Layout, Transpiled};
 use quantumnas::{
     evolutionary_search, train_supercircuit, DesignSpace, Estimator, EstimatorKind, EvoConfig,
@@ -100,6 +106,7 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     });
 
     noisy_groups(reps, json);
+    channel_step(reps, json);
 
     // A full (small) evolutionary search.
     let est = Estimator::new(device, EstimatorKind::SuccessRate, 2).with_valid_cap(8);
@@ -190,5 +197,78 @@ fn noisy_groups(reps: usize, json: &mut Json) {
         j.num("packed_s", packed_s);
         j.num("per_group_s", per_group_s);
         j.num("speedup", per_group_s / packed_s.max(1e-12));
+    });
+}
+
+/// The `channel_step` drill-down: per-step time of
+/// `apply_trajectory_all_lanes` over the two channels that follow a 1q
+/// gate (depolarizing at 3e-4, then thermal relaxation with T1 90 µs and
+/// T2 70 µs over 35.5 ns), applied to every qubit in turn on a state
+/// spread over every amplitude. Most steps keep the leading operator on
+/// every lane.
+fn channel_step(reps: usize, json: &mut Json) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    const ROUNDS: usize = 50;
+    let channels = [
+        KrausChannel::depolarizing(3e-4),
+        KrausChannel::thermal_relaxation(90_000.0, 70_000.0, 35.5),
+    ];
+    let rngs = |lanes: usize| -> Vec<StdRng> {
+        (0..lanes)
+            .map(|l| StdRng::seed_from_u64(7 + l as u64))
+            .collect()
+    };
+    let bits = |s: &StateVec| -> Vec<(u64, u64)> {
+        s.amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    };
+    json.obj("channel_step", |j| {
+        for n in [4, 7] {
+            for lanes in [16, 6, 3] {
+                let mut batch = StateBatch::zero_state(n, lanes);
+                for q in 0..n {
+                    let phase = 0.3 + 0.2 * q as f64;
+                    let (c, s) = (phase.cos(), phase.sin());
+                    batch.apply_1q(&Mat2::hadamard(), q);
+                    batch.apply_1q(
+                        &Mat2::new([C64::ONE, C64::ZERO, C64::ZERO, C64::new(c, s)]),
+                        q,
+                    );
+                }
+                let all_lanes = |batch: &mut StateBatch, rngs: &mut [StdRng]| {
+                    for _ in 0..ROUNDS {
+                        for q in 0..n {
+                            for ch in &channels {
+                                ch.apply_trajectory_all_lanes(batch, q, rngs);
+                            }
+                        }
+                    }
+                };
+                let mut checked = batch.clone();
+                all_lanes(&mut checked, &mut rngs(lanes));
+                for (lane, mut rng) in rngs(lanes).into_iter().enumerate() {
+                    let mut single = batch.lane_state(lane);
+                    for _ in 0..ROUNDS {
+                        for q in 0..n {
+                            for ch in &channels {
+                                ch.apply_trajectory(&mut single, q, &mut rng);
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        bits(&checked.lane_state(lane)),
+                        bits(&single),
+                        "all-lanes channel step diverged from the per-lane path"
+                    );
+                }
+                let mut rngs = rngs(lanes);
+                let secs = time_median(reps, || all_lanes(&mut batch, &mut rngs));
+                let steps = ROUNDS * n * channels.len();
+                j.num(&format!("q{n}_l{lanes}_step_us"), 1e6 * secs / steps as f64);
+            }
+        }
     });
 }

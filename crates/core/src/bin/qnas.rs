@@ -25,7 +25,8 @@
 //!                                      (bare --verify = full)
 //!   --checkpoint-dir <path>            snapshot train/search/prune state
 //!   --checkpoint-every <n>             snapshot every n loop units, at
-//!                                      least 1 (default 1)
+//!                                      least 1 (default 1); needs
+//!                                      --checkpoint-dir
 //!   --resume                           continue from the latest valid
 //!                                      snapshot in --checkpoint-dir; the
 //!                                      resumed run's results are bitwise
@@ -365,6 +366,10 @@ fn cmd_run(args: &[String]) {
     });
     if checkpoint.is_none() && args.iter().any(|a| a == "--resume") {
         eprintln!("--resume requires --checkpoint-dir");
+        usage()
+    }
+    if checkpoint.is_none() && value("--checkpoint-every").is_some() {
+        eprintln!("--checkpoint-every requires --checkpoint-dir");
         usage()
     }
     let runtime = RuntimeOptions {

@@ -224,6 +224,33 @@ fn a_zero_checkpoint_interval_is_a_usage_error() {
     );
 }
 
+#[test]
+fn a_checkpoint_interval_without_a_dir_is_a_usage_error() {
+    let args = [
+        "run",
+        "--preset",
+        "smoke",
+        "--samples",
+        "40",
+        "--checkpoint-every",
+        "3",
+    ];
+    let out = qnas(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+    assert!(
+        stderr.contains("--checkpoint-every requires --checkpoint-dir")
+            && stderr.contains("usage: qnas"),
+        "qnas {}: {stderr}",
+        args.join(" ")
+    );
+}
+
 /// The `--stats` line `NAME  VALUE` of a run's report, parsed.
 fn stat(stdout: &str, name: &str) -> Option<usize> {
     stdout.lines().find_map(|line| {

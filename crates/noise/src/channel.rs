@@ -199,17 +199,23 @@ impl KrausChannel {
     /// once, drawing from `rngs[lane]`. Per lane this is bit-identical to
     /// [`KrausChannel::apply_trajectory`] on that lane's state: each lane
     /// makes the same draw from its own RNG, walks the same Born CDF, and
-    /// applies the same operator and renormalization. The Born probability
-    /// of the leading (no-error) operator and the renormalization each run
-    /// as one lanes-contiguous sweep; lanes whose draw falls past the
-    /// leading operator (rare at hardware error rates) finish their CDF
-    /// walk on the per-lane path. When every lane keeps the leading
-    /// operator, it is applied as one shared sweep; otherwise each lane's
-    /// chosen operator goes through [`StateBatch::apply_1q_per_lane`].
+    /// applies the same operator and renormalization.
     ///
-    /// Draws, probabilities and choices live in fixed [`LANE_CHUNK`]-wide
-    /// arrays, so the step does not allocate unless some lane errs; the
-    /// trajectory executor never builds a wider batch.
+    /// One read sweep ([`StateBatch::kraus_prob_and_norm`]) gives each
+    /// lane the Born probability of the leading (no-error) operator `K₀`
+    /// and the squared norm `K₀ψ` will have; lanes whose draw falls past
+    /// `K₀` (rare at hardware error rates) finish their CDF walk on the
+    /// per-lane path. When every lane keeps a diagonal `K₀` (every
+    /// channel `walk_noisy` builds leads with one), one write sweep
+    /// ([`StateBatch::apply_1q_diag_normalized`]) applies it and
+    /// renormalizes with those norms, so the step is two sweeps.
+    /// Otherwise the shared `K₀`, or each lane's chosen operator through
+    /// [`StateBatch::apply_1q_per_lane`], is applied and
+    /// [`StateBatch::normalize_lanes`] renormalizes.
+    ///
+    /// Draws, probabilities, norms and choices live in fixed
+    /// [`LANE_CHUNK`]-wide arrays, so the step does not allocate unless
+    /// some lane errs; the trajectory executor never builds a wider batch.
     ///
     /// # Panics
     ///
@@ -236,8 +242,9 @@ impl KrausChannel {
         for (u, rng) in us.iter_mut().zip(rngs.iter_mut()) {
             *u = rng.gen();
         }
-        let mut p0 = [0.0; LANE_CHUNK];
-        batch.kraus_probs(&self.ops[0], q, &mut p0[..lanes]);
+        let (mut p0, mut n0) = ([0.0; LANE_CHUNK], [0.0; LANE_CHUNK]);
+        let k0 = &self.ops[0];
+        batch.kraus_prob_and_norm(k0, q, &mut p0[..lanes], &mut n0[..lanes]);
         let mut chosen = [0usize; LANE_CHUNK];
         let draws = us.iter().zip(&p0).take(lanes).enumerate();
         for ((lane, (&u, &p)), c) in draws.zip(&mut chosen) {
@@ -248,7 +255,12 @@ impl KrausChannel {
             };
         }
         if chosen[..lanes].iter().all(|&i| i == 0) {
-            batch.apply_1q(&self.ops[0], q);
+            let [_, k01, k10, _] = k0.m;
+            if k01 == C64::ZERO && k10 == C64::ZERO {
+                batch.apply_1q_diag_normalized(k0, q, &n0[..lanes]);
+                return;
+            }
+            batch.apply_1q(k0, q);
         } else {
             let mut ms = [self.ops[0]; LANE_CHUNK];
             for (m, &i) in ms.iter_mut().zip(&chosen) {
@@ -420,34 +432,54 @@ mod tests {
     fn all_lanes_trajectory_is_bit_identical_to_per_lane() {
         // The lanes-contiguous batched channel step must make the same
         // draws and produce the same amplitudes as applying the channel to
-        // each lane's standalone single-state copy.
+        // each lane's standalone single-state copy, at every chunk width.
+        // The bit flip at p = 0.5 makes some lanes err at most steps; the
+        // last multi-operator channel leads with a non-diagonal operator.
+        // The start state has no exactly representable amplitudes, so sums
+        // taken in another order than the per-lane path's would show.
+        let (keep, flip) = (C64::real(0.9f64.sqrt()), C64::real(0.1f64.sqrt()));
         for ch in [
             KrausChannel::depolarizing(0.3),
             KrausChannel::thermal_relaxation(50_000.0, 70_000.0, 300.0),
+            KrausChannel::bit_flip(0.5),
+            KrausChannel::new(vec![
+                Mat2::hadamard().scale(keep),
+                Mat2::pauli_z().scale(flip),
+            ]),
             KrausChannel::new(vec![Mat2::pauli_x()]), // single-op fast path
         ] {
-            let lanes = 5;
-            let mut fast = StateBatch::zero_state(3, lanes);
-            fast.apply_1q(&Mat2::hadamard(), 0);
-            fast.apply_1q(&Mat2::hadamard(), 2);
-            let mut singles: Vec<StateVec> = (0..lanes).map(|l| fast.lane_state(l)).collect();
-            let mut rngs_f: Vec<StdRng> = (0..lanes)
-                .map(|l| StdRng::seed_from_u64(90 + l as u64))
-                .collect();
-            let mut rngs_s = rngs_f.clone();
-            for step in 0..30 {
-                let q = step % 3;
-                ch.apply_trajectory_all_lanes(&mut fast, q, &mut rngs_f);
-                for (single, rng) in singles.iter_mut().zip(&mut rngs_s) {
-                    ch.apply_trajectory(single, q, rng);
+            assert!(ch.is_trace_preserving(1e-12));
+            for lanes in 1..=LANE_CHUNK {
+                let mut fast = StateBatch::zero_state(3, lanes);
+                for q in 0..3 {
+                    let (s, c) = (0.4 + 0.3 * q as f64).sin_cos();
+                    let rx = Mat2::new([
+                        C64::real(c),
+                        C64::new(0.0, -s),
+                        C64::new(0.0, -s),
+                        C64::real(c),
+                    ]);
+                    fast.apply_1q(&rx, q);
                 }
-            }
-            for (lane, single) in singles.iter().enumerate() {
-                assert_eq!(
-                    fast.lane_state(lane).amplitudes(),
-                    single.amplitudes(),
-                    "lane {lane} diverged"
-                );
+                let mut singles: Vec<StateVec> = (0..lanes).map(|l| fast.lane_state(l)).collect();
+                let mut rngs_f: Vec<StdRng> = (0..lanes)
+                    .map(|l| StdRng::seed_from_u64(90 + l as u64))
+                    .collect();
+                let mut rngs_s = rngs_f.clone();
+                for step in 0..30 {
+                    let q = step % 3;
+                    ch.apply_trajectory_all_lanes(&mut fast, q, &mut rngs_f);
+                    for (single, rng) in singles.iter_mut().zip(&mut rngs_s) {
+                        ch.apply_trajectory(single, q, rng);
+                    }
+                }
+                for (lane, single) in singles.iter().enumerate() {
+                    assert_eq!(
+                        fast.lane_state(lane).amplitudes(),
+                        single.amplitudes(),
+                        "{lanes} lanes: lane {lane} diverged"
+                    );
+                }
             }
         }
     }

@@ -31,6 +31,14 @@
 //! [`StateBatch::apply_1q_per_lane`] sweeps all lanes in one pass with the
 //! matrix entries themselves transposed into planar per-lane arrays.
 //!
+//! A Kraus channel step on a trajectory batch whose lanes all keep a
+//! diagonal leading operator is two sweeps: [`StateBatch::kraus_prob_and_norm`]
+//! reads each lane's Born probability and the squared norm the kept state
+//! will have, and [`StateBatch::apply_1q_diag_normalized`] applies the
+//! operator and the renormalization together. Both walk lane groups of at
+//! most [`LANE_CHUNK`] lanes, compiled once per group width, so every lane
+//! loop has a fixed trip count and a 3-lane fork batch costs 3 lanes' work.
+//!
 //! Every kernel mirrors the structure-specialized dispatch and per-pair
 //! arithmetic of [`StateVec`] exactly — each complex multiply expands to
 //! the same `re*re - im*im` / `re*im + im*re` expressions in the same
@@ -176,6 +184,34 @@ macro_rules! lane_tiles {
             $body
         }
     }};
+}
+
+/// Calls the const-generic `$f::<W, …>` whose lane-group width `W` equals
+/// `$width`, for every width `1..=`[`LANE_CHUNK`]: each width is its own
+/// instantiation, so the group's lane loops have a compile-time trip
+/// count whatever the batch's runtime lane count.
+macro_rules! by_lane_width {
+    ($width:expr, $f:ident::<_ $(, $c:tt)*>($($arg:expr),* $(,)?)) => {
+        match $width {
+            1 => $f::<1 $(, $c)*>($($arg),*),
+            2 => $f::<2 $(, $c)*>($($arg),*),
+            3 => $f::<3 $(, $c)*>($($arg),*),
+            4 => $f::<4 $(, $c)*>($($arg),*),
+            5 => $f::<5 $(, $c)*>($($arg),*),
+            6 => $f::<6 $(, $c)*>($($arg),*),
+            7 => $f::<7 $(, $c)*>($($arg),*),
+            8 => $f::<8 $(, $c)*>($($arg),*),
+            9 => $f::<9 $(, $c)*>($($arg),*),
+            10 => $f::<10 $(, $c)*>($($arg),*),
+            11 => $f::<11 $(, $c)*>($($arg),*),
+            12 => $f::<12 $(, $c)*>($($arg),*),
+            13 => $f::<13 $(, $c)*>($($arg),*),
+            14 => $f::<14 $(, $c)*>($($arg),*),
+            15 => $f::<15 $(, $c)*>($($arg),*),
+            16 => $f::<16 $(, $c)*>($($arg),*),
+            w => unreachable!("lane group of width {w}"),
+        }
+    };
 }
 
 /// Planar scale kernel: `a = d * a` over one run, the diagonal-path
@@ -626,6 +662,163 @@ fn four_runs(
         &mut p2[..run],
         &mut p3[..run],
     )
+}
+
+/// Lanes `start..start + W` of one `l`-lane amplitude row, as an array.
+#[inline(always)]
+fn lane_group<const W: usize>(row: &[f64], start: usize) -> &[f64; W] {
+    row[start..start + W].try_into().expect("group within row")
+}
+
+/// Mutable variant of [`lane_group`].
+#[inline(always)]
+fn lane_group_mut<const W: usize>(row: &mut [f64], start: usize) -> &mut [f64; W] {
+    (&mut row[start..start + W])
+        .try_into()
+        .expect("group within row")
+}
+
+/// `|m_a x0 + m_b x1|²` for one output row `(m_a, m_b)` of a 2×2
+/// operator, every complex product, sum and square in [`C64`]'s operation
+/// order (`(m_a * a0 + m_b * a1).norm_sqr()`).
+#[inline(always)]
+fn row_norm_sqr(ma: (f64, f64), mb: (f64, f64), x0: (f64, f64), x1: (f64, f64)) -> f64 {
+    let r = (ma.0 * x0.0 - ma.1 * x0.1) + (mb.0 * x1.0 - mb.1 * x1.1);
+    let i = (ma.0 * x0.1 + ma.1 * x0.0) + (mb.0 * x1.1 + mb.1 * x1.0);
+    r * r + i * i
+}
+
+/// `|d x|²` for a real `d`: [`row_norm_sqr`] of a real diagonal row,
+/// whose dropped terms are zeros that only the sign of a zero can tell
+/// apart before squaring.
+#[inline(always)]
+fn scaled_norm_sqr(d: f64, x: (f64, f64)) -> f64 {
+    let (r, i) = (d * x.0, d * x.1);
+    r * r + i * i
+}
+
+/// The two row terms `(|(K ψ)_lo|², |(K ψ)_hi|²)` of one amplitude pair
+/// under the flattened operator `m`; `REAL_DIAG` squares `m00.re·x0` and
+/// `m11.re·x1` alone.
+#[inline(always)]
+fn pair_terms<const REAL_DIAG: bool>(m: &[f64; 8], x0: (f64, f64), x1: (f64, f64)) -> (f64, f64) {
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+    if REAL_DIAG {
+        (scaled_norm_sqr(m00r, x0), scaled_norm_sqr(m11r, x1))
+    } else {
+        (
+            row_norm_sqr((m00r, m00i), (m01r, m01i), x0, x1),
+            row_norm_sqr((m10r, m10i), (m11r, m11i), x0, x1),
+        )
+    }
+}
+
+/// One lane group's share of [`StateBatch::kraus_prob_and_norm`]: lanes
+/// `start..start + W` of rows `l` lanes wide, pair halves `half` elements
+/// apart, `m` the flattened operator. Each pair block adds its low half
+/// to the norm first, in ascending order, then walks its pairs, adding row
+/// 0 and row 1 to the probability and row 1 to the norm, so each sum keeps
+/// its own order.
+#[inline(always)]
+fn born_and_norm_group<const W: usize, const REAL_DIAG: bool>(
+    (re, im): (&[f64], &[f64]),
+    l: usize,
+    start: usize,
+    half: usize,
+    m: &[f64; 8],
+    probs: &mut [f64],
+    norms: &mut [f64],
+) {
+    let (mut p, mut n) = ([0.0; W], [0.0; W]);
+    for (rc, ic) in re.chunks_exact(half << 1).zip(im.chunks_exact(half << 1)) {
+        let (lo_r, hi_r) = rc.split_at(half);
+        let (lo_i, hi_i) = ic.split_at(half);
+        let rows = lo_r
+            .chunks_exact(l)
+            .zip(lo_i.chunks_exact(l))
+            .zip(hi_r.chunks_exact(l).zip(hi_i.chunks_exact(l)));
+        for ((r0, i0), (r1, i1)) in rows.clone() {
+            let (r0, i0) = (lane_group::<W>(r0, start), lane_group::<W>(i0, start));
+            let (r1, i1) = (lane_group::<W>(r1, start), lane_group::<W>(i1, start));
+            for k in 0..W {
+                n[k] += pair_terms::<REAL_DIAG>(m, (r0[k], i0[k]), (r1[k], i1[k])).0;
+            }
+        }
+        for ((r0, i0), (r1, i1)) in rows {
+            let (r0, i0) = (lane_group::<W>(r0, start), lane_group::<W>(i0, start));
+            let (r1, i1) = (lane_group::<W>(r1, start), lane_group::<W>(i1, start));
+            for k in 0..W {
+                let (t0, t1) = pair_terms::<REAL_DIAG>(m, (r0[k], i0[k]), (r1[k], i1[k]));
+                p[k] += t0;
+                p[k] += t1;
+                n[k] += t1;
+            }
+        }
+    }
+    probs.copy_from_slice(&p);
+    norms.copy_from_slice(&n);
+}
+
+/// One row group of [`diag_scale_group`]: `x = d x · s` lane by lane, the
+/// product in [`kern_scale`]'s expression (skipped when `d` is `None`).
+/// The three arrays arrive as separate references, so the lane loop packs
+/// with no overlap checks.
+#[inline(always)]
+fn kern_diag_scale<const W: usize>(
+    r: &mut [f64; W],
+    i: &mut [f64; W],
+    d: Option<C64>,
+    s: &[f64; W],
+) {
+    match d {
+        None => {
+            for k in 0..W {
+                r[k] *= s[k];
+                i[k] *= s[k];
+            }
+        }
+        Some(d) => {
+            for k in 0..W {
+                let (xr, xi) = (r[k], i[k]);
+                r[k] = (d.re * xr - d.im * xi) * s[k];
+                i[k] = (d.re * xi + d.im * xr) * s[k];
+            }
+        }
+    }
+}
+
+/// One lane group's share of [`StateBatch::apply_1q_diag_normalized`]:
+/// lanes `start..start + W` of rows `l` lanes wide, pair halves `half`
+/// elements apart. Each amplitude becomes [`kern_scale`]'s product with
+/// its half's diagonal entry (`None` for the identity: no product), then
+/// that product times its lane's `scale`.
+#[inline(always)]
+fn diag_scale_group<const W: usize>(
+    (re, im): (&mut [f64], &mut [f64]),
+    l: usize,
+    start: usize,
+    half: usize,
+    diag: [Option<C64>; 2],
+    scale: &[f64],
+) {
+    let s: &[f64; W] = scale.try_into().expect("one scale per group lane");
+    let [d0, d1] = diag;
+    for (rc, ic) in re
+        .chunks_exact_mut(half << 1)
+        .zip(im.chunks_exact_mut(half << 1))
+    {
+        let (lo_r, hi_r) = rc.split_at_mut(half);
+        let (lo_i, hi_i) = ic.split_at_mut(half);
+        for (hr, hi, d) in [(lo_r, lo_i, d0), (hi_r, hi_i, d1)] {
+            for (rr, ri) in hr.chunks_exact_mut(l).zip(hi.chunks_exact_mut(l)) {
+                let (r, i) = (
+                    lane_group_mut::<W>(rr, start),
+                    lane_group_mut::<W>(ri, start),
+                );
+                kern_diag_scale(r, i, d, s);
+            }
+        }
+    }
 }
 
 /// Structure class of a 2×2 matrix, mirroring the dispatch predicates of
@@ -1333,51 +1526,119 @@ impl StateBatch {
         out
     }
 
-    /// `||K ψ||²` of the one-qubit operator `k` on qubit `q` for every lane,
-    /// into `out[lane]`: the Born probability of a Kraus operator, in one
-    /// lanes-contiguous sweep. Each lane sums over the amplitude pairs `(i,
-    /// i + 2^q)` in ascending base order, row 0 before row 1, with [`C64`]'s
-    /// operation order, so `out[lane]` is bit-identical to the same walk
-    /// over that lane's standalone [`StateVec`].
+    /// For every lane, two sums over the same terms `|(K ψ)_i|²` of the
+    /// one-qubit operator `k` on qubit `q`, in one lanes-contiguous read
+    /// sweep:
+    ///
+    /// - `probs[lane]`, the Born probability `||K ψ||²`, summed over the
+    ///   amplitude pairs `(i, i + 2^q)` in ascending base order, row 0
+    ///   before row 1, with [`C64`]'s operation order: bit-identical to the
+    ///   same walk over that lane's standalone [`StateVec`];
+    /// - `norms[lane]`, the squared norm `K ψ` will have, summed in
+    ///   ascending amplitude order: bit-identical to
+    ///   [`StateVec::norm_sqr`] after [`StateVec::apply_1q`], the sum
+    ///   [`StateVec::normalize`] and [`StateBatch::normalize_lanes`] take.
+    ///
+    /// The two differ only in summation order. Lanes are swept in groups
+    /// of at most [`LANE_CHUNK`], each compiled at its own width so its
+    /// lane loops have a fixed trip count. A real diagonal `k` (every
+    /// channel's leading operator `walk_noisy` builds) squares `d·x`
+    /// directly; that is exact because the full expression differs from
+    /// it only in the sign of a zero, which squaring removes.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != lanes()` or `q` is out of range.
-    pub fn kraus_probs(&self, k: &Mat2, q: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.lanes, "one probability per lane");
+    /// Panics if `probs` or `norms` does not hold one value per lane, or
+    /// `q` is out of range.
+    pub fn kraus_prob_and_norm(&self, k: &Mat2, q: usize, probs: &mut [f64], norms: &mut [f64]) {
+        assert_eq!(probs.len(), self.lanes, "one probability per lane");
+        assert_eq!(norms.len(), self.lanes, "one norm per lane");
         assert!(q < self.n_qubits, "qubit {} out of range", q);
-        out.fill(0.0);
-        self.sweep_kraus_probs(k, q, out);
+        self.sweep_kraus_prob_and_norm(k, q, probs, norms);
     }
 
     multiversion_sweep!(
-        sweep_kraus_probs / sweep_kraus_probs_avx2 => kraus_probs_body(&self, k: &Mat2, q: usize, out: &mut [f64])
+        sweep_kraus_prob_and_norm / sweep_kraus_prob_and_norm_avx2 => kraus_prob_and_norm_body(&self, k: &Mat2, q: usize, probs: &mut [f64], norms: &mut [f64])
     );
 
     #[inline(always)]
-    fn kraus_probs_body(&self, k: &Mat2, q: usize, out: &mut [f64]) {
-        let l = self.lanes;
-        let stride = (1usize << q) * l;
+    fn kraus_prob_and_norm_body(&self, k: &Mat2, q: usize, probs: &mut [f64], norms: &mut [f64]) {
         let [m00, m01, m10, m11] = k.m;
-        for (rc, ic) in self
-            .re
-            .chunks_exact(stride << 1)
-            .zip(self.im.chunks_exact(stride << 1))
-        {
-            let (lo_r, hi_r) = rc.split_at(stride);
-            let (lo_i, hi_i) = ic.split_at(stride);
-            let rows = lo_r
-                .chunks_exact(l)
-                .zip(lo_i.chunks_exact(l))
-                .zip(hi_r.chunks_exact(l).zip(hi_i.chunks_exact(l)));
-            for ((r0, i0), (r1, i1)) in rows {
-                let pairs = r0.iter().zip(i0).zip(r1.iter().zip(i1));
-                for (a, ((&r0, &i0), (&r1, &i1))) in out.iter_mut().zip(pairs) {
-                    let (a0, a1) = (C64::new(r0, i0), C64::new(r1, i1));
-                    *a += (m00 * a0 + m01 * a1).norm_sqr();
-                    *a += (m10 * a0 + m11 * a1).norm_sqr();
-                }
+        let real_diag = m01 == C64::ZERO && m10 == C64::ZERO && m00.im == 0.0 && m11.im == 0.0;
+        let m = flat2(k);
+        let (l, half) = (self.lanes, (1usize << q) * self.lanes);
+        let planes = (&self.re[..], &self.im[..]);
+        let mut start = 0;
+        while start < l {
+            let group = start..(start + LANE_CHUNK).min(l);
+            let (p, n) = (&mut probs[group.clone()], &mut norms[group.clone()]);
+            if real_diag {
+                by_lane_width!(
+                    group.len(),
+                    born_and_norm_group::<_, true>(planes, l, start, half, &m, p, n)
+                );
+            } else {
+                by_lane_width!(
+                    group.len(),
+                    born_and_norm_group::<_, false>(planes, l, start, half, &m, p, n)
+                );
             }
+            start = group.end;
+        }
+    }
+
+    /// Applies the diagonal one-qubit operator `k` to qubit `q` of every
+    /// lane and scales lane `lane` by `1 / sqrt(norms[lane])`, leaving it
+    /// unscaled where that norm is zero, in one write sweep. With the
+    /// `norms` [`StateBatch::kraus_prob_and_norm`] reports for `k`, this is
+    /// bit-identical to [`StateBatch::apply_1q`] then
+    /// [`StateBatch::normalize_lanes`]: each amplitude is first the
+    /// diagonal path's complex product (skipped when `k` is the identity,
+    /// so stored zeros keep their signs), then scaled. Lanes go in groups
+    /// of at most [`LANE_CHUNK`], compiled per width like the read sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not diagonal, `norms` does not hold one value per
+    /// lane, or `q` is out of range.
+    pub fn apply_1q_diag_normalized(&mut self, k: &Mat2, q: usize, norms: &[f64]) {
+        let [d0, m01, m10, d1] = k.m;
+        assert!(
+            m01 == C64::ZERO && m10 == C64::ZERO,
+            "operator is not diagonal"
+        );
+        assert_eq!(norms.len(), self.lanes, "one norm per lane");
+        assert!(q < self.n_qubits, "qubit {} out of range", q);
+        let diag = if d0 == C64::ONE && d1 == C64::ONE {
+            [None; 2]
+        } else {
+            [Some(d0), Some(d1)]
+        };
+        self.sweep_1q_diag_normalized(diag, q, norms);
+    }
+
+    multiversion_sweep!(
+        sweep_1q_diag_normalized / sweep_1q_diag_normalized_avx2 => diag_normalized_body(&mut self, diag: [Option<C64>; 2], q: usize, norms: &[f64])
+    );
+
+    #[inline(always)]
+    fn diag_normalized_body(&mut self, diag: [Option<C64>; 2], q: usize, norms: &[f64]) {
+        let (l, half) = (self.lanes, (1usize << q) * self.lanes);
+        let mut start = 0;
+        while start < l {
+            let group = start..(start + LANE_CHUNK).min(l);
+            let mut scale = [0.0; LANE_CHUNK];
+            let scale = &mut scale[..group.len()];
+            for (s, &n) in scale.iter_mut().zip(&norms[group.clone()]) {
+                let norm = n.sqrt();
+                *s = if norm > 0.0 { 1.0 / norm } else { 1.0 };
+            }
+            let planes = (&mut self.re[..], &mut self.im[..]);
+            by_lane_width!(
+                group.len(),
+                diag_scale_group::<_>(planes, l, start, half, diag, scale)
+            );
+            start = group.end;
         }
     }
 
@@ -1646,23 +1907,33 @@ mod tests {
         }
     }
 
+    /// `||K ψ||²` over one standalone state, pairs in ascending base
+    /// order, row 0 before row 1.
+    fn single_kraus_prob(s: &StateVec, k: &Mat2, q: usize) -> f64 {
+        let (amps, stride) = (s.amplitudes(), 1usize << q);
+        let [m00, m01, m10, m11] = k.m;
+        let mut acc = 0.0;
+        for base in (0..amps.len()).step_by(stride << 1) {
+            for i in base..base + stride {
+                let (a0, a1) = (amps[i], amps[i + stride]);
+                acc += (m00 * a0 + m01 * a1).norm_sqr();
+                acc += (m10 * a0 + m11 * a1).norm_sqr();
+            }
+        }
+        acc
+    }
+
+    /// The bit patterns of a state's amplitudes, so signed zeros count.
+    fn amp_bits(s: &StateVec) -> Vec<(u64, u64)> {
+        s.amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn kraus_probs_match_the_single_state_walk() {
-        // `||K ψ||²` over one standalone state, pairs in ascending base
-        // order, row 0 before row 1.
-        let single = |s: &StateVec, k: &Mat2, q: usize| {
-            let (amps, stride) = (s.amplitudes(), 1usize << q);
-            let [m00, m01, m10, m11] = k.m;
-            let mut acc = 0.0;
-            for base in (0..amps.len()).step_by(stride << 1) {
-                for i in base..base + stride {
-                    let (a0, a1) = (amps[i], amps[i + stride]);
-                    acc += (m00 * a0 + m01 * a1).norm_sqr();
-                    acc += (m10 * a0 + m11 * a1).norm_sqr();
-                }
-            }
-            acc
-        };
+        let single = single_kraus_prob;
         let diag = Mat2::new([
             C64::new(0.9, 0.1),
             C64::ZERO,
@@ -1673,10 +1944,80 @@ mod tests {
             let (batch, singles) = scrambled(4, lanes, 55);
             for k in [diag, ry(0.7), Mat2::hadamard()] {
                 for q in 0..4 {
-                    let mut out = vec![0.0; lanes];
-                    batch.kraus_probs(&k, q, &mut out);
+                    let (mut out, mut norms) = (vec![0.0; lanes], vec![0.0; lanes]);
+                    batch.kraus_prob_and_norm(&k, q, &mut out, &mut norms);
                     let want: Vec<f64> = singles.iter().map(|s| single(s, &k, q)).collect();
                     assert_eq!(out, want, "{lanes} lanes, q {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kraus_sweeps_match_each_lanes_walk_at_every_width() {
+        // The leading operators a channel step meets: the identity, a real
+        // diagonal (every channel `walk_noisy` builds), a complex diagonal
+        // and, for the read sweep only, a general operator. Every group
+        // width 1..=16 runs alone; 33 lanes run as groups of 16, 16 and 1.
+        let real = Mat2::new([C64::real(0.8), C64::ZERO, C64::ZERO, C64::real(0.6)]);
+        let complex = Mat2::new([
+            C64::new(0.9, 0.1),
+            C64::ZERO,
+            C64::ZERO,
+            C64::new(0.3, -0.2),
+        ]);
+        let general = ry(0.7).scale(C64::real(0.9));
+        let ops = [
+            (Mat2::identity(), true),
+            (real, true),
+            (complex, true),
+            (general, false),
+        ];
+        for n in 1..=7 {
+            for lanes in (1..=LANE_CHUNK).chain([33]) {
+                let (mut batch, _) = scrambled(n, lanes, (100 * n + lanes) as u64);
+                // Lane 0 purely imaginary, with real parts of -0 (where a
+                // dropped `0 · im` term or a multiply by the identity would
+                // flip a zero's sign), then one zero-norm lane, its zeros
+                // signed both ways.
+                let zero = lanes / 2;
+                for i in 0..1usize << n {
+                    batch.re[i * lanes] = -0.0;
+                    let sign = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    batch.re[i * lanes + zero] = sign;
+                    batch.im[i * lanes + zero] = -sign;
+                }
+                for q in 0..n {
+                    for (k, diagonal) in &ops {
+                        let label = format!("{n} qubits, {lanes} lanes, q {q}, k {k:?}");
+                        let (mut probs, mut norms) = (vec![0.0; lanes], vec![0.0; lanes]);
+                        batch.kraus_prob_and_norm(k, q, &mut probs, &mut norms);
+                        let mut written = batch.clone();
+                        if *diagonal {
+                            written.apply_1q_diag_normalized(k, q, &norms);
+                        }
+                        for lane in 0..lanes {
+                            let mut s = batch.lane_state(lane);
+                            let p = single_kraus_prob(&s, k, q);
+                            assert_eq!(
+                                probs[lane].to_bits(),
+                                p.to_bits(),
+                                "{label}: lane {lane} prob"
+                            );
+                            s.apply_1q(k, q);
+                            let norm = s.norm_sqr();
+                            assert_eq!(
+                                norms[lane].to_bits(),
+                                norm.to_bits(),
+                                "{label}: lane {lane} norm"
+                            );
+                            if *diagonal {
+                                s.normalize();
+                                let got = amp_bits(&written.lane_state(lane));
+                                assert_eq!(got, amp_bits(&s), "{label}: lane {lane} amplitudes");
+                            }
+                        }
+                    }
                 }
             }
         }

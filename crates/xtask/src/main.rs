@@ -60,7 +60,8 @@ const SWEEP_ANCHORS: &[&str] = &[
     "apply_2q_general",
     "sweep_2q_perlane_controlled",
     "sweep_2q_perlane_general",
-    "sweep_kraus_probs",
+    "sweep_kraus_prob_and_norm",
+    "sweep_1q_diag_normalized",
     "sweep_normalize_lanes",
 ];
 

@@ -6,7 +6,7 @@
 //! 1. `forward` — minibatch inference: `parallel_map` over per-sample
 //!    plan replays vs. one `replay_batch_into` sweep per minibatch.
 //! 2. `epoch` — a QML training epoch (forward + adjoint gradient) at
-//!    10 qubits, batch 32: the old per-sample `qml_sample_grad` shape
+//!    10 qubits, batch 32: one forward and one adjoint pass per sample
 //!    under `parallel_map` vs. `adjoint_gradient_batch`. The acceptance
 //!    target is ≥2× here.
 //!

@@ -31,6 +31,13 @@
 //! assert!((e + 1.85).abs() < 0.02);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod fermion;
 mod groundstate;
 mod grouping;

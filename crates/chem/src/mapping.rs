@@ -2,7 +2,7 @@
 
 use crate::{FermionOp, FermionSum, PauliString, PauliSum};
 use qns_tensor::C64;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A complex-coefficient Pauli sum — the intermediate algebra for mapping
 /// ladder-operator products.
@@ -36,21 +36,17 @@ impl ComplexPauliSum {
     }
 
     pub(crate) fn simplify(&mut self) {
-        let mut map: HashMap<PauliString, C64> = HashMap::new();
+        // Keyed by (weight, x, z), so the terms come out in that order.
+        let mut map: BTreeMap<(u32, u64, u64), C64> = BTreeMap::new();
         for (c, s) in self.0.drain(..) {
-            let e = map.entry(s).or_insert(C64::ZERO);
+            let e = map.entry((s.weight(), s.x, s.z)).or_insert(C64::ZERO);
             *e += c;
         }
-        let mut v: Vec<(C64, PauliString)> = map
-            // lint:allow(nondet-iter) — drained into a Vec and sorted by
-            // the total key (weight, x, z) two lines down; coefficients
-            // were accumulated per-entry, so order cannot leak
+        self.0 = map
             .into_iter()
             .filter(|(_, c)| c.abs() > 1e-12)
-            .map(|(s, c)| (c, s))
+            .map(|((_, x, z), c)| (c, PauliString { x, z }))
             .collect();
-        v.sort_by_key(|(_, s)| (s.weight(), s.x, s.z));
-        self.0 = v;
     }
 }
 

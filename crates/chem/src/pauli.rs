@@ -2,7 +2,7 @@
 
 use qns_sim::StateVec;
 use qns_tensor::C64;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A tensor product of single-qubit Paulis in symplectic form.
@@ -237,20 +237,16 @@ impl PauliSum {
 
     /// Combines duplicate strings and drops negligible coefficients.
     pub fn simplify(&mut self) {
-        let mut map: HashMap<PauliString, f64> = HashMap::new();
+        // Keyed by (weight, x, z), so the terms come out in that order.
+        let mut map: BTreeMap<(u32, u64, u64), f64> = BTreeMap::new();
         for (c, s) in self.terms.drain(..) {
-            *map.entry(s).or_insert(0.0) += c;
+            *map.entry((s.weight(), s.x, s.z)).or_insert(0.0) += c;
         }
-        let mut terms: Vec<(f64, PauliString)> = map
-            // lint:allow(nondet-iter) — drained into a Vec and sorted by
-            // the total key (weight, x, z) two lines down; coefficients
-            // were accumulated per-entry, so order cannot leak
+        self.terms = map
             .into_iter()
             .filter(|(_, c)| c.abs() > 1e-12)
-            .map(|(s, c)| (c, s))
+            .map(|((_, x, z), c)| (c, PauliString { x, z }))
             .collect();
-        terms.sort_by_key(|(_, s)| (s.weight(), s.x, s.z));
-        self.terms = terms;
     }
 
     /// Applies the operator: `H|ψ>`.
@@ -388,8 +384,6 @@ mod tests {
 
     #[test]
     fn simplify_is_deterministic_across_insertion_orders() {
-        // Regression for a QA005 triage: simplify accumulates through a
-        // HashMap, so the output must not depend on map iteration order.
         // Feeding the same terms in two different orders must produce
         // bitwise-identical sorted term lists.
         let labels = ["XI", "ZZ", "IY", "XX", "ZI", "IZ", "YY", "XI", "ZZ"];

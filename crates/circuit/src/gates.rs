@@ -309,7 +309,10 @@ impl GateKind {
                 let g = a.kron(&b);
                 GateMatrix::Two(g.mul_mat(&u).scale(half))
             }
-            // lint:allow(no-panic) — documented API-misuse panic, guarded by the `which` assert above
+            #[expect(
+                clippy::panic,
+                reason = "documented API-misuse panic, guarded by the `which` assert above"
+            )]
             _ => panic!("gate {} has no parameters", self.name()),
         }
     }

@@ -28,6 +28,18 @@
 //! assert_eq!(c.num_train_params(), 1);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+// No unwrap or panic either: this crate returns errors.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(
+        clippy::allow_attributes_without_reason,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 mod circuit;
 mod gates;
 mod param;

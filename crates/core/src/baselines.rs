@@ -32,7 +32,10 @@ pub fn human_design(sc: &SuperCircuit, target_params: usize) -> SubConfig {
     let mut used = 0usize;
     let mut active_blocks = 0usize;
     let mut exhausted = false;
-    #[allow(clippy::needless_range_loop)] // `b` is a block index used in two tables
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`b` is a block index used in two tables"
+    )]
     for b in 0..sc.num_blocks() {
         if exhausted {
             break;

@@ -17,8 +17,7 @@
 //!                                      and reports truncation telemetry in
 //!                                      --stats
 //!   --max-bond <n>                     MPS bond-dimension cap, at least 1
-//!                                      (default 64; only meaningful with
-//!                                      --backend mps)
+//!                                      (default 64; needs --backend mps)
 //!   --workers <n>                      evaluation workers (0 = one per core)
 //!   --no-cache                         disable transpile cache + score memo
 //!   --verify [off|contracts|full]      per-stage transpiler verification
@@ -34,9 +33,10 @@
 //!   --proxy [on|off]                   proxy prescreening of search offspring
 //!                                      (bare --proxy = on; off by default)
 //!   --proxy-keep <f>                   fraction of each generation escalated
-//!                                      to full scoring (default 0.25)
+//!                                      to full scoring (default 0.25; needs
+//!                                      --proxy on)
 //!   --proxy-warmup <n>                 leading generations scored in full
-//!                                      (default 2)
+//!                                      (default 2; needs --proxy on)
 //!   --objectives <list>                multi-objective Pareto co-search
 //!                                      (NSGA-II) over a comma-separated
 //!                                      subset of loss,depth,twoq; the first
@@ -45,18 +45,23 @@
 //!   --front-out <path>                 write the searched Pareto front as
 //!                                      JSON (requires --objectives)
 //!   --fault-eval <n>                   inject a panic into the nth candidate
-//!                                      evaluation (isolated + counted)
+//!                                      evaluation (isolated + counted; n
+//!                                      counts from 1)
 //!   --fault-boundary <k>               crash the process at the kth loop
-//!                                      boundary (simulated kill)
+//!                                      boundary (simulated kill; k counts
+//!                                      from 1)
 //!   --stats                            print the runtime telemetry summary
 //!   --qasm    <path>                   export the deployed circuit
 //! ```
 //!
 //! An unknown argument, an unknown value, a value flag without a value, a
-//! `--max-bond` of 0 or a `--samples` count too small to leave a
-//! validation sample prints usage and exits 2. A `--checkpoint-dir` that
-//! cannot be created exits 1 before the run starts; a `--qasm` or
-//! `--front-out` file that cannot be written exits 1 after the report.
+//! value flag the run would ignore (`--proxy-keep`/`--proxy-warmup`
+//! without `--proxy on`, `--max-bond` without `--backend mps`), a
+//! `--max-bond`, `--fault-eval` or `--fault-boundary` of 0 or a
+//! `--samples` count too small to leave a validation sample prints usage
+//! and exits 2. A `--checkpoint-dir` that cannot be created exits 1 before
+//! the run starts; a `--qasm` or `--front-out` file that cannot be written
+//! exits 1 after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -316,6 +321,14 @@ fn cmd_run(args: &[String]) {
             .parse()
             .unwrap_or_else(|_| usage()),
     };
+    // Both values enter the search's resume context, so one the run would
+    // ignore is refused rather than left to make a resume look stale.
+    for flag in ["--proxy-keep", "--proxy-warmup"] {
+        if !proxy.enabled && value(flag).is_some() {
+            eprintln!("{flag} requires --proxy on");
+            usage()
+        }
+    }
     if proxy.enabled && !(proxy.keep > 0.0 && proxy.keep <= 1.0) {
         eprintln!("--proxy-keep must be in (0, 1]");
         usage()
@@ -348,6 +361,10 @@ fn cmd_run(args: &[String]) {
             usage()
         }
     };
+    if !matches!(backend, qns_sim::SimBackend::Mps(_)) && value("--max-bond").is_some() {
+        eprintln!("--max-bond requires --backend mps");
+        usage()
+    }
     let workers: usize = get("--workers", "0").parse().unwrap_or_else(|_| usage());
     // Per-sample simulation fan-out honors the same flag (it used to be
     // latched at first use, ignoring later settings).
@@ -378,14 +395,24 @@ fn cmd_run(args: &[String]) {
         verify: verify_level,
         checkpoint: checkpoint.clone(),
     };
+    // Fault sites count from 1: a 0 would schedule a fault that never
+    // fires, and a drill would pass without injecting anything.
+    let fault_site = |flag: &str| -> Option<u64> {
+        let site: u64 = value(flag)?.parse().unwrap_or_else(|_| usage());
+        if site == 0 {
+            eprintln!("{flag} must be at least 1");
+            usage()
+        }
+        Some(site)
+    };
     let mut faults = FaultPlan::new();
     let mut have_faults = false;
-    if let Some(n) = value("--fault-eval") {
-        faults = faults.fail_eval(n.parse().unwrap_or_else(|_| usage()));
+    if let Some(n) = fault_site("--fault-eval") {
+        faults = faults.fail_eval(n);
         have_faults = true;
     }
-    if let Some(k) = value("--fault-boundary") {
-        faults = faults.crash_at_boundary(k.parse().unwrap_or_else(|_| usage()));
+    if let Some(k) = fault_site("--fault-boundary") {
+        faults = faults.crash_at_boundary(k);
         have_faults = true;
     }
     let show_stats = args.iter().any(|a| a == "--stats");

@@ -93,9 +93,14 @@ impl BackendConfig {
 
     /// Serializes the selection for context digesting.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.tag as u64);
-        w.put_u64(self.max_bond);
-        w.put_u64(self.cutoff_bits);
+        let Self {
+            tag,
+            max_bond,
+            cutoff_bits,
+        } = self;
+        w.put_u64(*tag as u64);
+        w.put_u64(*max_bond);
+        w.put_u64(*cutoff_bits);
     }
 }
 
@@ -229,19 +234,32 @@ impl Checkpointable for SearchCheckpoint {
     const LABEL: &'static str = "search";
 
     fn encode(&self, w: &mut ByteWriter) {
-        put_key(w, self.context);
-        w.put_usize(self.generation);
-        w.put_usize(self.population.len());
-        for gene in &self.population {
+        let Self {
+            context,
+            generation,
+            population,
+            rng,
+            archive,
+            best,
+            history,
+            evaluations,
+            memo_hits,
+            memo,
+            proxy,
+        } = self;
+        put_key(w, *context);
+        w.put_usize(*generation);
+        w.put_usize(population.len());
+        for gene in population {
             put_gene(w, gene);
         }
-        put_rng(w, self.rng);
-        w.put_usize(self.archive.len());
-        for (gene, objs) in &self.archive {
+        put_rng(w, *rng);
+        w.put_usize(archive.len());
+        for (gene, objs) in archive {
             put_gene(w, gene);
             put_f64s(w, objs);
         }
-        match &self.best {
+        match best {
             Some((gene, score)) => {
                 w.put_bool(true);
                 put_gene(w, gene);
@@ -249,15 +267,15 @@ impl Checkpointable for SearchCheckpoint {
             }
             None => w.put_bool(false),
         }
-        put_f64s(w, &self.history);
-        w.put_usize(self.evaluations);
-        w.put_usize(self.memo_hits);
-        w.put_usize(self.memo.len());
-        for &(k, v) in &self.memo {
+        put_f64s(w, history);
+        w.put_usize(*evaluations);
+        w.put_usize(*memo_hits);
+        w.put_usize(memo.len());
+        for &(k, v) in memo {
             put_key(w, k);
             w.put_f64(v);
         }
-        match &self.proxy {
+        match proxy {
             Some(state) => {
                 w.put_bool(true);
                 state.encode(w);
@@ -358,17 +376,30 @@ impl Checkpointable for TrainCheckpoint {
     const LABEL: &'static str = "train";
 
     fn encode(&self, w: &mut ByteWriter) {
-        put_key(w, self.context);
-        w.put_usize(self.step);
-        put_f64s(w, &self.params);
-        put_f64s(w, &self.opt_m);
-        put_f64s(w, &self.opt_v);
-        w.put_u64(self.opt_t);
-        put_f64s(w, &self.history);
-        put_rng(w, self.rng);
-        put_subconfig(w, &self.sampler_prev);
-        w.put_usize(self.sampler_step);
-        put_rng(w, self.sampler_rng);
+        let Self {
+            context,
+            step,
+            params,
+            opt_m,
+            opt_v,
+            opt_t,
+            history,
+            rng,
+            sampler_prev,
+            sampler_step,
+            sampler_rng,
+        } = self;
+        put_key(w, *context);
+        w.put_usize(*step);
+        put_f64s(w, params);
+        put_f64s(w, opt_m);
+        put_f64s(w, opt_v);
+        w.put_u64(*opt_t);
+        put_f64s(w, history);
+        put_rng(w, *rng);
+        put_subconfig(w, sampler_prev);
+        w.put_usize(*sampler_step);
+        put_rng(w, *sampler_rng);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
@@ -417,14 +448,21 @@ impl Checkpointable for PruneCheckpoint {
     const LABEL: &'static str = "prune";
 
     fn encode(&self, w: &mut ByteWriter) {
-        put_key(w, self.context);
-        w.put_usize(self.round);
-        put_f64s(w, &self.params);
-        w.put_usize(self.mask.len());
-        for &keep in &self.mask {
+        let Self {
+            context,
+            round,
+            params,
+            mask,
+            final_loss,
+        } = self;
+        put_key(w, *context);
+        w.put_usize(*round);
+        put_f64s(w, params);
+        w.put_usize(mask.len());
+        for &keep in mask {
             w.put_bool(keep);
         }
-        w.put_f64(self.final_loss);
+        w.put_f64(*final_loss);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {

@@ -14,7 +14,6 @@ use qns_sim::{expect_z_batch, parallel_map, run_with, ExecMode, SimBackend};
 use qns_transpile::{transpile_with, Layout, TranspileOptions, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How SubCircuit performance is estimated during search.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -211,16 +210,18 @@ impl Estimator {
     }
 
     fn timed_transpile(&self, circuit: &Circuit, layout: &Layout) -> Transpiled {
-        // lint:allow(wallclock) — transpile wall time lands in the telemetry registry only
-        let start = Instant::now();
         let opts = TranspileOptions::verified(self.verify);
-        let result = transpile_with(circuit, &self.device, layout, self.opt_level, opts);
-        if let Some(m) = &self.metrics {
-            m.record(timers::TRANSPILE, start.elapsed());
-            if self.verify.enabled() {
-                m.incr(counters::VERIFY_CHECKS, 1);
+        let run = || transpile_with(circuit, &self.device, layout, self.opt_level, opts);
+        let result = match &self.metrics {
+            Some(m) => {
+                let result = m.time(timers::TRANSPILE, run);
+                if self.verify.enabled() {
+                    m.incr(counters::VERIFY_CHECKS, 1);
+                }
+                result
             }
-        }
+            None => run(),
+        };
         match result {
             Ok(t) => t,
             // The marker lets the search runtime tell a contract violation

@@ -41,6 +41,13 @@
 //! println!("measured accuracy: {:.3}", report.final_accuracy);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod analysis;
 mod baselines;
 mod checkpoint;
@@ -62,7 +69,8 @@ mod train;
 pub use analysis::{barren_plateau_scan, gradient_variance, plateau_relief, PlateauPoint};
 pub use baselines::{human_design, random_design};
 pub use checkpoint::{
-    CheckpointOptions, LoopSnapshot, PruneCheckpoint, SearchCheckpoint, TrainCheckpoint,
+    BackendConfig, CheckpointOptions, LoopSnapshot, PruneCheckpoint, SearchCheckpoint,
+    TrainCheckpoint,
 };
 pub use cost::{CircuitRunCounter, RunCost};
 pub use estimator::{Estimator, EstimatorKind};
@@ -71,9 +79,9 @@ pub use feature_map::{
 };
 pub use hardware::{train_qml_on_device, train_vqe_on_device, OnDeviceTrainConfig};
 pub use pareto::{
-    crowding_distance, dominates, evolutionary_search_pareto, evolutionary_search_pareto_rt,
-    front_json, hypervolume, match_front_to_device, non_dominated_sort, normalize_objectives,
-    parse_objectives, selection_order, FrontPoint, Objective, ParetoSearchResult,
+    crowding_distance, dominates, evolutionary_search_pareto_rt, front_json, hypervolume,
+    match_front_to_device, non_dominated_sort, normalize_objectives, parse_objectives,
+    selection_order, FrontPoint, Objective, ParetoSearchResult,
 };
 pub use pipeline::{QuantumNas, QuantumNasConfig, Report};
 pub use prune::{iterative_prune, iterative_prune_rt, polynomial_ratio, PruneConfig, PruneResult};
@@ -90,8 +98,8 @@ pub use space::{DesignSpace, LayerArrangement, LayerSpec, SpaceKind};
 pub use supercircuit::{SubConfig, SuperCircuit};
 pub use task::{Readout, Task};
 pub use train::{
-    eval_task, inherited_eval, qml_sample_grad, train_supercircuit, train_supercircuit_rt,
-    train_task, Split, SuperTrainConfig, TrainConfig,
+    eval_task, inherited_eval, train_supercircuit, train_supercircuit_rt, train_task, Split,
+    SuperTrainConfig, TrainConfig,
 };
 
 // The fault-injection surface, re-exported so tests and the CLI don't

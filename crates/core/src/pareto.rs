@@ -180,9 +180,10 @@ pub fn crowding_distance(objs: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
         return dist;
     }
     let dims = objs[front[0]].len();
-    // `dim` indexes the inner objective vectors through `front`, so an
-    // iterator rewrite would not apply.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`dim` indexes the inner objective vectors through `front`"
+    )]
     for dim in 0..dims {
         // Positions within the front, sorted by this objective; ties break
         // on the candidate index so the order is total.
@@ -426,29 +427,6 @@ impl ParetoSearchResult {
     }
 }
 
-/// [`evolutionary_search_pareto_rt`] on a fresh runtime built from
-/// `config.runtime`.
-pub fn evolutionary_search_pareto(
-    sc: &SuperCircuit,
-    shared_params: &[f64],
-    task: &Task,
-    estimator: &Estimator,
-    config: &EvoConfig,
-    objectives: &[Objective],
-) -> ParetoSearchResult {
-    let rt = SearchRuntime::new(config.runtime.clone());
-    evolutionary_search_pareto_rt(
-        sc,
-        shared_params,
-        task,
-        estimator,
-        config,
-        objectives,
-        &[],
-        &rt,
-    )
-}
-
 /// NSGA-II co-search over `objectives`: the one evolutionary generation
 /// loop. Candidates are scored through the [`SearchRuntime`] score memo
 /// and transpile cache, optionally prescreened by the proxy stage (fed a
@@ -461,7 +439,10 @@ pub fn evolutionary_search_pareto(
 /// Panics if the device is smaller than the SuperCircuit, the population
 /// is not larger than the parent count, or `objectives` is empty or holds
 /// duplicates.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent search input; a struct would only regroup them"
+)]
 pub fn evolutionary_search_pareto_rt(
     sc: &SuperCircuit,
     shared_params: &[f64],
@@ -580,7 +561,7 @@ pub fn evolutionary_search_pareto_rt(
                 // score memo keys on.
                 let mut uniq: Vec<usize> = Vec::with_capacity(population.len());
                 let mut keys = Vec::with_capacity(population.len());
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 for (i, g) in population.iter().enumerate() {
                     let key = gene_key(g);
                     if seen.insert(key) {
@@ -733,7 +714,7 @@ pub fn evolutionary_search_pareto_rt(
         // canonicalize by digest so the archive bytes are identical for
         // any worker count.
         let mut merged: Vec<(Gene, Vec<f64>)> = Vec::with_capacity(archive.len() + objs.len());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (g, o) in archive.drain(..) {
             if seen.insert(gene_key(&g)) {
                 merged.push((g, o));

@@ -30,7 +30,7 @@ use qns_runtime::{
 use qns_transpile::{Layout, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// User-facing runtime knobs (the CLI's `--workers` / `--no-cache` /
 /// `--verify` / `--checkpoint-dir`).
@@ -303,14 +303,12 @@ impl SearchRuntime {
         genes: &[Gene],
         score: impl Fn(&Gene) -> f64 + Sync,
     ) -> BatchOutcome {
-        // lint:allow(wallclock) — batch wall time is telemetry only, never a score input
-        let start = Instant::now();
         let run_one = |gene: &Gene| -> f64 {
             self.metrics.incr(counters::EVALUATIONS, 1);
             score(gene)
         };
 
-        let outcome = match &self.score_memo {
+        let score_all = || match &self.score_memo {
             None => {
                 let results = self.map_isolated(genes, run_one);
                 let mut scores = Vec::with_capacity(results.len());
@@ -324,13 +322,7 @@ impl SearchRuntime {
                         }
                     }
                 }
-                BatchOutcome {
-                    evaluated: genes.len(),
-                    memo_hits: 0,
-                    elapsed: start.elapsed(),
-                    scores,
-                    errors,
-                }
+                (scores, genes.len(), errors)
             }
             Some(memo) => {
                 let keys: Vec<CacheKey> = genes
@@ -380,25 +372,23 @@ impl SearchRuntime {
                         }
                     }
                 }
-                BatchOutcome {
-                    evaluated: fresh.len(),
-                    memo_hits: genes.len() - fresh.len(),
-                    elapsed: start.elapsed(),
-                    scores: scores
-                        .into_iter()
-                        .map(|s| s.expect("all slots filled"))
-                        .collect(),
-                    errors,
-                }
+                let scores = scores
+                    .into_iter()
+                    .map(|s| s.expect("all slots filled"))
+                    .collect();
+                (scores, fresh.len(), errors)
             }
         };
-
-        self.metrics
-            .incr(counters::MEMO_HITS, outcome.memo_hits as u64);
-        self.metrics
-            .histogram(timers::BATCH)
-            .record(outcome.elapsed);
-        outcome
+        let ((scores, evaluated, errors), elapsed) = self.metrics.timed(timers::BATCH, score_all);
+        let memo_hits = genes.len() - evaluated;
+        self.metrics.incr(counters::MEMO_HITS, memo_hits as u64);
+        BatchOutcome {
+            scores,
+            evaluated,
+            memo_hits,
+            elapsed,
+            errors,
+        }
     }
 }
 

@@ -281,7 +281,7 @@ impl<'a> GenePool<'a> {
             };
             layout.push(pick);
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for slot in layout.iter_mut() {
             if !seen.insert(*slot) {
                 let replacement = (0..self.n_phys)
@@ -352,7 +352,7 @@ pub(crate) fn seed_population(
     seeds: &[Gene],
 ) -> Vec<Gene> {
     let mut population: Vec<Gene> = Vec::with_capacity(config.population);
-    let mut keys = std::collections::HashSet::new();
+    let mut keys = std::collections::BTreeSet::new();
     for seed in seeds.iter().take(config.population) {
         if keys.insert(gene_key(seed)) {
             population.push(seed.clone());

@@ -77,7 +77,10 @@ impl Readout {
 /// QML tasks carry pre-encoded inputs (angles), splits, an encoder circuit
 /// and a readout; VQE tasks carry a molecule Hamiltonian.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)] // tasks are built once, not shuffled around
+#[allow(
+    clippy::large_enum_variant,
+    reason = "tasks are built once, not shuffled around"
+)]
 pub enum Task {
     /// Classification with a variational circuit.
     Qml {

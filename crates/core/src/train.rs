@@ -8,8 +8,8 @@ use qns_data::Dataset;
 use qns_ml::{accuracy, cross_entropy_grad, nll_loss, Adam, AdamConfig, CosineSchedule};
 use qns_runtime::StructuralHasher;
 use qns_sim::{
-    adjoint_gradient, adjoint_gradient_batch, expect_z_batch, parallel_map, run, DiagObservable,
-    ExecMode, Observable, SimBackend, DEFAULT_BATCH_LANES,
+    adjoint_gradient, adjoint_gradient_batch, expect_z_batch, parallel_map, run, ExecMode,
+    Observable, SimBackend, DEFAULT_BATCH_LANES,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -42,31 +42,6 @@ impl Default for TrainConfig {
             seed: 0,
         }
     }
-}
-
-/// Loss and gradient of one QML sample.
-///
-/// Forward: per-qubit `<Z>` → readout logits → softmax NLL. Backward: the
-/// logit gradient pulls back to a weighted-Z observable, so a single
-/// adjoint pass differentiates the whole loss.
-///
-/// Returns `(loss, gradient over the circuit's trainable parameters)`.
-pub fn qml_sample_grad(
-    circuit: &Circuit,
-    params: &[f64],
-    input: &[f64],
-    label: usize,
-    readout: &Readout,
-) -> (f64, Vec<f64>) {
-    let state = run(circuit, params, input, ExecMode::Static);
-    let expectations = state.expect_z_all();
-    let logits = readout.logits(&expectations);
-    let loss = nll_loss(&logits, label);
-    let dlogits = cross_entropy_grad(&logits, label);
-    let weights = readout.weights_from_logit_grad(&dlogits);
-    let obs = DiagObservable::new(weights);
-    let (_, grad) = adjoint_gradient(circuit, params, input, &obs);
-    (loss, grad)
 }
 
 /// Noise-free loss and accuracy of a QML circuit over a dataset.
@@ -439,26 +414,23 @@ mod tests {
     }
 
     #[test]
-    fn qml_sample_grad_matches_finite_difference() {
+    fn qml_batch_grad_matches_finite_difference() {
         let task = tiny_qml_task();
-        let (encoder, readout, input, label) = match &task {
+        let (encoder, readout, train) = match &task {
             Task::Qml {
                 splits,
                 encoder,
                 readout,
                 ..
-            } => (
-                encoder,
-                readout,
-                splits.train.features[0].clone(),
-                splits.train.labels[0],
-            ),
+            } => (encoder, readout, &splits.train),
             _ => unreachable!(),
         };
         let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 1);
         let circuit = sc.build(&sc.max_config(), Some(encoder));
         let params = init_params(circuit.num_train_params(), 5);
-        let (_, grad) = qml_sample_grad(&circuit, &params, &input, label, readout);
+        // A one-sample batch: the readout + NLL gradient of that sample.
+        let batch = [0];
+        let (_, grad) = qml_batch_grad(&circuit, &params, train, &batch, readout);
         let h = 1e-5;
         // Perturb one parameter in place and restore it, instead of cloning
         // the whole parameter vector twice per probe.
@@ -466,9 +438,9 @@ mod tests {
         for i in [0usize, 7, 13] {
             let original = work[i];
             work[i] = original + h;
-            let (lp, _) = qml_sample_grad(&circuit, &work, &input, label, readout);
+            let (lp, _) = qml_batch_grad(&circuit, &work, train, &batch, readout);
             work[i] = original - h;
-            let (lm, _) = qml_sample_grad(&circuit, &work, &input, label, readout);
+            let (lm, _) = qml_batch_grad(&circuit, &work, train, &batch, readout);
             work[i] = original;
             let fd = (lp - lm) / (2.0 * h);
             assert!(

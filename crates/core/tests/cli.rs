@@ -251,6 +251,66 @@ fn a_checkpoint_interval_without_a_dir_is_a_usage_error() {
     );
 }
 
+#[test]
+fn value_flags_the_run_would_ignore_are_usage_errors() {
+    for (flags, message) in [
+        (
+            &["--proxy-keep", "0.5"][..],
+            "--proxy-keep requires --proxy on",
+        ),
+        (
+            &["--proxy-warmup", "1"],
+            "--proxy-warmup requires --proxy on",
+        ),
+        (
+            &["--proxy", "off", "--proxy-keep", "7"],
+            "--proxy-keep requires --proxy on",
+        ),
+        (&["--max-bond", "8"], "--max-bond requires --backend mps"),
+        (
+            &["--backend", "statevec", "--max-bond", "8"],
+            "--max-bond requires --backend mps",
+        ),
+    ] {
+        let mut args = vec!["run", "--preset", "smoke", "--samples", "40"];
+        args.extend_from_slice(flags);
+        let out = qnas(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(message) && stderr.contains("usage: qnas"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn zero_fault_sites_are_usage_errors() {
+    for flag in ["--fault-eval", "--fault-boundary"] {
+        let args = ["run", "--preset", "smoke", "--samples", "40", flag, "0"];
+        let out = qnas(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1"))
+                && stderr.contains("usage: qnas"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
 /// The `--stats` line `NAME  VALUE` of a run's report, parsed.
 fn stat(stdout: &str, name: &str) -> Option<usize> {
     stdout.lines().find_map(|line| {

@@ -31,6 +31,13 @@
 //! assert_eq!(enc.num_inputs(), 16);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod dataset;
 mod encoder;
 mod preprocess;

@@ -30,6 +30,13 @@
 //! assert!(params[0] < 1.0 && params[1] > -1.0);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod loss;
 mod optim;
 mod pca;

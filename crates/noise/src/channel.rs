@@ -155,7 +155,8 @@ impl KrausChannel {
         for (i, k) in self.ops.iter().enumerate() {
             // p_i = || K_i ψ ||²; compute without cloning the full state
             // by accumulating the local norm after applying K_i per pair.
-            let p = kraus_prob(state, k, q);
+            let amps = state.amplitudes();
+            let p = kraus_prob(amps.len(), |i| amps[i], k, q);
             cdf += p;
             if u <= cdf || i == self.ops.len() - 1 {
                 state.apply_1q(k, q);
@@ -284,9 +285,11 @@ impl KrausChannel {
         p0: f64,
     ) -> usize {
         let last = self.ops.len() - 1;
+        let (lanes, len) = (batch.lanes(), 1usize << batch.num_qubits());
+        let amp = |i: usize| batch.amp(i * lanes + lane);
         let mut cdf = p0;
         for (i, k) in self.ops.iter().enumerate().take(last).skip(1) {
-            cdf += kraus_prob_lane(batch, lane, k, q);
+            cdf += kraus_prob(len, amp, k, q);
             if u <= cdf {
                 return i;
             }
@@ -295,39 +298,18 @@ impl KrausChannel {
     }
 }
 
-/// [`kraus_prob`] for one lane of a batch: the same base-loop accumulation
-/// order over that lane's amplitudes.
-fn kraus_prob_lane(batch: &StateBatch, lane: usize, k: &Mat2, q: usize) -> f64 {
-    let l = batch.lanes();
+/// `|| K |ψ> ||²` for a one-qubit operator on qubit `q` of a `len`-amplitude
+/// state whose amplitude `i` is `amp(i)`: one pair loop, in one
+/// accumulation order, for a [`StateVec`] and for one lane of a batch.
+fn kraus_prob(len: usize, amp: impl Fn(usize) -> C64, k: &Mat2, q: usize) -> f64 {
     let stride = 1usize << q;
-    let len = 1usize << batch.num_qubits();
     let [m00, m01, m10, m11] = k.m;
     let mut acc = 0.0;
     let mut base = 0;
     while base < len {
         for i in base..base + stride {
-            let a0 = batch.amp(i * l + lane);
-            let a1 = batch.amp((i + stride) * l + lane);
-            acc += (m00 * a0 + m01 * a1).norm_sqr();
-            acc += (m10 * a0 + m11 * a1).norm_sqr();
-        }
-        base += stride << 1;
-    }
-    acc
-}
-
-/// `|| K |ψ> ||²` for a one-qubit operator on qubit `q`.
-fn kraus_prob(state: &StateVec, k: &Mat2, q: usize) -> f64 {
-    let stride = 1usize << q;
-    let amps = state.amplitudes();
-    let [m00, m01, m10, m11] = k.m;
-    let mut acc = 0.0;
-    let len = amps.len();
-    let mut base = 0;
-    while base < len {
-        for i in base..base + stride {
-            let a0 = amps[i];
-            let a1 = amps[i + stride];
+            let a0 = amp(i);
+            let a1 = amp(i + stride);
             acc += (m00 * a0 + m01 * a1).norm_sqr();
             acc += (m10 * a0 + m11 * a1).norm_sqr();
         }

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Coupling-graph family of a device.
 ///
@@ -65,7 +65,7 @@ pub struct Device {
     topology: Topology,
     edges: Vec<(usize, usize)>,
     qubits: Vec<QubitCalib>,
-    err_2q: HashMap<(usize, usize), f64>,
+    err_2q: BTreeMap<(usize, usize), f64>,
     quantum_volume: u32,
     dur_1q_ns: f64,
     dur_2q_ns: f64,
@@ -110,7 +110,7 @@ impl Device {
                 }
             })
             .collect();
-        let err_2q: HashMap<(usize, usize), f64> = edges
+        let err_2q: BTreeMap<(usize, usize), f64> = edges
             .iter()
             .map(|&(a, b)| {
                 let key = (a.min(b), a.max(b));
@@ -291,8 +291,6 @@ impl Device {
         let key = (a.min(b), a.max(b));
         match self.err_2q.get(&key) {
             Some(&e) => e,
-            // lint:allow(nondet-iter) — max over finite errors is
-            // order-insensitive; the result is identical in any order
             None => self.err_2q.values().cloned().fold(0.02, f64::max),
         }
     }
@@ -354,8 +352,6 @@ impl Device {
             q.readout_p01 = (q.readout_p01 * factor).clamp(0.0, 0.5);
             q.readout_p10 = (q.readout_p10 * factor).clamp(0.0, 0.5);
         }
-        // lint:allow(nondet-iter) — per-entry scaling; no value depends
-        // on visit order
         for e in out.err_2q.values_mut() {
             *e = (*e * factor).clamp(0.0, 0.5);
         }
@@ -503,10 +499,10 @@ mod tests {
 
     #[test]
     fn mean_err_2q_is_bitwise_stable_in_edge_order() {
-        // Regression for a QA005 finding: the mean used to sum
-        // `err_2q.values()` in HashMap order, so its float rounding (and
-        // therefore the twoq_topology proxy feature built on it) differed
-        // between processes. The sum must follow the edge list.
+        // The mean once summed the error map's values in a hash order
+        // seeded per process, so its float rounding (and therefore the
+        // twoq_topology proxy feature built on it) differed between
+        // processes. The sum must follow the edge list.
         for dev in [Device::belem(), Device::toronto(), Device::manhattan()] {
             let spec: f64 = dev
                 .edges()

@@ -34,6 +34,18 @@
 //! assert!(dev.err_2q(0, 2) > 0.0);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+// No unwrap or panic either: this crate returns errors.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(
+        clippy::allow_attributes_without_reason,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 mod channel;
 mod density;
 mod device;

@@ -69,9 +69,10 @@ impl Welford {
     }
 
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_f64(self.count);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
+        let Self { count, mean, m2 } = self;
+        w.put_f64(*count);
+        w.put_f64(*mean);
+        w.put_f64(*m2);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
@@ -209,17 +210,25 @@ impl FusionModel {
     /// Serializes the full model (normalizers, experts, gates, counters)
     /// in the checkpoint wire format.
     pub fn encode(&self, w: &mut ByteWriter) {
-        for f in &self.feat {
+        let Self {
+            feat,
+            target,
+            experts,
+            gates,
+            observed,
+            lr,
+        } = self;
+        for f in feat {
             f.encode(w);
         }
-        self.target.encode(w);
-        for row in self.experts.iter().chain(self.gates.iter()) {
+        target.encode(w);
+        for row in experts.iter().chain(gates.iter()) {
             for &v in row {
                 w.put_f64(v);
             }
         }
-        w.put_u64(self.observed);
-        w.put_f64(self.lr);
+        w.put_u64(*observed);
+        w.put_f64(*lr);
     }
 
     /// Inverse of [`FusionModel::encode`].

@@ -22,6 +22,13 @@
 //! splitmix64 seeds derived from candidate digests, so proxy scores are
 //! bitwise identical across worker counts and across kill/resume.
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod fusion;
 mod prescreen;
 mod proxies;

@@ -226,18 +226,25 @@ pub struct PrescreenerState {
 impl PrescreenerState {
     /// Serializes the snapshot in the checkpoint wire format.
     pub fn encode(&self, w: &mut ByteWriter) {
-        self.fusion.encode(w);
-        w.put_usize(self.features.len());
-        for (key, feats) in &self.features {
+        let Self {
+            fusion,
+            features,
+            proxy_evals,
+            proxy_escalations,
+            proxy_dedup_hits,
+        } = self;
+        fusion.encode(w);
+        w.put_usize(features.len());
+        for (key, feats) in features {
             w.put_u64(key.lo);
             w.put_u64(key.hi);
             for &v in &feats.0 {
                 w.put_f64(v);
             }
         }
-        w.put_u64(self.proxy_evals);
-        w.put_u64(self.proxy_escalations);
-        w.put_u64(self.proxy_dedup_hits);
+        w.put_u64(*proxy_evals);
+        w.put_u64(*proxy_escalations);
+        w.put_u64(*proxy_dedup_hits);
     }
 
     /// Inverse of [`PrescreenerState::encode`].

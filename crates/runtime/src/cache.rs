@@ -1,7 +1,7 @@
 //! Content-addressed caching: a deterministic structural hasher and a
 //! concurrent map keyed by 128-bit structural digests.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A 128-bit content digest produced by [`StructuralHasher`].
@@ -107,7 +107,8 @@ impl StructuralHasher {
     }
 }
 
-/// A concurrent map from [`CacheKey`] to `Arc<V>` behind one lock.
+/// A concurrent map from [`CacheKey`] to `Arc<V>` behind one lock, kept
+/// in key order.
 ///
 /// Values are returned as `Arc<V>` so large entries (e.g. transpiled
 /// circuits) are shared, never cloned.
@@ -129,13 +130,13 @@ impl StructuralHasher {
 /// ```
 #[derive(Debug)]
 pub struct DigestCache<V> {
-    map: Mutex<HashMap<CacheKey, Arc<V>>>,
+    map: Mutex<BTreeMap<CacheKey, Arc<V>>>,
 }
 
 impl<V> Default for DigestCache<V> {
     fn default() -> Self {
         DigestCache {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -189,14 +190,10 @@ impl<V> DigestCache<V> {
         V: Clone,
     {
         let map = self.lock();
-        // lint:allow(nondet-iter) — sorted by key below before anything
-        // observes the order
-        let mut out: Vec<(CacheKey, V)> = map.iter().map(|(&k, v)| (k, (**v).clone())).collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
+        map.iter().map(|(&k, v)| (k, (**v).clone())).collect()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<V>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<CacheKey, Arc<V>>> {
         self.map.lock().expect("cache lock poisoned")
     }
 }
@@ -246,9 +243,8 @@ mod tests {
 
     #[test]
     fn entries_are_sorted_regardless_of_insertion_order() {
-        // Regression for a QA005 triage: entries() walks a HashMap, so the
-        // dump must be sorted before anyone observes it. Two caches filled
-        // in opposite insertion orders must produce identical dumps.
+        // The dump feeds snapshots, so it must not depend on insertion
+        // order: two caches filled in opposite orders dump identically.
         let a: DigestCache<u64> = DigestCache::new();
         let b: DigestCache<u64> = DigestCache::new();
         for i in 0..50u64 {

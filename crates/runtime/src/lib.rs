@@ -50,8 +50,20 @@
 //! assert_eq!(metrics.counter("evaluations"), 3); // duplicates memoized
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+// Wall time is read only by the telemetry registry: every other module
+// forbids it.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods),
+    deny(clippy::disallowed_types, clippy::allow_attributes_without_reason)
+)]
+
+#[cfg_attr(not(test), forbid(clippy::disallowed_types))]
 mod cache;
+#[cfg_attr(not(test), forbid(clippy::disallowed_types))]
 mod checkpoint;
+#[cfg_attr(not(test), forbid(clippy::disallowed_types))]
 mod fault;
 mod telemetry;
 

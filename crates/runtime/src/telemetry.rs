@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Well-known counter names used across the runtime. Free-form names are
 /// also accepted; these constants keep the hot paths typo-proof.
@@ -178,6 +178,32 @@ pub struct GenerationEvent {
     pub elapsed: Duration,
 }
 
+/// The search path's one wall clock. What it measures lands in the
+/// registry's histograms, generation log and report, never in a score, a
+/// digest or a snapshot.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the search path's one sanctioned clock; its readings are telemetry only"
+)]
+mod clock {
+    use std::time::{Duration, Instant};
+
+    /// A wall-clock reading.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Stamp(Instant);
+
+    impl Stamp {
+        pub(super) fn now() -> Self {
+            Stamp(Instant::now())
+        }
+
+        /// Wall time since this reading.
+        pub(super) fn elapsed(self) -> Duration {
+            self.0.elapsed()
+        }
+    }
+}
+
 /// The runtime's metrics registry: named counters, the three [`timers`]
 /// histograms, and the per-generation event log.
 ///
@@ -203,14 +229,14 @@ pub struct Metrics {
     simulate: Histogram,
     batch: Histogram,
     events: Mutex<Vec<GenerationEvent>>,
-    started: Mutex<Option<Instant>>,
+    started: Mutex<Option<clock::Stamp>>,
 }
 
 impl Metrics {
     /// An empty registry.
     pub fn new() -> Self {
         Metrics {
-            started: Mutex::new(Some(Instant::now())),
+            started: Mutex::new(Some(clock::Stamp::now())),
             ..Default::default()
         }
     }
@@ -260,10 +286,16 @@ impl Metrics {
     /// Times `f`, recording its wall time into the named [`timers`]
     /// histogram; panics on any other name.
     pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
+        self.timed(name, f).0
+    }
+
+    /// [`Metrics::time`] that also returns the wall time it recorded.
+    pub fn timed<T>(&self, name: &str, f: impl FnOnce() -> T) -> (T, Duration) {
+        let start = clock::Stamp::now();
         let out = f();
-        self.record(name, start.elapsed());
-        out
+        let elapsed = start.elapsed();
+        self.record(name, elapsed);
+        (out, elapsed)
     }
 
     /// Appends a generation event to the structured log.

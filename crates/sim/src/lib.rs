@@ -47,12 +47,32 @@
 //! assert!(state.expect_z(0).abs() < 1e-12);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+// No unwrap or panic either: this crate returns errors. Threads are
+// spawned only by the worker pool: every other module forbids it.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_types),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::unwrap_used,
+        clippy::panic,
+    )
+)]
+
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod exec;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod grad;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod mps;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod plan;
 mod pool;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod state;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod state_batch;
 
 pub use exec::{

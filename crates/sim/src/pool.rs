@@ -108,13 +108,14 @@ fn worker_loop() {
 /// workers park in `recv` and cost one blocked thread each, which is
 /// cheaper than re-paying spawn latency when the worker count oscillates
 /// (e.g. alternating training and trajectory phases).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned spawn site: pool workers are process-wide, created once, and owned by this module alone"
+)]
 fn ensure_workers(target: usize) {
     let p = pool();
     let mut spawned = p.spawned.lock().unwrap_or_else(|e| e.into_inner());
     while *spawned < target {
-        // lint:allow(spawn) — the single sanctioned spawn site (QA003
-        // audits this module by path): pool workers are process-wide,
-        // created once, and owned by this module alone.
         std::thread::spawn(worker_loop);
         *spawned += 1;
     }

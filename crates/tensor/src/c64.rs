@@ -239,7 +239,10 @@ impl Mul<C64> for f64 {
 impl Div for C64 {
     type Output = C64;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z/w = z * w^-1 by definition
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "z/w = z * w^-1 by definition"
+    )]
     fn div(self, rhs: C64) -> C64 {
         self * rhs.recip()
     }

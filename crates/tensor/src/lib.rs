@@ -26,6 +26,13 @@
 //! assert!((psi[0].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
+
 mod c64;
 mod linalg;
 mod mat;

@@ -13,7 +13,10 @@ pub fn distance_matrix(device: &Device) -> Vec<Vec<usize>> {
     let n = device.num_qubits();
     let far = usize::MAX / 2;
     let mut dist = vec![vec![far; n]; n];
-    #[allow(clippy::needless_range_loop)] // `start` is a qubit id, not a slice walk
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`start` is a qubit id, not a slice walk"
+    )]
     for start in 0..n {
         let mut queue = std::collections::VecDeque::new();
         dist[start][start] = 0;
@@ -61,7 +64,7 @@ impl Layout {
     ///
     /// Panics if the map contains duplicate physical qubits.
     pub fn from_vec(phys_of: Vec<usize>) -> Self {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &p in &phys_of {
             assert!(seen.insert(p), "duplicate physical qubit {p} in layout");
         }

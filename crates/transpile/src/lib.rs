@@ -36,6 +36,18 @@
 //! assert!(t.circuit.count_2q() >= 1);
 //! ```
 
+// The determinism bans in the workspace's clippy.toml hold in library code.
+// No unwrap or panic either: this crate returns errors.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(
+        clippy::allow_attributes_without_reason,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 mod basis;
 mod error;
 mod layout;

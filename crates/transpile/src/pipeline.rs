@@ -90,7 +90,10 @@ pub fn transpile(circuit: &Circuit, device: &Device, layout: &Layout, opt_level:
         TranspileOptions::default(),
     ) {
         Ok(t) => t,
-        // lint:allow(no-panic) — documented panicking wrapper over `transpile_with`
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking wrapper over `transpile_with`"
+        )]
         Err(e) => panic!("transpile failed: {e}"),
     }
 }

@@ -42,7 +42,10 @@ pub struct RoutedCircuit {
 pub fn route(circuit: &Circuit, device: &Device, layout: &Layout) -> RoutedCircuit {
     match try_route(circuit, device, layout) {
         Ok(routed) => routed,
-        // lint:allow(no-panic) — documented panicking wrapper over `try_route`
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking wrapper over `try_route`"
+        )]
         Err(e) => panic!("routing failed: {e}"),
     }
 }

@@ -86,7 +86,7 @@ impl<'a> PassContract<'a> {
                 .at_stage("layout"),
             );
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (l, &p) in phys_of.iter().enumerate() {
             if p >= self.device.num_qubits() {
                 report.push(
@@ -319,7 +319,7 @@ impl<'a> PassContract<'a> {
     fn check_params(&self, stage: &'static str, after: &Circuit) -> VerifyReport {
         let mut report = VerifyReport::clean();
         let before = self.logical.referenced_train_indices();
-        let got: std::collections::HashSet<usize> =
+        let got: std::collections::BTreeSet<usize> =
             after.referenced_train_indices().into_iter().collect();
         for i in before {
             if !got.contains(&i) {
@@ -355,7 +355,7 @@ impl<'a> PassContract<'a> {
     /// one the logical circuit does not reference.
     fn check_no_invented_params(&self, stage: &'static str, after: &Circuit) -> VerifyReport {
         let mut report = VerifyReport::clean();
-        let logical: std::collections::HashSet<usize> = self
+        let logical: std::collections::BTreeSet<usize> = self
             .logical
             .referenced_train_indices()
             .into_iter()

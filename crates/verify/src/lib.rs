@@ -34,6 +34,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// The determinism bans in the workspace's clippy.toml hold in library code.
+#![cfg_attr(
+    not(test),
+    forbid(clippy::disallowed_methods, clippy::disallowed_types),
+    deny(clippy::allow_attributes_without_reason)
+)]
 
 mod contract;
 mod diag;

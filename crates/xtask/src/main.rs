@@ -1,10 +1,5 @@
 //! Workspace automation tasks (the cargo-xtask pattern).
 //!
-//! `analyze` runs the qns-analyze static-analysis pass (QA001–QA007:
-//! determinism lints, digest coverage, snapshot-schema lock) over the
-//! search-path crates. `lint` is a thin alias kept during the migration
-//! from the old per-line scanner.
-//!
 //! `asm-check` disassembles a release binary and asserts that the
 //! width-dispatched batch sweeps (see `multiversion_sweep!` in
 //! `qns-sim::state_batch`) compiled to *packed* SIMD at both widths:
@@ -15,10 +10,6 @@
 //! product vectorizes fine.
 //!
 //! ```text
-//! cargo xtask analyze                  # human-readable findings
-//! cargo xtask analyze --json           # JSON array on stdout
-//! cargo xtask analyze --out diag.json  # also write JSON to a file
-//! cargo xtask analyze --update-schema  # regenerate analyze/schema.lock
 //! cargo xtask asm-check                # packed-SIMD codegen gate
 //! cargo xtask asm-check --binary PATH  # check an already-built binary
 //! ```
@@ -28,20 +19,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => run_analyze(&args[1..]),
-        Some("lint") => {
-            eprintln!("note: `xtask lint` is now an alias for `xtask analyze`");
-            run_analyze(&args[1..])
-        }
         Some("asm-check") => run_asm_check(&args[1..]),
         Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: analyze (alias: lint), asm-check");
+            eprintln!("unknown task `{other}`; available tasks: asm-check");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- analyze [--json] [--out PATH] [--update-schema]\n       cargo run -p xtask -- asm-check [--binary PATH]"
-            );
+            eprintln!("usage: cargo run -p xtask -- asm-check [--binary PATH]");
             ExitCode::FAILURE
         }
     }
@@ -218,77 +202,6 @@ fn split_symbols(disasm: &str) -> Vec<(&str, &str)> {
         out.push((sym, &disasm[start.min(disasm.len())..]));
     }
     out
-}
-
-fn run_analyze(flags: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut update_schema = false;
-    let mut out_path: Option<String> = None;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => json = true,
-            "--update-schema" => update_schema = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("xtask analyze: --out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask analyze: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let root = workspace_root();
-    if update_schema {
-        match qns_analyze::update_schema_lock(&root) {
-            Ok((path, n)) => {
-                eprintln!(
-                    "xtask analyze: wrote {} ({} wire struct(s))",
-                    path.display(),
-                    n
-                );
-            }
-            Err(e) => {
-                eprintln!("xtask analyze: --update-schema failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let findings = match qns_analyze::analyze(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xtask analyze: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, qns_analyze::report_json(&findings)) {
-            eprintln!("xtask analyze: failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if json {
-        println!("{}", qns_analyze::report_json(&findings));
-    } else if findings.is_empty() {
-        println!("xtask analyze: clean");
-    } else {
-        for f in &findings {
-            eprintln!("{f}");
-        }
-        eprintln!("xtask analyze: {} finding(s)", findings.len());
-    }
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// The workspace root, two levels above this crate's manifest.

@@ -1,13 +1,18 @@
-//! Property tests for the snapshot wire format: encode→decode is the
-//! identity on arbitrary checkpoint states, and any single-byte
-//! corruption or truncation of a frame is detected with a typed error —
-//! never a panic, never a silently wrong state.
+//! Tests for the snapshot wire format: encode→decode is the identity on
+//! arbitrary checkpoint states, any single-byte corruption or truncation
+//! of a frame is detected with a typed error — never a panic, never a
+//! silently wrong state — and the encoded bytes are pinned to
+//! `FORMAT_VERSION`.
 
 use proptest::prelude::*;
-use qns_runtime::{decode_snapshot, encode_snapshot, CacheKey, CheckpointError, StructuralHasher};
+use qns_runtime::{
+    decode_snapshot, encode_snapshot, ByteWriter, CacheKey, CheckpointError, Checkpointable,
+    StructuralHasher, FORMAT_VERSION,
+};
 use quantumnas::{
-    DesignSpace, Gene, Prescreener, ProxyFeatures, ProxyOptions, SearchCheckpoint, SpaceKind,
-    SubConfig, SuperCircuit, TrainCheckpoint,
+    BackendConfig, DesignSpace, FusionModel, Gene, Prescreener, PrescreenerState, ProxyFeatures,
+    ProxyOptions, PruneCheckpoint, SearchCheckpoint, SpaceKind, SubConfig, SuperCircuit,
+    TrainCheckpoint,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -303,4 +308,120 @@ proptest! {
             Ok(_) => prop_assert!(false, "truncation at {} went undetected", cut),
         }
     }
+}
+
+/// The digest of what `encode` writes into a fresh [`ByteWriter`], as hex.
+fn wire_digest(encode: impl FnOnce(&mut ByteWriter)) -> String {
+    let mut w = ByteWriter::new();
+    encode(&mut w);
+    let mut h = StructuralHasher::new();
+    h.write_bytes(&w.into_bytes());
+    let key = h.finish();
+    format!("{:016x}{:016x}", key.hi, key.lo)
+}
+
+/// The wire format, pinned: a digest of each wire struct's encoded bytes
+/// for one fixed instance, recorded at `FORMAT_VERSION` 3. A change to
+/// any `encode` — a field added, dropped, retyped or written in another
+/// order — moves a digest and fails here until `FORMAT_VERSION` is
+/// bumped and the pins are re-recorded, so snapshots of the old layout
+/// are rejected instead of misread. `Welford` is private to `qns-proxy`:
+/// its bytes are pinned inside `FusionModel`'s six normalizers.
+#[test]
+fn wire_bytes_are_pinned_to_the_format_version() {
+    const PINNED_VERSION: u32 = 3;
+    const PINS: [(&str, &str); 6] = [
+        ("BackendConfig", "f9a9697c36eda57150e0e0369bb1f7cf"),
+        ("FusionModel", "77f2b29eccca1a34c0baa818f7e504cc"),
+        ("PrescreenerState", "c391b3e91af8d121d0774f127c0fa582"),
+        ("SearchCheckpoint", "f63b8e96af6b27449a4f4cf872e32298"),
+        ("TrainCheckpoint", "cf1323d8843df4c703aeddf6bfd70ea7"),
+        ("PruneCheckpoint", "ef26881bdaa884ee648b02a5d4ab2e8d"),
+    ];
+    assert_eq!(
+        FORMAT_VERSION, PINNED_VERSION,
+        "FORMAT_VERSION moved: re-record every pin below at the new version"
+    );
+
+    let gene = |n: usize, first: usize| Gene {
+        config: SubConfig {
+            n_blocks: n,
+            widths: (0..n)
+                .map(|b| vec![first + b, (first + b) % 3 + 1])
+                .collect(),
+        },
+        layout: vec![3, 0, 2, 1],
+    };
+    let backend = BackendConfig {
+        tag: 2,
+        max_bond: 17,
+        cutoff_bits: 1e-9f64.to_bits(),
+    };
+    let mut fusion = FusionModel::new();
+    fusion.observe(&ProxyFeatures([1.0, 2.0, 3.0, 4.0, 5.0]), 0.5);
+    fusion.observe(&ProxyFeatures([2.0, 1.0, 0.0, -1.0, 3.0]), 0.9);
+    fusion.observe(&ProxyFeatures([0.5, -2.0, 1.5, 2.5, -0.5]), 0.25);
+    let proxy = PrescreenerState {
+        fusion: fusion.clone(),
+        features: vec![
+            (key_from(3, 4), ProxyFeatures([0.1, 0.2, 0.3, 0.4, 0.5])),
+            (
+                key_from(5, 6),
+                ProxyFeatures([-0.1, 1.2, f64::INFINITY, 0.0, 2.5]),
+            ),
+        ],
+        proxy_evals: 11,
+        proxy_escalations: 7,
+        proxy_dedup_hits: 2,
+    };
+    let search = SearchCheckpoint {
+        context: key_from(7, 9),
+        generation: 3,
+        population: vec![gene(2, 1), gene(3, 2)],
+        rng: [21, 22, 23, 24],
+        archive: vec![
+            (gene(2, 1), vec![0.25, 18.0]),
+            (gene(1, 4), vec![0.75, 10.0]),
+        ],
+        best: Some((gene(3, 2), -0.75)),
+        history: vec![0.9, 0.5, -0.75],
+        evaluations: 40,
+        memo_hits: 12,
+        memo: vec![(key_from(1, 2), 0.25), (key_from(2, 3), f64::INFINITY)],
+        proxy: Some(proxy.clone()),
+    };
+    let train = TrainCheckpoint {
+        context: key_from(8, 10),
+        step: 5,
+        params: vec![0.1, -0.2, 0.3],
+        opt_m: vec![0.01, 0.02, -0.03],
+        opt_v: vec![1e-4, 2e-4, 3e-4],
+        opt_t: 6,
+        history: vec![1.5, 1.25],
+        rng: [31, 32, 33, 34],
+        sampler_prev: gene(2, 3).config,
+        sampler_step: 4,
+        sampler_rng: [41, 42, 43, 44],
+    };
+    let prune = PruneCheckpoint {
+        context: key_from(11, 12),
+        round: 2,
+        params: vec![0.5, 0.0, -0.25],
+        mask: vec![true, false, true],
+        final_loss: 0.375,
+    };
+    let got = [
+        ("BackendConfig", wire_digest(|w| backend.encode(w))),
+        ("FusionModel", wire_digest(|w| fusion.encode(w))),
+        ("PrescreenerState", wire_digest(|w| proxy.encode(w))),
+        ("SearchCheckpoint", wire_digest(|w| search.encode(w))),
+        ("TrainCheckpoint", wire_digest(|w| train.encode(w))),
+        ("PruneCheckpoint", wire_digest(|w| prune.encode(w))),
+    ];
+    assert_eq!(
+        got,
+        PINS.map(|(name, digest)| (name, digest.to_string())),
+        "wire bytes changed at FORMAT_VERSION {FORMAT_VERSION}: bump FORMAT_VERSION \
+         and re-record the pins from `left`"
+    );
 }

@@ -10,7 +10,8 @@
 //! per group. The `channel_step` drill-down times one step of the
 //! channels a noisy gate is followed by (depolarizing, then thermal
 //! relaxation) through `KrausChannel::apply_trajectory_all_lanes` at 4
-//! and 7 qubits × 16, 6 and 3 lanes, after checking it against each
+//! and 7 qubits × 16, 6 and 3 lanes, and a depolarizing-0.1 series whose
+//! steps mostly have an erring lane, each after checking it against each
 //! lane's standalone `StateVec` trajectory bit for bit.
 
 use crate::{time_median, Floor, Json, Mode};
@@ -201,18 +202,27 @@ fn noisy_groups(reps: usize, json: &mut Json) {
 }
 
 /// The `channel_step` drill-down: per-step time of
-/// `apply_trajectory_all_lanes` over the two channels that follow a 1q
-/// gate (depolarizing at 3e-4, then thermal relaxation with T1 90 µs and
-/// T2 70 µs over 35.5 ns), applied to every qubit in turn on a state
-/// spread over every amplitude. Most steps keep the leading operator on
-/// every lane.
+/// `apply_trajectory_all_lanes`, applied to every qubit in turn on a state
+/// spread over every amplitude, for two series. `q{n}_l{lanes}_step_us`
+/// runs the two channels that follow a 1q gate (depolarizing at 3e-4,
+/// then thermal relaxation with T1 90 µs and T2 70 µs over 35.5 ns): most
+/// steps keep the leading operator on every lane.
+/// `dep01_q{n}_l{lanes}_step_us` runs depolarizing at 0.1, where a lane
+/// errs with probability 0.075, so 1 − 0.925¹⁶ ≈ 71% of 16-lane steps
+/// have a lane that takes the per-lane reference step.
 fn channel_step(reps: usize, json: &mut Json) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     const ROUNDS: usize = 50;
-    let channels = [
-        KrausChannel::depolarizing(3e-4),
-        KrausChannel::thermal_relaxation(90_000.0, 70_000.0, 35.5),
+    let series = [
+        (
+            "",
+            vec![
+                KrausChannel::depolarizing(3e-4),
+                KrausChannel::thermal_relaxation(90_000.0, 70_000.0, 35.5),
+            ],
+        ),
+        ("dep01_", vec![KrausChannel::depolarizing(0.1)]),
     ];
     let rngs = |lanes: usize| -> Vec<StdRng> {
         (0..lanes)
@@ -226,48 +236,51 @@ fn channel_step(reps: usize, json: &mut Json) {
             .collect()
     };
     json.obj("channel_step", |j| {
-        for n in [4, 7] {
-            for lanes in [16, 6, 3] {
-                let mut batch = StateBatch::zero_state(n, lanes);
-                for q in 0..n {
-                    let phase = 0.3 + 0.2 * q as f64;
-                    let (c, s) = (phase.cos(), phase.sin());
-                    batch.apply_1q(&Mat2::hadamard(), q);
-                    batch.apply_1q(
-                        &Mat2::new([C64::ONE, C64::ZERO, C64::ZERO, C64::new(c, s)]),
-                        q,
-                    );
-                }
-                let all_lanes = |batch: &mut StateBatch, rngs: &mut [StdRng]| {
-                    for _ in 0..ROUNDS {
-                        for q in 0..n {
-                            for ch in &channels {
-                                ch.apply_trajectory_all_lanes(batch, q, rngs);
+        for (prefix, channels) in &series {
+            for n in [4, 7] {
+                for lanes in [16, 6, 3] {
+                    let mut batch = StateBatch::zero_state(n, lanes);
+                    for q in 0..n {
+                        let phase = 0.3 + 0.2 * q as f64;
+                        let (c, s) = (phase.cos(), phase.sin());
+                        batch.apply_1q(&Mat2::hadamard(), q);
+                        batch.apply_1q(
+                            &Mat2::new([C64::ONE, C64::ZERO, C64::ZERO, C64::new(c, s)]),
+                            q,
+                        );
+                    }
+                    let all_lanes = |batch: &mut StateBatch, rngs: &mut [StdRng]| {
+                        for _ in 0..ROUNDS {
+                            for q in 0..n {
+                                for ch in channels {
+                                    ch.apply_trajectory_all_lanes(batch, q, rngs);
+                                }
                             }
                         }
-                    }
-                };
-                let mut checked = batch.clone();
-                all_lanes(&mut checked, &mut rngs(lanes));
-                for (lane, mut rng) in rngs(lanes).into_iter().enumerate() {
-                    let mut single = batch.lane_state(lane);
-                    for _ in 0..ROUNDS {
-                        for q in 0..n {
-                            for ch in &channels {
-                                ch.apply_trajectory(&mut single, q, &mut rng);
+                    };
+                    let mut checked = batch.clone();
+                    all_lanes(&mut checked, &mut rngs(lanes));
+                    for (lane, mut rng) in rngs(lanes).into_iter().enumerate() {
+                        let mut single = batch.lane_state(lane);
+                        for _ in 0..ROUNDS {
+                            for q in 0..n {
+                                for ch in channels {
+                                    ch.apply_trajectory(&mut single, q, &mut rng);
+                                }
                             }
                         }
+                        assert_eq!(
+                            bits(&checked.lane_state(lane)),
+                            bits(&single),
+                            "all-lanes channel step diverged from the per-lane path"
+                        );
                     }
-                    assert_eq!(
-                        bits(&checked.lane_state(lane)),
-                        bits(&single),
-                        "all-lanes channel step diverged from the per-lane path"
-                    );
+                    let mut rngs = rngs(lanes);
+                    let secs = time_median(reps, || all_lanes(&mut batch, &mut rngs));
+                    let steps = ROUNDS * n * channels.len();
+                    let us = 1e6 * secs / steps as f64;
+                    j.num(&format!("{prefix}q{n}_l{lanes}_step_us"), us);
                 }
-                let mut rngs = rngs(lanes);
-                let secs = time_median(reps, || all_lanes(&mut batch, &mut rngs));
-                let steps = ROUNDS * n * channels.len();
-                j.num(&format!("q{n}_l{lanes}_step_us"), 1e6 * secs / steps as f64);
             }
         }
     });

@@ -57,11 +57,12 @@
 //! An unknown argument, an unknown value, a value flag without a value, a
 //! value flag the run would ignore (`--proxy-keep`/`--proxy-warmup`
 //! without `--proxy on`, `--max-bond` without `--backend mps`), a
-//! `--max-bond`, `--fault-eval` or `--fault-boundary` of 0 or a
-//! `--samples` count too small to leave a validation sample prints usage
-//! and exits 2. A `--checkpoint-dir` that cannot be created exits 1 before
-//! the run starts; a `--qasm` or `--front-out` file that cannot be written
-//! exits 1 after the report.
+//! `--max-bond`, `--fault-eval` or `--fault-boundary` of 0, a
+//! `--samples` count too small to leave a validation sample or a device
+//! with fewer qubits than the task prints usage and exits 2. A
+//! `--checkpoint-dir` that cannot be created exits 1 before the run
+//! starts; a `--qasm` or `--front-out` file that cannot be written exits 1
+//! after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -282,6 +283,16 @@ fn cmd_run(args: &[String]) {
         eprintln!("unknown device (see `qnas devices`)");
         usage()
     });
+    if device.num_qubits() < task.num_qubits() {
+        eprintln!(
+            "task {} needs {} qubits but device {} has {} (see `qnas devices`)",
+            task.name(),
+            task.num_qubits(),
+            device.name(),
+            device.num_qubits()
+        );
+        usage()
+    }
     let qasm_path = value("--qasm");
     // `--verify` alone means full checking; an optional value picks the
     // level (`--verify contracts` skips the equivalence spot check).

@@ -13,6 +13,7 @@ use crate::Task;
 use qns_circuit::Circuit;
 use qns_ml::{cross_entropy_grad, nll_loss, Adam, AdamConfig};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
+use qns_sim::shiftable_params;
 use qns_transpile::{transpile, Layout, Transpiled};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,23 +58,6 @@ fn measured_logical_z(
         .iter()
         .map(|&d| noisy.expect_z[d])
         .collect()
-}
-
-/// Which logical parameters admit the two-term shift rule (the rest use a
-/// symmetric finite difference — noisy on hardware but workable).
-fn shiftable_params(circuit: &Circuit) -> Vec<bool> {
-    let n = circuit.num_train_params();
-    let mut shiftable = vec![true; n];
-    for op in circuit.iter() {
-        for slot in &op.params {
-            if let Some((ti, scale)) = slot.train_component() {
-                if !op.kind.supports_parameter_shift() || (scale.abs() - 1.0).abs() > 1e-12 {
-                    shiftable[ti] = false;
-                }
-            }
-        }
-    }
-    shiftable
 }
 
 /// Trains a QML circuit end-to-end on the noisy device model with

@@ -365,6 +365,29 @@ fn assert_rejects_samples(task: &str, samples: &str, min: &str) {
 }
 
 #[test]
+fn a_device_narrower_than_the_task_is_a_usage_error() {
+    // LiH needs 6 qubits; belem and quito have 5.
+    for device in ["belem", "quito"] {
+        let args = ["run", "--task", "vqe-lih", "--device", device];
+        let out = qnas(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(&format!("needs 6 qubits but device {device} has 5"))
+                && stderr.contains("usage: qnas")
+                && !stderr.contains("panicked"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
 fn zero_samples_is_a_usage_error() {
     // No data at all: training must never start (it would panic drawing
     // a minibatch from an empty split).

@@ -144,26 +144,8 @@ impl KrausChannel {
     ///
     /// Panics if `q` is out of range for `state`.
     pub fn apply_trajectory<R: Rng + ?Sized>(&self, state: &mut StateVec, q: usize, rng: &mut R) {
-        // Fast path: a single Kraus operator is deterministic.
-        if self.ops.len() == 1 {
-            state.apply_1q(&self.ops[0], q);
-            state.normalize();
-            return;
-        }
-        let u: f64 = rng.gen();
-        let mut cdf = 0.0;
-        for (i, k) in self.ops.iter().enumerate() {
-            // p_i = || K_i ψ ||²; compute without cloning the full state
-            // by accumulating the local norm after applying K_i per pair.
-            let amps = state.amplitudes();
-            let p = kraus_prob(amps.len(), |i| amps[i], k, q);
-            cdf += p;
-            if u <= cdf || i == self.ops.len() - 1 {
-                state.apply_1q(k, q);
-                state.normalize();
-                return;
-            }
-        }
+        let u = self.draw(rng);
+        self.step(state, q, u, None);
     }
 
     /// [`KrausChannel::apply_trajectory`] on a matrix-product state: the
@@ -179,44 +161,34 @@ impl KrausChannel {
     ///
     /// Panics if `q` is out of range for `mps`.
     pub fn apply_trajectory_mps<R: Rng + ?Sized>(&self, mps: &mut MpsState, q: usize, rng: &mut R) {
-        if self.ops.len() == 1 {
-            let p = mps.kraus_prob(&self.ops[0], q);
-            mps.apply_kraus_1q(&self.ops[0], q, p);
-            return;
-        }
-        let u: f64 = rng.gen();
-        let mut cdf = 0.0;
-        for (i, k) in self.ops.iter().enumerate() {
-            let p = mps.kraus_prob(k, q);
-            cdf += p;
-            if u <= cdf || i == self.ops.len() - 1 {
-                mps.apply_kraus_1q(k, q, p);
-                return;
-            }
-        }
+        let u = self.draw(rng);
+        let (k, p) = self.select(u, |_, k| mps.kraus_prob(k, q));
+        mps.apply_kraus_1q(k, q, p);
     }
 
     /// One stochastic trajectory step on **every** lane of a batch at
     /// once, drawing from `rngs[lane]`. Per lane this is bit-identical to
     /// [`KrausChannel::apply_trajectory`] on that lane's state: each lane
     /// makes the same draw from its own RNG, walks the same Born CDF, and
-    /// applies the same operator and renormalization.
+    /// applies the same operator and renormalization. Four steps:
     ///
-    /// One read sweep ([`StateBatch::kraus_prob_and_norm`]) gives each
-    /// lane the Born probability of the leading (no-error) operator `K₀`
-    /// and the squared norm `K₀ψ` will have; lanes whose draw falls past
-    /// `K₀` (rare at hardware error rates) finish their CDF walk on the
-    /// per-lane path. When every lane keeps a diagonal `K₀` (every
-    /// channel `walk_noisy` builds leads with one), one write sweep
-    /// ([`StateBatch::apply_1q_diag_normalized`]) applies it and
-    /// renormalizes with those norms, so the step is two sweeps.
-    /// Otherwise the shared `K₀`, or each lane's chosen operator through
-    /// [`StateBatch::apply_1q_per_lane`], is applied and
-    /// [`StateBatch::normalize_lanes`] renormalizes.
+    /// 1. one read sweep, [`StateBatch::kraus_prob_and_norm`], gives each
+    ///    lane the Born probability `p₀` of the leading (no-error)
+    ///    operator `K₀` and the squared norm `K₀ψ` will have;
+    /// 2. each lane draws from its own RNG;
+    /// 3. when `K₀` is diagonal (every channel `walk_noisy` builds leads
+    ///    with one), one write sweep,
+    ///    [`StateBatch::apply_1q_diag_normalized`], applies it to every
+    ///    lane and renormalizes with those norms;
+    /// 4. every other lane — one whose draw falls past `K₀` (rare at
+    ///    hardware error rates), or every lane when `K₀` is not diagonal —
+    ///    takes the reference step on a [`StateVec`] copy taken before the
+    ///    write sweep, reusing its `p₀`, and is written back over the
+    ///    sweep's result.
     ///
-    /// Draws, probabilities, norms and choices live in fixed
-    /// [`LANE_CHUNK`]-wide arrays, so the step does not allocate unless
-    /// some lane errs; the trajectory executor never builds a wider batch.
+    /// Draws, probabilities and norms live in fixed [`LANE_CHUNK`]-wide
+    /// arrays, so the step does not allocate unless some lane takes the
+    /// reference step; the trajectory executor never builds a wider batch.
     ///
     /// # Panics
     ///
@@ -234,86 +206,88 @@ impl KrausChannel {
             lanes <= LANE_CHUNK,
             "a trajectory batch holds at most {LANE_CHUNK} lanes, got {lanes}"
         );
-        if self.ops.len() == 1 {
-            batch.apply_1q(&self.ops[0], q);
-            batch.normalize_lanes();
-            return;
-        }
+        let k0 = &self.ops[0];
+        let (mut p0, mut n0) = ([0.0; LANE_CHUNK], [0.0; LANE_CHUNK]);
+        batch.kraus_prob_and_norm(k0, q, &mut p0[..lanes], &mut n0[..lanes]);
         let mut us = [0.0; LANE_CHUNK];
         for (u, rng) in us.iter_mut().zip(rngs.iter_mut()) {
-            *u = rng.gen();
+            *u = self.draw(rng);
         }
-        let (mut p0, mut n0) = ([0.0; LANE_CHUNK], [0.0; LANE_CHUNK]);
-        let k0 = &self.ops[0];
-        batch.kraus_prob_and_norm(k0, q, &mut p0[..lanes], &mut n0[..lanes]);
-        let mut chosen = [0usize; LANE_CHUNK];
-        let draws = us.iter().zip(&p0).take(lanes).enumerate();
-        for ((lane, (&u, &p)), c) in draws.zip(&mut chosen) {
-            *c = if u <= p {
-                0
-            } else {
-                self.choose_past_leading(batch, lane, q, u, p)
-            };
-        }
-        if chosen[..lanes].iter().all(|&i| i == 0) {
-            let [_, k01, k10, _] = k0.m;
-            if k01 == C64::ZERO && k10 == C64::ZERO {
-                batch.apply_1q_diag_normalized(k0, q, &n0[..lanes]);
-                return;
+        let [_, k01, k10, _] = k0.m;
+        let diagonal = k01 == C64::ZERO && k10 == C64::ZERO;
+        let mut stepped = Vec::new();
+        for (lane, (&u, &p)) in us.iter().zip(&p0).take(lanes).enumerate() {
+            if !(diagonal && u <= p) {
+                let mut state = batch.lane_state(lane);
+                self.step(&mut state, q, u, Some(p));
+                stepped.push((lane, state));
             }
-            batch.apply_1q(k0, q);
-        } else {
-            let mut ms = [self.ops[0]; LANE_CHUNK];
-            for (m, &i) in ms.iter_mut().zip(&chosen) {
-                *m = self.ops[i];
-            }
-            batch.apply_1q_per_lane(&ms[..lanes], q);
         }
-        batch.normalize_lanes();
+        if diagonal {
+            batch.apply_1q_diag_normalized(k0, q, &n0[..lanes]);
+        }
+        for (lane, state) in &stepped {
+            batch.set_lane(*lane, state);
+        }
     }
 
-    /// The operator `lane` draws with a `u` past `p0`, the Born probability
-    /// of the leading operator: the rest of the CDF walk of
-    /// [`KrausChannel::apply_trajectory`], from operator 1. The last
-    /// operator takes any remainder.
-    fn choose_past_leading(
-        &self,
-        batch: &StateBatch,
-        lane: usize,
-        q: usize,
-        u: f64,
-        p0: f64,
-    ) -> usize {
-        let last = self.ops.len() - 1;
-        let (lanes, len) = (batch.lanes(), 1usize << batch.num_qubits());
-        let amp = |i: usize| batch.amp(i * lanes + lane);
-        let mut cdf = p0;
-        for (i, k) in self.ops.iter().enumerate().take(last).skip(1) {
-            cdf += kraus_prob(len, amp, k, q);
+    /// The uniform draw that selects a step's operator, from `rng`. A
+    /// single-operator channel has nothing to select and draws nothing:
+    /// its `0.0` is at most any Born probability, and [`Self::select`]
+    /// picks the one operator whatever the draw.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.ops.len() > 1 {
+            rng.gen()
+        } else {
+            0.0
+        }
+    }
+
+    /// The one CDF walk of every trajectory step: the operator the draw
+    /// `u` selects — the first whose cumulative Born probability reaches
+    /// `u`, the last taking any remainder — and its probability.
+    /// `prob(i, k)` is operator `i`'s probability, asked in operator order
+    /// and only up to the selected one.
+    fn select(&self, u: f64, mut prob: impl FnMut(usize, &Mat2) -> f64) -> (&Mat2, f64) {
+        let (last, leading) = self.ops.split_last().expect("a channel has an operator");
+        let mut cdf = 0.0;
+        for (i, k) in leading.iter().enumerate() {
+            let p = prob(i, k);
+            cdf += p;
             if u <= cdf {
-                return i;
+                return (k, p);
             }
         }
-        last
+        (last, prob(leading.len(), last))
+    }
+
+    /// The reference step on one state for the draw `u`: applies the
+    /// operator [`Self::select`] picks against `state`'s Born
+    /// probabilities and renormalizes. `p0`, when given, is operator 0's
+    /// probability, already read.
+    fn step(&self, state: &mut StateVec, q: usize, u: f64, p0: Option<f64>) {
+        let (k, _) = self.select(u, |i, k| match p0 {
+            Some(p) if i == 0 => p,
+            _ => kraus_prob(state, k, q),
+        });
+        state.apply_1q(k, q);
+        state.normalize();
     }
 }
 
-/// `|| K |ψ> ||²` for a one-qubit operator on qubit `q` of a `len`-amplitude
-/// state whose amplitude `i` is `amp(i)`: one pair loop, in one
-/// accumulation order, for a [`StateVec`] and for one lane of a batch.
-fn kraus_prob(len: usize, amp: impl Fn(usize) -> C64, k: &Mat2, q: usize) -> f64 {
+/// `|| K |ψ> ||²` for a one-qubit operator on qubit `q` of `state`: the
+/// amplitude pairs `(i, i + 2^q)` in ascending base order, row 0 before
+/// row 1, the order [`StateBatch::kraus_prob_and_norm`] matches.
+fn kraus_prob(state: &StateVec, k: &Mat2, q: usize) -> f64 {
     let stride = 1usize << q;
     let [m00, m01, m10, m11] = k.m;
     let mut acc = 0.0;
-    let mut base = 0;
-    while base < len {
-        for i in base..base + stride {
-            let a0 = amp(i);
-            let a1 = amp(i + stride);
+    for pairs in state.amplitudes().chunks_exact(stride << 1) {
+        let (lo, hi) = pairs.split_at(stride);
+        for (&a0, &a1) in lo.iter().zip(hi) {
             acc += (m00 * a0 + m01 * a1).norm_sqr();
             acc += (m10 * a0 + m11 * a1).norm_sqr();
         }
-        base += stride << 1;
     }
     acc
 }

@@ -217,8 +217,9 @@ fn op_uses_input(op: &Op) -> bool {
 }
 
 /// Applies (or un-applies, with `adjoint`) one circuit op to a batch:
-/// input-encoding ops resolve and apply per lane, every other op applies
-/// its shared matrix to all lanes in one batched sweep.
+/// an input-encoding op resolves one matrix per lane and applies them in
+/// one per-lane sweep, every other op applies its shared matrix to all
+/// lanes in one batched sweep.
 fn apply_op_batch(
     batch: &mut StateBatch,
     op: &Op,
@@ -227,18 +228,17 @@ fn apply_op_batch(
     adjoint: bool,
 ) {
     if op_uses_input(op) {
-        for (lane, input) in inputs.iter().enumerate() {
-            let params = op.resolve_params(train, input);
-            match op.kind.matrix(&params) {
-                GateMatrix::One(m) => {
-                    let m = if adjoint { m.adjoint() } else { m };
-                    batch.lane_apply_1q(lane, &m, op.qubits[0]);
-                }
-                GateMatrix::Two(m) => {
-                    let m = if adjoint { m.adjoint() } else { m };
-                    batch.lane_apply_2q(lane, &m, op.qubits[0], op.qubits[1]);
-                }
+        let (mut ones, mut twos) = (Vec::new(), Vec::new());
+        for input in inputs {
+            match op.kind.matrix(&op.resolve_params(train, input)) {
+                GateMatrix::One(m) => ones.push(if adjoint { m.adjoint() } else { m }),
+                GateMatrix::Two(m) => twos.push(if adjoint { m.adjoint() } else { m }),
             }
+        }
+        if op.kind.num_qubits() == 1 {
+            batch.apply_1q_per_lane(&ones, op.qubits[0]);
+        } else {
+            batch.apply_2q_per_lane(&twos, op.qubits[0], op.qubits[1]);
         }
     } else {
         let params = op.resolve_params(train, &[]);
@@ -481,6 +481,38 @@ pub fn adjoint_gradient_batch(
     (losses, grad)
 }
 
+/// Which trainable parameters of `circuit` admit the two-term
+/// parameter-shift rule: entry `i` is true when every slot reading
+/// parameter `i` sits on a gate with a two-term rule
+/// ([`GateKind::supports_parameter_shift`](qns_circuit::GateKind::supports_parameter_shift))
+/// and scales it by `±1` (within `1e-12`), so a `±π/2` parameter shift is
+/// a `±π/2` angle shift. The rest need a finite difference.
+///
+/// # Examples
+///
+/// ```
+/// use qns_circuit::{Circuit, GateKind, Param};
+/// use qns_sim::shiftable_params;
+///
+/// let mut c = Circuit::new(2);
+/// c.push(GateKind::RY, &[0], &[Param::Train(0)]);
+/// c.push(GateKind::CRY, &[0, 1], &[Param::Train(1)]);
+/// assert_eq!(shiftable_params(&c), vec![true, false]);
+/// ```
+pub fn shiftable_params(circuit: &Circuit) -> Vec<bool> {
+    let mut shiftable = vec![true; circuit.num_train_params()];
+    for op in circuit.iter() {
+        for slot in &op.params {
+            if let Some((ti, scale)) = slot.train_component() {
+                if !op.kind.supports_parameter_shift() || (scale.abs() - 1.0).abs() > 1e-12 {
+                    shiftable[ti] = false;
+                }
+            }
+        }
+    }
+    shiftable
+}
+
 /// Computes the gradient with the parameter-shift rule where it applies
 /// (two circuit evaluations per parameter at θ ± π/2) and falls back to a
 /// central finite difference (step `1e-5`) for gates without a two-term rule
@@ -500,20 +532,7 @@ pub fn parameter_shift_gradient(
     obs: &impl Observable,
 ) -> Vec<f64> {
     let n = circuit.num_train_params();
-    // For each trainable index, check that every op referencing it is
-    // two-term shiftable.
-    let mut shiftable = vec![true; n];
-    for op in circuit.iter() {
-        for slot in &op.params {
-            if let Some((ti, scale)) = slot.train_component() {
-                // A unit |scale| maps a ±π/2 parameter shift to a ±π/2 angle
-                // shift; anything else needs the fallback.
-                if !op.kind.supports_parameter_shift() || (scale.abs() - 1.0).abs() > 1e-12 {
-                    shiftable[ti] = false;
-                }
-            }
-        }
-    }
+    let shiftable = shiftable_params(circuit);
     // Batch all 2n shifted evaluations through one compiled plan.
     let h = 1e-5;
     let mut shifts = Vec::with_capacity(2 * n);

@@ -80,7 +80,7 @@ pub use exec::{
 };
 pub use grad::{
     adjoint_gradient, adjoint_gradient_batch, numeric_gradient, parameter_shift_gradient,
-    shifted_expectations, DiagObservable, Observable,
+    shiftable_params, shifted_expectations, DiagObservable, Observable,
 };
 pub use mps::{mps_stats, reset_mps_stats, MpsConfig, MpsState, MpsStats};
 pub use plan::{SimPlan, DEFAULT_FUSION_LEVEL};

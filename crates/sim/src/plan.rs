@@ -402,8 +402,7 @@ impl SimPlan {
                 next_dirty.next();
                 // A step's arity and qubits are fixed; only the matrix
                 // values vary with the input. Collect the per-lane
-                // matrices and let the batch sweep all lanes in one planar
-                // pass instead of one strided walk per lane.
+                // matrices and apply them in one per-lane call.
                 let mut ones: Vec<Mat2> = Vec::new();
                 let mut one_q = 0;
                 let mut twos: Vec<Mat4> = Vec::new();

@@ -135,15 +135,11 @@ impl StateVec {
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
         assert!(q < self.n_qubits, "qubit {} out of range", q);
         let [m00, m01, m10, m11] = m.m;
-        if m01 == C64::ZERO && m10 == C64::ZERO {
-            if m00 == C64::ONE && m11 == C64::ONE {
-                return; // identity
-            }
-            self.apply_1q_diag(m00, m11, q);
-        } else if m00 == C64::ZERO && m11 == C64::ZERO {
-            self.apply_1q_antidiag(m01, m10, q);
-        } else {
-            self.apply_1q_general(m, q);
+        match mat2_class(m) {
+            Mat2Class::Identity => {}
+            Mat2Class::Diag => self.apply_1q_diag(m00, m11, q),
+            Mat2Class::Antidiag => self.apply_1q_antidiag(m01, m10, q),
+            Mat2Class::General => self.apply_1q_general(m, q),
         }
     }
 
@@ -227,13 +223,10 @@ impl StateVec {
             "qubit out of range"
         );
         assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
-        if mat4_is_diagonal(m) {
-            self.apply_2q_diag(m, qa, qb);
-        } else if mat4_is_controlled(m) {
-            let sub = Mat2::new([m.m[10], m.m[11], m.m[14], m.m[15]]);
-            self.apply_2q_controlled(&sub, qa, qb);
-        } else {
-            self.apply_2q_general(m, qa, qb);
+        match mat4_class(m) {
+            Mat4Class::Diag => self.apply_2q_diag(m, qa, qb),
+            Mat4Class::Controlled => self.apply_2q_controlled(&control_block(m), qa, qb),
+            Mat4Class::General => self.apply_2q_general(m, qa, qb),
         }
     }
 
@@ -454,7 +447,7 @@ pub(crate) fn for_each_2q_base(len: usize, ba: usize, bb: usize, mut f: impl FnM
 
 /// True when all off-diagonal entries are exactly zero.
 #[inline]
-pub(crate) fn mat4_is_diagonal(m: &Mat4) -> bool {
+fn mat4_is_diagonal(m: &Mat4) -> bool {
     (0..4).all(|r| (0..4).all(|c| r == c || m.m[r * 4 + c] == C64::ZERO))
 }
 
@@ -462,12 +455,75 @@ pub(crate) fn mat4_is_diagonal(m: &Mat4) -> bool {
 /// block and zeros everywhere outside the two diagonal blocks, i.e. it acts
 /// only on the subspace where the high qubit is `|1>`.
 #[inline]
-pub(crate) fn mat4_is_controlled(m: &Mat4) -> bool {
+fn mat4_is_controlled(m: &Mat4) -> bool {
     m.m[0] == C64::ONE
         && m.m[5] == C64::ONE
         && [1, 2, 3, 4, 6, 7, 8, 9, 12, 13]
             .iter()
             .all(|&k| m.m[k] == C64::ZERO)
+}
+
+/// Structure class of a 2×2 matrix: the kernel [`StateVec::apply_1q`]
+/// and the batch kernels dispatch it to. Every test is exact equality.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Mat2Class {
+    /// Diagonal with both entries exactly one: nothing to apply.
+    Identity,
+    /// Zero off-diagonal entries: each amplitude is only scaled.
+    Diag,
+    /// Zero diagonal entries (X-like): the halves swap with a scale.
+    Antidiag,
+    /// Anything else.
+    General,
+}
+
+/// The [`Mat2Class`] of `m`.
+#[inline]
+pub(crate) fn mat2_class(m: &Mat2) -> Mat2Class {
+    let [m00, m01, m10, m11] = m.m;
+    if m01 == C64::ZERO && m10 == C64::ZERO {
+        if m00 == C64::ONE && m11 == C64::ONE {
+            Mat2Class::Identity
+        } else {
+            Mat2Class::Diag
+        }
+    } else if m00 == C64::ZERO && m11 == C64::ZERO {
+        Mat2Class::Antidiag
+    } else {
+        Mat2Class::General
+    }
+}
+
+/// Structure class of a 4×4 matrix: the kernel [`StateVec::apply_2q`]
+/// and the batch kernels dispatch it to. A matrix both diagonal and
+/// controlled (CZ) is `Diag`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Mat4Class {
+    /// Zero off-diagonal entries (the identity included).
+    Diag,
+    /// Identity on the high-qubit-`|0>` block, see [`control_block`].
+    Controlled,
+    /// Anything else.
+    General,
+}
+
+/// The [`Mat4Class`] of `m`.
+#[inline]
+pub(crate) fn mat4_class(m: &Mat4) -> Mat4Class {
+    if mat4_is_diagonal(m) {
+        Mat4Class::Diag
+    } else if mat4_is_controlled(m) {
+        Mat4Class::Controlled
+    } else {
+        Mat4Class::General
+    }
+}
+
+/// The 2×2 block a [`Mat4Class::Controlled`] matrix applies where the high
+/// qubit is `|1>`.
+#[inline]
+pub(crate) fn control_block(m: &Mat4) -> Mat2 {
+    Mat2::new([m.m[10], m.m[11], m.m[14], m.m[15]])
 }
 
 /// Converts basis-state counts into per-qubit `<Z>` estimates.

@@ -23,21 +23,24 @@
 //! the slice asserts) plus a scalar tail; `cargo xtask asm-check` pins the
 //! packed codegen in CI.
 //!
-//! Per-lane kernels ([`StateBatch::lane_apply_1q`] /
-//! [`StateBatch::lane_apply_2q`]) cover the steps whose matrices differ
-//! across the batch: input-encoder gates whose angles come from per-sample
-//! features, and stochastic Kraus operators drawn per trajectory. When a
-//! whole step has one matrix per lane of the *same* structure class,
-//! [`StateBatch::apply_1q_per_lane`] sweeps all lanes in one pass with the
-//! matrix entries themselves transposed into planar per-lane arrays.
+//! A step whose matrix differs across the batch (an input-encoder gate
+//! whose angles come from per-sample features) takes one matrix per lane
+//! and has two forms. When every lane's matrix is in one structure class,
+//! [`StateBatch::apply_1q_per_lane`] / [`StateBatch::apply_2q_per_lane`]
+//! sweep all lanes in one pass with the matrix entries themselves
+//! transposed into planar per-lane arrays. Otherwise each lane takes its
+//! own [`StateVec`] step: [`StateBatch::lane_state`] copies it out, the
+//! single-state kernel applies the matrix, and [`StateBatch::set_lane`]
+//! writes it back. The single state is the oracle every batch kernel is
+//! tested against, so that form mirrors nothing.
 //!
-//! A Kraus channel step on a trajectory batch whose lanes all keep a
-//! diagonal leading operator is two sweeps: [`StateBatch::kraus_prob_and_norm`]
-//! reads each lane's Born probability and the squared norm the kept state
-//! will have, and [`StateBatch::apply_1q_diag_normalized`] applies the
-//! operator and the renormalization together. Both walk lane groups of at
-//! most [`LANE_CHUNK`] lanes, compiled once per group width, so every lane
-//! loop has a fixed trip count and a 3-lane fork batch costs 3 lanes' work.
+//! A Kraus channel step on lanes that keep a diagonal leading operator is
+//! two sweeps: [`StateBatch::kraus_prob_and_norm`] reads each lane's Born
+//! probability and the squared norm the kept state will have, and
+//! [`StateBatch::apply_1q_diag_normalized`] applies the operator and the
+//! renormalization together. Both walk lane groups of at most
+//! [`LANE_CHUNK`] lanes, compiled once per group width, so every lane loop
+//! has a fixed trip count and a 3-lane fork batch costs 3 lanes' work.
 //!
 //! Every kernel mirrors the structure-specialized dispatch and per-pair
 //! arithmetic of [`StateVec`] exactly — each complex multiply expands to
@@ -48,7 +51,7 @@
 //! the sequential results bitwise across every gate template, batch size,
 //! and fusion level.
 
-use crate::state::{for_each_2q_base, mat4_is_controlled, mat4_is_diagonal};
+use crate::state::{control_block, mat2_class, mat4_class, Mat2Class, Mat4Class};
 use crate::StateVec;
 use qns_tensor::{Mat2, Mat4, C64};
 use std::ops::Range;
@@ -337,62 +340,68 @@ fn kern_2q_general(r: [&mut [f64]; 4], i: [&mut [f64]; 4], w: &[f64; 32]) {
     });
 }
 
-/// Per-lane 2×2 matrices transposed entry-planar: `m00r[lane]` etc., so a
-/// per-lane sweep loads matrix entries contiguously too.
-struct Mat2Planes {
-    m00r: Vec<f64>,
-    m00i: Vec<f64>,
-    m01r: Vec<f64>,
-    m01i: Vec<f64>,
-    m10r: Vec<f64>,
-    m10i: Vec<f64>,
-    m11r: Vec<f64>,
-    m11i: Vec<f64>,
+/// Per-lane matrices transposed entry-planar into one buffer: entry `j`
+/// of lane `lane`'s flattened matrix ([`flat2`] / [`flat4`] order) at
+/// `w[j * lanes + lane]`, so a per-lane sweep loads each matrix entry of
+/// consecutive lanes contiguously, as it loads their amplitudes.
+fn entry_planes<const N: usize>(flat: impl ExactSizeIterator<Item = [f64; N]>) -> Vec<f64> {
+    let lanes = flat.len();
+    let mut w = vec![0.0; N * lanes];
+    for (lane, entries) in flat.enumerate() {
+        for (j, v) in entries.into_iter().enumerate() {
+            w[j * lanes + lane] = v;
+        }
+    }
+    w
 }
 
-impl Mat2Planes {
-    fn new(ms: &[Mat2]) -> Self {
-        let mut p = Mat2Planes {
-            m00r: Vec::with_capacity(ms.len()),
-            m00i: Vec::with_capacity(ms.len()),
-            m01r: Vec::with_capacity(ms.len()),
-            m01i: Vec::with_capacity(ms.len()),
-            m10r: Vec::with_capacity(ms.len()),
-            m10i: Vec::with_capacity(ms.len()),
-            m11r: Vec::with_capacity(ms.len()),
-            m11i: Vec::with_capacity(ms.len()),
-        };
-        for m in ms {
-            let [m00, m01, m10, m11] = m.m;
-            p.m00r.push(m00.re);
-            p.m00i.push(m00.im);
-            p.m01r.push(m01.re);
-            p.m01i.push(m01.im);
-            p.m10r.push(m10.re);
-            p.m10i.push(m10.im);
-            p.m11r.push(m11.re);
-            p.m11i.push(m11.im);
-        }
-        p
+/// The `N` entry planes of an [`entry_planes`] buffer, each `lanes` long.
+/// Unpacked with a plain loop: `std::array::from_fn` carries a closure
+/// that rustc leaves as an outlined `try_from_fn` call, which hides the
+/// `chunks_exact` length facts and keeps the lane loops scalar.
+#[inline(always)]
+fn planes<const N: usize>(w: &[f64], lanes: usize) -> [&[f64]; N] {
+    assert!(w.len() == N * lanes);
+    let mut p: [&[f64]; N] = [&[]; N];
+    for (j, c) in w.chunks_exact(lanes).enumerate() {
+        p[j] = c;
     }
+    p
 }
 
 /// General per-lane-matrix 1q kernel: like [`kern_1q_general`] but the
-/// matrix entries come from per-lane planes — the run length is always a
-/// multiple of the lane count, so each `lanes`-wide span pairs position
-/// `lane` with plane entry `lane`. Spans walk via `chunks_exact_mut` so
-/// every in-span index is bounds-provable and the loop vectorizes.
+/// matrix entries come from the eight [`entry_planes`] of `w` — the run
+/// length is always a multiple of the lane count, so each `lanes`-wide
+/// span pairs position `lane` with plane entry `lane`. Spans walk via
+/// `chunks_exact_mut` and the planes are resliced to `lanes`, so every
+/// in-span index is bounds-provable and the loop vectorizes.
 #[inline(always)]
 fn kern_1q_perlane_general(
     lo_re: &mut [f64],
     lo_im: &mut [f64],
     hi_re: &mut [f64],
     hi_im: &mut [f64],
-    p: &Mat2Planes,
+    w: &[f64],
+    lanes: usize,
 ) {
-    let lanes = p.m00r.len();
     let n = lo_re.len();
     assert!(lo_im.len() == n && hi_re.len() == n && hi_im.len() == n && n.is_multiple_of(lanes));
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = planes::<8>(w, lanes);
+    // Resliced here, where LLVM sees each length equal `lanes`: the lane
+    // loop then needs no bounds checks (about 12% of a 4-qubit training
+    // step without this).
+    let (m00r, m00i, m01r, m01i) = (
+        &m00r[..lanes],
+        &m00i[..lanes],
+        &m01r[..lanes],
+        &m01i[..lanes],
+    );
+    let (m10r, m10i, m11r, m11i) = (
+        &m10r[..lanes],
+        &m10i[..lanes],
+        &m11r[..lanes],
+        &m11i[..lanes],
+    );
     let spans = lo_re
         .chunks_exact_mut(lanes)
         .zip(lo_im.chunks_exact_mut(lanes))
@@ -404,31 +413,37 @@ fn kern_1q_perlane_general(
             let x0i = s0i[lane];
             let x1r = s1r[lane];
             let x1i = s1i[lane];
-            let (m00r, m00i) = (p.m00r[lane], p.m00i[lane]);
-            let (m01r, m01i) = (p.m01r[lane], p.m01i[lane]);
-            let (m10r, m10i) = (p.m10r[lane], p.m10i[lane]);
-            let (m11r, m11i) = (p.m11r[lane], p.m11i[lane]);
-            s0r[lane] = (m00r * x0r - m00i * x0i) + (m01r * x1r - m01i * x1i);
-            s0i[lane] = (m00r * x0i + m00i * x0r) + (m01r * x1i + m01i * x1r);
-            s1r[lane] = (m10r * x0r - m10i * x0i) + (m11r * x1r - m11i * x1i);
-            s1i[lane] = (m10r * x0i + m10i * x0r) + (m11r * x1i + m11i * x1r);
+            let (a, b) = ((m00r[lane], m00i[lane]), (m01r[lane], m01i[lane]));
+            let (c, d) = ((m10r[lane], m10i[lane]), (m11r[lane], m11i[lane]));
+            s0r[lane] = (a.0 * x0r - a.1 * x0i) + (b.0 * x1r - b.1 * x1i);
+            s0i[lane] = (a.0 * x0i + a.1 * x0r) + (b.0 * x1i + b.1 * x1r);
+            s1r[lane] = (c.0 * x0r - c.1 * x0i) + (d.0 * x1r - d.1 * x1i);
+            s1i[lane] = (c.0 * x0i + c.1 * x0r) + (d.0 * x1i + d.1 * x1r);
         }
     }
 }
 
 /// Diagonal per-lane-matrix 1q kernel: `a0 = d0_lane * a0 ; a1 = d1_lane
-/// * a1`, matching the diagonal path of [`StateBatch::lane_apply_1q`].
+/// * a1`, the diagonal path of [`StateVec::apply_1q`] with the entries
+/// from the [`entry_planes`] of `w`.
 #[inline(always)]
 fn kern_1q_perlane_diag(
     lo_re: &mut [f64],
     lo_im: &mut [f64],
     hi_re: &mut [f64],
     hi_im: &mut [f64],
-    p: &Mat2Planes,
+    w: &[f64],
+    lanes: usize,
 ) {
-    let lanes = p.m00r.len();
     let n = lo_re.len();
     assert!(lo_im.len() == n && hi_re.len() == n && hi_im.len() == n && n.is_multiple_of(lanes));
+    let [m00r, m00i, _, _, _, _, m11r, m11i] = planes::<8>(w, lanes);
+    let (m00r, m00i, m11r, m11i) = (
+        &m00r[..lanes],
+        &m00i[..lanes],
+        &m11r[..lanes],
+        &m11i[..lanes],
+    );
     let spans = lo_re
         .chunks_exact_mut(lanes)
         .zip(lo_im.chunks_exact_mut(lanes))
@@ -436,8 +451,8 @@ fn kern_1q_perlane_diag(
         .zip(hi_im.chunks_exact_mut(lanes));
     for (((s0r, s0i), s1r), s1i) in spans {
         for lane in 0..lanes {
-            let (d0r, d0i) = (p.m00r[lane], p.m00i[lane]);
-            let (d1r, d1i) = (p.m11r[lane], p.m11i[lane]);
+            let (d0r, d0i) = (m00r[lane], m00i[lane]);
+            let (d1r, d1i) = (m11r[lane], m11i[lane]);
             let x0r = s0r[lane];
             let x0i = s0i[lane];
             let x1r = s1r[lane];
@@ -526,10 +541,11 @@ fn perlane_row_im(
 }
 
 /// General per-lane-matrix 2q kernel: like [`kern_2q_general`] but the 32
-/// flattened matrix entries come from per-lane planes (`w[j * lanes +
-/// lane]` holds entry `j` of lane `lane`'s matrix). Quadrant runs are
-/// whole numbers of `lanes`-wide spans, walked with `chunks_exact_mut` so
-/// every index is bounds-provable and the lane loop vectorizes.
+/// flattened matrix entries come from the [`entry_planes`] of `w`
+/// (`w[j * lanes + lane]` holds entry `j` of lane `lane`'s matrix).
+/// Quadrant runs are whole numbers of `lanes`-wide spans, walked with
+/// `chunks_exact_mut` so every index is bounds-provable and the lane loop
+/// vectorizes.
 #[inline(always)]
 fn kern_2q_perlane_general(r: [&mut [f64]; 4], i: [&mut [f64]; 4], w: &[f64], lanes: usize) {
     let [r0, r1, r2, r3] = r;
@@ -544,15 +560,8 @@ fn kern_2q_perlane_general(r: [&mut [f64]; 4], i: [&mut [f64]; 4], w: &[f64], la
             && i2.len() == n
             && i3.len() == n
             && n % lanes == 0
-            && w.len() == 32 * lanes
     );
-    // Unpacked with a plain loop: `std::array::from_fn` carries a closure
-    // that rustc leaves as an outlined `try_from_fn` call, which hides the
-    // `chunks_exact` length facts and keeps the lane loop below scalar.
-    let mut wp: [&[f64]; 32] = [&[]; 32];
-    for (j, c) in w.chunks_exact(lanes).enumerate() {
-        wp[j] = c;
-    }
+    let wp = planes::<32>(w, lanes);
     let spans = r0
         .chunks_exact_mut(lanes)
         .zip(i0.chunks_exact_mut(lanes))
@@ -821,50 +830,6 @@ fn diag_scale_group<const W: usize>(
     }
 }
 
-/// Structure class of a 2×2 matrix, mirroring the dispatch predicates of
-/// [`StateVec::apply_1q`] / [`StateBatch::lane_apply_1q`] exactly.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mat2Class {
-    Identity,
-    Diag,
-    Antidiag,
-    General,
-}
-
-fn mat2_class(m: &Mat2) -> Mat2Class {
-    let [m00, m01, m10, m11] = m.m;
-    if m01 == C64::ZERO && m10 == C64::ZERO {
-        if m00 == C64::ONE && m11 == C64::ONE {
-            Mat2Class::Identity
-        } else {
-            Mat2Class::Diag
-        }
-    } else if m00 == C64::ZERO && m11 == C64::ZERO {
-        Mat2Class::Antidiag
-    } else {
-        Mat2Class::General
-    }
-}
-
-/// Structure class of a 4×4 matrix, mirroring the dispatch predicates of
-/// [`StateVec::apply_2q`] / [`StateBatch::lane_apply_2q`] exactly.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mat4Class {
-    Diag,
-    Controlled,
-    General,
-}
-
-fn mat4_class(m: &Mat4) -> Mat4Class {
-    if mat4_is_diagonal(m) {
-        Mat4Class::Diag
-    } else if mat4_is_controlled(m) {
-        Mat4Class::Controlled
-    } else {
-        Mat4Class::General
-    }
-}
-
 /// Flattens a [`Mat2`] into `[re, im]` pairs for the planar kernels.
 #[inline]
 fn flat2(m: &Mat2) -> [f64; 8] {
@@ -999,6 +964,20 @@ impl StateBatch {
         s
     }
 
+    /// Writes `state` into lane `lane`, bit for bit: the inverse of
+    /// [`StateBatch::lane_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `state` has another qubit count.
+    pub fn set_lane(&mut self, lane: usize, state: &StateVec) {
+        assert!(lane < self.lanes, "lane out of range");
+        assert_eq!(state.num_qubits(), self.n_qubits, "width mismatch");
+        for (i, &a) in state.amplitudes().iter().enumerate() {
+            self.set(i * self.lanes + lane, a);
+        }
+    }
+
     /// Copies the lanes `lanes` into a new batch of `lanes.len()` lanes, in
     /// order: lane `i` of the copy holds lane `lanes.start + i`'s amplitudes
     /// bit for bit. A trajectory chunk forks its circuits' lanes this way
@@ -1040,15 +1019,11 @@ impl StateBatch {
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
         assert!(q < self.n_qubits, "qubit {} out of range", q);
         let [m00, m01, m10, m11] = m.m;
-        if m01 == C64::ZERO && m10 == C64::ZERO {
-            if m00 == C64::ONE && m11 == C64::ONE {
-                return; // identity
-            }
-            self.apply_1q_diag(m00, m11, q);
-        } else if m00 == C64::ZERO && m11 == C64::ZERO {
-            self.apply_1q_antidiag(m01, m10, q);
-        } else {
-            self.apply_1q_general(m, q);
+        match mat2_class(m) {
+            Mat2Class::Identity => {}
+            Mat2Class::Diag => self.apply_1q_diag(m00, m11, q),
+            Mat2Class::Antidiag => self.apply_1q_antidiag(m01, m10, q),
+            Mat2Class::General => self.apply_1q_general(m, q),
         }
     }
 
@@ -1116,17 +1091,17 @@ impl StateBatch {
         }
     }
 
-    /// Applies one matrix **per lane** to qubit `q` in a single sweep.
+    /// Applies one matrix **per lane** to qubit `q`, each lane
+    /// bit-identical to [`StateVec::apply_1q`] on that lane's state.
     ///
-    /// When every matrix falls in the same structure class (the common
-    /// case: a batch of input-encoder rotations over different features),
-    /// the sweep runs a planar kernel whose matrix entries are themselves
-    /// transposed per-lane arrays, so the lane loop vectorizes like the
-    /// shared-gate kernels. Mixed-class batches (e.g. one feature exactly
-    /// zero turning its rotation into the identity) fall back to the
-    /// per-lane dispatch, which keeps every lane bit-identical to
-    /// [`StateBatch::lane_apply_1q`] — and therefore to the single-state
-    /// [`StateVec`] run — in all cases.
+    /// When every matrix is in one structure class, diagonal or general
+    /// (the common case: a batch of input-encoder rotations over different
+    /// features), one planar sweep applies them all, its matrix entries
+    /// transposed into per-lane planes so the lane loop vectorizes like the
+    /// shared-gate kernels; a batch of identities is skipped. Any other
+    /// batch — mixed classes (e.g. one feature exactly zero turning its
+    /// rotation into the identity) or anti-diagonal matrices, which no
+    /// encoder produces — takes each lane's own [`StateVec`] step.
     ///
     /// # Panics
     ///
@@ -1135,38 +1110,37 @@ impl StateBatch {
         assert_eq!(ms.len(), self.lanes, "one matrix per lane");
         assert!(q < self.n_qubits, "qubit {} out of range", q);
         let class = mat2_class(&ms[0]);
-        if ms.iter().any(|m| mat2_class(m) != class) {
-            for (lane, m) in ms.iter().enumerate() {
-                self.lane_apply_1q(lane, m, q);
+        let uniform = ms.iter().all(|m| mat2_class(m) == class);
+        match (class, uniform) {
+            (Mat2Class::Identity, true) => {}
+            (Mat2Class::Diag, true) => {
+                self.sweep_1q_perlane_diag(&entry_planes(ms.iter().map(flat2)), q);
             }
-            return;
+            (Mat2Class::General, true) => {
+                self.sweep_1q_perlane_general(&entry_planes(ms.iter().map(flat2)), q);
+            }
+            _ => self.each_lane_step(|lane, s| s.apply_1q(&ms[lane], q)),
         }
-        match class {
-            Mat2Class::Identity => {}
-            Mat2Class::Diag => {
-                let planes = Mat2Planes::new(ms);
-                self.sweep_1q_perlane_diag(&planes, q);
-            }
-            Mat2Class::General => {
-                let planes = Mat2Planes::new(ms);
-                self.sweep_1q_perlane_general(&planes, q);
-            }
-            Mat2Class::Antidiag => {
-                // Rare for encoders; the per-lane path is already exact.
-                for (lane, m) in ms.iter().enumerate() {
-                    self.lane_apply_1q(lane, m, q);
-                }
-            }
+    }
+
+    /// Each lane's own [`StateVec`] step: copies lane `lane` out, hands it
+    /// to `step(lane, state)`, and writes it back.
+    fn each_lane_step(&mut self, mut step: impl FnMut(usize, &mut StateVec)) {
+        for lane in 0..self.lanes {
+            let mut s = self.lane_state(lane);
+            step(lane, &mut s);
+            self.set_lane(lane, &s);
         }
     }
 
     multiversion_sweep!(
-        sweep_1q_perlane_diag / sweep_1q_perlane_diag_avx2 => sweep_1q_perlane_diag_body(&mut self, planes: &Mat2Planes, q: usize)
+        sweep_1q_perlane_diag / sweep_1q_perlane_diag_avx2 => sweep_1q_perlane_diag_body(&mut self, w: &[f64], q: usize)
     );
 
     #[inline(always)]
-    fn sweep_1q_perlane_diag_body(&mut self, planes: &Mat2Planes, q: usize) {
-        let stride = (1usize << q) * self.lanes;
+    fn sweep_1q_perlane_diag_body(&mut self, w: &[f64], q: usize) {
+        let lanes = self.lanes;
+        let stride = (1usize << q) * lanes;
         for (rc, ic) in self
             .re
             .chunks_exact_mut(stride << 1)
@@ -1174,17 +1148,18 @@ impl StateBatch {
         {
             let (lo_r, hi_r) = rc.split_at_mut(stride);
             let (lo_i, hi_i) = ic.split_at_mut(stride);
-            kern_1q_perlane_diag(lo_r, lo_i, hi_r, hi_i, planes);
+            kern_1q_perlane_diag(lo_r, lo_i, hi_r, hi_i, w, lanes);
         }
     }
 
     multiversion_sweep!(
-        sweep_1q_perlane_general / sweep_1q_perlane_general_avx2 => sweep_1q_perlane_general_body(&mut self, planes: &Mat2Planes, q: usize)
+        sweep_1q_perlane_general / sweep_1q_perlane_general_avx2 => sweep_1q_perlane_general_body(&mut self, w: &[f64], q: usize)
     );
 
     #[inline(always)]
-    fn sweep_1q_perlane_general_body(&mut self, planes: &Mat2Planes, q: usize) {
-        let stride = (1usize << q) * self.lanes;
+    fn sweep_1q_perlane_general_body(&mut self, w: &[f64], q: usize) {
+        let lanes = self.lanes;
+        let stride = (1usize << q) * lanes;
         for (rc, ic) in self
             .re
             .chunks_exact_mut(stride << 1)
@@ -1192,7 +1167,7 @@ impl StateBatch {
         {
             let (lo_r, hi_r) = rc.split_at_mut(stride);
             let (lo_i, hi_i) = ic.split_at_mut(stride);
-            kern_1q_perlane_general(lo_r, lo_i, hi_r, hi_i, planes);
+            kern_1q_perlane_general(lo_r, lo_i, hi_r, hi_i, w, lanes);
         }
     }
 
@@ -1208,13 +1183,10 @@ impl StateBatch {
             "qubit out of range"
         );
         assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
-        if mat4_is_diagonal(m) {
-            self.apply_2q_diag(m, qa, qb);
-        } else if mat4_is_controlled(m) {
-            let sub = Mat2::new([m.m[10], m.m[11], m.m[14], m.m[15]]);
-            self.apply_2q_controlled(&sub, qa, qb);
-        } else {
-            self.apply_2q_general(m, qa, qb);
+        match mat4_class(m) {
+            Mat4Class::Diag => self.apply_2q_diag(m, qa, qb),
+            Mat4Class::Controlled => self.apply_2q_controlled(&control_block(m), qa, qb),
+            Mat4Class::General => self.apply_2q_general(m, qa, qb),
         }
     }
 
@@ -1297,19 +1269,17 @@ impl StateBatch {
         });
     }
 
-    /// Applies one two-qubit unitary **per lane** in a single sweep; `qa`
-    /// is the high bit as in [`Mat4`].
+    /// Applies one two-qubit unitary **per lane**, `qa` the high bit as
+    /// in [`Mat4`], each lane bit-identical to [`StateVec::apply_2q`] on
+    /// that lane's state.
     ///
     /// Fused plans routinely absorb the whole 1q layer into adjacent 2q
     /// steps, so input-dependent steps usually arrive here as a batch of
-    /// per-lane `Mat4`s. When every matrix falls in the same structure
-    /// class, the sweep runs the planar quadrant walk once with per-lane
-    /// entry planes (General), or the 1q-shaped control-pair kernel over
-    /// per-lane subblocks (Controlled), instead of one strided walk per
-    /// lane. Diagonal or mixed-class batches fall back to
-    /// [`StateBatch::lane_apply_2q`] per lane. Every lane is bit-identical
-    /// to the per-lane dispatch — and therefore to a single-state
-    /// [`StateVec`] run — in all cases.
+    /// per-lane `Mat4`s. When every matrix is controlled or every one is
+    /// general, one planar sweep applies them all: the 1q-shaped
+    /// control-pair kernel over per-lane control blocks, or the quadrant
+    /// walk with per-lane entry planes. Any other batch — mixed classes or
+    /// diagonal matrices — takes each lane's own [`StateVec`] step.
     ///
     /// # Panics
     ///
@@ -1323,53 +1293,35 @@ impl StateBatch {
         );
         assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
         let class = mat4_class(&ms[0]);
-        if ms.iter().any(|m| mat4_class(m) != class) || class == Mat4Class::Diag {
-            for (lane, m) in ms.iter().enumerate() {
-                self.lane_apply_2q(lane, m, qa, qb);
+        let uniform = ms.iter().all(|m| mat4_class(m) == class);
+        match (class, uniform) {
+            (Mat4Class::Controlled, true) => {
+                let w = entry_planes(ms.iter().map(|m| flat2(&control_block(m))));
+                self.sweep_2q_perlane_controlled(&w, qa, qb);
             }
-            return;
-        }
-        match class {
-            Mat4Class::Diag => unreachable!("handled by the fallback above"),
-            Mat4Class::Controlled => {
-                // Per-lane control subblocks; same arithmetic shape as the
-                // shared-gate controlled path, entries per lane.
-                let subs: Vec<Mat2> = ms
-                    .iter()
-                    .map(|m| Mat2::new([m.m[10], m.m[11], m.m[14], m.m[15]]))
-                    .collect();
-                let planes = Mat2Planes::new(&subs);
-                self.sweep_2q_perlane_controlled(&planes, qa, qb);
+            (Mat4Class::General, true) => {
+                self.sweep_2q_perlane_general(&entry_planes(ms.iter().map(flat4)), qa, qb);
             }
-            Mat4Class::General => {
-                // 32 entry planes, `w[j * lanes + lane]` = entry j, lane l.
-                let lanes = self.lanes;
-                let mut w = vec![0.0; 32 * lanes];
-                for (lane, m) in ms.iter().enumerate() {
-                    for (j, v) in flat4(m).into_iter().enumerate() {
-                        w[j * lanes + lane] = v;
-                    }
-                }
-                self.sweep_2q_perlane_general(&w, qa, qb);
-            }
+            _ => self.each_lane_step(|lane, s| s.apply_2q(&ms[lane], qa, qb)),
         }
     }
 
     multiversion_sweep!(
-        sweep_2q_perlane_controlled / sweep_2q_perlane_controlled_avx2 => sweep_2q_perlane_controlled_body(&mut self, planes: &Mat2Planes, qa: usize, qb: usize)
+        sweep_2q_perlane_controlled / sweep_2q_perlane_controlled_avx2 => sweep_2q_perlane_controlled_body(&mut self, w: &[f64], qa: usize, qb: usize)
     );
 
     #[inline(always)]
-    fn sweep_2q_perlane_controlled_body(&mut self, planes: &Mat2Planes, qa: usize, qb: usize) {
-        let ba = (1usize << qa) * self.lanes;
-        let bb = (1usize << qb) * self.lanes;
+    fn sweep_2q_perlane_controlled_body(&mut self, w: &[f64], qa: usize, qb: usize) {
+        let lanes = self.lanes;
+        let ba = (1usize << qa) * lanes;
+        let bb = (1usize << qb) * lanes;
         let run = ba.min(bb);
         let re = &mut self.re[..];
         let im = &mut self.im[..];
         for_2q_runs!(re.len(), ba, bb, |e| {
             let (lo_r, hi_r) = two_runs(re, e + ba, bb, run);
             let (lo_i, hi_i) = two_runs(im, e + ba, bb, run);
-            kern_1q_perlane_general(lo_r, lo_i, hi_r, hi_i, planes);
+            kern_1q_perlane_general(lo_r, lo_i, hi_r, hi_i, w, lanes);
         });
     }
 
@@ -1396,111 +1348,6 @@ impl StateBatch {
             };
             kern_2q_perlane_general([r0, r1, r2, r3], [i0, i1, i2, i3], w, lanes);
         });
-    }
-
-    /// Applies a one-qubit unitary to qubit `q` of **one** lane, leaving
-    /// every other lane untouched. Used for per-sample input-encoding
-    /// blocks and per-trajectory Kraus operators. Same structure dispatch
-    /// and per-pair arithmetic as [`StateVec::apply_1q`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or `lane` is out of range.
-    pub fn lane_apply_1q(&mut self, lane: usize, m: &Mat2, q: usize) {
-        assert!(q < self.n_qubits, "qubit {} out of range", q);
-        assert!(lane < self.lanes, "lane out of range");
-        let [m00, m01, m10, m11] = m.m;
-        if m01 == C64::ZERO && m10 == C64::ZERO {
-            if m00 == C64::ONE && m11 == C64::ONE {
-                return; // identity
-            }
-            self.lane_1q_pairs(lane, q, |x0, x1| (m00 * x0, m11 * x1));
-        } else if m00 == C64::ZERO && m11 == C64::ZERO {
-            self.lane_1q_pairs(lane, q, |x0, x1| (m01 * x1, m10 * x0));
-        } else {
-            self.lane_1q_pairs(lane, q, |x0, x1| (m00 * x0 + m01 * x1, m10 * x0 + m11 * x1));
-        }
-    }
-
-    /// Visits every `(i, i + 2^q)` amplitude pair of one lane in ascending
-    /// base order, storing back whatever `f` returns for the pair.
-    #[inline]
-    fn lane_1q_pairs(&mut self, lane: usize, q: usize, f: impl Fn(C64, C64) -> (C64, C64)) {
-        let l = self.lanes;
-        let stride = 1usize << q;
-        let len = 1usize << self.n_qubits;
-        let mut base = 0;
-        while base < len {
-            for i in base..base + stride {
-                let e0 = i * l + lane;
-                let e1 = (i + stride) * l + lane;
-                let (y0, y1) = f(self.amp(e0), self.amp(e1));
-                self.set(e0, y0);
-                self.set(e1, y1);
-            }
-            base += stride << 1;
-        }
-    }
-
-    /// Applies a two-qubit unitary to one lane (`qa` = high bit), with the
-    /// same dispatch as [`StateVec::apply_2q`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubits coincide or anything is out of range.
-    pub fn lane_apply_2q(&mut self, lane: usize, m: &Mat4, qa: usize, qb: usize) {
-        assert!(
-            qa < self.n_qubits && qb < self.n_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
-        assert!(lane < self.lanes, "lane out of range");
-        let l = self.lanes;
-        let ba = 1usize << qa;
-        let bb = 1usize << qb;
-        let len = 1usize << self.n_qubits;
-        if mat4_is_diagonal(m) {
-            let (d00, d01, d10, d11) = (m.m[0], m.m[5], m.m[10], m.m[15]);
-            if d00 == C64::ONE && d01 == C64::ONE && d10 == C64::ONE && d11 == C64::ONE {
-                return; // identity
-            }
-            for_each_2q_base(len, ba, bb, |i| {
-                let e00 = i * l + lane;
-                let e01 = (i | bb) * l + lane;
-                let e10 = (i | ba) * l + lane;
-                let e11 = (i | ba | bb) * l + lane;
-                self.set(e00, d00 * self.amp(e00));
-                self.set(e01, d01 * self.amp(e01));
-                self.set(e10, d10 * self.amp(e10));
-                self.set(e11, d11 * self.amp(e11));
-            });
-        } else if mat4_is_controlled(m) {
-            let [s00, s01, s10, s11] = [m.m[10], m.m[11], m.m[14], m.m[15]];
-            for_each_2q_base(len, ba, bb, |i| {
-                let e10 = (i | ba) * l + lane;
-                let e11 = (i | ba | bb) * l + lane;
-                let x0 = self.amp(e10);
-                let x1 = self.amp(e11);
-                self.set(e10, s00 * x0 + s01 * x1);
-                self.set(e11, s10 * x0 + s11 * x1);
-            });
-        } else {
-            let w = &m.m;
-            for_each_2q_base(len, ba, bb, |i| {
-                let e00 = i * l + lane;
-                let e01 = (i | bb) * l + lane;
-                let e10 = (i | ba) * l + lane;
-                let e11 = (i | ba | bb) * l + lane;
-                let v0 = self.amp(e00);
-                let v1 = self.amp(e01);
-                let v2 = self.amp(e10);
-                let v3 = self.amp(e11);
-                self.set(e00, w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3);
-                self.set(e01, w[4] * v0 + w[5] * v1 + w[6] * v2 + w[7] * v3);
-                self.set(e10, w[8] * v0 + w[9] * v1 + w[10] * v2 + w[11] * v3);
-                self.set(e11, w[12] * v0 + w[13] * v1 + w[14] * v2 + w[15] * v3);
-            });
-        }
     }
 
     /// Per-lane Pauli-Z expectations: `out[lane][q]`, each lane matching
@@ -1537,7 +1384,7 @@ impl StateBatch {
     /// - `norms[lane]`, the squared norm `K ψ` will have, summed in
     ///   ascending amplitude order: bit-identical to
     ///   [`StateVec::norm_sqr`] after [`StateVec::apply_1q`], the sum
-    ///   [`StateVec::normalize`] and [`StateBatch::normalize_lanes`] take.
+    ///   [`StateVec::normalize`] takes.
     ///
     /// The two differ only in summation order. Lanes are swept in groups
     /// of at most [`LANE_CHUNK`], each compiled at its own width so its
@@ -1590,12 +1437,13 @@ impl StateBatch {
     /// Applies the diagonal one-qubit operator `k` to qubit `q` of every
     /// lane and scales lane `lane` by `1 / sqrt(norms[lane])`, leaving it
     /// unscaled where that norm is zero, in one write sweep. With the
-    /// `norms` [`StateBatch::kraus_prob_and_norm`] reports for `k`, this is
-    /// bit-identical to [`StateBatch::apply_1q`] then
-    /// [`StateBatch::normalize_lanes`]: each amplitude is first the
-    /// diagonal path's complex product (skipped when `k` is the identity,
-    /// so stored zeros keep their signs), then scaled. Lanes go in groups
-    /// of at most [`LANE_CHUNK`], compiled per width like the read sweep.
+    /// `norms` [`StateBatch::kraus_prob_and_norm`] reports for `k`, each
+    /// lane is bit-identical to [`StateVec::apply_1q`] then
+    /// [`StateVec::normalize`] on that lane's state: each amplitude is
+    /// first the diagonal path's complex product (skipped when `k` is the
+    /// identity, so stored zeros keep their signs), then scaled. Lanes go
+    /// in groups of at most [`LANE_CHUNK`], compiled per width like the
+    /// read sweep.
     ///
     /// # Panics
     ///
@@ -1638,48 +1486,6 @@ impl StateBatch {
                 group.len(),
                 diag_scale_group::<_>(planes, l, start, half, diag, scale)
             );
-            start = group.end;
-        }
-    }
-
-    /// Renormalizes every lane in place. Per lane this is bit-identical to
-    /// [`StateVec::normalize`] on that lane's state (same ascending norm
-    /// accumulation, same `1/norm` scale, zero-norm lanes untouched), in
-    /// two contiguous sweeps per group of [`LANE_CHUNK`] lanes, whose norms
-    /// live in a fixed array: the step never allocates.
-    pub fn normalize_lanes(&mut self) {
-        self.sweep_normalize_lanes();
-    }
-
-    multiversion_sweep!(
-        sweep_normalize_lanes / sweep_normalize_lanes_avx2 => normalize_lanes_body(&mut self)
-    );
-
-    #[inline(always)]
-    fn normalize_lanes_body(&mut self) {
-        let l = self.lanes;
-        let mut start = 0;
-        while start < l {
-            let group = start..(start + LANE_CHUNK).min(l);
-            let mut scale = [0.0; LANE_CHUNK];
-            let scale = &mut scale[..group.len()];
-            for (rr, ri) in self.re.chunks_exact(l).zip(self.im.chunks_exact(l)) {
-                let (rr, ri) = (&rr[group.clone()], &ri[group.clone()]);
-                for ((a, &r), &i) in scale.iter_mut().zip(rr).zip(ri) {
-                    *a += r * r + i * i;
-                }
-            }
-            for a in scale.iter_mut() {
-                let norm = a.sqrt();
-                *a = if norm > 0.0 { 1.0 / norm } else { 1.0 };
-            }
-            for (rr, ri) in self.re.chunks_exact_mut(l).zip(self.im.chunks_exact_mut(l)) {
-                let (rr, ri) = (&mut rr[group.clone()], &mut ri[group.clone()]);
-                for ((r, i), &s) in rr.iter_mut().zip(ri.iter_mut()).zip(scale.iter()) {
-                    *r *= s;
-                    *i *= s;
-                }
-            }
             start = group.end;
         }
     }
@@ -1828,26 +1634,33 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernels_touch_only_their_lane() {
-        let (mut batch, mut singles) = scrambled(3, 5, 99);
-        batch.lane_apply_1q(2, &Mat2::hadamard(), 1);
-        singles[2].apply_1q(&Mat2::hadamard(), 1);
-        batch.lane_apply_2q(4, &Mat4::controlled(&Mat2::pauli_x()), 0, 2);
-        singles[4].apply_2q(&Mat4::controlled(&Mat2::pauli_x()), 0, 2);
-        assert_lanes_match(&batch, &singles, "lane kernels");
-    }
-
-    #[test]
-    fn lane_2q_structures_match_single_state() {
-        let h2 = Mat2::hadamard().kron(&Mat2::hadamard());
-        let cx = Mat4::controlled(&Mat2::pauli_x());
-        let cz = Mat4::controlled(&Mat2::pauli_z());
-        let general = h2.mul_mat(&cx).mul_mat(&h2);
-        for m in [cx, cz, general] {
-            let (mut batch, mut singles) = scrambled(4, 3, 5);
-            batch.lane_apply_2q(1, &m, 3, 1);
-            singles[1].apply_2q(&m, 3, 1);
-            assert_lanes_match(&batch, &singles, "lane 2q structure");
+    fn set_lane_inverts_lane_state_bitwise() {
+        for (n, lanes) in [(1, 1), (3, 5), (4, 16)] {
+            let (mut batch, _) = scrambled(n, lanes, 41 + lanes as u64);
+            // Zeros signed both ways, which `==` would not tell apart.
+            for i in 0..1usize << n {
+                let sign = if i % 2 == 0 { 0.0 } else { -0.0 };
+                batch.re[i * lanes] = sign;
+                batch.im[i * lanes] = -sign;
+            }
+            let before = batch.clone();
+            for lane in 0..lanes {
+                let s = batch.lane_state(lane);
+                batch.set_lane(lane, &s);
+                assert_eq!(amp_bits(&batch.lane_state(lane)), amp_bits(&s));
+            }
+            let bits = |b: &StateBatch| -> Vec<u64> {
+                b.re.iter().chain(&b.im).map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&batch), bits(&before), "{n} qubits, {lanes} lanes");
+            // Writing one lane leaves every other lane as it was.
+            let fresh = scrambled(n, 1, 7).1.remove(0);
+            batch.set_lane(lanes - 1, &fresh);
+            assert_eq!(amp_bits(&batch.lane_state(lanes - 1)), amp_bits(&fresh));
+            for lane in 0..lanes - 1 {
+                let want = amp_bits(&before.lane_state(lane));
+                assert_eq!(amp_bits(&batch.lane_state(lane)), want, "lane {lane}");
+            }
         }
     }
 
@@ -1868,42 +1681,43 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn per_lane_matrix_sweep_matches_lane_dispatch() {
-        let mut rng = StdRng::seed_from_u64(77);
-        // Uniform general class (rotations with nonzero angles), uniform
-        // diagonal class (RZ-like), and a mixed batch with an identity
-        // lane that must take the fallback path.
-        let general: Vec<Mat2> = (0..6).map(|_| ry(rng.gen_range(0.1..3.0))).collect();
-        let diag: Vec<Mat2> = (0..6).map(|_| rz(rng.gen_range(0.1..3.0))).collect();
-        let mut mixed = general.clone();
-        mixed[3] = Mat2::identity();
-        for (label, ms) in [("general", &general), ("diag", &diag), ("mixed", &mixed)] {
-            for q in 0..3 {
-                let (mut fast, _) = scrambled(3, 6, 123);
-                let mut slow = fast.clone();
-                fast.apply_1q_per_lane(ms, q);
-                for (lane, m) in ms.iter().enumerate() {
-                    slow.lane_apply_1q(lane, m, q);
-                }
-                assert_eq!(fast, slow, "{label} q{q}: per-lane sweep diverged");
-            }
+    /// Checks every lane of `batch` against its single state bit for bit.
+    fn assert_lane_bits(batch: &StateBatch, singles: &[StateVec], label: &str) {
+        for (lane, s) in singles.iter().enumerate() {
+            let got = amp_bits(&batch.lane_state(lane));
+            assert_eq!(got, amp_bits(s), "{label}: lane {lane} diverged");
         }
     }
 
     #[test]
-    fn batched_lane_norms_match_per_lane() {
-        for lanes in [3, 16, 33] {
-            let (mut batch, mut singles) = scrambled(4, lanes, 77);
-            // Break the norm of one lane, as a kept Kraus operator does.
-            let scaled = Mat2::hadamard().scale(C64::real(1.7));
-            batch.lane_apply_1q(1, &scaled, 2);
-            singles[1].apply_1q(&scaled, 2);
-            batch.normalize_lanes();
-            for s in &mut singles {
-                s.normalize();
+    fn per_lane_matrix_sweep_matches_lane_dispatch() {
+        let mut rng = StdRng::seed_from_u64(77);
+        // Uniform general class (rotations with nonzero angles) and
+        // uniform diagonal class (RZ-like) take the planar sweeps; an
+        // anti-diagonal batch and a mixed batch with an identity lane take
+        // each lane's own step.
+        let general: Vec<Mat2> = (0..6).map(|_| ry(rng.gen_range(0.1..3.0))).collect();
+        let diag: Vec<Mat2> = (0..6).map(|_| rz(rng.gen_range(0.1..3.0))).collect();
+        let antidiag: Vec<Mat2> = (0..6)
+            .map(|_| Mat2::pauli_x().mul_mat(&rz(rng.gen_range(0.1..3.0))))
+            .collect();
+        let mut mixed = general.clone();
+        mixed[3] = Mat2::identity();
+        mixed[4] = antidiag[4];
+        for (label, ms) in [
+            ("general", &general),
+            ("diag", &diag),
+            ("antidiag", &antidiag),
+            ("mixed", &mixed),
+        ] {
+            for q in 0..3 {
+                let (mut batch, mut singles) = scrambled(3, 6, 123);
+                batch.apply_1q_per_lane(ms, q);
+                for (s, m) in singles.iter_mut().zip(ms) {
+                    s.apply_1q(m, q);
+                }
+                assert_lane_bits(&batch, &singles, &format!("{label} q{q}"));
             }
-            assert_lanes_match(&batch, &singles, &format!("{lanes} lanes normalized"));
         }
     }
 
@@ -2038,8 +1852,12 @@ mod tests {
             let diag: Vec<Mat4> = (0..lanes)
                 .map(|_| rz(rng.gen_range(0.1..3.0)).kron(&rz(rng.gen_range(0.1..3.0))))
                 .collect();
+            // General lanes beside a controlled, a diagonal and an
+            // identity lane: every class at once.
             let mut mixed = general.clone();
             mixed[lanes / 2] = Mat4::controlled(&ry(0.4));
+            mixed[1] = diag[1];
+            mixed[lanes - 1] = Mat4::identity();
             for (label, ms) in [
                 ("general", &general),
                 ("controlled", &controlled),
@@ -2047,16 +1865,13 @@ mod tests {
                 ("mixed", &mixed),
             ] {
                 for (qa, qb) in [(0usize, 2usize), (2, 0), (1, 2)] {
-                    let (mut fast, _) = scrambled(3, lanes, 321);
-                    let mut slow = fast.clone();
-                    fast.apply_2q_per_lane(ms, qa, qb);
-                    for (lane, m) in ms.iter().enumerate() {
-                        slow.lane_apply_2q(lane, m, qa, qb);
+                    let (mut batch, mut singles) = scrambled(3, lanes, 321);
+                    batch.apply_2q_per_lane(ms, qa, qb);
+                    for (s, m) in singles.iter_mut().zip(ms) {
+                        s.apply_2q(m, qa, qb);
                     }
-                    assert_eq!(
-                        fast, slow,
-                        "{label} lanes={lanes} q=({qa},{qb}): per-lane 2q sweep diverged"
-                    );
+                    let label = format!("{label} lanes={lanes} q=({qa},{qb})");
+                    assert_lane_bits(&batch, &singles, &label);
                 }
             }
         }
@@ -2096,6 +1911,6 @@ mod tests {
     #[should_panic(expected = "lane out of range")]
     fn lane_out_of_range_panics() {
         let mut b = StateBatch::zero_state(1, 2);
-        b.lane_apply_1q(2, &Mat2::pauli_x(), 0);
+        b.set_lane(2, &StateVec::zero_state(1));
     }
 }

@@ -46,7 +46,6 @@ const SWEEP_ANCHORS: &[&str] = &[
     "sweep_2q_perlane_general",
     "sweep_kraus_prob_and_norm",
     "sweep_1q_diag_normalized",
-    "sweep_normalize_lanes",
 ];
 
 fn run_asm_check(flags: &[String]) -> ExitCode {

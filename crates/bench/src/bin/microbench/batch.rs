@@ -17,7 +17,7 @@ use qns_circuit::{Circuit, GateKind, Param};
 use qns_ml::{cross_entropy_grad, nll_loss};
 use qns_sim::{
     adjoint_gradient, adjoint_gradient_batch, parallel_map, run, DiagObservable, ExecMode, SimPlan,
-    StateBatch, StateVec, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL,
+    StateBatch, StateVec, DEFAULT_BATCH_LANES,
 };
 use quantumnas::Readout;
 use std::cell::RefCell;
@@ -103,7 +103,7 @@ pub fn measure(Mode { smoke, reps, cores }: Mode, json: &mut Json) -> Vec<Floor>
     let readout = Readout::per_qubit(classes, n);
 
     // 1. Forward-only minibatch inference.
-    let plan = SimPlan::compile(&circuit, DEFAULT_FUSION_LEVEL);
+    let plan = SimPlan::compile(&circuit);
     let base = plan.materialize(&circuit, &params, &features[0]);
     // Both paths reuse per-worker scratch state across chunks and reps
     // (replay resets it), as a real inference loop would: the comparison

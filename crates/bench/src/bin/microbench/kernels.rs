@@ -20,7 +20,7 @@
 
 use crate::batch::{features, qml_circuit};
 use crate::{time_median, Floor, Json, Mode};
-use qns_sim::{parallel_map_with, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL};
+use qns_sim::{parallel_map_with, SimPlan, StateBatch, DEFAULT_BATCH_LANES};
 use qns_tensor::{Mat2, Mat4, C64};
 
 /// Interleaved (array-of-structs) reference batch: identical element
@@ -189,7 +189,7 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     let lanes = DEFAULT_BATCH_LANES.min(samples);
     let (circuit, params) = qml_circuit(fn_, layers);
     let features = features(samples, fn_);
-    let plan = SimPlan::compile(&circuit, DEFAULT_FUSION_LEVEL);
+    let plan = SimPlan::compile(&circuit);
     let base = plan.materialize(&circuit, &params, &features[0]);
     let mut batch = StateBatch::zero_state(fn_, lanes);
     let batched_s = time_median(reps, || {

@@ -4,11 +4,12 @@
 //! cargo run -p qns-bench --release --bin microbench -- <bench> [--smoke] [--out PATH] [--check PATH]
 //! ```
 //!
-//! Each bench times one engine claim; its module documents what it
-//! measures. The harness owns what they share: the flags, the median
-//! timer, the JSON record (each section is printed as it is recorded), the
-//! core count and the baseline gate. One row of [`BENCHES`] per bench gives
-//! its repetitions, its committed record and its gated `section.key`.
+//! Each bench times one engine claim that no other bench records; its
+//! module documents what it measures. The harness owns what they share:
+//! the flags, the JSON record (each section is printed as it is recorded),
+//! the core count and the baseline gate; the median timer is the library's
+//! `qns_bench::time_median`. One row of [`BENCHES`] per bench gives its
+//! repetitions, its committed record and its gated `section.key`.
 //!
 //! - `--smoke` times every measurement once (some benches also shrink
 //!   their sizes) and reports no acceptance floors.
@@ -25,22 +26,17 @@
 //! usage) on a malformed command line.
 
 mod batch;
-mod batch_sweep;
-mod engine;
 mod grad;
 mod kernels;
 mod mps;
 mod pareto;
 mod proxy;
-mod runtime;
-mod scaling;
 mod search;
 mod sim;
-mod transpile;
 
+use qns_bench::time_median;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// One bench: how it is timed, recorded and gated.
 struct Bench {
@@ -65,21 +61,15 @@ const fn bench(name: &'static str, reps: usize, record: Option<&'static str>, ga
 }
 
 #[rustfmt::skip]
-const BENCHES: [Bench; 13] = [
+const BENCHES: [Bench; 8] = [
     bench("sim", 9, Some("BENCH_sim.json"), None, sim::measure),
     bench("batch", 9, Some("BENCH_batch.json"), Some(("epoch", "batched_s")), batch::measure),
     bench("kernels", 9, Some("BENCH_kernels.json"), Some(("forward", "batched_s")), kernels::measure),
     bench("mps", 5, Some("BENCH_mps.json"), Some(("throughput_n16", "mps_s")), mps::measure),
     bench("pareto", 9, Some("BENCH_pareto.json"), Some(("sort", "per_point_s")), pareto::measure),
     bench("proxy", 9, Some("BENCH_proxy.json"), Some(("rank", "per_candidate_s")), proxy::measure),
-    // Each configuration is one whole search, timed once.
-    bench("runtime", 1, None, None, runtime::measure),
-    bench("engine", 10, None, None, engine::measure),
     bench("grad", 10, None, None, grad::measure),
-    bench("scaling", 10, None, None, scaling::measure),
     bench("search", 10, None, None, search::measure),
-    bench("transpile", 10, None, None, transpile::measure),
-    bench("batch_sweep", 10, None, None, batch_sweep::measure),
 ];
 
 /// `--check` fails when the fresh gated value exceeds this multiple of the
@@ -99,19 +89,6 @@ pub struct Mode {
 /// An acceptance floor `(what, value, min)`: `value` must reach `min`.
 /// Only full runs report them.
 pub struct Floor(pub &'static str, pub f64, pub f64);
-
-/// Median wall-clock seconds of `reps` calls to `f`.
-pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// A JSON object under construction, its members in insertion order. It
 /// also reads back the records it writes (numbers, strings without
@@ -496,7 +473,7 @@ mod tests {
             "batch --check",
             "batch --out --smoke",
             "sim --check BENCH_sim.json",
-            "runtime --check BENCH_sim.json",
+            "grad --check BENCH_sim.json",
             "mps --smoke --check BENCH_mps.json",
             "mps --check BENCH_mps.json --smoke",
         ] {

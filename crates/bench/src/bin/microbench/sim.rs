@@ -5,8 +5,9 @@
 //!
 //! 1. `kernels` — per-gate sweep (Dynamic mode) with the structure-
 //!    specialized kernels vs. the naive reference kernels.
-//! 2. `fusion` — block counts and Static-mode execution time at fusion
-//!    levels 0–3.
+//! 2. `fusion` — the compiled plan's block count and its Static-mode
+//!    execution time on the same circuit (the unfused time is
+//!    `kernels.fast_s`).
 //! 3. `replay` — batched parameter-shift via plan replay vs. a fresh
 //!    compile + full run per shifted parameter set.
 //! 4. `trajectories` — noise-trajectory batch on the work-stealing
@@ -22,7 +23,7 @@ use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_sim::{
     run_into_with, shifted_expectations, DiagObservable, ExecMode, Observable, SimBackend, SimPlan,
-    StateVec, DEFAULT_FUSION_LEVEL,
+    StateVec,
 };
 use qns_transpile::Layout;
 use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SuperCircuit, Task};
@@ -82,21 +83,15 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         j.num("speedup", reference / fast.max(1e-12));
     });
 
-    // 2. Fusion levels: block counts and Static execution time.
+    // 2. Fusion: block count and Static execution time of the same circuit.
+    let plan = SimPlan::compile(&circuit);
+    let fused = time_median(reps, || {
+        plan.execute_into(&circuit, &params, &[], &mut state);
+    });
     json.obj("fusion", |j| {
-        j.int("qubits", n);
         j.int("gates", circuit.num_ops());
-        for level in 0..=3u8 {
-            let plan = SimPlan::compile(&circuit, level);
-            let blocks = plan.num_steps();
-            let secs = time_median(reps, || {
-                plan.execute_into(&circuit, &params, &[], &mut state);
-            });
-            j.obj(&format!("level{level}"), |j| {
-                j.int("blocks", blocks);
-                j.num("exec_s", secs);
-            });
-        }
+        j.int("blocks", plan.num_steps());
+        j.num("static_s", fused);
     });
 
     // 3. Plan replay vs. recompile for batched parameter shift.
@@ -111,7 +106,7 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         let mut work = params.clone();
         for &(i, d) in &shifts {
             work[i] += d;
-            let plan = SimPlan::compile(&circuit, DEFAULT_FUSION_LEVEL);
+            let plan = SimPlan::compile(&circuit);
             let mut s = StateVec::zero_state(n);
             plan.execute_into(&circuit, &work, &[], &mut s);
             let _ = obs.expect(&s);

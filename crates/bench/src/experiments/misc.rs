@@ -1,6 +1,6 @@
 //! Table I, Table II, Figure 9, Figure 10, Figure 12, Figure 15.
 
-use crate::{banner, qml_task, Scale};
+use crate::{banner, qml_task, time_median, Scale};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_ml::spearman;
 use qns_noise::Device;
@@ -12,7 +12,6 @@ use quantumnas::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Table I: circuit-run counts with and without the SuperCircuit.
 pub fn tab1(_scale: &Scale) {
@@ -183,8 +182,10 @@ pub fn fig10(scale: &Scale) {
 }
 
 /// Figure 12: training-speed comparison — static vs dynamic mode vs a
-/// per-sample (unbatched) loop, across batch sizes.
+/// per-sample (unbatched) loop, across batch sizes. Each cell is the
+/// median of 5 runs.
 pub fn fig12(scale: &Scale) {
+    const REPS: usize = 5;
     banner(
         "Figure 12",
         "QuantumEngine training speed: static vs dynamic vs unbatched",
@@ -209,26 +210,30 @@ pub fn fig12(scale: &Scale) {
     } else {
         vec![1usize, 4, 16, 64]
     };
+    println!("each cell: median of {REPS} runs");
     println!(
         "{:>6} {:>14} {:>14} {:>16} {:>10}",
         "batch", "dynamic ms", "static ms", "unbatched ms", "speedup"
     );
+    let mut static_wins = 0;
     for &b in &batches {
         let inputs: Vec<Vec<f64>> = (0..b).map(|i| vec![0.1 * i as f64]).collect();
         let time_mode = |mode: ExecMode, parallel: bool| -> f64 {
-            let start = Instant::now();
-            if parallel {
-                let _ = qns_sim::parallel_map(&inputs, |_| run(&c, &params, &[], mode));
-            } else {
-                for _ in &inputs {
-                    let _ = run(&c, &params, &[], mode);
+            let secs = time_median(REPS, || {
+                if parallel {
+                    let _ = qns_sim::parallel_map(&inputs, |_| run(&c, &params, &[], mode));
+                } else {
+                    for _ in &inputs {
+                        std::hint::black_box(run(&c, &params, &[], mode));
+                    }
                 }
-            }
-            start.elapsed().as_secs_f64() * 1000.0
+            });
+            secs * 1000.0
         };
         let dynamic = time_mode(ExecMode::Dynamic, true);
         let static_ = time_mode(ExecMode::Static, true);
         let unbatched = time_mode(ExecMode::Dynamic, false);
+        static_wins += usize::from(static_ < dynamic);
         println!(
             "{:>6} {:>14.2} {:>14.2} {:>16.2} {:>9.1}x",
             b,
@@ -238,7 +243,10 @@ pub fn fig12(scale: &Scale) {
             unbatched / static_
         );
     }
-    println!("(static-mode fusion and batch parallelism compound, as in the paper)");
+    println!(
+        "static mode beat dynamic at {static_wins} of {} batch sizes (the paper: at every size)",
+        batches.len()
+    );
 }
 
 /// Figure 15: scalability to larger machines with the success-rate

@@ -3,9 +3,10 @@
 //! The `repro` binary regenerates every table and figure of the paper and
 //! builds on the helpers here: a [`Scale`] that maps each experiment onto a
 //! laptop budget (or, with `--full`, onto paper-scale settings), task/space
-//! constructors, and a uniform runner for the paper's baseline methods.
-//! The `microbench` binary times the underlying engines on its own
-//! harness (see its module docs).
+//! constructors, a uniform runner for the paper's baseline methods, and
+//! the median timer [`time_median`]. The `microbench` binary times the
+//! underlying engines on its own harness (see its module docs) with the
+//! same timer.
 
 use qns_circuit::Circuit;
 use qns_noise::{Device, TrajectoryConfig};
@@ -15,6 +16,7 @@ use quantumnas::{
     train_task, DesignSpace, Estimator, EstimatorKind, EvoConfig, Gene, PruneConfig, SpaceKind,
     SubConfig, SuperCircuit, SuperTrainConfig, Task, TrainConfig,
 };
+use std::time::Instant;
 
 /// Experiment scale: `quick` (default) finishes each experiment in
 /// seconds-to-minutes; `full` approaches the paper's settings.
@@ -373,6 +375,19 @@ pub fn measure(
         params: params.to_vec(),
         layout: layout.clone(),
     }
+}
+
+/// Median wall-clock seconds of `reps` calls to `f`.
+pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Prints a header banner for one experiment.

@@ -55,14 +55,14 @@
 //! ```
 //!
 //! An unknown argument, an unknown value, a value flag without a value, a
-//! value flag the run would ignore (`--proxy-keep`/`--proxy-warmup`
-//! without `--proxy on`, `--max-bond` without `--backend mps`), a
-//! `--max-bond`, `--fault-eval` or `--fault-boundary` of 0, a
-//! `--samples` count too small to leave a validation sample or a device
-//! with fewer qubits than the task prints usage and exits 2. A
-//! `--checkpoint-dir` that cannot be created exits 1 before the run
-//! starts; a `--qasm` or `--front-out` file that cannot be written exits 1
-//! after the report.
+//! flag given twice, a value flag the run would ignore
+//! (`--proxy-keep`/`--proxy-warmup` without `--proxy on`, `--max-bond`
+//! without `--backend mps`), a `--max-bond`, `--fault-eval` or
+//! `--fault-boundary` of 0, a `--samples` count too small to leave a
+//! validation sample or a device with fewer qubits than the task prints
+//! usage and exits 2. A `--checkpoint-dir` that cannot be created exits 1
+//! before the run starts; a `--qasm` or `--front-out` file that cannot be
+//! written exits 1 after the report.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -118,8 +118,10 @@ const SWITCHES: [&str; 3] = ["--no-cache", "--resume", "--stats"];
 
 /// Rejects any argument that is neither a known flag nor a flag's value,
 /// so a typo such as `--wrokers 2` is a usage error instead of a run on
-/// the defaults.
+/// the defaults, and any flag given twice, which would otherwise run on
+/// its first value and drop the second.
 fn check_run_args(args: &[String]) {
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -134,6 +136,11 @@ fn check_run_args(args: &[String]) {
             eprintln!("unknown argument '{arg}'");
             usage()
         };
+        if seen.contains(&arg) {
+            eprintln!("{arg} given twice");
+            usage()
+        }
+        seen.push(arg);
     }
 }
 

@@ -229,12 +229,6 @@ impl SuperCircuit {
             Task::Vqe { .. } => self.build(config, None),
         }
     }
-
-    /// The shared-parameter indices a config actually uses — the active
-    /// subset updated during one SuperCircuit training step.
-    pub fn active_params(&self, config: &SubConfig) -> Vec<usize> {
-        self.build(config, None).referenced_train_indices()
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +269,7 @@ mod tests {
         let s = sc(SpaceKind::ZzRy, 4, 3);
         let mut shallow = s.max_config();
         shallow.n_blocks = 1;
-        let active = s.active_params(&shallow);
+        let active = s.build(&shallow, None).referenced_train_indices();
         let per_block = s.space().params_per_block(4);
         assert!(active.iter().all(|&i| i < per_block));
         assert_eq!(active.len(), per_block);

@@ -1,7 +1,8 @@
 //! `qnas` command-line errors: a value flag with no value, an unknown
-//! argument or an unusable value is a usage error (exit 2), not a silent
-//! fallback to its default; a checkpoint directory or an output file that
-//! cannot be written fails the run (exit 1), never with a panic.
+//! argument, a flag given twice or an unusable value is a usage error
+//! (exit 2), not a silent fallback to a default or to the flag's first
+//! value; a checkpoint directory or an output file that cannot be written
+//! fails the run (exit 1), never with a panic.
 
 use std::process::Command;
 
@@ -73,6 +74,33 @@ fn unknown_arguments_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains("unknown argument") && stderr.contains("usage: qnas"),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn a_flag_given_twice_is_a_usage_error() {
+    for (flags, flag) in [
+        (&["--seed", "1", "--seed", "2"][..], "--seed"),
+        (&["--task", "mnist2", "--task", "vqe-h2"], "--task"),
+        (&["--verify", "--verify", "off"], "--verify"),
+        (&["--proxy", "on", "--proxy"], "--proxy"),
+        (&["--stats", "--stats"], "--stats"),
+    ] {
+        let mut args = vec!["run", "--preset", "smoke", "--samples", "40"];
+        args.extend_from_slice(flags);
+        let out = qnas(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "qnas {}: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(&format!("{flag} given twice")) && stderr.contains("usage: qnas"),
             "qnas {}: {stderr}",
             args.join(" ")
         );

@@ -225,19 +225,6 @@ impl DensityMatrix {
             .map(|i| self.rho[i * self.dim + i].re.max(0.0))
             .collect()
     }
-
-    /// Fidelity with a pure state: `<ψ|ρ|ψ>`.
-    pub fn fidelity_with(&self, state: &StateVec) -> f64 {
-        assert_eq!(state.num_qubits(), self.n_qubits, "width mismatch");
-        let amps = state.amplitudes();
-        let mut acc = C64::ZERO;
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                acc += amps[i].conj() * self.rho[i * self.dim + j] * amps[j];
-            }
-        }
-        acc.re
-    }
 }
 
 /// Exact noisy execution of a circuit on a device model: the
@@ -387,7 +374,15 @@ mod tests {
             }
         }
         assert!((rho.purity() - 1.0).abs() < 1e-10);
-        assert!((rho.fidelity_with(&psi) - 1.0).abs() < 1e-10);
+        // Fidelity with the pure state: <ψ|ρ|ψ>.
+        let amps = psi.amplitudes();
+        let mut fidelity = C64::ZERO;
+        for i in 0..rho.dim {
+            for j in 0..rho.dim {
+                fidelity += amps[i].conj() * rho.rho[i * rho.dim + j] * amps[j];
+            }
+        }
+        assert!((fidelity.re - 1.0).abs() < 1e-10);
         for (a, b) in rho.expect_z_all().iter().zip(psi.expect_z_all()) {
             assert!((a - b).abs() < 1e-10);
         }

@@ -3,9 +3,8 @@
 //! Standard deployment practice on IBMQ (and the usual companion to the
 //! calibration data the paper's noise models are built from): measure the
 //! per-qubit readout confusion matrix, then unfold measured expectation
-//! values / count distributions through its inverse. Under the
-//! tensor-product (uncorrelated) readout model our devices use, the
-//! per-qubit inverse is exact.
+//! values through its inverse. Under the tensor-product (uncorrelated)
+//! readout model our devices use, the per-qubit inverse is exact.
 
 use crate::model::readout_affine;
 use crate::Device;
@@ -91,56 +90,6 @@ impl ReadoutMitigator {
             .map(|(e, (s, o))| (e - o) / s)
             .collect()
     }
-
-    /// Mitigates a full measured count distribution by per-qubit
-    /// unfolding, returning quasi-probabilities (may dip slightly below
-    /// zero; renormalized to sum 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` addresses basis states beyond the qubit count.
-    pub fn mitigate_counts(&self, counts: &[(usize, u32)], shots: usize) -> Vec<f64> {
-        let n = self.forward.len();
-        let dim = 1usize << n;
-        let mut p = vec![0.0; dim];
-        for &(idx, c) in counts {
-            assert!(idx < dim, "basis state out of range");
-            p[idx] = c as f64 / shots as f64;
-        }
-        // Apply the inverse single-qubit confusion matrix per qubit.
-        for (q, &(scale, offset)) in self.forward.iter().enumerate() {
-            // Forward per qubit: [1-p01, p10; p01, 1-p10]; reconstruct it
-            // from (scale, offset): p01 = (1 - scale - offset)/2? Using
-            // E-space: E = 1-2p1, E' = s E + o, so
-            // p1' = (1 - s + 2 s p1 - o)/2 → p1' = s p1 + (1 - s - o)/2.
-            let a = scale;
-            let b = (1.0 - scale - offset) / 2.0;
-            // p1 = (p1' - b)/a, applied along axis q.
-            let bit = 1usize << q;
-            for base in 0..dim {
-                if base & bit != 0 {
-                    continue;
-                }
-                let p0 = p[base];
-                let p1 = p[base | bit];
-                let pair = p0 + p1;
-                if pair <= 0.0 {
-                    continue;
-                }
-                let frac1 = p1 / pair;
-                let true_frac1 = ((frac1 - b) / a).clamp(-0.5, 1.5);
-                p[base | bit] = pair * true_frac1;
-                p[base] = pair * (1.0 - true_frac1);
-            }
-        }
-        let total: f64 = p.iter().sum();
-        if total.abs() > 1e-12 {
-            for x in &mut p {
-                *x /= total;
-            }
-        }
-        p
-    }
 }
 
 #[cfg(test)]
@@ -196,21 +145,6 @@ mod tests {
             mitigated[0],
             ideal[0]
         );
-    }
-
-    #[test]
-    fn count_mitigation_restores_distribution() {
-        // Prepare |1>: ideal distribution is all weight on index 1.
-        let dev = Device::yorktown();
-        let m = ReadoutMitigator::from_device(&dev, &[0]);
-        // Simulate corrupted counts directly from the confusion model.
-        let c = dev.qubit(0);
-        let shots = 100_000usize;
-        let read1 = ((1.0 - c.readout_p10) * shots as f64) as u32;
-        let read0 = shots as u32 - read1;
-        let counts = vec![(0usize, read0), (1usize, read1)];
-        let quasi = m.mitigate_counts(&counts, shots);
-        assert!(quasi[1] > 0.99, "mitigated p(|1>) = {}", quasi[1]);
     }
 
     #[test]

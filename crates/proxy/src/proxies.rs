@@ -9,10 +9,7 @@
 
 use qns_circuit::Circuit;
 use qns_noise::Device;
-use qns_sim::{
-    adjoint_gradient, adjoint_gradient_batch, DiagObservable, SimPlan, StateVec,
-    DEFAULT_FUSION_LEVEL,
-};
+use qns_sim::{adjoint_gradient, adjoint_gradient_batch, DiagObservable, SimPlan, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -164,7 +161,7 @@ impl Proxy for Expressibility {
         let n_params = cx.circuit.num_train_params();
         let input = vec![0.0; cx.circuit.num_inputs()];
         let mut rng = StdRng::seed_from_u64(cx.seed ^ 0xE4_9E55);
-        let plan = SimPlan::compile(cx.circuit, DEFAULT_FUSION_LEVEL);
+        let plan = SimPlan::compile(cx.circuit);
         let states: Vec<StateVec> = (0..self.draws.max(2))
             .map(|_| {
                 let params = draw_angles(&mut rng, n_params);

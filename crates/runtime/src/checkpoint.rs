@@ -461,22 +461,18 @@ static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    keep: usize,
 }
+
+/// Snapshots per label that survive rotation.
+const KEEP: usize = 3;
 
 impl CheckpointStore {
     /// Opens (creating if needed) a snapshot directory, keeping the last 3
-    /// snapshots per label by default.
+    /// snapshots per label.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir, keep: 3 })
-    }
-
-    /// Overrides how many snapshots per label survive rotation (min 1).
-    pub fn with_keep(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
-        self
+        Ok(CheckpointStore { dir })
     }
 
     /// The snapshot directory.
@@ -565,8 +561,8 @@ impl CheckpointStore {
 
     fn rotate(&self, label: &str) {
         let snapshots = self.list(label);
-        if snapshots.len() > self.keep {
-            for (_, path) in &snapshots[..snapshots.len() - self.keep] {
+        if snapshots.len() > KEEP {
+            for (_, path) in &snapshots[..snapshots.len() - KEEP] {
                 let _ = fs::remove_file(path);
             }
         }
@@ -721,12 +717,12 @@ mod tests {
     #[test]
     fn store_saves_loads_and_rotates() {
         let dir = tmp_dir("rotate");
-        let store = CheckpointStore::open(&dir).expect("open").with_keep(2);
+        let store = CheckpointStore::open(&dir).expect("open");
         for id in 1..=5u64 {
             let state = Demo { id, ..demo() };
             store.save(&state, None).expect("save");
         }
-        assert_eq!(store.list("demo").len(), 2, "rotation keeps last 2");
+        assert_eq!(store.list("demo").len(), 3, "rotation keeps last 3");
         let (loaded, corrupt) = store.load_latest::<Demo>();
         assert_eq!(loaded.expect("latest").id, 5);
         assert_eq!(corrupt, 0);

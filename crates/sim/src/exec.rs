@@ -1,7 +1,7 @@
 //! Circuit execution: dynamic (gate-at-a-time) and static (fused) modes.
 
 use crate::mps::{MpsConfig, MpsState};
-use crate::plan::{SimPlan, DEFAULT_FUSION_LEVEL};
+use crate::plan::SimPlan;
 use crate::{parallel_map, StateBatch, StateVec, DEFAULT_BATCH_LANES};
 use qns_circuit::{Circuit, GateMatrix};
 use qns_tensor::{Mat2, Mat4};
@@ -122,8 +122,7 @@ pub fn run_into_with(
                 }
             }
             ExecMode::Static => {
-                SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL)
-                    .execute_into(circuit, train, input, state);
+                SimPlan::compile(circuit).execute_into(circuit, train, input, state);
             }
         },
         SimBackend::Mps(config) => {
@@ -176,7 +175,7 @@ pub fn expect_z_batch(
     };
     match backend {
         SimBackend::Fast => {
-            let plan = SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL);
+            let plan = SimPlan::compile(circuit);
             let base = plan.materialize(circuit, train, first);
             let chunks: Vec<&[&[f64]]> = inputs.chunks(DEFAULT_BATCH_LANES).collect();
             let per_chunk = parallel_map(&chunks, |chunk| {
@@ -197,8 +196,8 @@ pub fn expect_z_batch(
 /// densifying — the native entry point for widths past state-vector reach.
 ///
 /// Honors `mode` exactly like the `Fast` backend: `Static` replays the
-/// fused block program ([`SimPlan`] at [`DEFAULT_FUSION_LEVEL`]), `Dynamic`
-/// applies each gate individually.
+/// fused block program ([`SimPlan`]), `Dynamic` applies each gate
+/// individually.
 pub fn run_mps(
     circuit: &Circuit,
     train: &[f64],
@@ -219,8 +218,7 @@ pub fn run_mps(
             }
         }
         ExecMode::Static => {
-            let blocks =
-                SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL).materialize(circuit, train, input);
+            let blocks = SimPlan::compile(circuit).materialize(circuit, train, input);
             for b in &blocks {
                 match b {
                     FusedOp::One(q, m) => mps.apply_1q(m, *q),
@@ -284,7 +282,7 @@ mod tests {
     #[test]
     fn fusion_reduces_block_count() {
         let (c, _) = random_circuit(4, 60, 99);
-        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).num_steps();
+        let blocks = SimPlan::compile(&c).num_steps();
         assert!(
             blocks < c.num_ops(),
             "expected fusion to shrink {} ops, got {blocks} blocks",
@@ -298,7 +296,7 @@ mod tests {
         c.push(GateKind::H, &[0], &[]);
         c.push(GateKind::X, &[0], &[]);
         c.push(GateKind::H, &[0], &[]);
-        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).materialize(&c, &[], &[]);
+        let blocks = SimPlan::compile(&c).materialize(&c, &[], &[]);
         assert_eq!(blocks.len(), 1);
         match &blocks[0] {
             FusedOp::One(0, m) => assert!(m.approx_eq(&qns_tensor::Mat2::pauli_z(), 1e-12)),
@@ -312,7 +310,7 @@ mod tests {
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::CX, &[1, 0], &[]);
         c.push(GateKind::CX, &[0, 1], &[]);
-        let blocks = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL).num_steps();
+        let blocks = SimPlan::compile(&c).num_steps();
         assert_eq!(blocks, 1, "all three CX on one pair fuse");
         let a = run(&c, &[], &[], ExecMode::Dynamic);
         let b = run(&c, &[], &[], ExecMode::Static);

@@ -1,7 +1,6 @@
 //! Gradients of expectation values: adjoint differentiation and the
 //! parameter-shift rule.
 
-use crate::plan::DEFAULT_FUSION_LEVEL;
 use crate::{run, ExecMode, SimPlan, StateBatch, StateVec};
 use qns_circuit::{Circuit, GateMatrix, Op};
 use qns_tensor::{Mat2, Mat4, C64};
@@ -562,7 +561,7 @@ pub fn parameter_shift_gradient(
 /// their base values). Only fused blocks containing the shifted parameter
 /// are re-materialized per evaluation; every other block is reused from the
 /// base materialization, so the result is bit-identical to compiling each
-/// shifted parameter vector from scratch at the same fusion level.
+/// shifted parameter vector from scratch.
 ///
 /// # Panics
 ///
@@ -588,7 +587,7 @@ pub fn shifted_expectations(
     obs: &impl Observable,
     shifts: &[(usize, f64)],
 ) -> Vec<f64> {
-    let plan = SimPlan::compile(circuit, DEFAULT_FUSION_LEVEL);
+    let plan = SimPlan::compile(circuit);
     let base = plan.materialize(circuit, train, input);
     let mut state = StateVec::zero_state(circuit.num_qubits());
     let mut work = train.to_vec();

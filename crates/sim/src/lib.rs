@@ -6,9 +6,11 @@
 //! - **dynamic mode** — every gate is applied to the state vector one at a
 //!   time (easy to debug, exact per-gate states), and
 //! - **static mode** — gates are fused into 2×2 / 4×4 blocks before being
-//!   applied (fusion v2: commuting-window merging + trailing absorption),
-//!   cutting the number of state-vector sweeps (the paper reports ~2× from
-//!   this; see `microbench engine` and `microbench sim` in `qns-bench`),
+//!   applied (one rule: 1q runs fold, a 2q gate merges into the last block
+//!   on its pair across disjoint blocks, and trailing 1q gates fold into
+//!   the last 2q block on their qubit), cutting the number of state-vector
+//!   sweeps (the paper reports ~2× from this; see `repro fig12` and
+//!   `microbench sim` in `qns-bench`),
 //! - **two backends** — [`SimBackend::Fast`] (structure-specialized,
 //!   cache-blocked kernels; the default) and [`SimBackend::Reference`] (the
 //!   original naive per-gate kernels, kept as the differential-test oracle),
@@ -83,7 +85,7 @@ pub use grad::{
     shiftable_params, shifted_expectations, DiagObservable, Observable,
 };
 pub use mps::{mps_stats, reset_mps_stats, MpsConfig, MpsState, MpsStats};
-pub use plan::{SimPlan, DEFAULT_FUSION_LEVEL};
+pub use plan::SimPlan;
 pub use pool::{parallel_map, parallel_map_with, set_parallelism, try_parallel_map};
-pub use state::{counts_to_expect_z, StateVec};
+pub use state::StateVec;
 pub use state_batch::{StateBatch, DEFAULT_BATCH_LANES, LANE_CHUNK};

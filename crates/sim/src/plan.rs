@@ -8,26 +8,19 @@
 //! replay recomputes only the steps whose parameters actually changed and
 //! reuses every other block bit-for-bit.
 //!
-//! Fusion levels:
+//! One fusion rule, an exact reordering of the circuit:
 //!
-//! - **0** — no fusion: one block per gate (debugging / baselines),
-//! - **1** — v1 greedy-adjacent: consecutive 1q gates on a qubit fold into
-//!   one 2×2, a 2q gate absorbs pending 1q gates on its operands, and
-//!   *immediately* consecutive 2q gates on the same pair merge,
-//! - **2** — v2 commuting-window: a 2q gate merges into the most recent
-//!   block on the same pair as long as every block in between acts on
-//!   disjoint qubits (an exact reordering, not an approximation),
-//! - **3** — v2 plus trailing absorption: leftover 1q gates at the end of
-//!   the circuit fold into the last 2q block touching their qubit instead
-//!   of being emitted as extra blocks.
+//! - consecutive 1q gates on a qubit fold into one 2×2,
+//! - a 2q gate absorbs the pending 1q gates on its operands and merges into
+//!   the most recent block on the same pair, scanning past blocks on
+//!   disjoint qubits,
+//! - leftover 1q runs fold into the last 2q block touching their qubit
+//!   instead of being emitted as extra blocks.
 
 use crate::exec::FusedOp;
 use crate::{StateBatch, StateVec};
 use qns_circuit::{Circuit, GateMatrix, Op};
 use qns_tensor::{Mat2, Mat4};
-
-/// Fusion level used by the fast path unless a caller asks otherwise.
-pub const DEFAULT_FUSION_LEVEL: u8 = 3;
 
 /// Which qubits one fused step acts on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,12 +55,12 @@ struct PlanStep {
 ///
 /// ```
 /// use qns_circuit::{Circuit, GateKind, Param};
-/// use qns_sim::{SimPlan, StateVec, DEFAULT_FUSION_LEVEL};
+/// use qns_sim::{SimPlan, StateVec};
 ///
 /// let mut c = Circuit::new(2);
 /// c.push(GateKind::RY, &[0], &[Param::Train(0)]);
 /// c.push(GateKind::CX, &[0, 1], &[]);
-/// let plan = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL);
+/// let plan = SimPlan::compile(&c);
 /// let mut state = StateVec::zero_state(2);
 /// plan.execute_into(&c, &[0.3], &[], &mut state);
 /// assert!((state.norm_sqr() - 1.0).abs() < 1e-12);
@@ -76,7 +69,6 @@ struct PlanStep {
 pub struct SimPlan {
     n_qubits: usize,
     n_ops: usize,
-    level: u8,
     steps: Vec<PlanStep>,
     /// Steps whose matrix depends on the per-sample input vector (sorted).
     input_steps: Vec<usize>,
@@ -85,91 +77,65 @@ pub struct SimPlan {
 }
 
 impl SimPlan {
-    /// Compiles the fusion structure of `circuit` at the given level
-    /// (clamped to 0..=3). No parameter values are consulted.
-    pub fn compile(circuit: &Circuit, level: u8) -> SimPlan {
-        let level = level.min(3);
+    /// Compiles the fusion structure of `circuit`. No parameter values are
+    /// consulted.
+    pub fn compile(circuit: &Circuit) -> SimPlan {
         let n = circuit.num_qubits();
         let ops: Vec<&Op> = circuit.iter().collect();
         let mut steps: Vec<PlanStep> = Vec::new();
+        let mut pending: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (idx, op) in ops.iter().enumerate() {
+            if op.num_qubits() == 1 {
+                pending[op.qubits[0]].push(idx);
+                continue;
+            }
+            let (a, b) = (op.qubits[0], op.qubits[1]);
+            let mut block_ops: Vec<usize> =
+                Vec::with_capacity(pending[a].len() + pending[b].len() + 1);
+            block_ops.append(&mut pending[a]);
+            block_ops.append(&mut pending[b]);
+            // Pendings on distinct qubits commute; ascending index order
+            // restores circuit order deterministically.
+            block_ops.sort_unstable();
+            block_ops.push(idx);
 
-        if level == 0 {
-            for (idx, op) in ops.iter().enumerate() {
-                let qubits = if op.num_qubits() == 1 {
-                    StepQubits::One(op.qubits[0])
-                } else {
-                    StepQubits::Two(op.qubits[0], op.qubits[1])
-                };
-                steps.push(PlanStep {
-                    qubits,
-                    ops: vec![idx],
+            // Backward scan for a mergeable block on the same pair: walk
+            // past blocks on disjoint qubits (exact commutation) and stop at
+            // the first block touching either operand.
+            let target = steps
+                .iter()
+                .rposition(|s| s.qubits.touches(a, b))
+                .filter(|&si| {
+                    let StepQubits::Two(x, y) = steps[si].qubits else {
+                        return false;
+                    };
+                    (x, y) == (a, b) || (x, y) == (b, a)
                 });
+            match target {
+                Some(si) => steps[si].ops.extend(block_ops),
+                None => steps.push(PlanStep {
+                    qubits: StepQubits::Two(a, b),
+                    ops: block_ops,
+                }),
             }
-        } else {
-            let mut pending: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (idx, op) in ops.iter().enumerate() {
-                if op.num_qubits() == 1 {
-                    pending[op.qubits[0]].push(idx);
-                    continue;
-                }
-                let (a, b) = (op.qubits[0], op.qubits[1]);
-                let mut block_ops: Vec<usize> =
-                    Vec::with_capacity(pending[a].len() + pending[b].len() + 1);
-                block_ops.append(&mut pending[a]);
-                block_ops.append(&mut pending[b]);
-                // Pendings on distinct qubits commute; ascending index order
-                // restores circuit order deterministically.
-                block_ops.sort_unstable();
-                block_ops.push(idx);
-
-                // Backward scan for a mergeable block on the same pair. At
-                // level 1 only the immediately previous block qualifies; at
-                // level >= 2 the scan walks past blocks on disjoint qubits
-                // (exact commutation) and stops at the first block touching
-                // either operand.
-                let mut target: Option<usize> = None;
-                for si in (0..steps.len()).rev() {
-                    if !steps[si].qubits.touches(a, b) {
-                        if level >= 2 {
-                            continue;
-                        }
-                        break;
-                    }
-                    if let StepQubits::Two(x, y) = steps[si].qubits {
-                        if (x, y) == (a, b) || (x, y) == (b, a) {
-                            target = Some(si);
-                        }
-                    }
-                    break;
-                }
-                match target {
-                    Some(si) => steps[si].ops.extend(block_ops),
-                    None => steps.push(PlanStep {
-                        qubits: StepQubits::Two(a, b),
-                        ops: block_ops,
-                    }),
-                }
+        }
+        // Flush leftover 1q runs into the last 2q block touching the qubit
+        // (everything after that block is disjoint from it, so the
+        // reordering is exact).
+        for (q, ops_q) in pending.into_iter().enumerate() {
+            if ops_q.is_empty() {
+                continue;
             }
-            // Flush leftover 1q runs. Level 3 absorbs them into the last 2q
-            // block touching the qubit (everything after that block is
-            // disjoint from it, so the reordering is exact).
-            for (q, ops_q) in pending.into_iter().enumerate() {
-                if ops_q.is_empty() {
-                    continue;
-                }
-                if level >= 3 {
-                    let target = steps.iter().rposition(|s| s.qubits.touches(q, q));
-                    if let Some(si) = target {
-                        if matches!(steps[si].qubits, StepQubits::Two(..)) {
-                            steps[si].ops.extend(ops_q);
-                            continue;
-                        }
-                    }
-                }
-                steps.push(PlanStep {
+            let target = steps
+                .iter()
+                .rposition(|s| s.qubits.touches(q, q))
+                .filter(|&si| matches!(steps[si].qubits, StepQubits::Two(..)));
+            match target {
+                Some(si) => steps[si].ops.extend(ops_q),
+                None => steps.push(PlanStep {
                     qubits: StepQubits::One(q),
                     ops: ops_q,
-                });
+                }),
             }
         }
 
@@ -203,7 +169,6 @@ impl SimPlan {
         SimPlan {
             n_qubits: n,
             n_ops: ops.len(),
-            level,
             steps,
             input_steps,
             train_steps,
@@ -213,11 +178,6 @@ impl SimPlan {
     /// Number of fused steps (= blocks after materialization).
     pub fn num_steps(&self) -> usize {
         self.steps.len()
-    }
-
-    /// The fusion level this plan was compiled at.
-    pub fn level(&self) -> u8 {
-        self.level
     }
 
     /// Width of the compiled circuit.
@@ -281,7 +241,7 @@ impl SimPlan {
                     }
                 }
                 let mut m4 = acc.unwrap_or_else(Mat4::identity);
-                // Trailing 1q gates absorbed at fusion level 3.
+                // Trailing 1q gates absorbed after the last 2q gate.
                 if pa.is_some() || pb.is_some() {
                     let fa = pa.unwrap_or_else(Mat2::identity);
                     let fb = pb.unwrap_or_else(Mat2::identity);
@@ -512,62 +472,46 @@ mod tests {
     }
 
     #[test]
-    fn all_fusion_levels_agree_with_dynamic() {
+    fn fused_plan_agrees_with_dynamic() {
         for seed in 0..6 {
             let (c, train) = random_circuit(4, 40, seed);
             let reference = run(&c, &train, &[], ExecMode::Dynamic);
-            for level in 0..=3 {
-                let plan = SimPlan::compile(&c, level);
-                let mut s = StateVec::zero_state(4);
-                plan.execute_into(&c, &train, &[], &mut s);
-                let fidelity = reference.inner(&s).abs();
-                assert!(
-                    (fidelity - 1.0).abs() < 1e-10,
-                    "level {level} seed {seed}: fidelity {fidelity}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn higher_levels_fuse_at_least_as_much() {
-        let (c, _) = random_circuit(5, 80, 3);
-        let counts: Vec<usize> = (0..=3)
-            .map(|l| SimPlan::compile(&c, l).num_steps())
-            .collect();
-        assert_eq!(counts[0], c.num_ops(), "level 0 is one block per gate");
-        for w in counts.windows(2) {
-            assert!(w[1] <= w[0], "fusion must not regress: {counts:?}");
+            let plan = SimPlan::compile(&c);
+            let mut s = StateVec::zero_state(4);
+            plan.execute_into(&c, &train, &[], &mut s);
+            let fidelity = reference.inner(&s).abs();
+            assert!(
+                (fidelity - 1.0).abs() < 1e-10,
+                "seed {seed}: fidelity {fidelity}"
+            );
         }
     }
 
     #[test]
     fn window_merge_skips_disjoint_blocks() {
-        // CX(0,1), CZ(2,3), CX(0,1): v1 keeps 3 blocks, v2 merges the outer
-        // pair across the disjoint middle block.
+        // CX(0,1), CZ(2,3), CX(0,1): the outer pair merges across the
+        // disjoint middle block.
         let mut c = Circuit::new(4);
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::CZ, &[2, 3], &[]);
         c.push(GateKind::CX, &[0, 1], &[]);
-        assert_eq!(SimPlan::compile(&c, 1).num_steps(), 3);
-        assert_eq!(SimPlan::compile(&c, 2).num_steps(), 2);
+        let plan = SimPlan::compile(&c);
+        assert_eq!(plan.num_steps(), 2);
         let reference = run(&c, &[], &[], ExecMode::Dynamic);
-        let plan = SimPlan::compile(&c, 2);
         let mut s = StateVec::zero_state(4);
         plan.execute_into(&c, &[], &[], &mut s);
         assert!((reference.inner(&s).abs() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn level3_absorbs_trailing_1q() {
-        // CX(0,1) then H(0): level 2 emits 2 blocks, level 3 absorbs the H.
+    fn trailing_1q_folds_into_the_last_2q_block() {
+        // CX(0,1) then H(0): the H folds into the CX block.
         let mut c = Circuit::new(2);
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::H, &[0], &[]);
-        assert_eq!(SimPlan::compile(&c, 2).num_steps(), 2);
-        assert_eq!(SimPlan::compile(&c, 3).num_steps(), 1);
+        let plan = SimPlan::compile(&c);
+        assert_eq!(plan.num_steps(), 1);
         let reference = run(&c, &[], &[], ExecMode::Dynamic);
-        let plan = SimPlan::compile(&c, 3);
         let mut s = StateVec::zero_state(2);
         plan.execute_into(&c, &[], &[], &mut s);
         assert!((reference.inner(&s).abs() - 1.0).abs() < 1e-12);
@@ -579,7 +523,7 @@ mod tests {
         if train.is_empty() {
             return;
         }
-        let plan = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL);
+        let plan = SimPlan::compile(&c);
         let base = plan.materialize(&c, &train, &[]);
         let changed = train.len() / 2;
         train[changed] += 0.731;
@@ -601,7 +545,7 @@ mod tests {
         c.push(GateKind::RY, &[1], &[Param::Train(0)]);
         c.push(GateKind::CX, &[0, 1], &[]);
         c.push(GateKind::RZ, &[0], &[Param::Input(1)]);
-        let plan = SimPlan::compile(&c, DEFAULT_FUSION_LEVEL);
+        let plan = SimPlan::compile(&c);
         let train = [0.4];
         let base = plan.materialize(&c, &train, &[0.1, 0.2]);
         let input = [1.9, -0.6];

@@ -418,12 +418,6 @@ impl StateVec {
         }
         counts
     }
-
-    /// Estimates `<Z_q>` for every qubit from `shots` sampled measurements.
-    pub fn expect_z_sampled<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> Vec<f64> {
-        let counts = self.sample_counts(shots, rng);
-        counts_to_expect_z(&counts, self.n_qubits, shots)
-    }
 }
 
 /// Visits every base index with both `ba` and `bb` bits clear, in ascending
@@ -526,35 +520,6 @@ pub(crate) fn control_block(m: &Mat4) -> Mat2 {
     Mat2::new([m.m[10], m.m[11], m.m[14], m.m[15]])
 }
 
-/// Converts basis-state counts into per-qubit `<Z>` estimates.
-///
-/// # Examples
-///
-/// ```
-/// // 10 shots of |01>: qubit 0 measured 1 (Z=-1), qubit 1 measured 0 (Z=+1).
-/// let e = qns_sim::StateVec::zero_state(2); // doc anchor; see counts below
-/// let counts = vec![(0b01usize, 10u32)];
-/// let z = qns_sim::counts_to_expect_z(&counts, 2, 10);
-/// assert_eq!(z, vec![-1.0, 1.0]);
-/// # let _ = e;
-/// ```
-pub fn counts_to_expect_z(counts: &[(usize, u32)], n_qubits: usize, shots: usize) -> Vec<f64> {
-    let mut e = vec![0.0; n_qubits];
-    for &(idx, c) in counts {
-        for (q, eq) in e.iter_mut().enumerate() {
-            if idx & (1 << q) == 0 {
-                *eq += c as f64;
-            } else {
-                *eq -= c as f64;
-            }
-        }
-    }
-    for eq in &mut e {
-        *eq /= shots as f64;
-    }
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,15 +616,6 @@ mod tests {
             let freq = c as f64 / 100_000.0;
             assert!((freq - s.probability(idx)).abs() < 0.01, "idx {idx}");
         }
-    }
-
-    #[test]
-    fn sampled_expectation_converges() {
-        let mut s = StateVec::zero_state(1);
-        s.apply_1q(&Mat2::hadamard(), 0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let z = s.expect_z_sampled(50_000, &mut rng);
-        assert!(z[0].abs() < 0.02);
     }
 
     #[test]

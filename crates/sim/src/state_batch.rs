@@ -48,8 +48,8 @@
 //! order, and sums associate identically — so each lane of a batched run
 //! is **bit-identical** to the corresponding single-state run. The
 //! differential battery in `tests/sim_batch.rs` holds batched execution to
-//! the sequential results bitwise across every gate template, batch size,
-//! and fusion level.
+//! the sequential results bitwise across every gate template and batch
+//! size.
 
 use crate::state::{control_block, mat2_class, mat4_class, Mat2Class, Mat4Class};
 use crate::StateVec;

@@ -126,15 +126,6 @@ impl C64 {
         }
     }
 
-    /// Fused multiply-add: `self * b + c`.
-    #[inline]
-    pub fn mul_add(self, b: C64, c: C64) -> Self {
-        C64 {
-            re: self.re * b.re - self.im * b.im + c.re,
-            im: self.re * b.im + self.im * b.re + c.im,
-        }
-    }
-
     /// Returns `true` if both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -316,14 +307,6 @@ mod tests {
         assert!((C64::new(1.0, 0.0).arg()).abs() < 1e-12);
         assert!((C64::new(0.0, 1.0).arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert!((C64::new(-1.0, 0.0).arg() - std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = C64::new(1.5, -0.5);
-        let b = C64::new(-2.0, 0.25);
-        let c = C64::new(0.1, 0.2);
-        assert!(a.mul_add(b, c).approx_eq(a * b + c, 1e-12));
     }
 
     #[test]

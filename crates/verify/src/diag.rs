@@ -1,5 +1,5 @@
 //! Structured diagnostics: stable rule codes, severities, locations, and
-//! machine-readable (JSON) reports.
+//! the reports that collect them.
 
 use std::fmt;
 
@@ -77,25 +77,6 @@ impl Rule {
             Rule::ContractGateLoss => "QC102",
             Rule::ContractParamLoss => "QC103",
             Rule::ContractEquivalence => "QC104",
-        }
-    }
-
-    /// One-line description of what the rule guards.
-    pub fn description(self) -> &'static str {
-        match self {
-            Rule::QubitOutOfRange => "qubit index within circuit width",
-            Rule::DuplicateOperands => "distinct operands on two-qubit gates",
-            Rule::ParamArityMismatch => "parameter slot count matches gate arity",
-            Rule::NonFiniteParam => "all parameter values finite",
-            Rule::SymbolicSlotOutOfRange => "symbolic slots within declared parameter widths",
-            Rule::NonUnitaryMatrix => "gate matrices unitary at sample parameters",
-            Rule::UncoupledGate => "two-qubit gates restricted to coupled pairs",
-            Rule::NonBasisGate => "only basis gates after lowering",
-            Rule::InvalidMeasurementMap => "measurement map injective and in range",
-            Rule::ContractInvalidLayout => "initial layout valid for circuit and device",
-            Rule::ContractGateLoss => "routing preserves the non-SWAP gate sequence",
-            Rule::ContractParamLoss => "stages preserve declared parameter widths",
-            Rule::ContractEquivalence => "compiled circuit equivalent to logical circuit",
         }
     }
 
@@ -186,25 +167,6 @@ impl Diagnostic {
         self.stage = stage;
         self
     }
-
-    /// The diagnostic as a JSON object (hand-rolled; no serde in tree).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"rule\":\"{}\"", self.rule.code()));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
-        out.push_str(&format!(",\"message\":\"{}\"", escape_json(&self.message)));
-        if let Some(i) = self.location.op_index {
-            out.push_str(&format!(",\"op\":{i}"));
-        }
-        if let Some(q) = self.location.qubit {
-            out.push_str(&format!(",\"qubit\":{q}"));
-        }
-        if !self.stage.is_empty() {
-            out.push_str(&format!(",\"stage\":\"{}\"", self.stage));
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -228,20 +190,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The outcome of a verification run: an ordered list of diagnostics.
@@ -282,12 +230,6 @@ impl VerifyReport {
     /// Findings with a specific rule.
     pub fn with_rule(&self, rule: Rule) -> Vec<&Diagnostic> {
         self.diagnostics.iter().filter(|d| d.rule == rule).collect()
-    }
-
-    /// The report as a JSON array of diagnostic objects.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.diagnostics.iter().map(|d| d.to_json()).collect();
-        format!("[{}]", items.join(","))
     }
 
     /// Converts to a result: `Err(VerifyError)` when any error-severity
@@ -364,22 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_includes_location() {
-        let d = Diagnostic::error(
-            Rule::QubitOutOfRange,
-            "qubit 9 \"bad\"",
-            Location::op_qubit(3, 9),
-        )
-        .at_stage("route");
-        let j = d.to_json();
-        assert!(j.contains("\"rule\":\"QV001\""), "{j}");
-        assert!(j.contains("\\\"bad\\\""), "{j}");
-        assert!(j.contains("\"op\":3"), "{j}");
-        assert!(j.contains("\"qubit\":9"), "{j}");
-        assert!(j.contains("\"stage\":\"route\""), "{j}");
-    }
-
-    #[test]
     fn report_result_conversion() {
         let mut r = VerifyReport::clean();
         assert!(r.clone().into_result().is_ok());
@@ -403,6 +329,5 @@ mod tests {
             Location::op(2),
         ));
         assert!(r.to_string().contains("error [QV007] cx on 0-4 (op 2)"));
-        assert_eq!(r.to_json(), format!("[{}]", r.diagnostics[0].to_json()));
     }
 }

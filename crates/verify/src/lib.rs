@@ -8,7 +8,7 @@
 //! - [`verify_circuit`], [`verify_coupling`], [`verify_basis`],
 //!   [`verify_measurement_map`] — total, panic-free rule checks over the
 //!   circuit IR, producing [`Diagnostic`]s with stable rule codes (`QV001`…)
-//!   suitable for logs, CI baselines, and JSON output,
+//!   suitable for logs and CI baselines,
 //! - [`PassContract`] — per-stage transpile invariants (layout validity,
 //!   routing legality via SWAP replay, basis conformance, parameter
 //!   preservation, measurement-map validity) plus an optional

@@ -6,8 +6,8 @@
 //! tests here drive random circuits — every gate template the circuit
 //! crate ships, 1–8 qubits, trainable / input-encoded / affine / fixed
 //! parameter slots — through `replay_batch_into` and
-//! `adjoint_gradient_batch` at batch sizes {1, 3, 8, 32} and fusion
-//! levels 0–3, demanding ≤1e-12 agreement with N sequential
+//! `adjoint_gradient_batch` at batch sizes {1, 3, 8, 32}, demanding
+//! ≤1e-12 agreement with N sequential
 //! single-state runs. Six fixed circuits, one per edge case of where the
 //! adjoint backward sweep stops, also check both adjoint engines against
 //! finite differences at 1, 3, 16 and 33 lanes. A final check pins the
@@ -135,7 +135,7 @@ proptest! {
     /// Planar↔interleaved bitwise differential: every lane of the
     /// split-complex batched replay must equal the single-state
     /// (interleaved `C64`) replay BIT-FOR-BIT — every gate template,
-    /// batch sizes {1, 3, 8, 32}, fusion levels 0–3. This is the hard
+    /// batch sizes {1, 3, 8, 32}. This is the hard
     /// contract that lets the trajectory executor batch lanes without
     /// perturbing results.
     #[test]
@@ -144,55 +144,38 @@ proptest! {
     ) {
         let samples: Vec<Vec<f64>> = (0..32).map(|l| lane_input(dim, l)).collect();
         let n = circuit.num_qubits();
-        for level in 0..=3u8 {
-            let plan = SimPlan::compile(&circuit, level);
-            let base = plan.materialize(&circuit, &train, &samples[0]);
-            let mut single = StateVec::zero_state(n);
-            for &bs in &BATCH_SIZES {
-                let inputs: Vec<&[f64]> =
-                    samples[..bs].iter().map(|s| s.as_slice()).collect();
-                let mut batch = StateBatch::zero_state(n, bs);
-                plan.replay_batch_into(&circuit, &base, &train, &inputs, &mut batch);
-                for (lane, input) in inputs.iter().enumerate() {
-                    plan.replay_input_into(&circuit, &base, &train, input, &mut single);
-                    assert_lane_bitwise(
-                        &batch,
-                        lane,
-                        &single,
-                        &format!("fusion {level}, batch {bs}"),
-                    );
-                }
+        let plan = SimPlan::compile(&circuit);
+        let base = plan.materialize(&circuit, &train, &samples[0]);
+        let mut single = StateVec::zero_state(n);
+        for &bs in &BATCH_SIZES {
+            let inputs: Vec<&[f64]> = samples[..bs].iter().map(|s| s.as_slice()).collect();
+            let mut batch = StateBatch::zero_state(n, bs);
+            plan.replay_batch_into(&circuit, &base, &train, &inputs, &mut batch);
+            for (lane, input) in inputs.iter().enumerate() {
+                plan.replay_input_into(&circuit, &base, &train, input, &mut single);
+                assert_lane_bitwise(&batch, lane, &single, &format!("batch {bs}"));
             }
         }
     }
 
     /// Batched replay: every lane of `replay_batch_into` matches a
-    /// standalone `replay_input_into` run, at every fusion level and
-    /// batch size.
+    /// standalone `replay_input_into` run, at every batch size.
     #[test]
     fn batched_replay_matches_per_sample_replay(
         (circuit, train, dim) in arb_batched_circuit()
     ) {
         let samples: Vec<Vec<f64>> = (0..32).map(|l| lane_input(dim, l)).collect();
         let n = circuit.num_qubits();
-        for level in 0..=3u8 {
-            let plan = SimPlan::compile(&circuit, level);
-            let base = plan.materialize(&circuit, &train, &samples[0]);
-            let mut single = StateVec::zero_state(n);
-            for &bs in &BATCH_SIZES {
-                let inputs: Vec<&[f64]> =
-                    samples[..bs].iter().map(|s| s.as_slice()).collect();
-                let mut batch = StateBatch::zero_state(n, bs);
-                plan.replay_batch_into(&circuit, &base, &train, &inputs, &mut batch);
-                for (lane, input) in inputs.iter().enumerate() {
-                    plan.replay_input_into(&circuit, &base, &train, input, &mut single);
-                    assert_lane_matches(
-                        &batch,
-                        lane,
-                        &single,
-                        &format!("fusion {level}, batch {bs}"),
-                    );
-                }
+        let plan = SimPlan::compile(&circuit);
+        let base = plan.materialize(&circuit, &train, &samples[0]);
+        let mut single = StateVec::zero_state(n);
+        for &bs in &BATCH_SIZES {
+            let inputs: Vec<&[f64]> = samples[..bs].iter().map(|s| s.as_slice()).collect();
+            let mut batch = StateBatch::zero_state(n, bs);
+            plan.replay_batch_into(&circuit, &base, &train, &inputs, &mut batch);
+            for (lane, input) in inputs.iter().enumerate() {
+                plan.replay_input_into(&circuit, &base, &train, input, &mut single);
+                assert_lane_matches(&batch, lane, &single, &format!("batch {bs}"));
             }
         }
     }

@@ -3,8 +3,8 @@
 //! [`SimBackend::Reference`] is the original naive per-gate simulator,
 //! kept verbatim as the oracle. Every test here drives random circuits
 //! through the fast structure-specialized kernels — with fusion off
-//! (`ExecMode::Dynamic`) and on (`ExecMode::Static`), across explicit
-//! fusion levels 0–3 and transpiler optimization levels 0–3 — and
+//! (`ExecMode::Dynamic`) and on (`ExecMode::Static` and an explicit
+//! `SimPlan`), across transpiler optimization levels 0–3 — and
 //! demands agreement with the oracle to 1e-10 in amplitudes and
 //! expectation values.
 
@@ -99,15 +99,13 @@ proptest! {
         });
     }
 
-    /// Every fusion level 0..=3 agrees with the oracle.
+    /// The compiled fusion plan agrees with the oracle.
     #[test]
-    fn all_fusion_levels_agree_with_reference((circuit, train) in arb_any_circuit()) {
+    fn fused_plan_agrees_with_reference((circuit, train) in arb_any_circuit()) {
         let oracle = run_with(&circuit, &train, &[], ExecMode::Dynamic, SimBackend::Reference);
-        for level in 0..=3u8 {
-            let mut fast = StateVec::zero_state(circuit.num_qubits());
-            SimPlan::compile(&circuit, level).execute_into(&circuit, &train, &[], &mut fast);
-            assert_amplitudes_close(&fast, &oracle, &format!("fusion level {level}"));
-        }
+        let mut fast = StateVec::zero_state(circuit.num_qubits());
+        SimPlan::compile(&circuit).execute_into(&circuit, &train, &[], &mut fast);
+        assert_amplitudes_close(&fast, &oracle, "fused plan");
     }
 
     /// The fast path agrees with the oracle on the SAME circuit after

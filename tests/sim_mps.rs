@@ -3,12 +3,12 @@
 //!
 //! In the exact regime (unbounded bond, zero cutoff) `SimBackend::Mps`
 //! owes the reference oracle full 1e-10 agreement for every gate
-//! template, execution mode, fusion level 0–3, and transpiler
-//! optimization level 0–3. Beyond the differential battery the suite
-//! checks the MPS structural invariants (canonical-form isometry, norm
-//! preservation, monotone fidelity in `max_bond`), bitwise determinism
-//! across worker counts and kill/resume, backend-tagged resume
-//! rejection, and a ≥12-qubit pipeline smoke with truncation telemetry.
+//! template, execution mode and transpiler optimization level 0–3.
+//! Beyond the differential battery the suite checks the MPS structural
+//! invariants (canonical-form isometry, norm preservation, monotone
+//! fidelity in `max_bond`), bitwise determinism across worker counts and
+//! kill/resume, backend-tagged resume rejection, and a ≥12-qubit pipeline
+//! smoke with truncation telemetry.
 
 mod common;
 
@@ -103,9 +103,9 @@ proptest! {
 
     /// Exact-regime MPS agrees with the oracle in both execution modes
     /// (per-gate replay and the fused `SimPlan` static path) and when
-    /// replaying every explicit fusion level 0..=3.
+    /// replaying an explicitly compiled plan's blocks.
     #[test]
-    fn mps_exact_agrees_with_reference_all_modes_and_fusion_levels(
+    fn mps_exact_agrees_with_reference_all_modes_and_plan_blocks(
         (circuit, train) in arb_circuit(1, 8, 40)
     ) {
         let oracle = run_with(&circuit, &train, &[], ExecMode::Dynamic, SimBackend::Reference);
@@ -114,17 +114,15 @@ proptest! {
             let got = run_with(&circuit, &train, &[], mode, exact);
             assert_amplitudes_close(&got, &oracle, &format!("mps {mode:?}"));
         }
-        for level in 0..=3u8 {
-            let blocks = SimPlan::compile(&circuit, level).materialize(&circuit, &train, &[]);
-            let mut mps = MpsState::zero_state(circuit.num_qubits(), MpsConfig::exact());
-            for b in &blocks {
-                match b {
-                    FusedOp::One(q, m) => mps.apply_1q(m, *q),
-                    FusedOp::Two(a, b2, m) => mps.apply_2q(m, *a, *b2),
-                }
+        let blocks = SimPlan::compile(&circuit).materialize(&circuit, &train, &[]);
+        let mut mps = MpsState::zero_state(circuit.num_qubits(), MpsConfig::exact());
+        for b in &blocks {
+            match b {
+                FusedOp::One(q, m) => mps.apply_1q(m, *q),
+                FusedOp::Two(a, b2, m) => mps.apply_2q(m, *a, *b2),
             }
-            assert_amplitudes_close(&mps.to_statevec(), &oracle, &format!("fusion level {level}"));
         }
+        assert_amplitudes_close(&mps.to_statevec(), &oracle, "plan blocks");
     }
 
     /// Exact-regime MPS agrees with the oracle on the SAME circuit after

@@ -9,7 +9,7 @@
 //!    execution time on the same circuit (the unfused time is
 //!    `kernels.fast_s`).
 //! 3. `replay` — batched parameter-shift via plan replay vs. a fresh
-//!    compile + full run per shifted parameter set.
+//!    compile + full run per shifted parameter set, at 6 qubits.
 //! 4. `trajectories` — noise-trajectory batch on the work-stealing
 //!    engine (4 workers) vs. sequential.
 //! 5. `end_to_end` — `Estimator` QML candidate score at 10 qubits,
@@ -94,26 +94,31 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         j.num("static_s", fused);
     });
 
-    // 3. Plan replay vs. recompile for batched parameter shift.
-    let shifts: Vec<(usize, f64)> = (0..params.len().min(if smoke { 4 } else { 32 }))
+    // 3. Plan replay vs. recompile for batched parameter shift, at 6
+    // qubits: on 12 the state sweeps both arms share hide what replay
+    // saves (the compile).
+    let (rn, rlayers) = (6, if smoke { 2 } else { 8 });
+    let (rcirc, rparams) = deep_circuit(rn, rlayers);
+    let shifts: Vec<(usize, f64)> = (0..rparams.len().min(if smoke { 4 } else { 32 }))
         .map(|i| (i, std::f64::consts::FRAC_PI_2))
         .collect();
-    let obs = DiagObservable::new(vec![1.0; n]);
+    let obs = DiagObservable::new(vec![1.0; rn]);
     let replay = time_median(reps, || {
-        let _ = shifted_expectations(&circuit, &params, &[], &obs, &shifts);
+        let _ = shifted_expectations(&rcirc, &rparams, &[], &obs, &shifts);
     });
     let recompile = time_median(reps, || {
-        let mut work = params.clone();
+        let mut work = rparams.clone();
         for &(i, d) in &shifts {
             work[i] += d;
-            let plan = SimPlan::compile(&circuit);
-            let mut s = StateVec::zero_state(n);
-            plan.execute_into(&circuit, &work, &[], &mut s);
+            let plan = SimPlan::compile(&rcirc);
+            let mut s = StateVec::zero_state(rn);
+            plan.execute_into(&rcirc, &work, &[], &mut s);
             let _ = obs.expect(&s);
-            work[i] = params[i];
+            work[i] = rparams[i];
         }
     });
     json.obj("replay", |j| {
+        j.int("qubits", rn);
         j.int("shifts", shifts.len());
         j.num("replay_s", replay);
         j.num("recompile_s", recompile);

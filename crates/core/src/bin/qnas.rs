@@ -54,13 +54,13 @@
 //!   --qasm    <path>                   export the deployed circuit
 //! ```
 //!
-//! An unknown argument, an unknown value, a value flag without a value, a
-//! flag given twice, a value flag the run would ignore
-//! (`--proxy-keep`/`--proxy-warmup` without `--proxy on`, `--max-bond`
-//! without `--backend mps`), a `--max-bond`, `--fault-eval` or
-//! `--fault-boundary` of 0, a `--samples` count too small to leave a
-//! validation sample or a device with fewer qubits than the task prints
-//! usage and exits 2. A `--checkpoint-dir` that cannot be created exits 1
+//! An unknown argument (anything after `devices` or `spaces` included), an
+//! unknown value, a value flag without a value, a flag given twice, a value
+//! flag the run would ignore (`--proxy-keep`/`--proxy-warmup` without
+//! `--proxy on`, `--max-bond` without `--backend mps`), a `--max-bond`,
+//! `--fault-eval` or `--fault-boundary` of 0, a `--samples` count too small
+//! to leave a validation sample or a device with fewer qubits than the task
+//! prints usage and exits 2. A `--checkpoint-dir` that cannot be created exits 1
 //! before the run starts; a `--qasm` or `--front-out` file that cannot be
 //! written exits 1 after the report.
 
@@ -597,6 +597,10 @@ fn cmd_run(args: &[String]) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some("devices" | "spaces") if args.len() > 1 => {
+            eprintln!("unknown argument '{}'", args[1]);
+            usage()
+        }
         Some("devices") => cmd_devices(),
         Some("spaces") => cmd_spaces(),
         Some("run") => cmd_run(&args[1..]),

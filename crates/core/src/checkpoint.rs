@@ -8,13 +8,13 @@
 //! validates that digest against the current run and rejects stale
 //! snapshots instead of silently mixing two configurations.
 //!
-//! The wire format (framing, crc, atomic writes) lives in
-//! [`qns_runtime`]'s checkpoint module; this file only encodes the
-//! domain payloads.
+//! The wire format (framing, crc, atomic writes, the codec) lives in
+//! [`qns_runtime`]'s checkpoint module; this file lists each domain
+//! payload's fields once, in wire order.
 
 use crate::{Gene, SubConfig};
 use qns_proxy::PrescreenerState;
-use qns_runtime::{ByteReader, ByteWriter, CacheKey, CheckpointError, Checkpointable};
+use qns_runtime::{checkpointable, CacheKey, Checkpointable, Sink, Snapshot};
 use qns_sim::SimBackend;
 use std::path::PathBuf;
 
@@ -91,109 +91,29 @@ impl BackendConfig {
         }
     }
 
-    /// Serializes the selection for context digesting.
-    pub fn encode(&self, w: &mut ByteWriter) {
+    /// Writes the selection's bytes for context digesting; it is never
+    /// decoded.
+    pub fn encode(&self, out: &mut impl Sink) {
         let Self {
             tag,
             max_bond,
             cutoff_bits,
         } = self;
-        w.put_u64(*tag as u64);
-        w.put_u64(*max_bond);
-        w.put_u64(*cutoff_bits);
+        (*tag as u64).encode(out);
+        max_bond.encode(out);
+        cutoff_bits.encode(out);
     }
 }
 
-fn put_key(w: &mut ByteWriter, k: CacheKey) {
-    w.put_u64(k.lo);
-    w.put_u64(k.hi);
-}
+checkpointable!(SubConfig {
+    n_blocks: usize,
+    widths: Vec<Vec<usize>>,
+});
 
-fn get_key(r: &mut ByteReader<'_>) -> Result<CacheKey, CheckpointError> {
-    Ok(CacheKey {
-        lo: r.get_u64()?,
-        hi: r.get_u64()?,
-    })
-}
-
-fn put_rng(w: &mut ByteWriter, s: [u64; 4]) {
-    for word in s {
-        w.put_u64(word);
-    }
-}
-
-fn get_rng(r: &mut ByteReader<'_>) -> Result<[u64; 4], CheckpointError> {
-    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
-}
-
-fn put_f64s(w: &mut ByteWriter, xs: &[f64]) {
-    w.put_usize(xs.len());
-    for &x in xs {
-        w.put_f64(x);
-    }
-}
-
-fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, CheckpointError> {
-    let n = r.get_seq_len(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_f64()?);
-    }
-    Ok(out)
-}
-
-fn put_subconfig(w: &mut ByteWriter, cfg: &SubConfig) {
-    w.put_usize(cfg.n_blocks);
-    w.put_usize(cfg.widths.len());
-    for block in &cfg.widths {
-        w.put_usize(block.len());
-        for &width in block {
-            w.put_usize(width);
-        }
-    }
-}
-
-fn get_subconfig(r: &mut ByteReader<'_>) -> Result<SubConfig, CheckpointError> {
-    let n_blocks = r.get_usize()?;
-    let n = r.get_seq_len(8)?;
-    let mut widths = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = r.get_seq_len(8)?;
-        let mut block = Vec::with_capacity(m);
-        for _ in 0..m {
-            block.push(r.get_usize()?);
-        }
-        widths.push(block);
-    }
-    Ok(SubConfig { n_blocks, widths })
-}
-
-fn put_gene(w: &mut ByteWriter, gene: &Gene) {
-    put_subconfig(w, &gene.config);
-    w.put_usize(gene.layout.len());
-    for &p in &gene.layout {
-        w.put_usize(p);
-    }
-}
-
-fn get_gene(r: &mut ByteReader<'_>) -> Result<Gene, CheckpointError> {
-    let config = get_subconfig(r)?;
-    let n = r.get_seq_len(8)?;
-    let mut layout = Vec::with_capacity(n);
-    for _ in 0..n {
-        layout.push(r.get_usize()?);
-    }
-    Ok(Gene { config, layout })
-}
-
-/// What [`SearchRuntime::resume`](crate::SearchRuntime::resume) reads of
-/// a loop snapshot: the run that wrote it and how far its loop got.
-pub trait LoopSnapshot: Checkpointable {
-    /// Digest of the run configuration that wrote the snapshot.
-    fn context(&self) -> CacheKey;
-    /// Loop units completed: training steps, generations or rounds.
-    fn done(&self) -> usize;
-}
+checkpointable!(Gene {
+    config: SubConfig,
+    layout: Vec<usize>,
+});
 
 /// Snapshot of the evolutionary-search loop at a generation boundary,
 /// for one objective (the scalar search) or several (Pareto co-search).
@@ -229,113 +149,23 @@ pub struct SearchCheckpoint {
     pub proxy: Option<PrescreenerState>,
 }
 
-impl Checkpointable for SearchCheckpoint {
+checkpointable!(SearchCheckpoint {
+    context: CacheKey,
+    generation: usize,
+    population: Vec<Gene>,
+    rng: [u64; 4],
+    archive: Vec<(Gene, Vec<f64>)>,
+    best: Option<(Gene, f64)>,
+    history: Vec<f64>,
+    evaluations: usize,
+    memo_hits: usize,
+    memo: Vec<(CacheKey, f64)>,
+    proxy: Option<PrescreenerState>,
+});
+
+impl Snapshot for SearchCheckpoint {
     const KIND: u32 = u32::from_le_bytes(*b"SEAR");
     const LABEL: &'static str = "search";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        let Self {
-            context,
-            generation,
-            population,
-            rng,
-            archive,
-            best,
-            history,
-            evaluations,
-            memo_hits,
-            memo,
-            proxy,
-        } = self;
-        put_key(w, *context);
-        w.put_usize(*generation);
-        w.put_usize(population.len());
-        for gene in population {
-            put_gene(w, gene);
-        }
-        put_rng(w, *rng);
-        w.put_usize(archive.len());
-        for (gene, objs) in archive {
-            put_gene(w, gene);
-            put_f64s(w, objs);
-        }
-        match best {
-            Some((gene, score)) => {
-                w.put_bool(true);
-                put_gene(w, gene);
-                w.put_f64(*score);
-            }
-            None => w.put_bool(false),
-        }
-        put_f64s(w, history);
-        w.put_usize(*evaluations);
-        w.put_usize(*memo_hits);
-        w.put_usize(memo.len());
-        for &(k, v) in memo {
-            put_key(w, k);
-            w.put_f64(v);
-        }
-        match proxy {
-            Some(state) => {
-                w.put_bool(true);
-                state.encode(w);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let context = get_key(r)?;
-        let generation = r.get_usize()?;
-        let n = r.get_seq_len(8)?;
-        let mut population = Vec::with_capacity(n);
-        for _ in 0..n {
-            population.push(get_gene(r)?);
-        }
-        let rng = get_rng(r)?;
-        let n = r.get_seq_len(8)?;
-        let mut archive = Vec::with_capacity(n);
-        for _ in 0..n {
-            let gene = get_gene(r)?;
-            archive.push((gene, get_f64s(r)?));
-        }
-        let best = if r.get_bool()? {
-            let gene = get_gene(r)?;
-            Some((gene, r.get_f64()?))
-        } else {
-            None
-        };
-        let history = get_f64s(r)?;
-        let evaluations = r.get_usize()?;
-        let memo_hits = r.get_usize()?;
-        let n = r.get_seq_len(24)?;
-        let mut memo = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = get_key(r)?;
-            memo.push((k, r.get_f64()?));
-        }
-        let proxy = if r.get_bool()? {
-            Some(PrescreenerState::decode(r)?)
-        } else {
-            None
-        };
-        Ok(SearchCheckpoint {
-            context,
-            generation,
-            population,
-            rng,
-            archive,
-            best,
-            history,
-            evaluations,
-            memo_hits,
-            memo,
-            proxy,
-        })
-    }
-}
-
-impl LoopSnapshot for SearchCheckpoint {
     fn context(&self) -> CacheKey {
         self.context
     }
@@ -371,55 +201,23 @@ pub struct TrainCheckpoint {
     pub sampler_rng: [u64; 4],
 }
 
-impl Checkpointable for TrainCheckpoint {
+checkpointable!(TrainCheckpoint {
+    context: CacheKey,
+    step: usize,
+    params: Vec<f64>,
+    opt_m: Vec<f64>,
+    opt_v: Vec<f64>,
+    opt_t: u64,
+    history: Vec<f64>,
+    rng: [u64; 4],
+    sampler_prev: SubConfig,
+    sampler_step: usize,
+    sampler_rng: [u64; 4],
+});
+
+impl Snapshot for TrainCheckpoint {
     const KIND: u32 = u32::from_le_bytes(*b"TRAI");
     const LABEL: &'static str = "train";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        let Self {
-            context,
-            step,
-            params,
-            opt_m,
-            opt_v,
-            opt_t,
-            history,
-            rng,
-            sampler_prev,
-            sampler_step,
-            sampler_rng,
-        } = self;
-        put_key(w, *context);
-        w.put_usize(*step);
-        put_f64s(w, params);
-        put_f64s(w, opt_m);
-        put_f64s(w, opt_v);
-        w.put_u64(*opt_t);
-        put_f64s(w, history);
-        put_rng(w, *rng);
-        put_subconfig(w, sampler_prev);
-        w.put_usize(*sampler_step);
-        put_rng(w, *sampler_rng);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        Ok(TrainCheckpoint {
-            context: get_key(r)?,
-            step: r.get_usize()?,
-            params: get_f64s(r)?,
-            opt_m: get_f64s(r)?,
-            opt_v: get_f64s(r)?,
-            opt_t: r.get_u64()?,
-            history: get_f64s(r)?,
-            rng: get_rng(r)?,
-            sampler_prev: get_subconfig(r)?,
-            sampler_step: r.get_usize()?,
-            sampler_rng: get_rng(r)?,
-        })
-    }
-}
-
-impl LoopSnapshot for TrainCheckpoint {
     fn context(&self) -> CacheKey {
         self.context
     }
@@ -443,48 +241,17 @@ pub struct PruneCheckpoint {
     pub final_loss: f64,
 }
 
-impl Checkpointable for PruneCheckpoint {
+checkpointable!(PruneCheckpoint {
+    context: CacheKey,
+    round: usize,
+    params: Vec<f64>,
+    mask: Vec<bool>,
+    final_loss: f64,
+});
+
+impl Snapshot for PruneCheckpoint {
     const KIND: u32 = u32::from_le_bytes(*b"PRUN");
     const LABEL: &'static str = "prune";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        let Self {
-            context,
-            round,
-            params,
-            mask,
-            final_loss,
-        } = self;
-        put_key(w, *context);
-        w.put_usize(*round);
-        put_f64s(w, params);
-        w.put_usize(mask.len());
-        for &keep in mask {
-            w.put_bool(keep);
-        }
-        w.put_f64(*final_loss);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let context = get_key(r)?;
-        let round = r.get_usize()?;
-        let params = get_f64s(r)?;
-        let n = r.get_seq_len(1)?;
-        let mut mask = Vec::with_capacity(n);
-        for _ in 0..n {
-            mask.push(r.get_bool()?);
-        }
-        Ok(PruneCheckpoint {
-            context,
-            round,
-            params,
-            mask,
-            final_loss: r.get_f64()?,
-        })
-    }
-}
-
-impl LoopSnapshot for PruneCheckpoint {
     fn context(&self) -> CacheKey {
         self.context
     }

@@ -49,30 +49,6 @@ impl RunCost {
     }
 }
 
-/// A live counter of circuit executions, for measuring the Table I effect
-/// empirically. Stages increment it; reports read it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CircuitRunCounter {
-    runs: u64,
-}
-
-impl CircuitRunCounter {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        CircuitRunCounter::default()
-    }
-
-    /// Records `n` circuit runs.
-    pub fn record(&mut self, n: u64) {
-        self.runs += n;
-    }
-
-    /// Total runs recorded.
-    pub fn total(&self) -> u64 {
-        self.runs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +76,5 @@ mod tests {
             n_eval: 5,
         };
         assert!(cost.with_supercircuit() < cost.naive());
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = CircuitRunCounter::new();
-        c.record(3);
-        c.record(4);
-        assert_eq!(c.total(), 7);
     }
 }

@@ -69,10 +69,9 @@ mod train;
 pub use analysis::{barren_plateau_scan, gradient_variance, plateau_relief, PlateauPoint};
 pub use baselines::{human_design, random_design};
 pub use checkpoint::{
-    BackendConfig, CheckpointOptions, LoopSnapshot, PruneCheckpoint, SearchCheckpoint,
-    TrainCheckpoint,
+    BackendConfig, CheckpointOptions, PruneCheckpoint, SearchCheckpoint, TrainCheckpoint,
 };
-pub use cost::{CircuitRunCounter, RunCost};
+pub use cost::RunCost;
 pub use estimator::{Estimator, EstimatorKind};
 pub use feature_map::{
     axis_encoder, encoder_catalogue, search_feature_map, EncoderVariant, FeatureMapResult,

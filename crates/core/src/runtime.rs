@@ -20,12 +20,12 @@
 //! loop calls [`SearchRuntime::resume`] once before its first unit and
 //! [`SearchRuntime::boundary`] after every unit.
 
-use crate::checkpoint::{BackendConfig, CheckpointOptions, LoopSnapshot};
-use crate::{Estimator, EstimatorKind, Gene, SubConfig};
+use crate::checkpoint::{BackendConfig, CheckpointOptions};
+use crate::{Estimator, EstimatorKind, Gene};
 use qns_noise::Device;
 use qns_runtime::{
-    counters, timers, ByteWriter, CacheKey, CheckpointStore, Checkpointable, DigestCache,
-    FaultPlan, Metrics, StructuralHasher, FAULT_MARKER,
+    counters, timers, CacheKey, CheckpointStore, Checkpointable, DigestCache, FaultPlan, Metrics,
+    Snapshot, StructuralHasher, FAULT_MARKER,
 };
 use qns_transpile::{Layout, Transpiled};
 use qns_verify::{VerifyLevel, PANIC_MARKER};
@@ -179,7 +179,7 @@ impl SearchRuntime {
     /// the way count as `checkpoint_corrupt`; the latest valid one counts
     /// as `checkpoint_resumes` when accepted and `checkpoint_rejected`
     /// otherwise, and a rejected run starts clean.
-    pub fn resume<T: LoopSnapshot>(
+    pub fn resume<T: Snapshot>(
         &self,
         context: CacheKey,
         total: usize,
@@ -213,12 +213,7 @@ impl SearchRuntime {
     /// units. A failed save is counted and warned about, never fatal:
     /// losing one checkpoint must not kill a run that would otherwise
     /// finish.
-    pub fn boundary<T: Checkpointable>(
-        &self,
-        done: usize,
-        total: usize,
-        snapshot: impl FnOnce() -> T,
-    ) {
+    pub fn boundary<T: Snapshot>(&self, done: usize, total: usize, snapshot: impl FnOnce() -> T) {
         if let (Some(store), Some(ck)) = (&self.checkpoints, &self.options.checkpoint) {
             if done == total || done.is_multiple_of(ck.every.max(1)) {
                 match store.save(&snapshot(), self.faults.as_deref()) {
@@ -329,9 +324,8 @@ impl SearchRuntime {
                     .iter()
                     .map(|g| {
                         let mut h = StructuralHasher::new();
-                        h.write_u64(context.lo);
-                        h.write_u64(context.hi);
-                        hash_gene(&mut h, g);
+                        context.encode(&mut h);
+                        g.encode(&mut h);
                         h.finish()
                     })
                     .collect();
@@ -392,31 +386,12 @@ impl SearchRuntime {
     }
 }
 
-/// Feeds a gene's full identity (architecture + mapping).
-pub(crate) fn hash_gene(h: &mut StructuralHasher, gene: &Gene) {
-    hash_subconfig(h, &gene.config);
-    h.write_usize(gene.layout.len());
-    for &p in &gene.layout {
-        h.write_usize(p);
-    }
-}
-
-/// The canonical digest of a gene alone (population dedup).
+/// The canonical digest of a gene alone (population dedup): its full
+/// identity (architecture + mapping), the bytes a snapshot stores.
 pub fn gene_key(gene: &Gene) -> CacheKey {
     let mut h = StructuralHasher::new();
-    hash_gene(&mut h, gene);
+    gene.encode(&mut h);
     h.finish()
-}
-
-fn hash_subconfig(h: &mut StructuralHasher, cfg: &SubConfig) {
-    h.write_usize(cfg.n_blocks);
-    h.write_usize(cfg.widths.len());
-    for block in &cfg.widths {
-        h.write_usize(block.len());
-        for &w in block {
-            h.write_usize(w);
-        }
-    }
 }
 
 /// Feeds everything about a device that affects compilation or noise:
@@ -550,9 +525,7 @@ pub fn search_context_key(
     // The backend (and its truncation policy) is part of the scoring
     // context: exact and MPS-truncated scores must never share a memo,
     // and an mps↔statevec resume must be rejected as stale.
-    let mut bw = ByteWriter::new();
-    BackendConfig::of(estimator.backend()).encode(&mut bw);
-    h.write_bytes(&bw.into_bytes());
+    BackendConfig::of(estimator.backend()).encode(&mut h);
     h.write_u64(estimator.opt_level() as u64);
     h.write_usize(estimator.valid_cap());
     h.write_str(task.name());
@@ -575,6 +548,7 @@ pub fn search_context_key(
 mod tests {
     use super::*;
     use crate::checkpoint::PruneCheckpoint;
+    use crate::SubConfig;
     use qns_noise::TrajectoryConfig;
 
     fn gene(widths: Vec<Vec<usize>>, layout: Vec<usize>) -> Gene {

@@ -68,6 +68,8 @@ fn unknown_arguments_are_usage_errors() {
         &["run", "--preset", "smoke", "stray"],
         &["run", "--stats", "--verify", "--nosuch"],
         &["run", "--proxy", "on", "--resumee"],
+        &["devices", "--bogus"],
+        &["spaces", "extra"],
     ] {
         let out = qnas(args);
         assert_eq!(out.status.code(), Some(2), "qnas {}", args.join(" "));

@@ -16,7 +16,7 @@
 //! bit-identical fusion weights.
 
 use crate::proxies::{ProxyFeatures, NUM_PROXIES};
-use qns_runtime::{ByteReader, ByteWriter, CheckpointError};
+use qns_runtime::checkpointable;
 
 /// Number of gated linear experts.
 pub const NUM_EXPERTS: usize = 3;
@@ -30,22 +30,20 @@ const GRAD_CLIP: f64 = 4.0;
 
 /// Welford running mean/variance, used to normalize each feature and the
 /// target score as observations stream in.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Welford {
     count: f64,
     mean: f64,
     m2: f64,
 }
 
-impl Welford {
-    fn new() -> Self {
-        Welford {
-            count: 0.0,
-            mean: 0.0,
-            m2: 0.0,
-        }
-    }
+checkpointable!(Welford {
+    count: f64,
+    mean: f64,
+    m2: f64,
+});
 
+impl Welford {
     fn update(&mut self, x: f64) {
         self.count += 1.0;
         let delta = x - self.mean;
@@ -66,21 +64,6 @@ impl Welford {
         } else {
             1.0
         }
-    }
-
-    fn encode(&self, w: &mut ByteWriter) {
-        let Self { count, mean, m2 } = self;
-        w.put_f64(*count);
-        w.put_f64(*mean);
-        w.put_f64(*m2);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Welford {
-            count: r.get_f64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-        })
     }
 }
 
@@ -119,8 +102,8 @@ impl FusionModel {
             }
         }
         FusionModel {
-            feat: [Welford::new(); NUM_PROXIES],
-            target: Welford::new(),
+            feat: [Welford::default(); NUM_PROXIES],
+            target: Welford::default(),
             experts: [[0.0; NUM_PROXIES + 1]; NUM_EXPERTS],
             gates,
             observed: 0,
@@ -206,55 +189,16 @@ impl FusionModel {
             }
         }
     }
-
-    /// Serializes the full model (normalizers, experts, gates, counters)
-    /// in the checkpoint wire format.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        let Self {
-            feat,
-            target,
-            experts,
-            gates,
-            observed,
-            lr,
-        } = self;
-        for f in feat {
-            f.encode(w);
-        }
-        target.encode(w);
-        for row in experts.iter().chain(gates.iter()) {
-            for &v in row {
-                w.put_f64(v);
-            }
-        }
-        w.put_u64(*observed);
-        w.put_f64(*lr);
-    }
-
-    /// Inverse of [`FusionModel::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let mut feat = [Welford::new(); NUM_PROXIES];
-        for f in &mut feat {
-            *f = Welford::decode(r)?;
-        }
-        let target = Welford::decode(r)?;
-        let mut experts = [[0.0; NUM_PROXIES + 1]; NUM_EXPERTS];
-        let mut gates = [[0.0; NUM_PROXIES + 1]; NUM_EXPERTS];
-        for row in experts.iter_mut().chain(gates.iter_mut()) {
-            for v in row.iter_mut() {
-                *v = r.get_f64()?;
-            }
-        }
-        Ok(FusionModel {
-            feat,
-            target,
-            experts,
-            gates,
-            observed: r.get_u64()?,
-            lr: r.get_f64()?,
-        })
-    }
 }
+
+checkpointable!(FusionModel {
+    feat: [Welford; NUM_PROXIES],
+    target: Welford,
+    experts: [[f64; NUM_PROXIES + 1]; NUM_EXPERTS],
+    gates: [[f64; NUM_PROXIES + 1]; NUM_EXPERTS],
+    observed: u64,
+    lr: f64,
+});
 
 fn dot(w: &[f64; NUM_PROXIES + 1], z: &[f64; NUM_PROXIES + 1]) -> f64 {
     w.iter().zip(z).map(|(a, b)| a * b).sum()
@@ -263,6 +207,7 @@ fn dot(w: &[f64; NUM_PROXIES + 1], z: &[f64; NUM_PROXIES + 1]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qns_runtime::{ByteReader, ByteWriter, Checkpointable};
 
     fn feat(xs: [f64; NUM_PROXIES]) -> ProxyFeatures {
         ProxyFeatures(xs)

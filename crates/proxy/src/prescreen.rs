@@ -15,8 +15,8 @@
 //! search continues bitwise-identically.
 
 use crate::fusion::FusionModel;
-use crate::proxies::{ProxyFeatures, NUM_PROXIES};
-use qns_runtime::{ByteReader, ByteWriter, CacheKey, CheckpointError, DigestCache};
+use crate::proxies::ProxyFeatures;
+use qns_runtime::{checkpointable, CacheKey, DigestCache};
 
 /// How the prescreening stage behaves; carried on the search config.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -223,59 +223,18 @@ pub struct PrescreenerState {
     pub proxy_dedup_hits: u64,
 }
 
-impl PrescreenerState {
-    /// Serializes the snapshot in the checkpoint wire format.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        let Self {
-            fusion,
-            features,
-            proxy_evals,
-            proxy_escalations,
-            proxy_dedup_hits,
-        } = self;
-        fusion.encode(w);
-        w.put_usize(features.len());
-        for (key, feats) in features {
-            w.put_u64(key.lo);
-            w.put_u64(key.hi);
-            for &v in &feats.0 {
-                w.put_f64(v);
-            }
-        }
-        w.put_u64(*proxy_evals);
-        w.put_u64(*proxy_escalations);
-        w.put_u64(*proxy_dedup_hits);
-    }
-
-    /// Inverse of [`PrescreenerState::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let fusion = FusionModel::decode(r)?;
-        let n = r.get_seq_len(16 + 8 * NUM_PROXIES)?;
-        let mut features = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = CacheKey {
-                lo: r.get_u64()?,
-                hi: r.get_u64()?,
-            };
-            let mut feats = [0.0; NUM_PROXIES];
-            for v in feats.iter_mut() {
-                *v = r.get_f64()?;
-            }
-            features.push((key, ProxyFeatures(feats)));
-        }
-        Ok(PrescreenerState {
-            fusion,
-            features,
-            proxy_evals: r.get_u64()?,
-            proxy_escalations: r.get_u64()?,
-            proxy_dedup_hits: r.get_u64()?,
-        })
-    }
-}
+checkpointable!(PrescreenerState {
+    fusion: FusionModel,
+    features: Vec<(CacheKey, ProxyFeatures)>,
+    proxy_evals: u64,
+    proxy_escalations: u64,
+    proxy_dedup_hits: u64,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qns_runtime::{ByteReader, ByteWriter, Checkpointable};
 
     fn key(n: u64) -> CacheKey {
         CacheKey {

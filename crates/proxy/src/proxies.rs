@@ -9,6 +9,7 @@
 
 use qns_circuit::Circuit;
 use qns_noise::Device;
+use qns_runtime::{ByteReader, CheckpointError, Checkpointable, Sink};
 use qns_sim::{adjoint_gradient, adjoint_gradient_batch, DiagObservable, SimPlan, StateVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,6 +71,16 @@ impl ProxyFeatures {
     /// Whether every slot is finite (poisoned or NaN vectors are not).
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|v| v.is_finite())
+    }
+}
+
+impl Checkpointable for ProxyFeatures {
+    const MIN_BYTES: usize = <[f64; NUM_PROXIES]>::MIN_BYTES;
+    fn encode(&self, out: &mut impl Sink) {
+        self.0.encode(out);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(ProxyFeatures(Checkpointable::decode(r)?))
     }
 }
 

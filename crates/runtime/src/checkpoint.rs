@@ -6,11 +6,11 @@
 //! | offset | bytes | field |
 //! |--------|-------|-------|
 //! | 0      | 8     | magic `"QNSCKPT\0"` |
-//! | 8      | 4     | format version (LE u32, currently 1) |
-//! | 12     | 4     | payload kind tag (LE u32, per [`Checkpointable::KIND`]) |
+//! | 8      | 4     | format version (LE u32, [`FORMAT_VERSION`]) |
+//! | 12     | 4     | payload kind tag (LE u32, per [`Snapshot::KIND`]) |
 //! | 16     | 8     | payload length (LE u64) |
 //! | 24     | 16    | 128-bit structural digest of the payload |
-//! | 40     | n     | payload ([`Checkpointable::encode`] bytes) |
+//! | 40     | n     | payload (the snapshot's [`Checkpointable::encode`] bytes) |
 //! | 40+n   | 4     | CRC-32 (IEEE) over bytes `0..40+n` |
 //!
 //! Writes go to a temp file first and are published with `fs::rename`, so
@@ -20,12 +20,15 @@
 //! typed [`CheckpointError`], never a panic, so a torn or truncated file
 //! simply falls back to the previous snapshot.
 //!
-//! Serialization is hand-rolled (the workspace is dependency-free): the
-//! [`ByteWriter`]/[`ByteReader`] pair speaks little-endian fixed-width
-//! integers and `f64::to_bits`, which makes round-trips bitwise exact —
-//! the property the resume-determinism guarantee rests on.
+//! [`Checkpointable`] is the one wire codec (the workspace is
+//! dependency-free): fixed-width little-endian integers, `f64` bit
+//! patterns, `u64` length prefixes, which makes round-trips bitwise exact —
+//! the property the resume-determinism guarantee rests on. Its `encode`
+//! writes into any [`Sink`], so the bytes a snapshot stores are the bytes a
+//! [`StructuralHasher`] digests. [`checkpointable!`] implements it for a
+//! struct from one `field: Type` list, stating each field's order once.
 
-use crate::cache::StructuralHasher;
+use crate::cache::{CacheKey, StructuralHasher};
 use crate::fault::FaultPlan;
 use std::fmt;
 use std::fs;
@@ -65,7 +68,7 @@ pub enum CheckpointError {
     UnsupportedVersion(u32),
     /// The payload kind tag does not match the requested state type.
     KindMismatch {
-        /// The caller's [`Checkpointable::KIND`].
+        /// The caller's [`Snapshot::KIND`].
         expected: u32,
         /// The tag found in the file.
         found: u32,
@@ -155,8 +158,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Little-endian payload encoder. Floats are written as raw bit patterns,
-/// so encode→decode is bitwise exact.
+/// Where [`Checkpointable::encode`] writes: a snapshot payload
+/// ([`ByteWriter`]) or a content digest ([`StructuralHasher`]).
+pub trait Sink {
+    /// Appends raw bytes.
+    fn write_bytes(&mut self, bytes: &[u8]);
+}
+
+impl Sink for StructuralHasher {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        StructuralHasher::write_bytes(self, bytes);
+    }
+}
+
+/// Collects a snapshot payload.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -168,55 +183,15 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a LE u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a LE u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a usize as a LE u64 (portable across word sizes).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends an f64 as its raw bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, yielding the payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+impl Sink for ByteWriter {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -235,70 +210,23 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(CheckpointError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let end = self.pos + N;
+        let Some(bytes) = self.buf.get(self.pos..end) else {
             return Err(CheckpointError::Truncated {
                 needed: end,
                 have: self.buf.len(),
             });
-        }
-        let out = &self.buf[self.pos..end];
+        };
         self.pos = end;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a LE u32.
-    pub fn get_u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a LE u64.
-    pub fn get_u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a usize written by [`ByteWriter::put_usize`].
-    pub fn get_usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.get_u64()?).map_err(|_| CheckpointError::Malformed("usize overflow"))
-    }
-
-    /// Reads an f64 bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a bool; any byte other than 0/1 is malformed.
-    pub fn get_bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("bool out of range")),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, CheckpointError> {
-        let len = self.get_usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CheckpointError::Malformed("invalid utf-8"))
+        Ok(bytes.try_into().expect("N bytes"))
     }
 
     /// Reads a sequence length and rejects lengths that cannot possibly
     /// fit in the remaining bytes (`min_elem_bytes` each) — the guard that
     /// keeps a corrupt length field from forcing a huge allocation.
-    pub fn get_seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let len = self.get_usize()?;
+    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
+        let len = usize::decode(self)?;
         let need = len
             .checked_mul(min_elem_bytes.max(1))
             .ok_or(CheckpointError::Malformed("sequence length overflow"))?;
@@ -311,14 +239,13 @@ impl<'a> ByteReader<'a> {
         Ok(len)
     }
 
-    /// Unread bytes.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Fails unless every payload byte was consumed — trailing garbage
     /// means the decoder and encoder disagree about the format.
-    pub fn expect_consumed(&self) -> Result<(), CheckpointError> {
+    fn expect_consumed(&self) -> Result<(), CheckpointError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
@@ -327,21 +254,187 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// A state that can be snapshotted and restored bitwise.
+/// A value with one little-endian wire form, read back bitwise.
+///
+/// The same `encode` feeds a snapshot payload and a content digest, so a
+/// value's bytes are stated once. Integers are fixed-width LE (`usize`
+/// as `u64`), `f64` is its bit pattern, `bool` one byte, a `Vec` a `u64`
+/// length then its elements, an array its elements, an `Option` a `bool`
+/// flag then the value, a pair its two halves.
 pub trait Checkpointable: Sized {
+    /// The fewest bytes any value's encoding takes: the bound a decoded
+    /// sequence length is checked against before anything is allocated.
+    const MIN_BYTES: usize;
+    /// Writes the value's bytes.
+    fn encode(&self, out: &mut impl Sink);
+    /// Reads a value written by [`Checkpointable::encode`].
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError>;
+}
+
+/// Implements [`Checkpointable`] for a struct from one `field: Type` list:
+/// `encode` destructures the struct exhaustively and writes each field in
+/// list order, `decode` reads them back in the same order. A field left
+/// out of the list fails to compile.
+///
+/// ```
+/// use qns_runtime::{checkpointable, Checkpointable, ByteReader, ByteWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: f64, tags: Vec<u64> }
+/// checkpointable!(Point { x: f64, tags: Vec<u64> });
+///
+/// let p = Point { x: 0.5, tags: vec![7] };
+/// let mut w = ByteWriter::new();
+/// p.encode(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes.len(), 8 + 8 + 8);
+/// assert_eq!(Point::decode(&mut ByteReader::new(&bytes)).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! checkpointable {
+    ($ty:ident { $($field:ident: $fty:ty),+ $(,)? }) => {
+        impl $crate::Checkpointable for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::Checkpointable>::MIN_BYTES)+;
+
+            fn encode(&self, out: &mut impl $crate::Sink) {
+                let $ty { $($field),+ } = self;
+                $(<$fty as $crate::Checkpointable>::encode($field, out);)+
+            }
+
+            fn decode(
+                r: &mut $crate::ByteReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::CheckpointError> {
+                Ok($ty {
+                    $($field: <$fty as $crate::Checkpointable>::decode(r)?),+
+                })
+            }
+        }
+    };
+}
+
+impl Checkpointable for u64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut impl Sink) {
+        out.write_bytes(&self.to_le_bytes());
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(u64::from_le_bytes(r.take()?))
+    }
+}
+
+impl Checkpointable for usize {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut impl Sink) {
+        (*self as u64).encode(out);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        usize::try_from(u64::decode(r)?).map_err(|_| CheckpointError::Malformed("usize overflow"))
+    }
+}
+
+impl Checkpointable for f64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut impl Sink) {
+        self.to_bits().encode(out);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(f64::from_bits(u64::decode(r)?))
+    }
+}
+
+impl Checkpointable for bool {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut impl Sink) {
+        out.write_bytes(&[*self as u8]);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        match r.take::<1>()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            _ => Err(CheckpointError::Malformed("bool out of range")),
+        }
+    }
+}
+
+checkpointable!(CacheKey { lo: u64, hi: u64 });
+
+impl<T: Checkpointable + Default, const N: usize> Checkpointable for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn encode(&self, out: &mut impl Sink) {
+        for x in self {
+            x.encode(out);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        let mut xs: [T; N] = std::array::from_fn(|_| T::default());
+        for x in &mut xs {
+            *x = T::decode(r)?;
+        }
+        Ok(xs)
+    }
+}
+
+impl<T: Checkpointable> Checkpointable for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut impl Sink) {
+        self.len().encode(out);
+        for x in self {
+            x.encode(out);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        let n = r.seq_len(T::MIN_BYTES)?;
+        let mut xs = Vec::with_capacity(n);
+        for _ in 0..n {
+            xs.push(T::decode(r)?);
+        }
+        Ok(xs)
+    }
+}
+
+impl<T: Checkpointable> Checkpointable for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut impl Sink) {
+        self.is_some().encode(out);
+        if let Some(x) = self {
+            x.encode(out);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(if bool::decode(r)? {
+            Some(T::decode(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Checkpointable, B: Checkpointable> Checkpointable for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn encode(&self, out: &mut impl Sink) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// A loop's resumable state: the payload of one snapshot frame.
+pub trait Snapshot: Checkpointable {
     /// Frame kind tag; a load only accepts its own kind.
     const KIND: u32;
     /// Stage label used in snapshot filenames (`{label}-{seq}.ckpt`).
     const LABEL: &'static str;
-    /// Serializes the full resumable state into the payload.
-    fn encode(&self, w: &mut ByteWriter);
-    /// Deserializes a payload produced by [`Checkpointable::encode`].
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError>;
+    /// Digest of the run configuration that wrote the snapshot.
+    fn context(&self) -> CacheKey;
+    /// Loop units completed: training steps, generations or rounds.
+    fn done(&self) -> usize;
 }
 
 /// Serializes a state into a complete snapshot frame (header + payload +
 /// crc), ready to be written to disk.
-pub fn encode_snapshot<T: Checkpointable>(state: &T) -> Vec<u8> {
+pub fn encode_snapshot<T: Snapshot>(state: &T) -> Vec<u8> {
     let mut w = ByteWriter::new();
     state.encode(&mut w);
     let payload = w.into_bytes();
@@ -365,7 +458,7 @@ pub fn encode_snapshot<T: Checkpointable>(state: &T) -> Vec<u8> {
 /// Validates and decodes a snapshot frame. Every corruption mode —
 /// truncation, bit rot, wrong kind, garbage payload — comes back as a
 /// typed error; this function never panics on untrusted bytes.
-pub fn decode_snapshot<T: Checkpointable>(bytes: &[u8]) -> Result<T, CheckpointError> {
+pub fn decode_snapshot<T: Snapshot>(bytes: &[u8]) -> Result<T, CheckpointError> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(CheckpointError::Truncated {
             needed: HEADER_LEN + TRAILER_LEN,
@@ -439,23 +532,23 @@ static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
 /// # Examples
 ///
 /// ```no_run
-/// use qns_runtime::{ByteReader, ByteWriter, Checkpointable, CheckpointError, CheckpointStore};
+/// use qns_runtime::{checkpointable, CacheKey, CheckpointStore, Snapshot};
 ///
 /// #[derive(PartialEq, Debug)]
-/// struct Counter(u64);
-/// impl Checkpointable for Counter {
+/// struct Counter { context: CacheKey, count: usize }
+/// checkpointable!(Counter { context: CacheKey, count: usize });
+/// impl Snapshot for Counter {
 ///     const KIND: u32 = 0xC0;
 ///     const LABEL: &'static str = "counter";
-///     fn encode(&self, w: &mut ByteWriter) { w.put_u64(self.0); }
-///     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-///         Ok(Counter(r.get_u64()?))
-///     }
+///     fn context(&self) -> CacheKey { self.context }
+///     fn done(&self) -> usize { self.count }
 /// }
 ///
 /// let store = CheckpointStore::open("/tmp/ckpts").unwrap();
-/// store.save(&Counter(7), None).unwrap();
+/// let state = Counter { context: CacheKey { lo: 1, hi: 2 }, count: 7 };
+/// store.save(&state, None).unwrap();
 /// let (loaded, corrupt) = store.load_latest::<Counter>();
-/// assert_eq!(loaded, Some(Counter(7)));
+/// assert_eq!(loaded, Some(state));
 /// assert_eq!(corrupt, 0);
 /// ```
 #[derive(Debug)]
@@ -514,7 +607,7 @@ impl CheckpointStore {
     /// rotates old ones out. When `faults` schedules a torn write for this
     /// save, the file is deliberately published half-written (bypassing
     /// the temp-rename protocol) so recovery paths can be exercised.
-    pub fn save<T: Checkpointable>(
+    pub fn save<T: Snapshot>(
         &self,
         state: &T,
         faults: Option<&FaultPlan>,
@@ -545,7 +638,7 @@ impl CheckpointStore {
     /// Loads the newest snapshot that validates, walking backwards over
     /// corrupt ones. Returns the state (if any survives) and how many
     /// snapshots were rejected on the way.
-    pub fn load_latest<T: Checkpointable>(&self) -> (Option<T>, usize) {
+    pub fn load_latest<T: Snapshot>(&self) -> (Option<T>, usize) {
         let mut corrupt = 0usize;
         for (_, path) in self.list(T::LABEL).into_iter().rev() {
             match fs::read(&path).map_err(CheckpointError::from) {
@@ -577,35 +670,28 @@ mod tests {
     struct Demo {
         id: u64,
         values: Vec<f64>,
-        tag: String,
+        tag: u64,
         flag: bool,
     }
 
-    impl Checkpointable for Demo {
+    checkpointable!(Demo {
+        id: u64,
+        values: Vec<f64>,
+        tag: u64,
+        flag: bool,
+    });
+
+    impl Snapshot for Demo {
         const KIND: u32 = 0xDE40;
         const LABEL: &'static str = "demo";
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u64(self.id);
-            w.put_usize(self.values.len());
-            for &v in &self.values {
-                w.put_f64(v);
+        fn context(&self) -> CacheKey {
+            CacheKey {
+                lo: self.tag,
+                hi: 0,
             }
-            w.put_str(&self.tag);
-            w.put_bool(self.flag);
         }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-            let id = r.get_u64()?;
-            let n = r.get_seq_len(8)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.get_f64()?);
-            }
-            Ok(Demo {
-                id,
-                values,
-                tag: r.get_str()?,
-                flag: r.get_bool()?,
-            })
+        fn done(&self) -> usize {
+            self.id as usize
         }
     }
 
@@ -613,7 +699,7 @@ mod tests {
         Demo {
             id: 42,
             values: vec![0.5, -1.25, f64::MIN_POSITIVE, -0.0],
-            tag: "hello".into(),
+            tag: 7,
             flag: true,
         }
     }
@@ -687,13 +773,18 @@ mod tests {
 
     #[test]
     fn kind_and_version_are_enforced() {
-        struct Other;
-        impl Checkpointable for Other {
+        struct Other {
+            n: u64,
+        }
+        checkpointable!(Other { n: u64 });
+        impl Snapshot for Other {
             const KIND: u32 = 0x07;
             const LABEL: &'static str = "other";
-            fn encode(&self, _: &mut ByteWriter) {}
-            fn decode(_: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-                Ok(Other)
+            fn context(&self) -> CacheKey {
+                CacheKey { lo: self.n, hi: 0 }
+            }
+            fn done(&self) -> usize {
+                0
             }
         }
         let bytes = encode_snapshot(&demo());
@@ -747,9 +838,9 @@ mod tests {
     #[test]
     fn reader_rejects_absurd_sequence_lengths() {
         let mut w = ByteWriter::new();
-        w.put_usize(usize::MAX / 2);
+        (usize::MAX / 2).encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(r.get_seq_len(8).is_err(), "length must be bounded by input");
+        assert!(r.seq_len(8).is_err(), "length must be bounded by input");
     }
 }

@@ -17,14 +17,18 @@
 //!    duration histograms, a structured per-generation event log, and a
 //!    text [`Metrics::summary`] report (evaluations, cache hit rates,
 //!    transpile vs. simulate wall time, evals/sec).
-//! 3. **Crash safety** — a versioned, crc-guarded snapshot format with
-//!    atomic write-rename ([`CheckpointStore`], [`Checkpointable`]) and a
-//!    deterministic fault-injection schedule ([`FaultPlan`]) so recovery
-//!    paths are testable, not just claimed.
+//! 3. **Crash safety** — one little-endian wire codec
+//!    ([`Checkpointable`], implemented per struct by [`checkpointable!`])
+//!    whose bytes go to a snapshot or a digest through one [`Sink`], a
+//!    versioned, crc-guarded snapshot format with atomic write-rename
+//!    ([`CheckpointStore`], [`Snapshot`]) and a deterministic
+//!    fault-injection schedule ([`FaultPlan`]) so recovery paths are
+//!    testable, not just claimed.
 //!
 //! The crate is dependency-free, spawns no threads, and is domain-agnostic:
-//! it works on hashes and closures. The `quantumnas` core crate layers gene
-//! hashing, the score memo, and estimator integration on top.
+//! it works on hashes and closures. The `quantumnas` core crate layers the
+//! wire structs, the score memo (keyed on each gene's codec bytes), and
+//! estimator integration on top.
 //!
 //! # Examples
 //!
@@ -70,7 +74,7 @@ mod telemetry;
 pub use cache::{CacheKey, DigestCache, StructuralHasher};
 pub use checkpoint::{
     crc32, decode_snapshot, encode_snapshot, ByteReader, ByteWriter, CheckpointError,
-    CheckpointStore, Checkpointable, EXTENSION, FORMAT_VERSION, MAGIC,
+    CheckpointStore, Checkpointable, Sink, Snapshot, EXTENSION, FORMAT_VERSION, MAGIC,
 };
 pub use fault::{FaultPlan, FAULT_MARKER};
 pub use telemetry::{counters, timers, GenerationEvent, Histogram, Metrics};

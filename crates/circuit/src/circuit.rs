@@ -157,8 +157,7 @@ impl Circuit {
             "cannot extend with a wider circuit"
         );
         for op in &other.ops {
-            let qs: Vec<usize> = op.qubits[..op.num_qubits()].to_vec();
-            self.push(op.kind, &qs, &op.params);
+            self.push(op.kind, &op.qubits[..op.num_qubits()], &op.params);
         }
         self
     }

@@ -62,7 +62,9 @@
 //! to leave a validation sample or a device with fewer qubits than the task
 //! prints usage and exits 2. A `--checkpoint-dir` that cannot be created exits 1
 //! before the run starts; a `--qasm` or `--front-out` file that cannot be
-//! written exits 1 after the report.
+//! written exits 1 after the report. A stdout closed by its reader (`qnas
+//! devices | head -1`) ends the process quietly with status 0; any other
+//! stdout write error exits 1.
 
 use qns_chem::Molecule;
 use qns_circuit::to_qasm;
@@ -73,7 +75,26 @@ use qns_verify::VerifyLevel;
 use quantumnas::{
     CheckpointOptions, FaultPlan, QuantumNas, QuantumNasConfig, RuntimeOptions, SpaceKind, Task,
 };
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
+
+/// Writes one line to stdout, the only way `qnas` writes there. A closed
+/// stdout (a reader such as `head` that exits early) ends the process
+/// quietly with status 0; any other write error exits 1.
+fn write_line(line: std::fmt::Arguments) {
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(_) => std::process::exit(1),
+    }
+}
+
+/// `println!` through [`write_line`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -235,13 +256,17 @@ const DEVICE_NAMES: [&str; 12] = [
 ];
 
 fn cmd_devices() {
-    println!(
+    outln!(
         "{:<11} {:>7} {:>10} {:>10} {:>10}",
-        "name", "qubits", "topology", "QV", "mean e2q"
+        "name",
+        "qubits",
+        "topology",
+        "QV",
+        "mean e2q"
     );
     for name in DEVICE_NAMES {
         let d = Device::by_name(name).expect("known device");
-        println!(
+        outln!(
             "{:<11} {:>7} {:>10} {:>10} {:>10.4}",
             d.name(),
             d.num_qubits(),
@@ -253,10 +278,10 @@ fn cmd_devices() {
 }
 
 fn cmd_spaces() {
-    println!("{:<14} {:>8} {:>14}", "space", "blocks", "layers/block");
+    outln!("{:<14} {:>8} {:>14}", "space", "blocks", "layers/block");
     for &kind in SpaceKind::all() {
         let s = quantumnas::DesignSpace::new(kind);
-        println!(
+        outln!(
             "{:<14} {:>8} {:>14}",
             s.kind().name(),
             s.default_blocks(),
@@ -435,7 +460,7 @@ fn cmd_run(args: &[String]) {
     }
     let show_stats = args.iter().any(|a| a == "--stats");
 
-    println!(
+    outln!(
         "QuantumNAS: task {} | space {} | device {} | seed {}",
         task.name(),
         space.name(),
@@ -443,7 +468,7 @@ fn cmd_run(args: &[String]) {
         seed
     );
     if let Some(ck) = &checkpoint {
-        println!(
+        outln!(
             "checkpointing: dir {} | every {} | resume {}",
             ck.dir.display(),
             ck.every,
@@ -462,7 +487,7 @@ fn cmd_run(args: &[String]) {
     config.runtime = runtime;
     config.backend = backend;
     if let qns_sim::SimBackend::Mps(mps) = backend {
-        println!("backend: mps (max bond {})", mps.max_bond);
+        outln!("backend: mps (max bond {})", mps.max_bond);
     }
     config.evo.proxy = proxy;
     config.objectives = objectives.clone();
@@ -489,31 +514,33 @@ fn cmd_run(args: &[String]) {
     // A failed output write still prints the whole report, then exits 1.
     let mut write_failed = false;
 
-    println!(
+    outln!(
         "\nsearched architecture: {} blocks, {} parameters",
-        report.gene.config.n_blocks, report.n_params
+        report.gene.config.n_blocks,
+        report.n_params
     );
-    println!("qubit mapping: {:?}", report.gene.layout);
-    println!("noise-free validation loss: {:.4}", report.trained_loss);
+    outln!("qubit mapping: {:?}", report.gene.layout);
+    outln!("noise-free validation loss: {:.4}", report.trained_loss);
     if is_qml {
-        println!(
+        outln!(
             "measured accuracy (before prune): {:.3}",
             report.accuracy_before_prune
         );
-        println!(
+        outln!(
             "measured accuracy (after pruning {:.0}%): {:.3}",
             100.0 * report.pruned_ratio,
             report.final_accuracy
         );
     } else {
-        println!("measured energy: {:.4}", report.final_energy);
+        outln!("measured energy: {:.4}", report.final_energy);
     }
-    println!(
+    outln!(
         "search evaluations: {} real + {} memoized",
-        report.search_evaluations, report.search_memo_hits
+        report.search_evaluations,
+        report.search_memo_hits
     );
     if proxy.enabled {
-        println!(
+        outln!(
             "proxy prescreening: {} features, {} escalated, {} duplicates skipped",
             report.search_proxy_evals,
             report.search_proxy_escalations,
@@ -522,14 +549,14 @@ fn cmd_run(args: &[String]) {
     }
     if let Some(objectives) = &objectives {
         let names: Vec<&str> = objectives.iter().map(|o| o.name()).collect();
-        println!(
+        outln!(
             "\nPareto front: {} points over ({})",
             report.front.len(),
             names.join(", ")
         );
         for point in &report.front {
             let vals: Vec<String> = point.objectives.iter().map(|v| format!("{v:.4}")).collect();
-            println!(
+            outln!(
                 "  {} blocks, mapping {:?} :: ({})",
                 point.gene.config.n_blocks,
                 point.gene.layout,
@@ -539,24 +566,27 @@ fn cmd_run(args: &[String]) {
         // "One search, many devices": match the same front against every
         // device model's calibration fingerprint.
         let sc = nas.supercircuit();
-        println!("device match (front point minimizing estimated error):");
+        outln!("device match (front point minimizing estimated error):");
         for name in DEVICE_NAMES {
             let d = Device::by_name(name).expect("known device");
             match quantumnas::match_front_to_device(&sc, nas.task(), &report.front, &d, 2) {
                 Some((idx, err)) => {
                     let point = &report.front[idx];
-                    println!(
+                    outln!(
                         "  {:<11} -> point {} (mapping {:?}), est. error {:.4}",
-                        name, idx, point.gene.layout, err
+                        name,
+                        idx,
+                        point.gene.layout,
+                        err
                     );
                 }
-                None => println!("  {name:<11} -> no front point fits"),
+                None => outln!("  {name:<11} -> no front point fits"),
             }
         }
         if let Some(path) = &front_out {
             let json = quantumnas::front_json(objectives, &report.front);
             if std::fs::write(path, json).is_ok() {
-                println!("wrote Pareto front to {path}");
+                outln!("wrote Pareto front to {path}");
             } else {
                 eprintln!("failed to write {path}");
                 write_failed = true;
@@ -564,7 +594,7 @@ fn cmd_run(args: &[String]) {
         }
     }
     if show_stats {
-        println!("\n{}", report.runtime_summary);
+        outln!("\n{}", report.runtime_summary);
     }
 
     if let Some(path) = qasm_path {
@@ -580,7 +610,7 @@ fn cmd_run(args: &[String]) {
                     report.n_params, report.gene.layout
                 );
                 if std::fs::write(&path, header + &qasm).is_ok() {
-                    println!("wrote OpenQASM to {path}");
+                    outln!("wrote OpenQASM to {path}");
                 } else {
                     eprintln!("failed to write {path}");
                     write_failed = true;

@@ -2,9 +2,10 @@
 //! argument, a flag given twice or an unusable value is a usage error
 //! (exit 2), not a silent fallback to a default or to the flag's first
 //! value; a checkpoint directory or an output file that cannot be written
-//! fails the run (exit 1), never with a panic.
+//! fails the run (exit 1), never with a panic; a reader that closes
+//! stdout early ends the listing quietly (exit 0).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn qnas(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_qnas"))
@@ -37,6 +38,24 @@ fn value_flag_without_a_value_is_a_usage_error() {
             "qnas {}: {stderr}",
             args.join(" ")
         );
+    }
+}
+
+#[test]
+fn a_closed_stdout_exits_quietly() {
+    for cmd in ["devices", "spaces"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_qnas"))
+            .arg(cmd)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("qnas starts");
+        // Close the read end before qnas writes its first line.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("qnas exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "qnas {cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "qnas {cmd}: {stderr}");
     }
 }
 

@@ -7,7 +7,7 @@
 //! zero-specializations of the paper's Table II (a `U3(0, φ, λ)` compiles
 //! to a single `RZ`).
 
-use qns_circuit::{Circuit, GateKind, Param};
+use qns_circuit::{Circuit, GateKind, Op, Param};
 use qns_tensor::Mat2;
 
 const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
@@ -15,7 +15,7 @@ const PI: f64 = std::f64::consts::PI;
 const FRAC_PI_2: f64 = std::f64::consts::FRAC_PI_2;
 
 /// Is a fixed angle ≡ 0 (mod 2π)?
-fn is_zero_angle(p: Param) -> bool {
+pub(crate) fn is_zero_angle(p: Param) -> bool {
     match p {
         Param::Fixed(v) => {
             let r = v.rem_euclid(TWO_PI);
@@ -62,28 +62,51 @@ pub fn zyz_angles(m: &Mat2) -> (f64, f64, f64, f64) {
     }
 }
 
-/// Collector for emitted basis gates.
-struct Emitter {
-    out: Circuit,
+/// Where emitted basis gates go: the circuit [`to_ibm_basis`] builds, or
+/// the optimizer's op buffer.
+trait GateSink {
+    fn gate(&mut self, kind: GateKind, qubits: &[usize], params: &[Param]);
 }
 
-impl Emitter {
+impl GateSink for Circuit {
+    fn gate(&mut self, kind: GateKind, qubits: &[usize], params: &[Param]) {
+        self.push(kind, qubits, params);
+    }
+}
+
+impl GateSink for Vec<Op> {
+    fn gate(&mut self, kind: GateKind, qubits: &[usize], params: &[Param]) {
+        // `Circuit::push`'s layout: a one-qubit op's second slot is unused.
+        self.push(Op {
+            kind,
+            qubits: [qubits[0], qubits.get(1).copied().unwrap_or(usize::MAX)],
+            params: params.to_vec(),
+        });
+    }
+}
+
+/// Collector for emitted basis gates.
+struct Emitter<'a, S> {
+    out: &'a mut S,
+}
+
+impl<S: GateSink> Emitter<'_, S> {
     fn rz(&mut self, q: usize, p: Param) {
         if !is_zero_angle(p) {
-            self.out.push(GateKind::RZ, &[q], &[p]);
+            self.out.gate(GateKind::RZ, &[q], &[p]);
         }
     }
 
     fn sx(&mut self, q: usize) {
-        self.out.push(GateKind::SX, &[q], &[]);
+        self.out.gate(GateKind::SX, &[q], &[]);
     }
 
     fn x(&mut self, q: usize) {
-        self.out.push(GateKind::X, &[q], &[]);
+        self.out.gate(GateKind::X, &[q], &[]);
     }
 
     fn cx(&mut self, c: usize, t: usize) {
-        self.out.push(GateKind::CX, &[c, t], &[]);
+        self.out.gate(GateKind::CX, &[c, t], &[]);
     }
 
     /// `U3(θ, φ, λ)` → `RZ(λ) · SX · RZ(θ+π) · SX · RZ(φ+π)` (op order),
@@ -184,9 +207,8 @@ impl Emitter {
 /// assert_eq!(to_ibm_basis(&c).num_ops(), 5);
 /// ```
 pub fn to_ibm_basis(circuit: &Circuit) -> Circuit {
-    let mut e = Emitter {
-        out: Circuit::new(circuit.num_qubits()),
-    };
+    let mut out = Circuit::new(circuit.num_qubits());
+    let mut e = Emitter { out: &mut out };
     for op in circuit.iter() {
         let q = op.qubits[0];
         let p = |i: usize| op.params[i];
@@ -283,7 +305,6 @@ pub fn to_ibm_basis(circuit: &Circuit) -> Circuit {
             GateKind::RYY => emit_ryy(&mut e, q, op.qubits[1], p(0)),
         }
     }
-    let mut out = e.out;
     // Preserve the declared trainable width even if high indices vanished.
     if out.num_train_params() < circuit.num_train_params() {
         out.set_num_train_params(circuit.num_train_params());
@@ -291,7 +312,13 @@ pub fn to_ibm_basis(circuit: &Circuit) -> Circuit {
     out
 }
 
-fn emit_rxx(e: &mut Emitter, a: usize, b: usize, theta: Param) {
+/// Appends the basis gates of a fixed one-qubit unitary on `q` to `out`:
+/// its ZYZ angles through the U3 rule, as [`to_ibm_basis`] lowers `Y`.
+pub(crate) fn lower_mat2(q: usize, m: &Mat2, out: &mut Vec<Op>) {
+    Emitter { out }.mat2(q, m);
+}
+
+fn emit_rxx(e: &mut Emitter<'_, impl GateSink>, a: usize, b: usize, theta: Param) {
     e.h(a);
     e.h(b);
     e.rzz(a, b, theta);
@@ -299,7 +326,7 @@ fn emit_rxx(e: &mut Emitter, a: usize, b: usize, theta: Param) {
     e.h(b);
 }
 
-fn emit_ryy(e: &mut Emitter, a: usize, b: usize, theta: Param) {
+fn emit_ryy(e: &mut Emitter<'_, impl GateSink>, a: usize, b: usize, theta: Param) {
     // Y = C Z C† with C = RX(−π/2): conjugate RZZ by RX(π/2) on both.
     for q in [a, b] {
         e.u3(

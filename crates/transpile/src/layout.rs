@@ -1,36 +1,57 @@
-//! Logical→physical qubit layouts and coupling-graph distances.
+//! Logical→physical qubit layouts and the coupling graph routing reads.
 
 use qns_noise::Device;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::VecDeque;
 
-/// All-pairs shortest-path distances on the device coupling graph (BFS).
-///
-/// `result[a][b]` is the number of coupling edges between physical qubits
-/// `a` and `b`; `usize::MAX / 2` marks unreachable pairs (never the case on
-/// the shipped devices, whose graphs are connected).
-pub fn distance_matrix(device: &Device) -> Vec<Vec<usize>> {
-    let n = device.num_qubits();
-    let far = usize::MAX / 2;
-    let mut dist = vec![vec![far; n]; n];
-    #[allow(
-        clippy::needless_range_loop,
-        reason = "`start` is a qubit id, not a slice walk"
-    )]
-    for start in 0..n {
-        let mut queue = std::collections::VecDeque::new();
-        dist[start][start] = 0;
-        queue.push_back(start);
-        while let Some(q) = queue.pop_front() {
-            for nb in device.neighbors(q) {
-                if dist[start][nb] == far {
-                    dist[start][nb] = dist[start][q] + 1;
-                    queue.push_back(nb);
+/// The coupling graph as the router reads it: each qubit's neighbours in
+/// edge order, the order [`Device::neighbors`] yields them in, and the
+/// all-pairs shortest-path distances from one BFS per qubit over them.
+pub(crate) struct Coupling {
+    n: usize,
+    adj: Vec<Vec<usize>>,
+    /// `dist[a * n + b]`: coupling edges between `a` and `b`;
+    /// `usize::MAX / 2` marks an unreachable pair (never the case on the
+    /// shipped devices, whose graphs are connected).
+    dist: Vec<usize>,
+}
+
+impl Coupling {
+    pub(crate) fn new(device: &Device) -> Self {
+        let n = device.num_qubits();
+        let mut adj = vec![Vec::new(); n];
+        for &(a, b) in device.edges() {
+            adj[a].push(b);
+            adj[b].push(a);
+        }
+        let far = usize::MAX / 2;
+        let mut dist = vec![far; n * n];
+        let mut queue = VecDeque::with_capacity(n);
+        for (start, row) in dist.chunks_exact_mut(n).enumerate() {
+            row[start] = 0;
+            queue.push_back(start);
+            while let Some(q) = queue.pop_front() {
+                for &nb in &adj[q] {
+                    if row[nb] == far {
+                        row[nb] = row[q] + 1;
+                        queue.push_back(nb);
+                    }
                 }
             }
         }
+        Coupling { n, adj, dist }
     }
-    dist
+
+    /// The qubits coupled to `q`, in edge order.
+    pub(crate) fn neighbors(&self, q: usize) -> &[usize] {
+        &self.adj[q]
+    }
+
+    /// The number of coupling edges between `a` and `b`.
+    pub(crate) fn dist(&self, a: usize, b: usize) -> usize {
+        self.dist[a * self.n + b]
+    }
 }
 
 /// An injective map from logical circuit qubits to physical device qubits.
@@ -188,21 +209,29 @@ mod tests {
 
     #[test]
     fn distances_on_a_line() {
-        let dev = Device::santiago();
-        let d = distance_matrix(&dev);
-        assert_eq!(d[0][0], 0);
-        assert_eq!(d[0][1], 1);
-        assert_eq!(d[0][4], 4);
-        assert_eq!(d[4][0], 4);
+        let d = Coupling::new(&Device::santiago());
+        assert_eq!(d.dist(0, 0), 0);
+        assert_eq!(d.dist(0, 1), 1);
+        assert_eq!(d.dist(0, 4), 4);
+        assert_eq!(d.dist(4, 0), 4);
     }
 
     #[test]
     fn distances_on_plus() {
-        let dev = Device::yorktown();
-        let d = distance_matrix(&dev);
-        assert_eq!(d[0][2], 1);
-        assert_eq!(d[0][1], 2); // via the center
-        assert_eq!(d[3][4], 2);
+        let d = Coupling::new(&Device::yorktown());
+        assert_eq!(d.dist(0, 2), 1);
+        assert_eq!(d.dist(0, 1), 2); // via the center
+        assert_eq!(d.dist(3, 4), 2);
+    }
+
+    #[test]
+    fn neighbors_come_in_device_order() {
+        for dev in Device::all() {
+            let c = Coupling::new(&dev);
+            for q in 0..dev.num_qubits() {
+                assert_eq!(c.neighbors(q), dev.neighbors(q), "{} qubit {q}", dev.name());
+            }
+        }
     }
 
     #[test]

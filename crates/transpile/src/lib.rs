@@ -57,7 +57,7 @@ mod router;
 
 pub use basis::{to_ibm_basis, zyz_angles};
 pub use error::TranspileError;
-pub use layout::{distance_matrix, Layout};
+pub use layout::Layout;
 pub use passes::optimize;
 pub use pipeline::{transpile, transpile_with, TranspileOptions, Transpiled};
 pub use router::{route, try_route, RoutedCircuit};

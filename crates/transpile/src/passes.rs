@@ -1,16 +1,15 @@
 //! Peephole optimization passes over IBM-basis circuits.
 
-use crate::basis::zyz_angles;
+use crate::basis::{is_zero_angle, lower_mat2};
 use qns_circuit::{Circuit, GateKind, GateMatrix, Op, Param};
-use qns_tensor::Mat2;
-
-const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+use qns_tensor::{Mat2, C64};
 
 /// Optimizes an IBM-basis circuit at a Qiskit-style level.
 ///
 /// - level 0 — no optimization,
 /// - level 1 — gate cancellation: merge/drop adjacent `RZ`s, cancel `CX·CX`
-///   and `X·X` pairs, fuse `SX·SX → X`,
+///   and `X·X` pairs, fuse `SX·SX → X`, repeated until a pass removes
+///   nothing,
 /// - level 2 — level 1 plus single-qubit resynthesis: maximal runs of fixed
 ///   one-qubit gates are re-expressed as at most 5 basis gates via ZYZ,
 /// - level 3 — level 2 plus commuting `RZ`s through `CX` controls before a
@@ -18,7 +17,16 @@ const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
 ///   doesn't — matching the paper's observation in Table VI).
 ///
 /// Parameterized (trainable/input) gates are barriers for resynthesis but
-/// still merge with adjacent fixed `RZ`s.
+/// still merge with adjacent fixed `RZ`s. An `RZ` is dropped only when its
+/// angle is ≡ 0 (mod 2π) at every parameter value.
+///
+/// Every pass of one call rewrites one owned op buffer, and the output
+/// circuit is built once, at the end. Cancellation finds each merge target
+/// on per-qubit stacks of the live output ops; resynthesis multiplies each
+/// run's unitary as its ops arrive and lowers it with [`to_ibm_basis`]'s
+/// own U3 rule.
+///
+/// [`to_ibm_basis`]: crate::to_ibm_basis
 ///
 /// # Examples
 ///
@@ -32,34 +40,162 @@ const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
 /// assert_eq!(optimize(&c, 1).num_ops(), 0);
 /// ```
 pub fn optimize(circuit: &Circuit, level: u8) -> Circuit {
-    match level {
-        0 => circuit.clone(),
-        1 => cancel_fixpoint(circuit),
-        2 => {
-            let c = cancel_fixpoint(circuit);
-            let c = resynthesize_1q(&c);
-            cancel_fixpoint(&c)
-        }
-        _ => {
-            let c = cancel_fixpoint(circuit);
-            let c = resynthesize_1q(&c);
-            let c = cancel_fixpoint(&c);
-            let c = commute_rz_through_cx(&c);
-            let c = resynthesize_1q(&c);
-            cancel_fixpoint(&c)
-        }
+    if level == 0 {
+        return circuit.clone();
     }
+    let mut p = Peephole::new(circuit);
+    p.cancel_fixpoint();
+    if level >= 2 {
+        p.resynthesize_1q();
+        p.cancel_fixpoint();
+    }
+    if level >= 3 {
+        commute_rz_through_cx(&mut p.ops);
+        p.resynthesize_1q();
+        p.cancel_fixpoint();
+    }
+    let mut out = Circuit::new(circuit.num_qubits());
+    for op in &p.ops {
+        out.push(op.kind, &op.qubits[..op.num_qubits()], &op.params);
+    }
+    if out.num_train_params() < circuit.num_train_params() {
+        out.set_num_train_params(circuit.num_train_params());
+    }
+    out
 }
 
-/// Repeats the cancellation pass until no change.
-fn cancel_fixpoint(circuit: &Circuit) -> Circuit {
-    let mut cur = circuit.clone();
-    loop {
-        let next = cancel_once(&cur);
-        if next.num_ops() == cur.num_ops() {
-            return next;
+/// The op buffer every pass of one [`optimize`] call rewrites, and the
+/// scratch the passes reuse.
+struct Peephole {
+    /// The ops as the last pass left them.
+    ops: Vec<Op>,
+    /// The previous pass's ops while a pass reads them into `ops`.
+    input: Vec<Op>,
+    /// `top[q]`: the latest live output op on qubit `q`.
+    top: Vec<Option<usize>>,
+    /// `below[j][k]`: the live output op under `j` on `j`'s `k`-th qubit.
+    below: Vec<[Option<usize>; 2]>,
+    /// `dead[j]`: output op `j` was annihilated.
+    dead: Vec<bool>,
+    /// Each qubit's pending run of fixed one-qubit ops and its unitary.
+    runs: Vec<(Vec<Op>, Mat2)>,
+    /// A run's resynthesized ops.
+    synth: Vec<Op>,
+}
+
+impl Peephole {
+    fn new(circuit: &Circuit) -> Self {
+        let (n, len) = (circuit.num_qubits(), circuit.num_ops());
+        Peephole {
+            ops: circuit.ops().to_vec(),
+            input: Vec::with_capacity(len),
+            top: vec![None; n],
+            below: Vec::with_capacity(len),
+            dead: Vec::with_capacity(len),
+            runs: vec![(Vec::new(), Mat2::identity()); n],
+            synth: Vec::new(),
         }
-        cur = next;
+    }
+
+    /// Repeats the cancellation pass until it removes nothing.
+    fn cancel_fixpoint(&mut self) {
+        while self.cancel_once() {}
+    }
+
+    /// One sweep of adjacent-gate cancellation; returns whether it removed
+    /// an op.
+    ///
+    /// An incoming op may merge only with the latest live output op on
+    /// every qubit it touches, so nothing interleaves. The live output ops
+    /// on each qubit form a stack threaded through `below`. A merge needs
+    /// the same support, so an annihilated target tops the stack of every
+    /// qubit it touches, and popping it exposes the latest live op left on
+    /// that qubit: the op a backward scan of the output would find.
+    fn cancel_once(&mut self) -> bool {
+        let Peephole {
+            ops,
+            input,
+            top,
+            below,
+            dead,
+            ..
+        } = self;
+        std::mem::swap(ops, input);
+        let before = input.len();
+        top.fill(None);
+        below.clear();
+        dead.clear();
+        for op in input.drain(..) {
+            if op.kind == GateKind::RZ && is_zero_rz(op.params[0]) {
+                continue;
+            }
+            let qs = &op.qubits[..op.num_qubits()];
+            let target = match *qs {
+                [a] => top[a],
+                [a, b] if top[a] == top[b] => top[a],
+                _ => None,
+            };
+            let merged = match target {
+                Some(j) => merge(&mut ops[j], &op).map(|m| (j, m)),
+                None => None,
+            };
+            match merged {
+                Some((j, Merge::Annihilated)) => {
+                    dead[j] = true;
+                    let prev = &ops[j];
+                    for (k, &q) in prev.qubits[..prev.num_qubits()].iter().enumerate() {
+                        top[q] = below[j][k];
+                    }
+                }
+                Some((_, Merge::Rewritten)) => {}
+                None => {
+                    let mut under = [None; 2];
+                    for (u, &q) in under.iter_mut().zip(qs) {
+                        *u = top[q];
+                        top[q] = Some(ops.len());
+                    }
+                    below.push(under);
+                    dead.push(false);
+                    ops.push(op);
+                }
+            }
+        }
+        let mut j = 0;
+        ops.retain(|_| {
+            j += 1;
+            !dead[j - 1]
+        });
+        ops.len() < before
+    }
+
+    /// Re-synthesizes maximal runs of fixed one-qubit gates into ≤5 basis
+    /// gates, keeping the original run when it is not longer. A run's
+    /// unitary is multiplied up as its ops arrive.
+    fn resynthesize_1q(&mut self) {
+        let Peephole {
+            ops,
+            input,
+            runs,
+            synth,
+            ..
+        } = self;
+        std::mem::swap(ops, input);
+        for op in input.drain(..) {
+            let fixed = op.params.iter().all(|p| matches!(p, Param::Fixed(_)));
+            if op.num_qubits() == 1 && fixed {
+                let (run, acc) = &mut runs[op.qubits[0]];
+                *acc = fixed_matrix(&op).mul_mat(acc);
+                run.push(op);
+            } else {
+                for &q in &op.qubits[..op.num_qubits()] {
+                    flush_run(q, &mut runs[q], synth, ops);
+                }
+                ops.push(op);
+            }
+        }
+        for (q, run) in runs.iter_mut().enumerate() {
+            flush_run(q, run, synth, ops);
+        }
     }
 }
 
@@ -89,258 +225,96 @@ fn merge_rz(a: Param, b: Param) -> Option<Param> {
     }
 }
 
+/// Is an `RZ` angle ≡ 0 (mod 2π) at every parameter value? A zero-scale
+/// affine angle is its offset, so it is zero only when the offset is.
 fn is_zero_rz(p: Param) -> bool {
     match p {
-        Param::Fixed(v) => {
-            let r = v.rem_euclid(TWO_PI);
-            r < 1e-12 || (TWO_PI - r) < 1e-12
+        Param::AffineTrain { scale, offset, .. } | Param::AffineInput { scale, offset, .. } => {
+            scale == 0.0 && is_zero_angle(Param::Fixed(offset))
         }
-        Param::AffineTrain { scale, .. } | Param::AffineInput { scale, .. } => scale == 0.0,
-        _ => false,
+        _ => is_zero_angle(p),
     }
 }
 
-/// One sweep of adjacent-gate cancellation.
-///
-/// Processes ops in order, keeping an output list; an incoming op may merge
-/// with a previous output op only when that op is the *latest* output op on
-/// every qubit the incoming op touches (so nothing interleaves).
-fn cancel_once(circuit: &Circuit) -> Circuit {
-    let n = circuit.num_qubits();
-    let mut out_ops: Vec<Option<Op>> = Vec::with_capacity(circuit.num_ops());
-    // last_on[q] = index into out_ops of the latest live op touching q.
-    let mut last_on: Vec<Option<usize>> = vec![None; n];
-
-    let rescan = |out_ops: &[Option<Op>], q: usize| -> Option<usize> {
-        out_ops.iter().enumerate().rev().find_map(|(i, op)| {
-            op.as_ref()
-                .filter(|op| op.qubits[..op.num_qubits()].contains(&q))
-                .map(|_| i)
-        })
-    };
-
-    for op in circuit.iter() {
-        let nq = op.num_qubits();
-        let qs = &op.qubits[..nq];
-        if op.kind == GateKind::RZ && is_zero_rz(op.params[0]) {
-            continue;
-        }
-
-        // The merge target: all our qubits must point at the same live op.
-        let target = match qs.iter().map(|&q| last_on[q]).collect::<Vec<_>>()[..] {
-            [Some(j)] => Some(j),
-            [Some(j), Some(k)] if j == k => Some(j),
-            _ => None,
-        };
-        let mut merged = MergeResult::None;
-        if let Some(j) = target {
-            if let Some(prev) = out_ops[j].clone() {
-                merged = try_merge(&prev, op);
-            }
-        }
-        match merged {
-            MergeResult::Annihilate => {
-                let j = target.expect("target exists when merged");
-                let prev = out_ops[j].take().expect("target is live");
-                for &q in &prev.qubits[..prev.num_qubits()] {
-                    last_on[q] = rescan(&out_ops, q);
-                }
-            }
-            MergeResult::Replace(new_op) => {
-                let j = target.expect("target exists when merged");
-                out_ops[j] = Some(new_op);
-            }
-            MergeResult::None => {
-                let idx = out_ops.len();
-                out_ops.push(Some(op.clone()));
-                for &q in qs {
-                    last_on[q] = Some(idx);
-                }
-            }
-        }
-    }
-
-    let mut out = Circuit::new(n);
-    for op in out_ops.into_iter().flatten() {
-        if op.kind == GateKind::RZ && is_zero_rz(op.params[0]) {
-            continue;
-        }
-        let nq = op.num_qubits();
-        out.push(op.kind, &op.qubits[..nq], &op.params);
-    }
-    if out.num_train_params() < circuit.num_train_params() {
-        out.set_num_train_params(circuit.num_train_params());
-    }
-    out
+/// What a merge did to the earlier op.
+enum Merge {
+    /// The pair is the identity: both ops go.
+    Annihilated,
+    /// The earlier op now stands for the pair.
+    Rewritten,
 }
 
-enum MergeResult {
-    None,
-    Annihilate,
-    Replace(Op),
-}
-
-/// Can `prev` (earlier, adjacency already established) merge with `op`?
-fn try_merge(prev: &Op, op: &Op) -> MergeResult {
-    let nq = op.num_qubits();
-    if prev.num_qubits() != nq {
-        return MergeResult::None;
-    }
-    let same_support = prev.qubits[..nq]
-        .iter()
-        .all(|&q| op.qubits[..nq].contains(&q))
-        && op.qubits[..nq]
-            .iter()
-            .all(|&q| prev.qubits[..nq].contains(&q));
-    if !same_support {
-        return MergeResult::None;
+/// Merges `op` into `prev`, the latest live op on every qubit `op`
+/// touches; with equal arity the two act on the same qubits.
+fn merge(prev: &mut Op, op: &Op) -> Option<Merge> {
+    if prev.num_qubits() != op.num_qubits() {
+        return None;
     }
     match (prev.kind, op.kind) {
         (GateKind::RZ, GateKind::RZ) => {
-            if let Some(p) = merge_rz(prev.params[0], op.params[0]) {
-                if is_zero_rz(p) {
-                    MergeResult::Annihilate
-                } else {
-                    MergeResult::Replace(Op {
-                        kind: GateKind::RZ,
-                        qubits: op.qubits,
-                        params: vec![p],
-                    })
-                }
+            let p = merge_rz(prev.params[0], op.params[0])?;
+            if is_zero_rz(p) {
+                Some(Merge::Annihilated)
             } else {
-                MergeResult::None
+                prev.params[0] = p;
+                Some(Merge::Rewritten)
             }
         }
-        (GateKind::X, GateKind::X) => MergeResult::Annihilate,
-        (GateKind::SX, GateKind::SX) => MergeResult::Replace(Op {
-            kind: GateKind::X,
-            qubits: op.qubits,
-            params: vec![],
-        }),
-        (GateKind::CX, GateKind::CX) => {
-            if prev.qubits == op.qubits {
-                MergeResult::Annihilate
-            } else {
-                MergeResult::None
-            }
+        (GateKind::X, GateKind::X) => Some(Merge::Annihilated),
+        (GateKind::SX, GateKind::SX) => {
+            prev.kind = GateKind::X;
+            Some(Merge::Rewritten)
         }
-        _ => MergeResult::None,
+        (GateKind::CX, GateKind::CX) if prev.qubits == op.qubits => Some(Merge::Annihilated),
+        _ => None,
     }
 }
 
-/// Re-synthesizes maximal runs of fixed one-qubit gates into ≤5 basis
-/// gates, keeping the original run when it is already shorter.
-fn resynthesize_1q(circuit: &Circuit) -> Circuit {
-    let n = circuit.num_qubits();
-    let mut out = Circuit::new(n);
-    // Pending run of fixed 1q ops per qubit, plus its accumulated unitary.
-    let mut pending: Vec<Vec<Op>> = vec![Vec::new(); n];
-
-    let flush = |out: &mut Circuit, pending: &mut Vec<Vec<Op>>, q: usize| {
-        let run = std::mem::take(&mut pending[q]);
-        if run.is_empty() {
-            return;
-        }
-        let mut acc = Mat2::identity();
-        for op in &run {
-            let vals: Vec<f64> = op
-                .params
-                .iter()
-                .map(|p| match p {
-                    Param::Fixed(v) => *v,
-                    _ => unreachable!("run holds fixed ops only"),
-                })
-                .collect();
-            let m = match op.kind.matrix(&vals) {
-                GateMatrix::One(m) => m,
-                _ => unreachable!("run holds 1q ops only"),
-            };
-            acc = m.mul_mat(&acc);
-        }
-        let replacement = synthesize_mat2(q, &acc);
-        if replacement.num_ops() < run.len() {
-            for op in replacement.iter() {
-                out.push(op.kind, &op.qubits[..1], &op.params);
-            }
-        } else {
-            for op in run {
-                out.push(op.kind, &op.qubits[..1], &op.params);
-            }
-        }
-    };
-
-    for op in circuit.iter() {
-        let nq = op.num_qubits();
-        let fixed = op.params.iter().all(|p| matches!(p, Param::Fixed(_)));
-        if nq == 1 && fixed {
-            pending[op.qubits[0]].push(op.clone());
-        } else {
-            for &q in &op.qubits[..nq] {
-                flush(&mut out, &mut pending, q);
-            }
-            out.push(op.kind, &op.qubits[..nq], &op.params);
-        }
+/// The unitary of a one-qubit op whose angles are all fixed.
+fn fixed_matrix(op: &Op) -> Mat2 {
+    let mut vals = [0.0; 3];
+    for (v, p) in vals.iter_mut().zip(&op.params) {
+        *v = p.resolve(&[], &[]);
     }
-    for q in 0..n {
-        flush(&mut out, &mut pending, q);
+    match op.kind.matrix(&vals[..op.params.len()]) {
+        GateMatrix::One(m) => m,
+        _ => unreachable!("runs hold 1q ops only"),
     }
-    if out.num_train_params() < circuit.num_train_params() {
-        out.set_num_train_params(circuit.num_train_params());
-    }
-    out
 }
 
-/// Synthesizes a fixed 2×2 unitary as ≤5 basis gates (empty for identity
-/// up to global phase).
-fn synthesize_mat2(q: usize, m: &Mat2) -> Circuit {
-    let mut out = Circuit::new(q + 1);
-    let phase_only = m.m[1].abs() < 1e-12
-        && m.m[2].abs() < 1e-12
-        && (m.m[0].conj() * m.m[3] - qns_tensor::C64::ONE).abs() < 1e-12;
-    if phase_only {
-        return out;
+/// Emits qubit `q`'s pending run into `out`, as its ZYZ resynthesis when
+/// that is shorter, and empties the run. A run equal to the identity up
+/// to global phase resynthesizes to nothing.
+fn flush_run(q: usize, (run, acc): &mut (Vec<Op>, Mat2), synth: &mut Vec<Op>, out: &mut Vec<Op>) {
+    if run.is_empty() {
+        return;
     }
-    let (_, theta, phi, lambda) = zyz_angles(m);
-    let mut tmp = Circuit::new(q + 1);
-    tmp.push(
-        GateKind::U3,
-        &[q],
-        &[Param::Fixed(theta), Param::Fixed(phi), Param::Fixed(lambda)],
-    );
-    let lowered = crate::basis::to_ibm_basis(&tmp);
-    for op in lowered.iter() {
-        out.push(op.kind, &op.qubits[..op.num_qubits()], &op.params);
+    let m = &acc.m;
+    let phase_only =
+        m[1].abs() < 1e-12 && m[2].abs() < 1e-12 && (m[0].conj() * m[3] - C64::ONE).abs() < 1e-12;
+    synth.clear();
+    if !phase_only {
+        lower_mat2(q, acc, synth);
     }
-    out
+    if synth.len() < run.len() {
+        out.append(synth);
+        run.clear();
+    } else {
+        out.append(run);
+    }
+    *acc = Mat2::identity();
 }
 
 /// Moves `RZ` gates acting on a CX *control* to the other side of the CX
-/// (they commute), which exposes more merges for the next cancel pass.
-fn commute_rz_through_cx(circuit: &Circuit) -> Circuit {
-    let ops: Vec<Op> = circuit.ops().to_vec();
-    let mut out_ops: Vec<Op> = Vec::with_capacity(ops.len());
-    for op in ops {
-        if op.kind == GateKind::CX {
-            // Pull any RZ just before us on the control to just after us.
-            if let Some(last) = out_ops.last().cloned() {
-                if last.kind == GateKind::RZ && last.qubits[0] == op.qubits[0] {
-                    out_ops.pop();
-                    out_ops.push(op);
-                    out_ops.push(last);
-                    continue;
-                }
-            }
+/// (they commute), which exposes more merges for the next cancel pass. A
+/// moved `RZ` keeps moving through the CXs on that control that follow.
+fn commute_rz_through_cx(ops: &mut [Op]) {
+    for i in 1..ops.len() {
+        let (rz, cx) = (&ops[i - 1], &ops[i]);
+        if cx.kind == GateKind::CX && rz.kind == GateKind::RZ && rz.qubits[0] == cx.qubits[0] {
+            ops.swap(i - 1, i);
         }
-        out_ops.push(op);
     }
-    let mut out = Circuit::new(circuit.num_qubits());
-    for op in out_ops {
-        out.push(op.kind, &op.qubits[..op.num_qubits()], &op.params);
-    }
-    if out.num_train_params() < circuit.num_train_params() {
-        out.set_num_train_params(circuit.num_train_params());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -475,6 +449,19 @@ mod tests {
                 assert!((f - 1.0).abs() < 1e-8, "level {level}: fidelity {f}");
             }
         }
+    }
+
+    #[test]
+    fn zero_scale_rz_keeps_its_offset() {
+        // RZ(θ) · RZ(−θ + 0.7) merges to a constant RZ(0.7), not to nothing.
+        let mut c = Circuit::new(1);
+        c.push(GateKind::H, &[0], &[]);
+        c.push(GateKind::RZ, &[0], &[Param::Train(0).affine(1.0, 0.0)]);
+        c.push(GateKind::RZ, &[0], &[Param::Train(0).affine(-1.0, 0.7)]);
+        c.push(GateKind::H, &[0], &[]);
+        let o = optimize(&c, 1);
+        assert_eq!(o.num_ops(), 3);
+        assert!((fidelity(&c, &o, &[0.3]) - 1.0).abs() < 1e-10);
     }
 
     #[test]

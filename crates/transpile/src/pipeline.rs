@@ -159,12 +159,7 @@ pub fn transpile_with(
         dense_of_phys[p] = d;
     }
 
-    let mapping: Vec<usize> = (0..device.num_qubits())
-        .map(|p| if used[p] { dense_of_phys[p] } else { 0 })
-        .collect();
-    // remap_qubits requires a total map; unused qubits never appear in ops,
-    // so mapping them to 0 is inert.
-    let dense_circuit = remap_dense(&optimized, &mapping, phys_of.len());
+    let dense_circuit = remap_dense(&optimized, &dense_of_phys, phys_of.len());
 
     let dense_of_logical: Vec<usize> = routed
         .final_phys_of
@@ -184,14 +179,17 @@ pub fn transpile_with(
     Ok(out)
 }
 
-fn remap_dense(circuit: &Circuit, mapping: &[usize], new_width: usize) -> Circuit {
+/// Renames every op's qubits through `dense_of_phys`, which must map each
+/// qubit the circuit touches.
+fn remap_dense(circuit: &Circuit, dense_of_phys: &[usize], new_width: usize) -> Circuit {
     let mut out = Circuit::new(new_width.max(1));
+    let mut qs = [0; 2];
     for op in circuit.iter() {
-        let qs: Vec<usize> = op.qubits[..op.num_qubits()]
-            .iter()
-            .map(|&q| mapping[q])
-            .collect();
-        out.push(op.kind, &qs, &op.params);
+        let nq = op.num_qubits();
+        for (d, &q) in qs.iter_mut().zip(&op.qubits[..nq]) {
+            *d = dense_of_phys[q];
+        }
+        out.push(op.kind, &qs[..nq], &op.params);
     }
     if out.num_train_params() < circuit.num_train_params() {
         out.set_num_train_params(circuit.num_train_params());

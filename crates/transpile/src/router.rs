@@ -1,6 +1,7 @@
 //! SABRE-style routing: SWAP insertion for the device coupling map.
 
-use crate::{distance_matrix, Layout, TranspileError};
+use crate::layout::Coupling;
+use crate::{Layout, TranspileError};
 use qns_circuit::{Circuit, GateKind};
 use qns_noise::Device;
 
@@ -53,6 +54,12 @@ pub fn route(circuit: &Circuit, device: &Device, layout: &Layout) -> RoutedCircu
 /// [`route`], but invalid input comes back as a [`TranspileError`] instead
 /// of a panic — the form the search loop wants, since searched layouts are
 /// untrusted data, not programmer invariants.
+///
+/// Each call builds the coupling graph's adjacency lists once, from
+/// [`Device::edges`] in order (so candidate swaps come in the order
+/// [`Device::neighbors`] yields them), and one flat all-pairs distance
+/// table by BFS over those lists. The lookahead window is a slice of the
+/// two-qubit ops that follow the current one.
 pub fn try_route(
     circuit: &Circuit,
     device: &Device,
@@ -74,21 +81,19 @@ pub fn try_route(
             ),
         });
     }
-    let dist = distance_matrix(device);
+    let coupling = Coupling::new(device);
     let n_phys = device.num_qubits();
 
     let mut l2p: Vec<usize> = layout.as_slice().to_vec();
     let mut out = Circuit::new(n_phys);
     let mut swaps = 0usize;
 
-    // Pre-collect the positions of 2q ops for lookahead.
-    let ops: Vec<_> = circuit.iter().collect();
-    let two_q_indices: Vec<usize> = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.num_qubits() == 2)
-        .map(|(i, _)| i)
+    // Positions of the 2q ops, for lookahead.
+    let ops = circuit.ops();
+    let two_q_indices: Vec<usize> = (0..ops.len())
+        .filter(|&i| ops[i].num_qubits() == 2)
         .collect();
+    let mut routed_2q = 0;
 
     for (op_idx, op) in ops.iter().enumerate() {
         match op.num_qubits() {
@@ -97,13 +102,17 @@ pub fn try_route(
             }
             2 => {
                 let (la, lb) = (op.qubits[0], op.qubits[1]);
+                // The next `LOOKAHEAD` 2q ops after this one.
+                routed_2q += 1;
+                let upcoming =
+                    &two_q_indices[routed_2q..two_q_indices.len().min(routed_2q + LOOKAHEAD)];
                 // Insert SWAPs until the operands are adjacent.
-                while dist[l2p[la]][l2p[lb]] > 1 {
+                while coupling.dist(l2p[la], l2p[lb]) > 1 {
                     let (pa, pb) = (l2p[la], l2p[lb]);
                     // Candidate swaps: edges adjacent to either operand.
                     let mut best: Option<((usize, usize), (usize, f64))> = None;
                     for &anchor in &[pa, pb] {
-                        for nb in device.neighbors(anchor) {
+                        for &nb in coupling.neighbors(anchor) {
                             let (x, y) = (anchor, nb);
                             // Simulate the swap on a scratch mapping.
                             let swap_pos = |p: usize| {
@@ -115,17 +124,13 @@ pub fn try_route(
                                     p
                                 }
                             };
-                            let cur = dist[swap_pos(pa)][swap_pos(pb)];
+                            let cur = coupling.dist(swap_pos(pa), swap_pos(pb));
                             let mut look = 0.0;
                             let mut weight = LOOKAHEAD_WEIGHT;
-                            let upcoming = two_q_indices
-                                .iter()
-                                .filter(|&&i| i > op_idx)
-                                .take(LOOKAHEAD);
                             for &i in upcoming {
-                                let g = ops[i];
+                                let g = &ops[i];
                                 let (ga, gb) = (l2p[g.qubits[0]], l2p[g.qubits[1]]);
-                                look += weight * dist[swap_pos(ga)][swap_pos(gb)] as f64;
+                                look += weight * coupling.dist(swap_pos(ga), swap_pos(gb)) as f64;
                                 weight *= 0.8;
                             }
                             let score = (cur, look);
@@ -146,7 +151,7 @@ pub fn try_route(
                     let Some(((x, y), (after, _))) = best else {
                         return Err(TranspileError::RoutingStuck { op_index: op_idx });
                     };
-                    if after >= dist[pa][pb] {
+                    if after >= coupling.dist(pa, pb) {
                         return Err(TranspileError::RoutingStuck { op_index: op_idx });
                     }
                     out.push(GateKind::Swap, &[x, y], &[]);

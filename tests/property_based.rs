@@ -83,7 +83,8 @@ proptest! {
     }
 
     /// Peephole optimization never changes semantics and never grows the
-    /// circuit, at any level.
+    /// circuit, at any level, and every level ends on a cancellation
+    /// fixpoint: one more level-1 pass finds nothing left to merge.
     #[test]
     fn optimization_is_sound(
         (circuit, train) in arb_circuit(3, 15),
@@ -92,6 +93,9 @@ proptest! {
         let lowered = to_ibm_basis(&circuit);
         let optimized = optimize(&lowered, level);
         prop_assert!(optimized.num_ops() <= lowered.num_ops());
+        if level >= 1 {
+            prop_assert_eq!(optimize(&optimized, 1), optimized);
+        }
         let a = run(&lowered, &train, &[], ExecMode::Dynamic);
         let b = run(&optimized, &train, &[], ExecMode::Dynamic);
         prop_assert!((a.inner(&b).abs() - 1.0).abs() < 1e-7);

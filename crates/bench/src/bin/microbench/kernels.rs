@@ -1,26 +1,24 @@
 //! `kernels` — micro-benchmarks for the split-complex lane kernels and
-//! the persistent worker pool, recorded as `BENCH_kernels.json`;
-//! `--check` gates `forward.batched_s`.
+//! the persistent worker pool, recorded as `BENCH_kernels.json`.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. `lanes` — gate-sweep GFLOP/s of the planar [`StateBatch`] against a
 //!    local interleaved (`Vec<C64>`, array-of-structs) reference with the
 //!    identical element order and walk, across lane counts. The planar
 //!    layout is the one the autovectorizer can chew on; the acceptance
-//!    target is ≥1.5× at [`DEFAULT_BATCH_LANES`].
+//!    floor is ≥1.5× at [`DEFAULT_BATCH_LANES`].
 //! 2. `dispatch` — per-call overhead of a `parallel_map` fan-out on the
-//!    persistent worker pool vs. the old scoped spawn-per-call shape. The
-//!    acceptance target is a ≥5× reduction.
-//! 3. `forward` — end-to-end batched minibatch inference (replay +
-//!    readout) at the default lane width, the number the lane kernels
-//!    exist to move.
+//!    persistent worker pool vs. the old scoped spawn-per-call shape, both
+//!    at two threads and timed alternately. The acceptance floor is a ≥5×
+//!    reduction.
 //!
-//! `--smoke` shrinks every section to a cheap single iteration.
+//! The batched forward these kernels exist to move is `batch`'s
+//! `forward.batched_s`. `--smoke` shrinks every section to a cheap single
+//! iteration.
 
-use crate::batch::{features, qml_circuit};
-use crate::{time_median, Floor, Json, Mode};
-use qns_sim::{parallel_map_with, SimPlan, StateBatch, DEFAULT_BATCH_LANES};
+use crate::{time_median, time_median_pair, Floor, Json, Mode};
+use qns_sim::{parallel_map_with, StateBatch, DEFAULT_BATCH_LANES};
 use qns_tensor::{Mat2, Mat4, C64};
 
 /// Interleaved (array-of-structs) reference batch: identical element
@@ -108,7 +106,7 @@ fn scoped_map(items: &[u64], f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
     })
 }
 
-pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
+pub fn measure(Mode { smoke, reps }: Mode, json: &mut Json) -> Vec<Floor> {
     // 1. Planar vs interleaved lane sweeps.
     let n = if smoke { 6 } else { 10 };
     let lane_counts: &[usize] = if smoke { &[2, 8] } else { &[2, 8, 32, 64] };
@@ -163,18 +161,27 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
     let calls = if smoke { 20 } else { 2000 };
     // 64 items clear the pool's tiny-batch cutoff, so these trivially
     // cheap items take the pool path — this measures dispatch, not work.
-    let pool_s = time_median(reps, || {
-        for _ in 0..calls {
-            let out = parallel_map_with(&items, 2, |x| x + 1);
-            assert_eq!(out.len(), items.len());
-        }
-    }) / calls as f64;
-    let scoped_s = time_median(reps, || {
-        for _ in 0..calls {
-            let out = scoped_map(&items, |x| x + 1);
-            assert_eq!(out.len(), items.len());
-        }
-    }) / calls as f64;
+    // The arms alternate within each repetition, so both see the same host
+    // state. On a 2-vCPU host a whole run's pool arm reads either about
+    // 1 µs or 13–20 µs per call, timed this way or one arm after the other
+    // (DESIGN.md, "Persistent worker pool"), so this floor's verdict there
+    // varies from run to run.
+    let (pool_s, scoped_s) = time_median_pair(
+        reps,
+        || {
+            for _ in 0..calls {
+                let out = parallel_map_with(&items, 2, |x| x + 1);
+                assert_eq!(out.len(), items.len());
+            }
+        },
+        || {
+            for _ in 0..calls {
+                let out = scoped_map(&items, |x| x + 1);
+                assert_eq!(out.len(), items.len());
+            }
+        },
+    );
+    let (pool_s, scoped_s) = (pool_s / calls as f64, scoped_s / calls as f64);
     let dispatch_ratio = scoped_s / pool_s.max(1e-12);
     json.obj("dispatch", |j| {
         j.int("items", items.len());
@@ -182,30 +189,6 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         j.num("pool_call_s", pool_s);
         j.num("scoped_call_s", scoped_s);
         j.num("ratio", dispatch_ratio);
-    });
-
-    // 3. End-to-end batched forward at the default lane width.
-    let (fn_, layers, samples) = if smoke { (6, 1, 16) } else { (10, 3, 128) };
-    let lanes = DEFAULT_BATCH_LANES.min(samples);
-    let (circuit, params) = qml_circuit(fn_, layers);
-    let features = features(samples, fn_);
-    let plan = SimPlan::compile(&circuit);
-    let base = plan.materialize(&circuit, &params, &features[0]);
-    let mut batch = StateBatch::zero_state(fn_, lanes);
-    let batched_s = time_median(reps, || {
-        for chunk in features.chunks(lanes) {
-            let inputs: Vec<&[f64]> = chunk.iter().map(|s| s.as_slice()).collect();
-            plan.replay_batch_into(&circuit, &base, &params, &inputs, &mut batch);
-            let ez = batch.expect_z_all_lanes();
-            assert_eq!(ez.len(), inputs.len());
-        }
-    });
-    json.obj("forward", |j| {
-        j.int("qubits", fn_);
-        j.int("samples", samples);
-        j.int("lanes", lanes);
-        j.int("gates", circuit.num_ops());
-        j.num("batched_s", batched_s);
     });
 
     vec![

@@ -1,29 +1,33 @@
 //! `microbench` — the workspace's micro-benchmarks behind one harness.
 //!
 //! ```text
-//! cargo run -p qns-bench --release --bin microbench -- <bench> [--smoke] [--out PATH] [--check PATH]
+//! cargo run -p qns-bench --release --bin microbench -- <bench> [--smoke] [--out PATH]
 //! ```
 //!
 //! Each bench times one engine claim that no other bench records; its
 //! module documents what it measures. The harness owns what they share:
 //! the flags, the JSON record (each section is printed as it is recorded),
-//! the core count and the baseline gate; the median timer is the library's
-//! `qns_bench::time_median`. One row of [`BENCHES`] per bench gives its
-//! repetitions, its committed record and its gated `section.key`.
+//! the core count and the acceptance floors; the median timers are the
+//! library's `qns_bench::time_median` and `time_median_pair`. One row of
+//! [`BENCHES`] per bench gives its repetitions and its committed record.
+//!
+//! A floor is the only gate: a ratio of two arms timed in the same run, so
+//! it does not depend on the machine's speed. Both arms run at the same
+//! worker count, under [`one_worker`] where one arm would otherwise fan
+//! out over the host and the other would not, and `time_median_pair`
+//! alternates them within each repetition where their separate medians
+//! straddled the floor. Every bench with a committed record reports at
+//! least one floor; no absolute time is gated.
 //!
 //! - `--smoke` times every measurement once (some benches also shrink
 //!   their sizes) and reports no acceptance floors.
 //! - `--out PATH` writes the record. Benches with a committed record write
 //!   it by default (to its file name in the working directory); the others
 //!   write one only when `--out` is given.
-//! - `--check PATH` compares the fresh value of the bench's gated key with
-//!   the one in the committed record at `PATH` and fails past
-//!   [`GATE_BOUND`]× it. Only gated benches accept it, and never with
-//!   `--smoke`.
 //!
-//! A run writes the record, then runs the gate, then reports the floors.
-//! It exits 1 if the gate or any floor fails, and 2 (after printing the
-//! usage) on a malformed command line.
+//! A run writes the record, then reports the floors. It exits 1 if any
+//! floor fails, and 2 (after printing the usage) on a malformed command
+//! line.
 
 mod batch;
 mod grad;
@@ -34,47 +38,37 @@ mod proxy;
 mod search;
 mod sim;
 
-use qns_bench::time_median;
+use qns_bench::{time_median, time_median_pair};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-/// One bench: how it is timed, recorded and gated.
+/// One bench: how it is timed and recorded.
 struct Bench {
     name: &'static str,
     /// Timed repetitions of each measurement in a full run.
     reps: usize,
-    /// The committed record: the default `--out`, and the baseline CI
-    /// passes to `--check`.
+    /// The committed record, and the default `--out`.
     record: Option<&'static str>,
-    /// The `section.key` that `--check` compares.
-    gate: Option<Key>,
     measure: fn(Mode, &mut Json) -> Vec<Floor>,
 }
 
-/// A `(section, key)` path into a record.
-type Key = (&'static str, &'static str);
-
 #[rustfmt::skip]
-const fn bench(name: &'static str, reps: usize, record: Option<&'static str>, gate: Option<Key>,
+const fn bench(name: &'static str, reps: usize, record: Option<&'static str>,
                measure: fn(Mode, &mut Json) -> Vec<Floor>) -> Bench {
-    Bench { name, reps, record, gate, measure }
+    Bench { name, reps, record, measure }
 }
 
 #[rustfmt::skip]
 const BENCHES: [Bench; 8] = [
-    bench("sim", 9, Some("BENCH_sim.json"), None, sim::measure),
-    bench("batch", 9, Some("BENCH_batch.json"), Some(("epoch", "batched_s")), batch::measure),
-    bench("kernels", 9, Some("BENCH_kernels.json"), Some(("forward", "batched_s")), kernels::measure),
-    bench("mps", 5, Some("BENCH_mps.json"), Some(("throughput_n16", "mps_s")), mps::measure),
-    bench("pareto", 9, Some("BENCH_pareto.json"), Some(("sort", "per_point_s")), pareto::measure),
-    bench("proxy", 9, Some("BENCH_proxy.json"), Some(("rank", "per_candidate_s")), proxy::measure),
-    bench("grad", 10, None, None, grad::measure),
-    bench("search", 10, None, None, search::measure),
+    bench("sim", 9, Some("BENCH_sim.json"), sim::measure),
+    bench("batch", 9, Some("BENCH_batch.json"), batch::measure),
+    bench("kernels", 9, Some("BENCH_kernels.json"), kernels::measure),
+    bench("mps", 5, Some("BENCH_mps.json"), mps::measure),
+    bench("pareto", 9, Some("BENCH_pareto.json"), pareto::measure),
+    bench("proxy", 9, Some("BENCH_proxy.json"), proxy::measure),
+    bench("grad", 10, None, grad::measure),
+    bench("search", 10, None, search::measure),
 ];
-
-/// `--check` fails when the fresh gated value exceeds this multiple of the
-/// committed one.
-const GATE_BOUND: f64 = 1.2;
 
 /// How the harness runs a bench.
 #[derive(Clone, Copy)]
@@ -83,16 +77,23 @@ pub struct Mode {
     /// Timed repetitions per measurement: the bench's row, or 1 with
     /// `--smoke`.
     pub reps: usize,
-    pub cores: usize,
 }
 
 /// An acceptance floor `(what, value, min)`: `value` must reach `min`.
 /// Only full runs report them.
 pub struct Floor(pub &'static str, pub f64, pub f64);
 
-/// A JSON object under construction, its members in insertion order. It
-/// also reads back the records it writes (numbers, strings without
-/// escapes, nested objects), which is all a baseline holds.
+/// Runs `body` with every parallel map of the default width on one worker,
+/// then restores the default: both arms of a floor timed inside it run at
+/// one worker on any host.
+pub fn one_worker<T>(body: impl FnOnce() -> T) -> T {
+    qns_sim::set_parallelism(1);
+    let out = body();
+    qns_sim::set_parallelism(0);
+    out
+}
+
+/// A JSON object under construction, its members in insertion order.
 #[derive(Default)]
 pub struct Json {
     members: Vec<(String, Value)>,
@@ -122,6 +123,9 @@ impl Value {
     }
 
     /// Parses the value at the front of `text`: the value and the rest.
+    /// It reads what a record holds (numbers, strings without escapes,
+    /// nested objects), for the tests of the committed records.
+    #[cfg(test)]
     fn parse(text: &str) -> Option<(Value, &str)> {
         if let Some(mut rest) = text.strip_prefix('{') {
             let mut json = Json::default();
@@ -195,76 +199,34 @@ impl Json {
     }
 
     /// Parses a record; `None` if `text` is not one.
+    #[cfg(test)]
     fn parse(text: &str) -> Option<Json> {
         match Value::parse(text.trim())? {
             (Value::Obj(json), "") => Some(json),
             _ => None,
         }
     }
-
-    fn member(&self, key: &str) -> Option<&Value> {
-        let found = self.members.iter().find(|(k, _)| k == key);
-        found.map(|(_, value)| value)
-    }
-
-    /// The number at `key` inside the top-level object `section`.
-    fn lookup(&self, section: &str, key: &str) -> Option<f64> {
-        let Value::Obj(inner) = self.member(section)? else {
-            return None;
-        };
-        match inner.member(key)? {
-            Value::Num(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
 }
 
-/// Compares the fresh record's gated value with the baseline's: `Ok` with
-/// the comparison if it is within [`GATE_BOUND`], else why the gate failed.
-fn gate(fresh: &Json, baseline: &str, (section, key): (&str, &str)) -> Result<String, String> {
-    let committed = Json::parse(baseline)
-        .ok_or("the baseline is not a bench record")?
-        .lookup(section, key)
-        .ok_or(format!("the baseline has no {section}.{key}"))?;
-    let measured = fresh
-        .lookup(section, key)
-        .ok_or(format!("the fresh record has no {section}.{key}"))?;
-    let ratio = measured / committed.max(1e-12);
-    let line = format!(
-        "{section}.{key} committed {committed:.3e} s, fresh {measured:.3e} s ({ratio:.2}x)"
-    );
-    if ratio > GATE_BOUND {
-        Err(format!(
-            "regression: {line}, over the {GATE_BOUND:.2}x bound"
-        ))
-    } else {
-        Ok(line)
-    }
-}
-
-/// Runs `bench`: measures, writes the record to `out`, runs the gate
-/// against `check`, then reports the floors. Returns whether the gate and
-/// every floor held.
-fn run(bench: &Bench, smoke: bool, out: Option<&str>, check: Option<&str>) -> bool {
+/// Runs `bench`: measures, writes the record to `out`, then reports the
+/// floors (a smoke run measures them but reports none). Returns how many
+/// floors the bench measured, or `None` if the record could not be
+/// written or a floor failed.
+fn run(bench: &Bench, smoke: bool, out: Option<&str>) -> Option<usize> {
     let mode = Mode {
         smoke,
         reps: if smoke { 1 } else { bench.reps },
-        cores: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
     };
-    // Read before the record is written, which may overwrite the same file.
-    let baseline = check.map(|path| (path, std::fs::read_to_string(path)));
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let kind = if smoke { "smoke" } else { "full" };
     println!(
-        "{}: {kind} run, {} cores, {} reps",
-        bench.name, mode.cores, mode.reps
+        "{}: {kind} run, {cores} cores, {} reps",
+        bench.name, mode.reps
     );
     let mut json = Json::default();
     json.str("bench", bench.name);
     json.str("mode", kind);
-    json.int("cores", mode.cores);
+    json.int("cores", cores);
     json.echo = true;
     let floors = (bench.measure)(mode, &mut json);
 
@@ -281,28 +243,16 @@ fn run(bench: &Bench, smoke: bool, out: Option<&str>, check: Option<&str>) -> bo
             }
         }
     }
-    if let (Some((path, baseline)), Some(key)) = (baseline, bench.gate) {
-        let verdict = baseline
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|baseline| gate(&json, &baseline, key));
-        match verdict {
-            Ok(line) => println!("check vs {path}: {line}"),
-            Err(e) => {
-                eprintln!("check vs {path}: {e}");
-                held = false;
-            }
-        }
-    }
     for Floor(what, value, min) in floors.iter().filter(|_| !smoke) {
         let ok = value >= min;
         let verdict = if ok { "ok" } else { "FAILED" };
         println!("acceptance {verdict}: {what} {value:.2}x (floor {min}x)");
         held &= ok;
     }
-    held
+    held.then_some(floors.len())
 }
 
-const USAGE: &str = "usage: microbench <bench> [--smoke] [--out PATH] [--check PATH]";
+const USAGE: &str = "usage: microbench <bench> [--smoke] [--out PATH]";
 
 /// Runs the command line `args` and returns the exit code.
 fn cli(args: &[String]) -> u8 {
@@ -318,29 +268,18 @@ fn cli(args: &[String]) -> u8 {
     let Some(bench) = BENCHES.iter().find(|b| b.name == name) else {
         return usage(format!("unknown bench `{name}`"));
     };
-    let (mut smoke, mut out, mut check) = (false, None, None);
+    let (mut smoke, mut out) = (false, None);
     while let Some(flag) = it.next() {
-        let slot = match flag.as_str() {
-            "--smoke" => {
-                smoke = true;
-                continue;
-            }
-            "--out" => &mut out,
-            "--check" => &mut check,
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => match it.next().filter(|v| !v.starts_with("--")) {
+                Some(value) => out = Some(value.as_str()),
+                None => return usage(format!("{flag} needs a value")),
+            },
             other => return usage(format!("unknown argument `{other}`")),
-        };
-        match it.next().filter(|v| !v.starts_with("--")) {
-            Some(value) => *slot = Some(value.as_str()),
-            None => return usage(format!("{flag} needs a value")),
         }
     }
-    if check.is_some() && bench.gate.is_none() {
-        return usage(format!("`{name}` has no gate to --check"));
-    }
-    if check.is_some() && smoke {
-        return usage("--check compares a full run; drop --smoke".to_string());
-    }
-    u8::from(!run(bench, smoke, out.or(bench.record), check))
+    u8::from(run(bench, smoke, out.or(bench.record)).is_none())
 }
 
 fn main() -> ExitCode {
@@ -377,12 +316,17 @@ mod tests {
         let path = std::env::temp_dir().join(format!("microbench-{}.json", std::process::id()));
         let path = path.to_str().expect("temp paths are UTF-8");
         for bench in &BENCHES {
-            assert!(run(bench, true, Some(path), None), "{} failed", bench.name);
+            let floors = run(bench, true, Some(path));
+            assert!(floors.is_some(), "{} failed", bench.name);
             let text = std::fs::read_to_string(path).expect("record written");
             std::fs::remove_file(path).expect("record removed");
+            let Some(file) = bench.record else {
+                continue;
+            };
+            assert!(floors > Some(0), "{} reports no floor", bench.name);
             // kernels and mps sweep fewer sizes in smoke mode, so only the
             // other committed records share their smoke run's key list.
-            if let (Some(file), false) = (bench.record, ["kernels", "mps"].contains(&bench.name)) {
+            if !["kernels", "mps"].contains(&bench.name) {
                 assert_eq!(key_paths(&record(&text)), key_paths(&committed(file)));
             }
         }
@@ -397,72 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_is_scoped_to_its_section() {
-        let json = record(r#"{"a": {"x": 1, "in": {"k": 5}}, "b": {"k": 2}}"#);
-        assert_eq!(json.lookup("a", "x"), Some(1.0));
-        assert_eq!(json.lookup("b", "k"), Some(2.0));
-        assert_eq!(json.lookup("a", "k"), None, "a later section's key");
-        assert_eq!(
-            json.lookup("in", "k"),
-            None,
-            "a nested object is no section"
-        );
-    }
-
-    #[test]
-    fn gate_passes_at_1_19x_and_fails_at_1_21x() {
-        let passes = |fresh: f64| {
-            let mut json = Json::default();
-            json.obj("sort", |j| j.num("per_point_s", fresh));
-            gate(
-                &json,
-                r#"{"sort": {"per_point_s": 1.0}}"#,
-                ("sort", "per_point_s"),
-            )
-            .is_ok()
-        };
-        assert!(passes(1.19));
-        assert!(!passes(1.21));
-    }
-
-    #[test]
-    fn baseline_without_the_key_is_an_error() {
-        let fresh = record(r#"{"sort": {"per_point_s": 1.0}}"#);
-        for baseline in [
-            r#"{"sort": {"sort_s": 1.0}}"#,
-            r#"{"sort": {}, "search": {"per_point_s": 1.0}}"#,
-            "not a record",
-        ] {
-            let verdict = gate(&fresh, baseline, ("sort", "per_point_s"));
-            assert!(verdict.is_err(), "{baseline}");
-        }
-    }
-
-    #[test]
-    fn gate_reads_the_baseline_before_the_record_overwrites_it() {
-        let path =
-            std::env::temp_dir().join(format!("microbench-gate-{}.json", std::process::id()));
-        let path = path.to_str().expect("temp paths are UTF-8");
-        std::fs::write(path, r#"{"sort": {"per_point_s": 0.000000001}}"#).expect("baseline");
-        let pareto = BENCHES
-            .iter()
-            .find(|b| b.name == "pareto")
-            .expect("pareto row");
-        assert!(!run(pareto, true, Some(path), Some(path)));
-        std::fs::remove_file(path).expect("record removed");
-    }
-
-    #[test]
-    fn committed_records_hold_their_gated_key() {
-        for bench in &BENCHES {
-            if let (Some(file), Some((section, key))) = (bench.record, bench.gate) {
-                let value = committed(file).lookup(section, key);
-                assert!(value.is_some_and(|v| v > 0.0), "{file}: {section}.{key}");
-            }
-        }
-    }
-
-    #[test]
     fn usage_errors_exit_2() {
         for line in [
             "",
@@ -472,10 +350,7 @@ mod tests {
             "batch --out",
             "batch --check",
             "batch --out --smoke",
-            "sim --check BENCH_sim.json",
-            "grad --check BENCH_sim.json",
-            "mps --smoke --check BENCH_mps.json",
-            "mps --check BENCH_mps.json --smoke",
+            "batch --check BENCH_batch.json",
         ] {
             let args: Vec<String> = line.split_whitespace().map(String::from).collect();
             assert_eq!(cli(&args), 2, "`microbench {line}`");

@@ -1,5 +1,5 @@
 //! `mps` — matrix-product-state backend timings, recorded as
-//! `BENCH_mps.json`; `--check` gates `throughput_n16.mps_s`.
+//! `BENCH_mps.json`.
 //!
 //! Two sections:
 //!
@@ -7,7 +7,10 @@
 //!    readout of a brickwork U3+CU3 candidate on the MPS backend
 //!    (`max_bond` 32) vs. the fast state-vector kernels. The dense state
 //!    is 16 MiB at n=20 and 256 MiB at n=24; the MPS never densifies, so
-//!    the crossover past the dense memory wall is the headline.
+//!    the crossover past the dense memory wall is the headline. The
+//!    acceptance floor is ≥0.6× `dense_over_mps` at n=16, where both arms
+//!    are cache-resident compute (the dense sweep at n=24 is bound by
+//!    memory).
 //! 2. `truncation_bond{2,4,8,16,32}` — a `max_bond` sweep at 16 qubits:
 //!    wall time, fidelity against the exact state, truncation events and
 //!    discarded Schmidt weight per bond cap.
@@ -54,7 +57,7 @@ fn brickwork(n: usize, layers: usize) -> Circuit {
     c
 }
 
-pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
+pub fn measure(Mode { smoke, reps }: Mode, json: &mut Json) -> Vec<Floor> {
     // 1. Throughput vs the dense state vector. Layers shrink with width
     //    so the dense side stays affordable at 24 qubits.
     let sizes: &[(usize, usize)] = if smoke {
@@ -66,6 +69,7 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         max_bond: 32,
         ..Default::default()
     };
+    let mut dense_over_mps_16 = 0.0;
     for &(n, layers) in sizes {
         let circuit = brickwork(n, layers);
         let mps_s = time_median(reps, || {
@@ -77,13 +81,17 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
             let state = run_with(&circuit, &[], &[], ExecMode::Static, SimBackend::Fast);
             assert_eq!(state.expect_z_all().len(), n);
         });
+        let dense_over_mps = dense_s / mps_s.max(1e-12);
+        if n == 16 {
+            dense_over_mps_16 = dense_over_mps;
+        }
         json.obj(&format!("throughput_n{n}"), |j| {
             j.int("qubits", n);
             j.int("gates", circuit.num_ops());
             j.int("max_bond", bench_config.max_bond);
             j.num("mps_s", mps_s);
             j.num("dense_s", dense_s);
-            j.num("dense_over_mps", dense_s / mps_s.max(1e-12));
+            j.num("dense_over_mps", dense_over_mps);
             j.int("dense_bytes", (1usize << n) * 16);
         });
     }
@@ -119,5 +127,5 @@ pub fn measure(Mode { smoke, reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
             );
         });
     }
-    Vec::new()
+    vec![Floor("dense/MPS at 16 qubits", dense_over_mps_16, 0.6)]
 }

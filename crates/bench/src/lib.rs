@@ -4,9 +4,9 @@
 //! builds on the helpers here: a [`Scale`] that maps each experiment onto a
 //! laptop budget (or, with `--full`, onto paper-scale settings), task/space
 //! constructors, a uniform runner for the paper's baseline methods, and
-//! the median timer [`time_median`]. The `microbench` binary times the
-//! underlying engines on its own harness (see its module docs) with the
-//! same timer.
+//! the median timers [`time_median`] and [`time_median_pair`]. The
+//! `microbench` binary times the underlying engines on its own harness
+//! (see its module docs) with the same timers.
 
 use qns_circuit::Circuit;
 use qns_noise::{Device, TrajectoryConfig};
@@ -379,13 +379,26 @@ pub fn measure(
 
 /// Median wall-clock seconds of `reps` calls to `f`.
 pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
+    median((0..reps.max(1)).map(|_| time_once(&mut f)).collect())
+}
+
+/// Median wall-clock seconds of `reps` calls to each of `a` and `b`, the
+/// two called alternately within each repetition so that both arms of a
+/// ratio see the same host load.
+pub fn time_median_pair(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (ta, tb) = (0..reps.max(1))
+        .map(|_| (time_once(&mut a), time_once(&mut b)))
+        .unzip();
+    (median(ta), median(tb))
+}
+
+fn time_once<T>(f: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }

@@ -10,7 +10,8 @@
 //!   --seed    <u64>
 //!   --preset  fast|smoke               pipeline scale (smoke finishes in
 //!                                      seconds; used by the CI fault drill)
-//!   --samples <n>                      QML dataset samples (default 150)
+//!   --samples <n>                      QML dataset samples (default 150;
+//!                                      mnist2|mnist4|fashion2|fashion4)
 //!   --backend statevec|reference|mps   simulation backend for every scoring
 //!                                      path (default statevec); mps scores on
 //!                                      a bond-truncated matrix-product state
@@ -57,7 +58,8 @@
 //! An unknown argument (anything after `devices` or `spaces` included), an
 //! unknown value, a value flag without a value, a flag given twice, a value
 //! flag the run would ignore (`--proxy-keep`/`--proxy-warmup` without
-//! `--proxy on`, `--max-bond` without `--backend mps`), a `--max-bond`,
+//! `--proxy on`, `--max-bond` without `--backend mps`, `--samples` on a
+//! task with fixed data: vowel4, vqe-h2, vqe-lih), a `--max-bond`,
 //! `--fault-eval` or `--fault-boundary` of 0, a `--samples` count too small
 //! to leave a validation sample or a device with fewer qubits than the task
 //! prints usage and exits 2. A `--checkpoint-dir` that cannot be created exits 1
@@ -165,15 +167,27 @@ fn check_run_args(args: &[String]) {
     }
 }
 
-fn parse_task(name: &str, samples: usize, seed: u64) -> Task {
+/// Builds the task `name`. `samples` (`--samples`, default 150) sizes the
+/// mnist and fashion datasets; vowel4 and the VQE tasks have fixed data,
+/// so a `--samples` given with them, which the run would ignore, prints
+/// usage and exits 2.
+fn parse_task(name: &str, samples: Option<usize>, seed: u64) -> Task {
+    let sampled = samples.unwrap_or(150);
+    let fixed = |task| {
+        if samples.is_some() {
+            eprintln!("--samples applies only to mnist2, mnist4, fashion2, fashion4");
+            usage()
+        }
+        task
+    };
     match name {
-        "mnist2" => Task::qml_digits(&[3, 6], samples, 4, seed),
-        "mnist4" => Task::qml_digits(&[0, 1, 2, 3], samples, 4, seed),
-        "fashion2" => Task::qml_fashion(&[3, 6], samples, 4, seed),
-        "fashion4" => Task::qml_fashion(&[0, 1, 2, 3], samples, 4, seed),
-        "vowel4" => Task::qml_vowel(seed),
-        "vqe-h2" => Task::vqe(&Molecule::h2()),
-        "vqe-lih" => Task::vqe(&Molecule::lih()),
+        "mnist2" => Task::qml_digits(&[3, 6], sampled, 4, seed),
+        "mnist4" => Task::qml_digits(&[0, 1, 2, 3], sampled, 4, seed),
+        "fashion2" => Task::qml_fashion(&[3, 6], sampled, 4, seed),
+        "fashion4" => Task::qml_fashion(&[0, 1, 2, 3], sampled, 4, seed),
+        "vowel4" => fixed(Task::qml_vowel(seed)),
+        "vqe-h2" => fixed(Task::vqe(&Molecule::h2())),
+        "vqe-lih" => fixed(Task::vqe(&Molecule::lih())),
         other => {
             eprintln!("unknown task '{other}'");
             usage()
@@ -181,16 +195,18 @@ fn parse_task(name: &str, samples: usize, seed: u64) -> Task {
     }
 }
 
-/// Rejects a `--samples` count that leaves a QML task no validation
+/// Rejects a given `--samples` count that leaves a QML task no validation
 /// sample, which no candidate could be scored on: prints the smallest
-/// workable count and exits 2. Tasks with fixed data (vowel4, the VQE
-/// tasks) ignore `--samples` and always pass.
-fn check_samples(task: &Task, name: &str, samples: usize, seed: u64) {
+/// workable count and exits 2.
+fn check_samples(task: &Task, name: &str, samples: Option<usize>, seed: u64) {
+    let Some(samples) = samples else {
+        return;
+    };
     let no_validation =
         |t: &Task| matches!(t, Task::Qml { splits, .. } if splits.valid.num_samples() == 0);
     if no_validation(task) {
         let min = (samples + 1..)
-            .find(|&n| !no_validation(&parse_task(name, n, seed)))
+            .find(|&n| !no_validation(&parse_task(name, Some(n), seed)))
             .expect("some sample count fills the validation split");
         eprintln!(
             "--samples {samples} leaves {} no validation samples; use --samples {min} or more",
@@ -240,21 +256,6 @@ fn smoke_config() -> QuantumNasConfig {
     config
 }
 
-const DEVICE_NAMES: [&str; 12] = [
-    "santiago",
-    "athens",
-    "rome",
-    "belem",
-    "quito",
-    "lima",
-    "yorktown",
-    "jakarta",
-    "melbourne",
-    "guadalupe",
-    "toronto",
-    "manhattan",
-];
-
 fn cmd_devices() {
     outln!(
         "{:<11} {:>7} {:>10} {:>10} {:>10}",
@@ -264,8 +265,8 @@ fn cmd_devices() {
         "QV",
         "mean e2q"
     );
-    for name in DEVICE_NAMES {
-        let d = Device::by_name(name).expect("known device");
+    for (_, make) in Device::CATALOGUE {
+        let d = make();
         outln!(
             "{:<11} {:>7} {:>10} {:>10} {:>10.4}",
             d.name(),
@@ -306,7 +307,7 @@ fn cmd_run(args: &[String]) {
     };
     let get = |flag: &str, default: &str| value(flag).unwrap_or_else(|| default.to_string());
     let seed: u64 = get("--seed", "42").parse().unwrap_or_else(|_| usage());
-    let samples: usize = get("--samples", "150").parse().unwrap_or_else(|_| usage());
+    let samples: Option<usize> = value("--samples").map(|n| n.parse().unwrap_or_else(|_| usage()));
     let task_name = get("--task", "mnist2");
     let task = parse_task(&task_name, samples, seed);
     check_samples(&task, &task_name, samples, seed);
@@ -567,8 +568,8 @@ fn cmd_run(args: &[String]) {
         // device model's calibration fingerprint.
         let sc = nas.supercircuit();
         outln!("device match (front point minimizing estimated error):");
-        for name in DEVICE_NAMES {
-            let d = Device::by_name(name).expect("known device");
+        for (name, make) in Device::CATALOGUE {
+            let d = make();
             match quantumnas::match_front_to_device(&sc, nas.task(), &report.front, &d, 2) {
                 Some((idx, err)) => {
                     let point = &report.front[idx];

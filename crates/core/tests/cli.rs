@@ -320,6 +320,8 @@ fn value_flags_the_run_would_ignore_are_usage_errors() {
             &["--backend", "statevec", "--max-bond", "8"],
             "--max-bond requires --backend mps",
         ),
+        (&["--task", "vowel4"], "--samples applies only to"),
+        (&["--task", "vqe-h2"], "--samples applies only to"),
     ] {
         let mut args = vec!["run", "--preset", "smoke", "--samples", "40"];
         args.extend_from_slice(flags);

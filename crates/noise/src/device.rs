@@ -40,6 +40,9 @@ pub struct QubitCalib {
     pub err_1q: f64,
 }
 
+/// A named device's constructor, as listed in [`Device::CATALOGUE`].
+type Constructor = fn() -> Device;
+
 /// A synthetic quantum computer: topology plus calibration data.
 ///
 /// Calibration values are drawn from seeded distributions whose magnitudes
@@ -194,54 +197,41 @@ impl Device {
         Device::synthetic("manhattan", 65, Topology::HeavyHex, 1.6e-3, 32, 0xB0B)
     }
 
+    /// Every shipped synthetic device as `(name, constructor)`, smallest
+    /// to largest; the first seven are the 5-qubit machines, from least to
+    /// most noisy.
+    pub const CATALOGUE: [(&'static str, Constructor); 12] = [
+        ("santiago", Device::santiago),
+        ("athens", Device::athens),
+        ("rome", Device::rome),
+        ("belem", Device::belem),
+        ("quito", Device::quito),
+        ("lima", Device::lima),
+        ("yorktown", Device::yorktown),
+        ("jakarta", Device::jakarta),
+        ("melbourne", Device::melbourne),
+        ("guadalupe", Device::guadalupe),
+        ("toronto", Device::toronto),
+        ("manhattan", Device::manhattan),
+    ];
+
     /// Every shipped synthetic device, smallest to largest.
     pub fn all() -> Vec<Device> {
-        vec![
-            Device::santiago(),
-            Device::athens(),
-            Device::rome(),
-            Device::belem(),
-            Device::quito(),
-            Device::lima(),
-            Device::yorktown(),
-            Device::jakarta(),
-            Device::melbourne(),
-            Device::guadalupe(),
-            Device::toronto(),
-            Device::manhattan(),
-        ]
+        Self::CATALOGUE.iter().map(|(_, make)| make()).collect()
     }
 
     /// All seven 5-qubit machines, from least to most noisy.
     pub fn all_5q() -> Vec<Device> {
-        vec![
-            Device::santiago(),
-            Device::athens(),
-            Device::rome(),
-            Device::belem(),
-            Device::quito(),
-            Device::lima(),
-            Device::yorktown(),
-        ]
+        Self::CATALOGUE[..7]
+            .iter()
+            .map(|(_, make)| make())
+            .collect()
     }
 
     /// Looks a device up by name.
     pub fn by_name(name: &str) -> Option<Device> {
-        match name {
-            "yorktown" => Some(Device::yorktown()),
-            "belem" => Some(Device::belem()),
-            "quito" => Some(Device::quito()),
-            "lima" => Some(Device::lima()),
-            "santiago" => Some(Device::santiago()),
-            "athens" => Some(Device::athens()),
-            "rome" => Some(Device::rome()),
-            "jakarta" => Some(Device::jakarta()),
-            "melbourne" => Some(Device::melbourne()),
-            "guadalupe" => Some(Device::guadalupe()),
-            "toronto" => Some(Device::toronto()),
-            "manhattan" => Some(Device::manhattan()),
-            _ => None,
-        }
+        let (_, make) = Self::CATALOGUE.iter().find(|(n, _)| *n == name)?;
+        Some(make())
     }
 
     /// Device name.
@@ -542,10 +532,12 @@ mod tests {
 
     #[test]
     fn by_name_roundtrips() {
-        for name in ["yorktown", "santiago", "manhattan"] {
+        for (name, make) in Device::CATALOGUE {
+            assert_eq!(make().name(), name);
             assert_eq!(Device::by_name(name).expect("known").name(), name);
         }
         assert!(Device::by_name("nonexistent").is_none());
+        assert!(Device::all_5q().iter().all(|d| d.num_qubits() == 5));
     }
 
     #[test]

@@ -162,10 +162,10 @@ pub fn measure(Mode { smoke, reps }: Mode, json: &mut Json) -> Vec<Floor> {
     // 64 items clear the pool's tiny-batch cutoff, so these trivially
     // cheap items take the pool path — this measures dispatch, not work.
     // The arms alternate within each repetition, so both see the same host
-    // state. On a 2-vCPU host a whole run's pool arm reads either about
-    // 1 µs or 13–20 µs per call, timed this way or one arm after the other
-    // (DESIGN.md, "Persistent worker pool"), so this floor's verdict there
-    // varies from run to run.
+    // state. The caller claims both chunks and withdraws the job no worker
+    // has taken, so the pool arm never waits for a parked worker to wake:
+    // that wait once made a whole run read 13–20 µs per call on a 2-vCPU
+    // host, and this floor fail (DESIGN.md, "Persistent worker pool").
     let (pool_s, scoped_s) = time_median_pair(
         reps,
         || {

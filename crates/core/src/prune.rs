@@ -1,7 +1,7 @@
 //! Iterative magnitude-based quantum pruning with finetuning.
 
 use crate::checkpoint::PruneCheckpoint;
-use crate::runtime::{hash_circuit, RuntimeOptions, SearchRuntime};
+use crate::runtime::{hash_circuit, hash_task, RuntimeOptions, SearchRuntime};
 use crate::train::{eval_task, Split};
 use crate::{train_task, Task, TrainConfig};
 use qns_circuit::{Circuit, Param};
@@ -142,8 +142,7 @@ pub fn iterative_prune_rt(
         let mut h = StructuralHasher::new();
         h.write_str("iterative-prune");
         hash_circuit(&mut h, circuit);
-        h.write_str(task.name());
-        h.write_usize(task.num_qubits());
+        hash_task(&mut h, task);
         h.write_f64(config.final_ratio);
         h.write_f64(config.initial_ratio);
         h.write_usize(config.steps);

@@ -451,6 +451,51 @@ pub fn hash_circuit(h: &mut StructuralHasher, circuit: &qns_circuit::Circuit) {
     }
 }
 
+/// Feeds a task's content, so two tasks that share a name and width but
+/// not their data never share a score memo or a snapshot: for QML, the
+/// encoder, the readout groups and every split's features and labels; for
+/// VQE, the Hamiltonian's terms.
+pub(crate) fn hash_task(h: &mut StructuralHasher, task: &crate::Task) {
+    match task {
+        crate::Task::Qml {
+            splits,
+            encoder,
+            readout,
+            ..
+        } => {
+            h.write_u64(0);
+            hash_circuit(h, encoder);
+            h.write_usize(readout.groups.len());
+            for group in &readout.groups {
+                h.write_usize(group.len());
+                for &q in group {
+                    h.write_usize(q);
+                }
+            }
+            for split in [&splits.train, &splits.valid, &splits.test] {
+                h.write_usize(split.num_samples());
+                for (features, &label) in split.features.iter().zip(&split.labels) {
+                    h.write_usize(features.len());
+                    for &x in features {
+                        h.write_f64(x);
+                    }
+                    h.write_usize(label);
+                }
+            }
+        }
+        crate::Task::Vqe { hamiltonian, .. } => {
+            h.write_u64(1);
+            h.write_usize(hamiltonian.num_qubits());
+            h.write_usize(hamiltonian.terms().len());
+            for &(coeff, pauli) in hamiltonian.terms() {
+                h.write_f64(coeff);
+                h.write_u64(pauli.x);
+                h.write_u64(pauli.z);
+            }
+        }
+    }
+}
+
 fn hash_param(h: &mut StructuralHasher, p: &qns_circuit::Param) {
     use qns_circuit::Param;
     match *p {
@@ -512,7 +557,7 @@ pub fn transpile_key(
 
 /// The search-context digest for the score memo: everything besides the
 /// gene that determines a score (device, estimator mode, opt level,
-/// validation cap, task identity, parameter budget, shared parameters).
+/// validation cap, task content, parameter budget, shared parameters).
 pub fn search_context_key(
     estimator: &Estimator,
     task: &crate::Task,
@@ -528,8 +573,7 @@ pub fn search_context_key(
     BackendConfig::of(estimator.backend()).encode(&mut h);
     h.write_u64(estimator.opt_level() as u64);
     h.write_usize(estimator.valid_cap());
-    h.write_str(task.name());
-    h.write_usize(task.num_qubits());
+    hash_task(&mut h, task);
     match max_params {
         Some(m) => {
             h.write_u64(1);

@@ -14,7 +14,7 @@ use qns_ml::Pca;
 /// tasks sum qubits {0,1} and {2,3}.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Readout {
-    groups: Vec<Vec<usize>>,
+    pub(crate) groups: Vec<Vec<usize>>,
     n_qubits: usize,
 }
 

@@ -2,6 +2,7 @@
 //! SuperCircuit training.
 
 use crate::checkpoint::TrainCheckpoint;
+use crate::runtime::hash_task;
 use crate::{Readout, Sampler, SamplerConfig, SubConfig, SuperCircuit, Task};
 use qns_circuit::Circuit;
 use qns_data::Dataset;
@@ -319,8 +320,7 @@ pub fn train_supercircuit_rt(
         h.write_usize(supercircuit.num_qubits());
         h.write_usize(supercircuit.num_blocks());
         h.write_usize(n_params);
-        h.write_str(task.name());
-        h.write_usize(task.num_qubits());
+        hash_task(&mut h, task);
         h.write_usize(config.steps);
         h.write_usize(config.batch_size);
         h.write_f64(config.lr);

@@ -3,25 +3,30 @@
 //!
 //! A fan-out cuts its items into chunks. Threads claim the next chunk from
 //! a shared atomic counter and run each chunk under one `catch_unwind`,
-//! storing its outcome in the chunk's slot; once every thread has finished,
-//! the caller returns the outcomes in input order. Two entry points share
-//! the loop:
+//! storing its outcome in the chunk's slot; the caller returns the
+//! outcomes in input order. Two entry points share the loop:
 //!
 //! - [`parallel_map`] / [`parallel_map_with`] — per-sample maps
 //!   (minibatches, validation sets). One chunk per thread, and the calling
-//!   thread claims chunks too, then helps with queued jobs while it waits.
-//!   A panic is re-raised on the caller, lowest chunk first, after every
-//!   chunk has finished.
+//!   thread claims chunks too. A panic is re-raised on the caller, lowest
+//!   chunk first, after every chunk has finished.
 //! - [`try_parallel_map`] — candidate batches and trajectory fan-outs. One
 //!   item per chunk, so an expensive candidate never stalls the rest behind
 //!   a static split, and a panicking item yields its message in its own
-//!   slot. The calling thread runs no items; it blocks until its pool jobs
-//!   finish.
+//!   slot. The calling thread runs no items.
 //!
 //! Both placement rules were measured on a 2-vCPU host (DESIGN.md,
 //! "Persistent worker pool"): per-sample maps stay cheap only when the
 //! caller claims chunks too, and candidates run on the calling thread
 //! slowed that thread's later work.
+//!
+//! **One wait rule.** A fan-out queues one job per pool thread it wants,
+//! each tagged with the fan-out, on the one queue parked workers take jobs
+//! from. A caller that claims chunks withdraws its jobs no worker has taken
+//! once its claim loop finds nothing left, then waits only for the jobs
+//! workers took; a caller that claims nothing ([`try_parallel_map`]) waits
+//! for all its jobs. So a caller that has claimed every chunk itself never
+//! waits for a parked worker to wake.
 //!
 //! **Nesting.** A thread-local flag is set while a thread runs a claim
 //! loop, and any map started there runs inline on that thread: outer
@@ -30,33 +35,33 @@
 //! maps cannot deadlock.
 //!
 //! **Lifetimes.** Workers are spawned once and never exit; jobs are
-//! lifetime-erased closures borrowing the caller's frame, which is sound
-//! because the caller does not return before every job it submitted has
-//! finished. Workers block on the shared queue *while holding the queue
-//! lock*: a parked worker therefore makes [`try_help`]'s `try_lock` fail
-//! precisely when someone is already committed to consuming the next job,
-//! and releases the lock before running the job so helpers can drain the
-//! queue while workers are busy.
+//! lifetime-erased closures borrowing the caller's frame. That is sound
+//! because the caller does not return before each job it queued is either
+//! withdrawn unrun or has counted itself finished, and a counted job
+//! touches nothing but the count, which it owns a share of.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A unit of work: one thread's claim loop, lifetime-erased by
-/// [`fan_out`] (which outlives it by waiting for every completion).
+/// [`fan_out`] (which outlives it by withdrawing it or waiting for it).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Pool {
-    sender: Mutex<Sender<Job>>,
-    queue: Mutex<Receiver<Job>>,
-    spawned: Mutex<usize>,
-}
+/// Jobs no worker has taken yet, each tagged with its fan-out's id.
+static QUEUE: Mutex<VecDeque<(usize, Job)>> = Mutex::new(VecDeque::new());
 
-static POOL: OnceLock<Pool> = OnceLock::new();
+/// Wakes one parked worker per fan-out; a worker that takes a job wakes
+/// the next while jobs remain. Waking one worker per job from the caller's
+/// thread often ran a candidate batch at about one worker's pace on a
+/// 2-vCPU host (DESIGN.md, "Persistent worker pool").
+static QUEUED: Condvar = Condvar::new();
+
+/// How many workers have been spawned.
+static SPAWNED: Mutex<usize> = Mutex::new(0);
 
 thread_local! {
     /// Set while this thread runs a claim loop; maps started here run
@@ -71,42 +76,38 @@ thread_local! {
 static PARALLELISM_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Floor below which [`parallel_map`] never consults the pool: maps of
-/// 1–3 items run inline on the caller; any larger map may fan out. One
-/// warm dispatch of 64 trivial items at 2 workers read 0.47–1.65 µs in 13
-/// and 13.5–20.0 µs in 44 of 60 full runs on a 2-vCPU host, and
-/// 0.61–2.06 µs pinned to one CPU; the slow calls wait for the parked
-/// worker on the other CPU (DESIGN.md, "Persistent worker pool").
+/// 1–3 items run inline on the caller; any larger map may fan out. A warm
+/// dispatch waits for no worker to wake (a caller that claims every chunk
+/// withdraws the job no worker took): 64 trivial items at 2 workers read
+/// 0.85–1.19 µs a call in 30 of 30 full runs on a 2-vCPU host (DESIGN.md,
+/// "Persistent worker pool").
 const MIN_PARALLEL_ITEMS: usize = 4;
 
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let (tx, rx) = channel();
-        Pool {
-            sender: Mutex::new(tx),
-            queue: Mutex::new(rx),
-            spawned: Mutex::new(0),
-        }
-    })
+/// Locks `m`. No lock here is held across a job or an item, so a poisoned
+/// lock guards whole data and is taken as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn worker_loop() {
-    let p = pool();
     loop {
-        // Hold the queue lock only while parked in `recv`; release it
-        // before running the job so other workers and helpers proceed.
-        let job = {
-            let rx = p.queue.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
+        let (job, more) = {
+            let mut queue = QUEUED
+                .wait_while(lock(&QUEUE), |queue| queue.is_empty())
+                .unwrap_or_else(PoisonError::into_inner);
+            (queue.pop_front(), !queue.is_empty())
         };
-        match job {
-            Ok(job) => job(),
-            Err(_) => return, // channel closed — process is shutting down
+        if more {
+            QUEUED.notify_one();
+        }
+        if let Some((_, job)) = job {
+            job();
         }
     }
 }
 
 /// Grows the pool to at least `target` workers. Never shrinks: surplus
-/// workers park in `recv` and cost one blocked thread each, which is
+/// workers park on [`QUEUED`] and cost one blocked thread each, which is
 /// cheaper than re-paying spawn latency when the worker count oscillates
 /// (e.g. alternating training and trajectory phases).
 #[expect(
@@ -114,41 +115,11 @@ fn worker_loop() {
     reason = "the one sanctioned spawn site: pool workers are process-wide, created once, and owned by this module alone"
 )]
 fn ensure_workers(target: usize) {
-    let p = pool();
-    let mut spawned = p.spawned.lock().unwrap_or_else(|e| e.into_inner());
+    let mut spawned = lock(&SPAWNED);
     while *spawned < target {
         std::thread::spawn(worker_loop);
         *spawned += 1;
     }
-}
-
-/// Enqueues one job for the workers (or a helping waiter) to run.
-fn submit(job: Job) {
-    let p = pool();
-    let tx = p.sender.lock().unwrap_or_else(|e| e.into_inner());
-    // The receiver lives in the global pool, so the channel can only be
-    // closed during process teardown; a lost job at that point is moot.
-    let _ = tx.send(job);
-}
-
-/// Runs one queued job on the calling thread if one is immediately
-/// available and no parked worker has already committed to it. Returns
-/// whether a job was run.
-fn try_help() -> bool {
-    let Some(p) = POOL.get() else {
-        return false;
-    };
-    let job = {
-        let Ok(rx) = p.queue.try_lock() else {
-            return false; // a parked worker will take the job
-        };
-        match rx.try_recv() {
-            Ok(job) => job,
-            Err(_) => return false,
-        }
-    };
-    job();
-    true
 }
 
 /// Sets the process-wide worker count used by maps called with
@@ -179,6 +150,15 @@ fn in_claim_loop() -> bool {
 /// payload that ended it. `None` until some thread has run the chunk.
 type Slots<U> = Mutex<Vec<Option<std::thread::Result<Vec<U>>>>>;
 
+/// How many of one fan-out's jobs have finished. The caller and each job
+/// own it together, so a job can count itself and notify after the caller
+/// has already seen the count and returned.
+#[derive(Default)]
+struct Finished {
+    count: Mutex<usize>,
+    counted: Condvar,
+}
+
 /// Claims `chunk`-item chunks from `next` until none is left, running each
 /// under one `catch_unwind` with the nesting flag set, and stores each
 /// outcome in its slot. Never unwinds.
@@ -189,20 +169,20 @@ where
     let outer = IN_CLAIM_LOOP.with(|flag| flag.replace(true));
     loop {
         // Relaxed: the counter only hands out indices; the slots' lock and
-        // the completion channel order the results.
+        // the finished count order the results.
         let c = next.fetch_add(1, Ordering::Relaxed);
         let Some(part) = items.chunks(chunk).nth(c) else {
             break;
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| part.iter().map(f).collect()));
-        slots.lock().unwrap_or_else(|e| e.into_inner())[c] = Some(outcome);
+        lock(slots)[c] = Some(outcome);
     }
     IN_CLAIM_LOOP.with(|flag| flag.set(outer));
 }
 
 /// Runs `items` as `chunk`-item chunks through `jobs` pool claim loops,
 /// plus one on the calling thread when `caller_claims`, and returns every
-/// chunk's outcome in chunk order once all loops have finished.
+/// chunk's outcome in chunk order once every loop that ran has finished.
 fn fan_out<T, U, F>(
     items: &[T],
     chunk: usize,
@@ -220,43 +200,46 @@ where
     ensure_workers(jobs);
     let next = AtomicUsize::new(0);
     let slots: Slots<U> = Mutex::new(items.chunks(chunk).map(|_| None).collect());
-    let (tx, rx) = channel::<()>();
+    let finished = Arc::new(Finished::default());
+    // Unique among fan-outs with queued jobs: each keeps `finished` alive.
+    let id = Arc::as_ptr(&finished) as usize;
     for _ in 0..jobs {
-        let (tx, next, slots) = (tx.clone(), &next, &slots);
+        let (finished, next, slots) = (Arc::clone(&finished), &next, &slots);
         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
             claim_loop(items, chunk, next, slots, f);
-            let _ = tx.send(());
+            *lock(&finished.count) += 1;
+            finished.counted.notify_one();
         });
         // SAFETY: the job borrows `items`, `next`, `slots` and `f` from
-        // this frame. Erasing the lifetime is sound because every job sends
-        // exactly one completion as its final action (`claim_loop` never
-        // unwinds), and this function neither returns nor unwinds before
-        // receiving `jobs` completions below — so no job can outlive the
-        // borrowed data.
-        submit(unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) });
+        // this frame. Erasing the lifetime is sound because this function
+        // neither returns nor unwinds (`claim_loop` never unwinds) before
+        // each job is either withdrawn unrun below or has counted itself
+        // finished, and a job touches this frame only before its count:
+        // the count and its condvar live in `finished`, which the job owns
+        // a share of.
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        lock(&QUEUE).push_back((id, job));
     }
+    QUEUED.notify_one();
 
-    // `tx` stays alive in this frame, so the channel cannot disconnect.
-    if caller_claims {
+    let withdrawn = if caller_claims {
         claim_loop(items, chunk, &next, &slots, f);
-        // Help with queued jobs while waiting, so the caller's own jobs
-        // start even when every worker is busy elsewhere.
-        let mut done = 0;
-        while done < jobs {
-            if rx.try_recv().is_ok()
-                || (!try_help() && rx.recv_timeout(Duration::from_micros(200)).is_ok())
-            {
-                done += 1;
-            }
-        }
+        // Every chunk is claimed: a job no worker has taken would find
+        // nothing left, so drop it unrun rather than wait for a worker to
+        // wake and take it.
+        let mut queue = lock(&QUEUE);
+        let queued = queue.len();
+        queue.retain(|&(owner, _)| owner != id);
+        queued - queue.len()
     } else {
-        for _ in 0..jobs {
-            rx.recv().expect("the sender lives in this frame");
-        }
-    }
+        0
+    };
+    let taken = jobs - withdrawn;
+    let count = lock(&finished.count);
+    drop(finished.counted.wait_while(count, |done| *done < taken));
     slots
         .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| slot.expect("every chunk is claimed exactly once"))
         .collect()
@@ -378,6 +361,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::time::Duration;
 
     /// Thread-identity assertions share the process-global pool, so they
     /// serialize against each other; result-value tests don't need to.
@@ -604,5 +588,61 @@ mod tests {
         assert!(ids.iter().all(|id| *id.as_ref().unwrap() == caller));
         let ids = try_parallel_map(&items[..1], 2, |_| std::thread::current().id());
         assert_eq!(ids, vec![Ok(caller)]);
+    }
+
+    #[test]
+    fn caller_waits_for_the_chunk_a_worker_took() {
+        // Four items, two chunks. Barrier `taken` holds the caller's first
+        // item until a worker has taken the job and claimed the other
+        // chunk; barrier `claimed` holds that worker until the caller's
+        // last item, so the caller's claim loop ends first. The map must
+        // still return the worker's results.
+        let caller = std::thread::current().id();
+        let (taken, claimed) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let items: Vec<usize> = (0..4).collect();
+        let out = parallel_map_with(&items, 2, |&x| {
+            match (std::thread::current().id() == caller, x % 2 == 0) {
+                (true, true) => {
+                    taken.wait();
+                }
+                (true, false) => {
+                    claimed.wait();
+                }
+                (false, true) => {
+                    taken.wait();
+                    claimed.wait();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                (false, false) => {}
+            }
+            x + 1
+        });
+        assert_eq!(out, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn concurrent_callers_get_whole_results() {
+        // Two callers at once: each withdrawal races a worker that is
+        // waking up to take the same job, and each try-map waits for jobs
+        // queued behind the other caller's.
+        let items64: Vec<usize> = (0..64).collect();
+        let items16: Vec<usize> = (0..16).collect();
+        std::thread::scope(|scope| {
+            for t in 1..=2 {
+                let (items64, items16) = (&items64, &items16);
+                scope.spawn(move || {
+                    for i in 0..3000 {
+                        let k = t * 10_000 + i;
+                        let out = parallel_map_with(items64, 2, |&x| x + k);
+                        let want: Vec<usize> = items64.iter().map(|&x| x + k).collect();
+                        assert_eq!(out, want, "caller {t}, call {i}");
+                        let out = try_parallel_map(items16, 2, |&x| x * k);
+                        let want: Vec<Result<usize, String>> =
+                            items16.iter().map(|&x| Ok(x * k)).collect();
+                        assert_eq!(out, want, "caller {t}, call {i}");
+                    }
+                });
+            }
+        });
     }
 }

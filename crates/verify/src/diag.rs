@@ -1,25 +1,7 @@
-//! Structured diagnostics: stable rule codes, severities, locations, and
-//! the reports that collect them.
+//! Structured diagnostics: stable rule codes, locations, and the reports
+//! that collect them.
 
 use std::fmt;
-
-/// How bad a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Suspicious but not provably wrong; never fails a verified transpile.
-    Warning,
-    /// A broken invariant; a verified transpile returns an error.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => f.write_str("warning"),
-            Severity::Error => f.write_str("error"),
-        }
-    }
-}
 
 /// Every rule the verifier can report, with a stable diagnostic code.
 ///
@@ -133,14 +115,13 @@ impl Location {
     }
 }
 
-/// One verifier finding: rule, severity, human message, location, and the
-/// transpile stage that produced the checked circuit (when known).
+/// One verifier finding: a broken invariant, with its rule, human message,
+/// location, and the transpile stage that produced the checked circuit
+/// (when known). A verified transpile fails on any finding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: Rule,
-    /// How severe the finding is.
-    pub severity: Severity,
     /// Human-readable explanation with concrete indices/values.
     pub message: String,
     /// Where the finding points (empty for circuit-level findings).
@@ -151,11 +132,10 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// An error-severity diagnostic with no stage attribution.
+    /// A diagnostic with no stage attribution.
     pub fn error(rule: Rule, message: impl Into<String>, location: Location) -> Self {
         Diagnostic {
             rule,
-            severity: Severity::Error,
             message: message.into(),
             location,
             stage: "",
@@ -171,13 +151,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{}] {}",
-            self.severity,
-            self.rule.code(),
-            self.message
-        )?;
+        write!(f, "error [{}] {}", self.rule.code(), self.message)?;
         if let Some(i) = self.location.op_index {
             write!(f, " (op {i}")?;
             if let Some(q) = self.location.qubit {
@@ -215,11 +189,9 @@ impl VerifyReport {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// Whether any finding has [`Severity::Error`].
+    /// Whether the report holds any finding.
     pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
+        !self.is_clean()
     }
 
     /// Whether the report is clean.
@@ -232,8 +204,8 @@ impl VerifyReport {
         self.diagnostics.iter().filter(|d| d.rule == rule).collect()
     }
 
-    /// Converts to a result: `Err(VerifyError)` when any error-severity
-    /// finding is present.
+    /// Converts to a result: `Err(VerifyError)` when any finding is
+    /// present.
     pub fn into_result(self) -> Result<VerifyReport, VerifyError> {
         if self.has_errors() {
             Err(VerifyError { report: self })
@@ -264,21 +236,20 @@ impl fmt::Display for VerifyReport {
 pub const PANIC_MARKER: &str = "qns-verify:";
 
 /// A failed verification: a report guaranteed to contain at least one
-/// error-severity diagnostic.
+/// diagnostic.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VerifyError {
-    /// The full report, warnings included.
+    /// The full report.
     pub report: VerifyReport,
 }
 
 impl VerifyError {
-    /// The first error-severity diagnostic (the headline failure).
+    /// The first diagnostic (the headline failure).
     pub fn first(&self) -> &Diagnostic {
         self.report
             .diagnostics
-            .iter()
-            .find(|d| d.severity == Severity::Error)
-            .expect("VerifyError holds at least one error diagnostic")
+            .first()
+            .expect("VerifyError holds at least one diagnostic")
     }
 }
 

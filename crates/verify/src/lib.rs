@@ -46,7 +46,7 @@ mod diag;
 mod rules;
 
 pub use contract::{PassContract, VerifyLevel, EQUIV_MAX_QUBITS};
-pub use diag::{Diagnostic, Location, Rule, Severity, VerifyError, VerifyReport, PANIC_MARKER};
+pub use diag::{Diagnostic, Location, Rule, VerifyError, VerifyReport, PANIC_MARKER};
 pub use rules::{
     sample_input, sample_train, verify_basis, verify_circuit, verify_coupling,
     verify_measurement_map, IBM_BASIS,

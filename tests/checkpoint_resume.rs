@@ -348,6 +348,66 @@ fn stale_snapshot_is_rejected_not_resumed() {
     assert_search_bitwise_eq(&resumed, &fresh);
 }
 
+/// Snapshots written for one task's data must be rejected under other
+/// data that shares the task's name and width: more samples per class is
+/// still "MNIST-2" on 4 qubits. Training and search each fall back to a
+/// clean start that matches a fresh run exactly.
+#[test]
+fn snapshot_for_other_task_data_is_rejected() {
+    let (sc, params, task, est) = setup();
+    let other = Task::qml_digits(&[1, 8], 20, 4, 4);
+    assert_eq!(other.name(), task.name());
+    assert_eq!(other.num_qubits(), task.num_qubits());
+    let assert_rejected = |rt: &SearchRuntime, what: &str| {
+        let counter = |name| rt.metrics().counter(name);
+        assert_eq!(counter(counters::CHECKPOINT_REJECTED), 1, "{what}");
+        assert_eq!(counter(counters::CHECKPOINT_RESUMES), 0, "{what}");
+    };
+
+    let train_cfg = SuperTrainConfig {
+        steps: 6,
+        batch_size: 4,
+        warmup_steps: 1,
+        seed: 7,
+        ..Default::default()
+    };
+    let dir = TempDir::new("other-data-train");
+    let rt = SearchRuntime::new(ckpt_options(dir.path(), 0, false))
+        .with_fault_plan(Arc::new(FaultPlan::new().crash_at_boundary(3)));
+    expect_boundary_crash(|| {
+        train_supercircuit_rt(&sc, &task, &train_cfg, &rt);
+    });
+    let fresh = train_supercircuit_rt(
+        &sc,
+        &other,
+        &train_cfg,
+        &SearchRuntime::new(RuntimeOptions::default()),
+    );
+    let rt = SearchRuntime::new(ckpt_options(dir.path(), 0, true));
+    let (resumed, history) = train_supercircuit_rt(&sc, &other, &train_cfg, &rt);
+    assert_rejected(&rt, "training");
+    assert_f64s_bitwise_eq(&resumed, &fresh.0, "params");
+    assert_f64s_bitwise_eq(&history, &fresh.1, "history");
+
+    let dir = TempDir::new("other-data-search");
+    let crash_cfg = evo_cfg(ckpt_options(dir.path(), 1, false));
+    let rt = SearchRuntime::new(crash_cfg.runtime.clone())
+        .with_fault_plan(Arc::new(FaultPlan::new().crash_at_boundary(2)));
+    expect_boundary_crash(|| {
+        evolutionary_search_seeded_rt(&sc, &params, &task, &est, &crash_cfg, &[], &rt);
+    });
+    let fresh = {
+        let cfg = evo_cfg(RuntimeOptions::default());
+        let rt = SearchRuntime::new(cfg.runtime.clone());
+        evolutionary_search_seeded_rt(&sc, &params, &other, &est, &cfg, &[], &rt)
+    };
+    let resume_cfg = evo_cfg(ckpt_options(dir.path(), 1, true));
+    let rt = SearchRuntime::new(resume_cfg.runtime.clone());
+    let resumed = evolutionary_search_seeded_rt(&sc, &params, &other, &est, &resume_cfg, &[], &rt);
+    assert_rejected(&rt, "search");
+    assert_search_bitwise_eq(&resumed, &fresh);
+}
+
 /// Checkpointing itself must not perturb a run: with snapshots written
 /// every generation but no crash and no resume, the result matches a run
 /// with checkpointing disabled, and writes are counted.

@@ -5,12 +5,14 @@
 //! parameter-shift costs 2 evaluations per parameter — the design-choice
 //! ablation called out in DESIGN.md.
 //!
-//! `train_step` times one `adjoint_gradient_batch` call over 16 lanes
-//! with the QML training loss, on the two MNIST-4 circuits the end-to-end
-//! benchmark trains: the 4×4 encoder + 3-block U3+CU3 max circuit
-//! (4 qubits) and the 6×6 encoder + 2-block one (10 qubits). It records
-//! each circuit's op count and the length of its parameter-free encoder
-//! prefix, which the backward sweep never walks.
+//! `train_step` times one `adjoint_gradient_batch` call with the QML
+//! training loss, on the two MNIST-4 circuits the end-to-end benchmark
+//! trains: the 4×4 encoder + 3-block U3+CU3 max circuit (4 qubits) and
+//! the 6×6 encoder + 2-block one (10 qubits), each at 16 lanes and at 8
+//! (the SuperCircuit's minibatch in every QML workload, another lane-group
+//! width of the batch sweeps). It records each circuit's op count and the
+//! length of its parameter-free encoder prefix, which the backward sweep
+//! never walks.
 
 use crate::{time_median, Floor, Json, Mode};
 use qns_circuit::{Circuit, GateKind, Param};
@@ -39,12 +41,9 @@ fn rotation_circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-/// Lanes per timed training step.
-const STEP_LANES: usize = 16;
-
-/// Times one 16-lane training step on an MNIST-4 task's encoder followed
-/// by the max circuit of a `blocks`-block U3+CU3 SuperCircuit.
-fn train_step(reps: usize, side: usize, blocks: usize, json: &mut Json) {
+/// Times one `lanes`-lane training step on an MNIST-4 task's encoder
+/// followed by the max circuit of a `blocks`-block U3+CU3 SuperCircuit.
+fn train_step(reps: usize, side: usize, blocks: usize, lanes: usize, json: &mut Json) {
     let task = Task::qml_digits(&[0, 1, 2, 3], 8, side, 7);
     let Task::Qml {
         splits,
@@ -62,7 +61,7 @@ fn train_step(reps: usize, side: usize, blocks: usize, json: &mut Json) {
         .map(|i| 0.1 * (i % 7) as f64 - 0.3)
         .collect();
     let data = &splits.train;
-    let inputs: Vec<&[f64]> = data.features[..STEP_LANES]
+    let inputs: Vec<&[f64]> = data.features[..lanes]
         .iter()
         .map(|x| x.as_slice())
         .collect();
@@ -78,10 +77,10 @@ fn train_step(reps: usize, side: usize, blocks: usize, json: &mut Json) {
         .iter()
         .position(|op| op.params.iter().any(|p| p.is_trainable()))
         .unwrap_or(circuit.num_ops());
-    json.obj(&format!("mnist4_{n}q_{blocks}blocks"), |j| {
+    json.obj(&format!("mnist4_{n}q_{blocks}blocks_{lanes}lanes"), |j| {
         j.int("ops", circuit.num_ops());
         j.int("encoder_ops", encoder_ops);
-        j.int("lanes", STEP_LANES);
+        j.int("lanes", lanes);
         j.num("step_s", step_s);
     });
 }
@@ -104,8 +103,10 @@ pub fn measure(Mode { reps, .. }: Mode, json: &mut Json) -> Vec<Floor> {
         });
     }
     json.obj("train_step", |j| {
-        train_step(reps, 4, 3, j);
-        train_step(reps, 6, 2, j);
+        for lanes in [16, 8] {
+            train_step(reps, 4, 3, lanes, j);
+            train_step(reps, 6, 2, lanes, j);
+        }
     });
     Vec::new()
 }

@@ -1,6 +1,7 @@
 //! Gradients of expectation values: adjoint differentiation and the
 //! parameter-shift rule.
 
+use crate::state::control_block;
 use crate::{run, ExecMode, SimPlan, StateBatch, StateVec};
 use qns_circuit::{Circuit, GateMatrix, Op};
 use qns_tensor::{Mat2, Mat4, C64};
@@ -254,81 +255,12 @@ fn apply_op_batch(
     }
 }
 
-/// Per-lane transfer matrices of qubit `q`: for each lane, `T_jk = Σ_i
-/// bra_j(i)* ket_k(i)` over the amplitude pairs `(i, i + 2^q)` in
-/// ascending base order, four entries per lane (lane-major, `j`-major
-/// within a lane). The bracket `<bra| M |ket>` restricted to `q` is linear
-/// in `M`, so on each lane it is the O(1) [`project`]ion of `M` against
-/// that lane's entries: every derivative matrix of an op — one shared set,
-/// or one set per lane when the op reads the input — projects against the
-/// same single sweep. The projection reassociates the floating-point sum
-/// relative to [`bracket_1q`], changing results only at the ~1e-15 level.
-fn transfer_1q(bra: &StateBatch, ket: &StateBatch, q: usize) -> Vec<C64> {
-    let l = bra.lanes();
-    let stride = 1usize << q;
-    let len = 1usize << bra.num_qubits();
-    let mut t = vec![C64::ZERO; 4 * l];
-    let mut base = 0;
-    while base < len {
-        for i in base..base + stride {
-            let e0 = i * l;
-            let e1 = (i + stride) * l;
-            for (lane, tl) in t.chunks_exact_mut(4).enumerate() {
-                let k0 = ket.amp(e0 + lane);
-                let k1 = ket.amp(e1 + lane);
-                let b0 = bra.amp(e0 + lane).conj();
-                let b1 = bra.amp(e1 + lane).conj();
-                tl[0] += b0 * k0;
-                tl[1] += b0 * k1;
-                tl[2] += b1 * k0;
-                tl[3] += b1 * k1;
-            }
-        }
-        base += stride << 1;
-    }
-    t
-}
-
-/// Two-qubit sibling of [`transfer_1q`] (`qa` = high bit): sixteen entries
-/// per lane, over the amplitude quadruples the pair couples.
-fn transfer_2q(bra: &StateBatch, ket: &StateBatch, qa: usize, qb: usize) -> Vec<C64> {
-    let l = bra.lanes();
-    let ba = 1usize << qa;
-    let bb = 1usize << qb;
-    let mask = ba | bb;
-    let len = 1usize << bra.num_qubits();
-    let mut t = vec![C64::ZERO; 16 * l];
-    for i in 0..len {
-        if i & mask != 0 {
-            continue;
-        }
-        let idx = [i, i | bb, i | ba, i | mask];
-        for (lane, tl) in t.chunks_exact_mut(16).enumerate() {
-            let v = [
-                ket.amp(idx[0] * l + lane),
-                ket.amp(idx[1] * l + lane),
-                ket.amp(idx[2] * l + lane),
-                ket.amp(idx[3] * l + lane),
-            ];
-            let bc = [
-                bra.amp(idx[0] * l + lane).conj(),
-                bra.amp(idx[1] * l + lane).conj(),
-                bra.amp(idx[2] * l + lane).conj(),
-                bra.amp(idx[3] * l + lane).conj(),
-            ];
-            for j in 0..4 {
-                for (kk, &vk) in v.iter().enumerate() {
-                    tl[j * 4 + kk] += bc[j] * vk;
-                }
-            }
-        }
-    }
-    t
-}
-
 /// `Σ_jk d_jk T_jk`: the bracket of derivative matrix `d` on one lane,
-/// from that lane's transfer entries `t` ([`transfer_1q`] or
-/// [`transfer_2q`], matching `d`'s arity).
+/// from that lane's transfer entries `t`: [`StateBatch::transfer_1q`]'s
+/// four for a one-qubit `d`, [`StateBatch::transfer_2q`]'s sixteen for a
+/// two-qubit one, or [`StateBatch::transfer_control_block`]'s four, which
+/// project `d`'s control-1 block (entries 10, 11, 14 and 15, in the
+/// sixteen-entry order).
 fn project(d: &GateMatrix, t: &[C64]) -> C64 {
     match d {
         GateMatrix::One(m) => {
@@ -336,13 +268,44 @@ fn project(d: &GateMatrix, t: &[C64]) -> C64 {
             m00 * t[0] + m01 * t[1] + m10 * t[2] + m11 * t[3]
         }
         GateMatrix::Two(m) => {
+            let block = control_block(m).m;
+            let entries: &[C64] = if t.len() == block.len() { &block } else { &m.m };
             let mut br = C64::ZERO;
-            for (&mjk, &tjk) in m.m.iter().zip(t) {
+            for (&mjk, &tjk) in entries.iter().zip(t) {
                 br += mjk * tjk;
             }
             br
         }
     }
+}
+
+/// True when `d` is a two-qubit matrix whose entries outside the
+/// control-1 block (10, 11, 14 and 15) are all zero, as every controlled
+/// gate's derivative is. Its bracket then needs only
+/// [`StateBatch::transfer_control_block`]: each skipped term of the
+/// sixteen-entry projection is a product with an exact zero, so skipping
+/// it can change only the sign of a bracket that sums to exactly zero,
+/// and a zero of either sign leaves the gradient sum (which starts at
+/// `+0.0`) bit for bit as it was.
+fn zero_outside_control_block(d: &GateMatrix) -> bool {
+    match d {
+        GateMatrix::One(_) => false,
+        GateMatrix::Two(m) => {
+            m.m.iter()
+                .enumerate()
+                .all(|(j, &e)| matches!(j, 10 | 11 | 14 | 15) || e == C64::ZERO)
+        }
+    }
+}
+
+/// The trainable slots of `op`: `(which, train index, scale)` for every
+/// parameter slot with a trainable component, in slot order.
+fn train_slots(op: &Op) -> Vec<(usize, usize, f64)> {
+    op.params
+        .iter()
+        .enumerate()
+        .filter_map(|(which, slot)| slot.train_component().map(|(ti, s)| (which, ti, s)))
+        .collect()
 }
 
 /// Derivative matrices of `op` at `params`, one per listed trainable slot
@@ -367,10 +330,19 @@ fn dmatrices(op: &Op, params: &[f64], slots: &[(usize, usize, f64)]) -> Vec<Gate
 /// [`DiagObservable`]); the backward sweep then accumulates every lane's
 /// gradient simultaneously.
 ///
-/// Cost: the forward sweep applies every op to the lanes once; the
-/// backward sweep un-applies ops from the state and the bra batches only
-/// down to the first op with a trainable slot, as in [`adjoint_gradient`].
-/// The input encoder that opens a QML circuit is never un-applied.
+/// Cost: the forward sweep applies every op to the lanes once; one read
+/// sweep then gives every lane's `<Z_q>`, and one pass writes every
+/// lane's bra `D_w ψ` from the forward state. The backward sweep
+/// un-applies ops from the state and the bra batches only down to the
+/// first op with a trainable slot, as in [`adjoint_gradient`]; the input
+/// encoder that opens a QML circuit is never un-applied. Each op with a
+/// trainable slot costs one read sweep over both batches: four transfer
+/// entries per lane for a one-qubit op, sixteen for a two-qubit one, and
+/// four over the control-1 amplitude pairs alone when the op's shared
+/// derivative matrices are zero outside the control-1 block (every
+/// controlled gate: a quarter of the terms over half the amplitudes).
+/// Every sweep, gate or read, is planar and compiled per lane-group
+/// width, as [`StateBatch`]'s kernels are.
 ///
 /// Returns `(losses, grad)` where `losses.len() == inputs.len()` and
 /// `grad` is the element-wise sum over lanes (lane-ascending order) of the
@@ -424,8 +396,7 @@ pub fn adjoint_gradient_batch(
         losses.push(loss);
         weights.push(w);
     }
-    let mut lam = cur.clone();
-    lam.apply_diag_weights(&weights);
+    let mut lam = cur.diag_weighted(&weights);
 
     let n_params = circuit.num_train_params();
     let mut grad_lanes = vec![vec![0.0; n_params]; lanes];
@@ -436,20 +407,21 @@ pub fn adjoint_gradient_batch(
         // of batches: one sweep builds each lane's transfer matrix, and
         // each slot's derivative matrix projects against it. An op that
         // reads the input (mixed slots) has per-lane derivative matrices;
-        // any other op shares one set across the lanes.
-        let slots: Vec<(usize, usize, f64)> = op
-            .params
-            .iter()
-            .enumerate()
-            .filter_map(|(which, slot)| slot.train_component().map(|(ti, s)| (which, ti, s)))
-            .collect();
+        // any other op shares one set across the lanes. Shared matrices
+        // that are zero outside the control-1 block (controlled gates)
+        // need only that block's four entries.
+        let slots = train_slots(op);
         if !slots.is_empty() {
-            let t = match op.kind.num_qubits() {
-                1 => transfer_1q(&lam, &cur, op.qubits[0]),
-                _ => transfer_2q(&lam, &cur, op.qubits[0], op.qubits[1]),
-            };
             let shared =
                 (!op_uses_input(op)).then(|| dmatrices(op, &op.resolve_params(train, &[]), &slots));
+            let block = shared
+                .as_ref()
+                .is_some_and(|dms| dms.iter().all(zero_outside_control_block));
+            let t = match (op.kind.num_qubits(), block) {
+                (1, _) => lam.transfer_1q(&cur, op.qubits[0]),
+                (_, true) => lam.transfer_control_block(&cur, op.qubits[0], op.qubits[1]),
+                (_, false) => lam.transfer_2q(&cur, op.qubits[0], op.qubits[1]),
+            };
             let per_lane = t.chunks_exact(t.len() / lanes).zip(inputs);
             for ((tl, input), grad) in per_lane.zip(&mut grad_lanes) {
                 let own;
@@ -781,6 +753,147 @@ mod tests {
                 (a - b).abs() < 1e-12,
                 "grad[{ti}]: batched {a} vs sequential {b}"
             );
+        }
+    }
+
+    /// [`adjoint_gradient_batch`] on the scalar oracle loops: scalar
+    /// readout, bra seed and transfer sums, and every two-qubit bracket
+    /// projected over all sixteen transfer entries. Returns each lane's
+    /// `<Z_q>` and the summed gradient.
+    fn scalar_adjoint_gradient_batch(
+        circuit: &Circuit,
+        train: &[f64],
+        inputs: &[&[f64]],
+        weights: &[Vec<f64>],
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        use crate::state_batch::scalar;
+        let lanes = inputs.len();
+        let mut cur = StateBatch::zero_state(circuit.num_qubits(), lanes);
+        for op in circuit.iter() {
+            apply_op_batch(&mut cur, op, train, inputs, false);
+        }
+        let ez = scalar::expect_z_all_lanes(&cur);
+        let mut lam = scalar::diag_weighted(&cur, weights);
+        let mut grad_lanes = vec![vec![0.0; circuit.num_train_params()]; lanes];
+        for op in circuit.ops()[first_trainable_op(circuit)..].iter().rev() {
+            apply_op_batch(&mut cur, op, train, inputs, true);
+            let slots = train_slots(op);
+            if !slots.is_empty() {
+                let t = match op.kind.num_qubits() {
+                    1 => scalar::transfer_1q(&lam, &cur, op.qubits[0]),
+                    _ => scalar::transfer_2q(&lam, &cur, op.qubits[0], op.qubits[1]),
+                };
+                let per_lane = t.chunks_exact(t.len() / lanes).zip(inputs);
+                for ((tl, input), grad) in per_lane.zip(&mut grad_lanes) {
+                    let dms = dmatrices(op, &op.resolve_params(train, input), &slots);
+                    for (d, &(_, ti, scale)) in dms.iter().zip(&slots) {
+                        grad[ti] += 2.0 * scale * project(d, tl).re;
+                    }
+                }
+            }
+            apply_op_batch(&mut lam, op, train, inputs, true);
+        }
+        let mut grad = vec![0.0; circuit.num_train_params()];
+        for gl in &grad_lanes {
+            for (g, x) in grad.iter_mut().zip(gl) {
+                *g += x;
+            }
+        }
+        (ez, grad)
+    }
+
+    #[test]
+    fn controlled_brackets_match_the_sixteen_entry_oracle_bitwise() {
+        use GateKind::{CRX, CRY, CRZ, CU1, CU3, RZZ};
+        let kinds = [CRX, CRY, CRZ, CU1, CU3];
+        // Every controlled kind's derivative is zero outside the control-1
+        // block, so its shared-slot brackets take the four-entry sweep;
+        // RZZ's is not.
+        for kind in kinds {
+            let p: Vec<f64> = (0..kind.num_params())
+                .map(|i| 0.3 + 0.4 * i as f64)
+                .collect();
+            for which in 0..kind.num_params() {
+                assert!(
+                    zero_outside_control_block(&kind.dmatrix(&p, which)),
+                    "{kind}"
+                );
+            }
+        }
+        assert!(!zero_outside_control_block(&RZZ.dmatrix(&[0.4], 0)));
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut c = Circuit::new(4);
+        let mut t = 0;
+        let mut train_slot = |c: &mut Circuit, kind: GateKind, qs: &[usize]| {
+            let ps: Vec<Param> = (0..kind.num_params())
+                .map(|i| {
+                    t += 1;
+                    if i == 1 {
+                        Param::AffineTrain {
+                            index: t - 1,
+                            scale: -0.5,
+                            offset: 0.25,
+                        }
+                    } else {
+                        Param::Train(t - 1)
+                    }
+                })
+                .collect();
+            c.push(kind, qs, &ps);
+        };
+        c.push(GateKind::RY, &[0], &[Param::Input(0)]);
+        c.push(GateKind::RY, &[1], &[Param::Input(1)]);
+        c.push(GateKind::RX, &[2], &[Param::Input(2)]);
+        for (qa, qb) in [(0, 1), (2, 0), (1, 2), (2, 1)] {
+            for kind in kinds {
+                train_slot(&mut c, GateKind::U3, &[qb]);
+                train_slot(&mut c, kind, &[qa, qb]);
+            }
+        }
+        // Qubit 3 only ever controls, so its control-1 amplitudes stay
+        // exact zeros and these brackets sum nothing but zeros.
+        let zero_from = c.num_train_params();
+        for (kind, qb) in kinds.into_iter().zip([0, 1, 2, 0, 1]) {
+            train_slot(&mut c, kind, &[3, qb]);
+        }
+        let zero_to = c.num_train_params();
+        train_slot(&mut c, RZZ, &[0, 2]);
+        // A mixed-slot controlled op keeps the sixteen-entry sweep.
+        let n_train = c.num_train_params();
+        c.push(
+            CU3,
+            &[1, 0],
+            &[
+                Param::Train(n_train),
+                Param::Input(1),
+                Param::Train(n_train + 1),
+            ],
+        );
+        let train: Vec<f64> = (0..n_train + 2).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        for lanes in [1, 5, 17] {
+            let samples: Vec<Vec<f64>> = (0..lanes)
+                .map(|_| (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect();
+            let inputs: Vec<&[f64]> = samples.iter().map(|s| s.as_slice()).collect();
+            let weights: Vec<Vec<f64>> = (0..lanes)
+                .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                .collect();
+            let (losses, grad) = adjoint_gradient_batch(&c, &train, &inputs, |lane, ez| {
+                (ez[0] - ez[2], weights[lane].clone())
+            });
+            let (ez, want) = scalar_adjoint_gradient_batch(&c, &train, &inputs, &weights);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad), bits(&want), "{lanes} lanes: gradient");
+            let want_losses: Vec<f64> = ez.iter().map(|e| e[0] - e[2]).collect();
+            assert_eq!(bits(&losses), bits(&want_losses), "{lanes} lanes: losses");
+            for g in &grad[zero_from..zero_to] {
+                assert_eq!(
+                    g.to_bits(),
+                    0.0f64.to_bits(),
+                    "{lanes} lanes: a zero bracket"
+                );
+            }
         }
     }
 

@@ -25,7 +25,8 @@
 //!   input's `<Z>` on any backend), and [`adjoint_gradient_batch`] runs a
 //!   whole minibatch's adjoint gradient in one sweep, where every
 //!   trainable slot, mixed with input slots or not, projects against one
-//!   all-lanes transfer sweep per op,
+//!   all-lanes transfer sweep per op (a controlled gate's reads only its
+//!   control-1 block),
 //! - **exact gradients** via reverse-mode *adjoint differentiation* (one
 //!   forward + one backward sweep for all parameters) and the
 //!   *parameter-shift* rule (the paper's hardware-compatible alternative),

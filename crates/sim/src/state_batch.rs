@@ -42,6 +42,17 @@
 //! [`LANE_CHUNK`] lanes, compiled once per group width, so every lane loop
 //! has a fixed trip count and a 3-lane fork batch costs 3 lanes' work.
 //!
+//! The batched adjoint gradient's own sweeps take the same group form:
+//! [`StateBatch::expect_z_all_lanes`] reads every lane's per-qubit `<Z>`,
+//! [`StateBatch::diag_weighted`] writes every lane's bra `D_w ψ` in one
+//! pass from the forward state, and three read sweeps over two batches
+//! (`self` the bra, the ket an argument) build each lane's transfer
+//! matrix for one op's brackets: `transfer_1q`, `transfer_2q`, and
+//! `transfer_control_block`, which sums only the control-1 block a
+//! controlled gate's derivative touches. Each lane sums the same `f64`
+//! terms in the same ascending order as the scalar loop it replaced,
+//! which the tests keep as the bitwise oracle (the `scalar` module).
+//!
 //! Every kernel mirrors the structure-specialized dispatch and per-pair
 //! arithmetic of [`StateVec`] exactly — each complex multiply expands to
 //! the same `re*re - im*im` / `re*im + im*re` expressions in the same
@@ -830,6 +841,228 @@ fn diag_scale_group<const W: usize>(
     }
 }
 
+/// The lane groups a group sweep walks: `0..l` in consecutive ranges of
+/// [`LANE_CHUNK`] lanes, the last one shorter when `l` is not a multiple.
+fn lane_groups(l: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..l)
+        .step_by(LANE_CHUNK)
+        .map(move |start| start..(start + LANE_CHUNK).min(l))
+}
+
+/// A batch's two planes, read-only.
+type Planes<'a> = (&'a [f64], &'a [f64]);
+
+/// Adds one amplitude pair's four transfer terms to a lane group's sums:
+/// `t[2j + k] += conj(b_j) · k_k` for the bra rows `b_0`, `b_1` and the
+/// ket rows `k_0`, `k_1` whose group starts at elements `e0` and `e1`.
+/// Each product expands `conj(b)`, then [`C64`]'s `Mul`, in their
+/// operation order; the real and imaginary sums sit in `tr` and `ti`.
+#[inline(always)]
+fn transfer_pair<const W: usize>(
+    (tr, ti): (&mut [[f64; W]; 4], &mut [[f64; W]; 4]),
+    bra: Planes,
+    ket: Planes,
+    e0: usize,
+    e1: usize,
+) {
+    let (b0r, b0i) = (lane_group::<W>(bra.0, e0), lane_group::<W>(bra.1, e0));
+    let (b1r, b1i) = (lane_group::<W>(bra.0, e1), lane_group::<W>(bra.1, e1));
+    let (k0r, k0i) = (lane_group::<W>(ket.0, e0), lane_group::<W>(ket.1, e0));
+    let (k1r, k1i) = (lane_group::<W>(ket.0, e1), lane_group::<W>(ket.1, e1));
+    for k in 0..W {
+        let (c0r, c0i, c1r, c1i) = (b0r[k], -b0i[k], b1r[k], -b1i[k]);
+        tr[0][k] += c0r * k0r[k] - c0i * k0i[k];
+        ti[0][k] += c0r * k0i[k] + c0i * k0r[k];
+        tr[1][k] += c0r * k1r[k] - c0i * k1i[k];
+        ti[1][k] += c0r * k1i[k] + c0i * k1r[k];
+        tr[2][k] += c1r * k0r[k] - c1i * k0i[k];
+        ti[2][k] += c1r * k0i[k] + c1i * k0r[k];
+        tr[3][k] += c1r * k1r[k] - c1i * k1i[k];
+        ti[3][k] += c1r * k1i[k] + c1i * k1r[k];
+    }
+}
+
+/// Writes a lane group's `E` transfer sums into `out`, lane-major: entry
+/// `j` of the group's lane `k` at `out[k * E + j]`.
+#[inline(always)]
+fn store_transfer<const W: usize, const E: usize>(
+    out: &mut [C64],
+    tr: &[[f64; W]; E],
+    ti: &[[f64; W]; E],
+) {
+    for (k, lane) in out.chunks_exact_mut(E).enumerate() {
+        for (j, t) in lane.iter_mut().enumerate() {
+            *t = C64::new(tr[j][k], ti[j][k]);
+        }
+    }
+}
+
+/// One lane group's share of [`StateBatch::transfer_1q`]: lanes `start..
+/// start + W` of rows `l` lanes wide, pair halves `half` elements apart,
+/// the pairs in ascending base order.
+#[inline(always)]
+fn transfer_1q_group<const W: usize>(
+    bra: Planes,
+    ket: Planes,
+    l: usize,
+    start: usize,
+    half: usize,
+    out: &mut [C64],
+) {
+    let (mut tr, mut ti) = ([[0.0; W]; 4], [[0.0; W]; 4]);
+    for base in (0..bra.0.len()).step_by(half << 1) {
+        for e in (base + start..base + half).step_by(l) {
+            transfer_pair((&mut tr, &mut ti), bra, ket, e, e + half);
+        }
+    }
+    store_transfer(out, &tr, &ti);
+}
+
+/// One lane group's share of [`StateBatch::transfer_control_block`]: the
+/// pairs `(i | ba, i | ba | bb)` of [`transfer_1q_group`]'s kernel, for
+/// every base index `i` in ascending order (`ba`, `bb` in element space).
+#[inline(always)]
+fn transfer_control_group<const W: usize>(
+    bra: Planes,
+    ket: Planes,
+    l: usize,
+    start: usize,
+    (ba, bb): (usize, usize),
+    out: &mut [C64],
+) {
+    let (mut tr, mut ti) = ([[0.0; W]; 4], [[0.0; W]; 4]);
+    for_2q_runs!(bra.0.len(), ba, bb, |e| {
+        for c0 in (e + ba + start..e + ba + ba.min(bb)).step_by(l) {
+            transfer_pair((&mut tr, &mut ti), bra, ket, c0, c0 + bb);
+        }
+    });
+    store_transfer(out, &tr, &ti);
+}
+
+/// One lane group's share of [`StateBatch::transfer_2q`]: for every base
+/// index in ascending order, the quadruple `(i, i | bb, i | ba, i | ba |
+/// bb)` adds `t[4j + k] += conj(b_j) · k_k`, each product expanded as in
+/// [`transfer_pair`].
+#[inline(always)]
+fn transfer_2q_group<const W: usize>(
+    bra: Planes,
+    ket: Planes,
+    l: usize,
+    start: usize,
+    (ba, bb): (usize, usize),
+    out: &mut [C64],
+) {
+    let (mut tr, mut ti) = ([[0.0; W]; 16], [[0.0; W]; 16]);
+    for_2q_runs!(bra.0.len(), ba, bb, |e| {
+        for e0 in (e + start..e + ba.min(bb)).step_by(l) {
+            let rows = [e0, e0 + bb, e0 + ba, e0 + ba + bb];
+            let kr = [
+                lane_group::<W>(ket.0, rows[0]),
+                lane_group::<W>(ket.0, rows[1]),
+                lane_group::<W>(ket.0, rows[2]),
+                lane_group::<W>(ket.0, rows[3]),
+            ];
+            let ki = [
+                lane_group::<W>(ket.1, rows[0]),
+                lane_group::<W>(ket.1, rows[1]),
+                lane_group::<W>(ket.1, rows[2]),
+                lane_group::<W>(ket.1, rows[3]),
+            ];
+            for (j, &row) in rows.iter().enumerate() {
+                let (br, bi) = (lane_group::<W>(bra.0, row), lane_group::<W>(bra.1, row));
+                for kk in 0..4 {
+                    let (sr, si) = (&mut tr[4 * j + kk], &mut ti[4 * j + kk]);
+                    for k in 0..W {
+                        let (cr, ci) = (br[k], -bi[k]);
+                        sr[k] += cr * kr[kk][k] - ci * ki[kk][k];
+                        si[k] += cr * ki[kk][k] + ci * kr[kk][k];
+                    }
+                }
+            }
+        }
+    });
+    store_transfer(out, &tr, &ti);
+}
+
+/// One lane group's share of [`StateBatch::expect_z_all_lanes`]: each
+/// amplitude's `|a|²` (as [`C64::norm_sqr`]), added to or subtracted from
+/// every qubit's sum by that qubit's bit, amplitudes in ascending order.
+/// `out` holds the group's lanes, one vector of qubit values each.
+#[inline(always)]
+fn expect_z_group<const W: usize>((re, im): Planes, l: usize, start: usize, out: &mut [Vec<f64>]) {
+    let mut acc = vec![[0.0; W]; out[0].len()];
+    for (i, (rr, ri)) in re.chunks_exact(l).zip(im.chunks_exact(l)).enumerate() {
+        let (r, m) = (lane_group::<W>(rr, start), lane_group::<W>(ri, start));
+        let mut p = [0.0; W];
+        for k in 0..W {
+            p[k] = r[k] * r[k] + m[k] * m[k];
+        }
+        for (q, a) in acc.iter_mut().enumerate() {
+            if i & (1 << q) == 0 {
+                for k in 0..W {
+                    a[k] += p[k];
+                }
+            } else {
+                for k in 0..W {
+                    a[k] -= p[k];
+                }
+            }
+        }
+    }
+    for (k, lane) in out.iter_mut().enumerate() {
+        for (e, a) in lane.iter_mut().zip(&acc) {
+            *e = a[k];
+        }
+    }
+}
+
+/// One lane group's share of [`StateBatch::diag_weighted`]: for every
+/// amplitude, each lane's diagonal entry `d = Σ_q ±w_q` summed from `0.0`
+/// in ascending qubit order (`+` where the qubit's bit is clear), then
+/// the amplitude times `d` written to `out`. `w` holds one plane of `l`
+/// lane weights per qubit.
+#[inline(always)]
+fn diag_weighted_group<const W: usize>(
+    (re, im): Planes,
+    (out_re, out_im): (&mut [f64], &mut [f64]),
+    w: &[f64],
+    l: usize,
+    start: usize,
+) {
+    let mut wg = Vec::with_capacity(w.len() / l);
+    for plane in w.chunks_exact(l) {
+        wg.push(*lane_group::<W>(plane, start));
+    }
+    let rows = re
+        .chunks_exact(l)
+        .zip(im.chunks_exact(l))
+        .zip(out_re.chunks_exact_mut(l).zip(out_im.chunks_exact_mut(l)));
+    for (i, ((rr, ri), (or, oi))) in rows.enumerate() {
+        let mut d = [0.0; W];
+        for (q, wq) in wg.iter().enumerate() {
+            if i & (1 << q) == 0 {
+                for k in 0..W {
+                    d[k] += wq[k];
+                }
+            } else {
+                for k in 0..W {
+                    d[k] -= wq[k];
+                }
+            }
+        }
+        // Copied out first, so no store below can alias a load.
+        let (r, m) = (*lane_group::<W>(rr, start), *lane_group::<W>(ri, start));
+        let (o_r, o_i) = (
+            lane_group_mut::<W>(or, start),
+            lane_group_mut::<W>(oi, start),
+        );
+        for k in 0..W {
+            o_r[k] = r[k] * d[k];
+            o_i[k] = m[k] * d[k];
+        }
+    }
+}
+
 /// Flattens a [`Mat2`] into `[re, im]` pairs for the planar kernels.
 #[inline]
 fn flat2(m: &Mat2) -> [f64; 8] {
@@ -1178,11 +1411,7 @@ impl StateBatch {
     ///
     /// Panics if the qubits coincide or are out of range.
     pub fn apply_2q(&mut self, m: &Mat4, qa: usize, qb: usize) {
-        assert!(
-            qa < self.n_qubits && qb < self.n_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
+        self.assert_qubit_pair(qa, qb);
         match mat4_class(m) {
             Mat4Class::Diag => self.apply_2q_diag(m, qa, qb),
             Mat4Class::Controlled => self.apply_2q_controlled(&control_block(m), qa, qb),
@@ -1287,11 +1516,7 @@ impl StateBatch {
     /// qubit is out of range.
     pub fn apply_2q_per_lane(&mut self, ms: &[Mat4], qa: usize, qb: usize) {
         assert_eq!(ms.len(), self.lanes, "one matrix per lane");
-        assert!(
-            qa < self.n_qubits && qb < self.n_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
+        self.assert_qubit_pair(qa, qb);
         let class = mat4_class(&ms[0]);
         let uniform = ms.iter().all(|m| mat4_class(m) == class);
         match (class, uniform) {
@@ -1351,26 +1576,160 @@ impl StateBatch {
     }
 
     /// Per-lane Pauli-Z expectations: `out[lane][q]`, each lane matching
-    /// [`StateVec::expect_z_all`] bit-for-bit.
+    /// [`StateVec::expect_z_all`] bit-for-bit. One read sweep over lane
+    /// groups of at most [`LANE_CHUNK`] lanes, each compiled at its own
+    /// width with one sum per qubit and lane.
     pub fn expect_z_all_lanes(&self) -> Vec<Vec<f64>> {
-        let n = self.n_qubits;
-        let l = self.lanes;
-        let mut out = vec![vec![0.0; n]; l];
-        for i in 0..(1usize << n) {
-            let rr = &self.re[i * l..(i + 1) * l];
-            let ri = &self.im[i * l..(i + 1) * l];
-            for lane in 0..l {
-                let p = rr[lane] * rr[lane] + ri[lane] * ri[lane];
-                for (q, eq) in out[lane].iter_mut().enumerate() {
-                    if i & (1 << q) == 0 {
-                        *eq += p;
-                    } else {
-                        *eq -= p;
-                    }
-                }
-            }
-        }
+        let mut out = vec![vec![0.0; self.n_qubits]; self.lanes];
+        self.sweep_expect_z(&mut out);
         out
+    }
+
+    multiversion_sweep!(
+        sweep_expect_z / sweep_expect_z_avx2 => expect_z_body(&self, out: &mut [Vec<f64>])
+    );
+
+    #[inline(always)]
+    fn expect_z_body(&self, out: &mut [Vec<f64>]) {
+        let (l, planes) = (self.lanes, (&self.re[..], &self.im[..]));
+        for group in lane_groups(l) {
+            let (start, lanes) = (group.start, &mut out[group.clone()]);
+            by_lane_width!(group.len(), expect_z_group::<_>(planes, l, start, lanes));
+        }
+    }
+
+    /// Asserts that `ket` can pair with this batch in a transfer sweep.
+    fn assert_pairs_with(&self, ket: &StateBatch) {
+        assert_eq!(
+            (ket.n_qubits, ket.lanes),
+            (self.n_qubits, self.lanes),
+            "bra and ket batches differ in shape"
+        );
+    }
+
+    /// Per-lane transfer matrices of qubit `q`, this batch the bra: for
+    /// each lane, `T_jk = Σ_i conj(bra_j(i)) · ket_k(i)` over the amplitude
+    /// pairs `(i, i + 2^q)` in ascending base order, four entries per lane
+    /// (lane-major, `j`-major within a lane). The bracket `<bra| M |ket>`
+    /// restricted to `q` is linear in `M`, so each lane's bracket is an
+    /// O(1) projection of `M` against that lane's entries. Every lane sums
+    /// the same terms in the same order as a scalar walk of its amplitudes,
+    /// each product expanded as `conj` then [`C64`]'s `Mul`; lanes go in
+    /// groups of at most [`LANE_CHUNK`], compiled per width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ket` differs in qubits or lanes, or `q` is out of range.
+    pub(crate) fn transfer_1q(&self, ket: &StateBatch, q: usize) -> Vec<C64> {
+        self.assert_pairs_with(ket);
+        assert!(q < self.n_qubits, "qubit {} out of range", q);
+        let mut t = vec![C64::ZERO; 4 * self.lanes];
+        self.sweep_transfer_1q(ket, q, &mut t);
+        t
+    }
+
+    multiversion_sweep!(
+        sweep_transfer_1q / sweep_transfer_1q_avx2 => transfer_1q_body(&self, ket: &StateBatch, q: usize, t: &mut [C64])
+    );
+
+    #[inline(always)]
+    fn transfer_1q_body(&self, ket: &StateBatch, q: usize, t: &mut [C64]) {
+        let (l, half) = (self.lanes, (1usize << q) * self.lanes);
+        let (bra, ket) = ((&self.re[..], &self.im[..]), (&ket.re[..], &ket.im[..]));
+        for group in lane_groups(l) {
+            let (start, out) = (group.start, &mut t[4 * group.start..4 * group.end]);
+            by_lane_width!(
+                group.len(),
+                transfer_1q_group::<_>(bra, ket, l, start, half, out)
+            );
+        }
+    }
+
+    /// Two-qubit sibling of [`StateBatch::transfer_1q`] (`qa` the high bit
+    /// as in [`Mat4`]): sixteen entries per lane, `T_jk` over the amplitude
+    /// quadruples `(i, i | 2^qb, i | 2^qa, i | 2^qa | 2^qb)` the pair
+    /// couples, base indices in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ket` differs in qubits or lanes, or the qubits coincide
+    /// or are out of range.
+    pub(crate) fn transfer_2q(&self, ket: &StateBatch, qa: usize, qb: usize) -> Vec<C64> {
+        self.assert_pairs_with(ket);
+        self.assert_qubit_pair(qa, qb);
+        let mut t = vec![C64::ZERO; 16 * self.lanes];
+        self.sweep_transfer_2q(ket, qa, qb, &mut t);
+        t
+    }
+
+    multiversion_sweep!(
+        sweep_transfer_2q / sweep_transfer_2q_avx2 => transfer_2q_body(&self, ket: &StateBatch, qa: usize, qb: usize, t: &mut [C64])
+    );
+
+    #[inline(always)]
+    fn transfer_2q_body(&self, ket: &StateBatch, qa: usize, qb: usize, t: &mut [C64]) {
+        let l = self.lanes;
+        let bits = ((1usize << qa) * l, (1usize << qb) * l);
+        let (bra, ket) = ((&self.re[..], &self.im[..]), (&ket.re[..], &ket.im[..]));
+        for group in lane_groups(l) {
+            let (start, out) = (group.start, &mut t[16 * group.start..16 * group.end]);
+            by_lane_width!(
+                group.len(),
+                transfer_2q_group::<_>(bra, ket, l, start, bits, out)
+            );
+        }
+    }
+
+    /// The control-1 block of [`StateBatch::transfer_2q`]: its entries 10,
+    /// 11, 14 and 15 (`T_jk` for `j, k` in `{2, 3}`), four per lane,
+    /// summed over the pairs `(i | 2^qa, i | 2^qa | 2^qb)` alone. Each is
+    /// the sweep's own sum, term for term and in the same order, so it
+    /// equals that entry of the full sweep bit for bit. A derivative
+    /// matrix that is zero outside this block (every controlled gate's)
+    /// needs no other entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ket` differs in qubits or lanes, or the qubits coincide
+    /// or are out of range.
+    pub(crate) fn transfer_control_block(
+        &self,
+        ket: &StateBatch,
+        qa: usize,
+        qb: usize,
+    ) -> Vec<C64> {
+        self.assert_pairs_with(ket);
+        self.assert_qubit_pair(qa, qb);
+        let mut t = vec![C64::ZERO; 4 * self.lanes];
+        self.sweep_transfer_control_block(ket, qa, qb, &mut t);
+        t
+    }
+
+    multiversion_sweep!(
+        sweep_transfer_control_block / sweep_transfer_control_block_avx2 => transfer_control_block_body(&self, ket: &StateBatch, qa: usize, qb: usize, t: &mut [C64])
+    );
+
+    #[inline(always)]
+    fn transfer_control_block_body(&self, ket: &StateBatch, qa: usize, qb: usize, t: &mut [C64]) {
+        let l = self.lanes;
+        let bits = ((1usize << qa) * l, (1usize << qb) * l);
+        let (bra, ket) = ((&self.re[..], &self.im[..]), (&ket.re[..], &ket.im[..]));
+        for group in lane_groups(l) {
+            let (start, out) = (group.start, &mut t[4 * group.start..4 * group.end]);
+            by_lane_width!(
+                group.len(),
+                transfer_control_group::<_>(bra, ket, l, start, bits, out)
+            );
+        }
+    }
+
+    /// Asserts that `(qa, qb)` names two distinct qubits of the batch.
+    fn assert_qubit_pair(&self, qa: usize, qb: usize) {
+        assert!(
+            qa < self.n_qubits && qb < self.n_qubits,
+            "qubit out of range"
+        );
+        assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
     }
 
     /// For every lane, two sums over the same terms `|(K ψ)_i|²` of the
@@ -1415,9 +1774,8 @@ impl StateBatch {
         let m = flat2(k);
         let (l, half) = (self.lanes, (1usize << q) * self.lanes);
         let planes = (&self.re[..], &self.im[..]);
-        let mut start = 0;
-        while start < l {
-            let group = start..(start + LANE_CHUNK).min(l);
+        for group in lane_groups(l) {
+            let start = group.start;
             let (p, n) = (&mut probs[group.clone()], &mut norms[group.clone()]);
             if real_diag {
                 by_lane_width!(
@@ -1430,7 +1788,6 @@ impl StateBatch {
                     born_and_norm_group::<_, false>(planes, l, start, half, &m, p, n)
                 );
             }
-            start = group.end;
         }
     }
 
@@ -1472,9 +1829,8 @@ impl StateBatch {
     #[inline(always)]
     fn diag_normalized_body(&mut self, diag: [Option<C64>; 2], q: usize, norms: &[f64]) {
         let (l, half) = (self.lanes, (1usize << q) * self.lanes);
-        let mut start = 0;
-        while start < l {
-            let group = start..(start + LANE_CHUNK).min(l);
+        for group in lane_groups(l) {
+            let start = group.start;
             let mut scale = [0.0; LANE_CHUNK];
             let scale = &mut scale[..group.len()];
             for (s, &n) in scale.iter_mut().zip(&norms[group.clone()]) {
@@ -1486,38 +1842,56 @@ impl StateBatch {
                 group.len(),
                 diag_scale_group::<_>(planes, l, start, half, diag, scale)
             );
-            start = group.end;
         }
     }
 
-    /// Scales every amplitude of lane `lane` by the diagonal of the
-    /// weighted-Z observable with `weights[lane]` — the batched analogue of
-    /// `DiagObservable::apply`, evaluated per basis index in the same
-    /// ascending-qubit order.
+    /// `D_w ψ` for every lane, as a new batch: lane `lane` of the result
+    /// is that lane's state scaled by the diagonal of the weighted-Z
+    /// observable `Σ_q weights[lane][q] Z_q`, bit-identical to
+    /// [`DiagObservable::apply`](crate::DiagObservable) on the lane's
+    /// state (the entry summed per basis index in ascending qubit order).
+    /// One sweep reads this batch and writes the result, in lane groups of
+    /// at most [`LANE_CHUNK`] compiled per width. The batched adjoint
+    /// seeds its bra this way.
     ///
     /// # Panics
     ///
     /// Panics if `weights` does not hold one weight vector of length
     /// `num_qubits()` per lane.
-    pub fn apply_diag_weights(&mut self, weights: &[Vec<f64>]) {
+    pub fn diag_weighted(&self, weights: &[Vec<f64>]) -> StateBatch {
         assert_eq!(weights.len(), self.lanes, "one weight vector per lane");
-        for w in weights {
-            assert_eq!(w.len(), self.n_qubits, "one weight per qubit");
-        }
-        let l = self.lanes;
-        for i in 0..1usize << self.n_qubits {
-            for (lane, w) in weights.iter().enumerate() {
-                let mut d = 0.0;
-                for (q, wq) in w.iter().enumerate() {
-                    if i & (1 << q) == 0 {
-                        d += wq;
-                    } else {
-                        d -= wq;
-                    }
-                }
-                let e = i * l + lane;
-                self.set(e, self.amp(e).scale(d));
+        let n = self.n_qubits;
+        // Qubit-major weight planes: `w[q * lanes + lane]`.
+        let mut w = vec![0.0; n * self.lanes];
+        for (lane, wl) in weights.iter().enumerate() {
+            assert_eq!(wl.len(), n, "one weight per qubit");
+            for (q, &wq) in wl.iter().enumerate() {
+                w[q * self.lanes + lane] = wq;
             }
+        }
+        let mut out = StateBatch {
+            n_qubits: n,
+            lanes: self.lanes,
+            re: vec![0.0; self.re.len()],
+            im: vec![0.0; self.im.len()],
+        };
+        self.sweep_diag_weighted(&w, &mut out.re, &mut out.im);
+        out
+    }
+
+    multiversion_sweep!(
+        sweep_diag_weighted / sweep_diag_weighted_avx2 => diag_weighted_body(&self, w: &[f64], out_re: &mut [f64], out_im: &mut [f64])
+    );
+
+    #[inline(always)]
+    fn diag_weighted_body(&self, w: &[f64], out_re: &mut [f64], out_im: &mut [f64]) {
+        let (l, planes) = (self.lanes, (&self.re[..], &self.im[..]));
+        for group in lane_groups(l) {
+            let (start, out) = (group.start, (&mut *out_re, &mut *out_im));
+            by_lane_width!(
+                group.len(),
+                diag_weighted_group::<_>(planes, out, w, l, start)
+            );
         }
     }
 }
@@ -1877,33 +2251,121 @@ mod tests {
         }
     }
 
+    /// Lane counts that run every group shape: one lane, a partial group,
+    /// one full group, a full group plus a one-lane tail, two full groups
+    /// plus a tail.
+    const GROUP_SHAPES: [usize; 5] = [1, 5, 16, 17, 33];
+
+    /// Writes signed zeros into two lanes of `batch`: lane 0's real parts
+    /// become -0 (a purely imaginary state), and one lane becomes a
+    /// zero state with zeros of both signs.
+    fn sign_zeros(batch: &mut StateBatch) {
+        let (n, lanes) = (batch.num_qubits(), batch.lanes());
+        let zero = lanes / 2;
+        for i in 0..1usize << n {
+            batch.re[i * lanes] = -0.0;
+            let sign = if i % 2 == 0 { 0.0 } else { -0.0 };
+            batch.re[i * lanes + zero] = sign;
+            batch.im[i * lanes + zero] = -sign;
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn c64_bits(xs: &[C64]) -> Vec<(u64, u64)> {
+        xs.iter()
+            .map(|x| (x.re.to_bits(), x.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn expect_z_all_lanes_matches_single_state() {
-        let (mut batch, mut singles) = scrambled(3, 4, 12);
-        batch.apply_1q(&Mat2::hadamard(), 0);
-        for s in &mut singles {
-            s.apply_1q(&Mat2::hadamard(), 0);
-        }
-        let ez = batch.expect_z_all_lanes();
-        for (lane, s) in singles.iter().enumerate() {
-            assert_eq!(ez[lane], s.expect_z_all(), "lane {lane}");
+        for n in 1..=6 {
+            for lanes in GROUP_SHAPES {
+                let (mut batch, _) = scrambled(n, lanes, (10 * n + lanes) as u64);
+                batch.apply_1q(&Mat2::hadamard(), 0);
+                sign_zeros(&mut batch);
+                let ez = batch.expect_z_all_lanes();
+                assert_eq!(ez, scalar::expect_z_all_lanes(&batch));
+                for (lane, e) in ez.iter().enumerate() {
+                    let want = batch.lane_state(lane).expect_z_all();
+                    assert_eq!(
+                        bits(e),
+                        bits(&want),
+                        "{n} qubits, {lanes} lanes: lane {lane}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn apply_diag_weights_matches_diag_observable() {
+    fn diag_weighted_matches_diag_observable() {
         use crate::{DiagObservable, Observable as _};
-        let (mut batch, singles) = scrambled(3, 2, 4);
-        let weights = vec![vec![0.3, -0.9, 1.1], vec![-0.5, 0.2, 0.7]];
-        batch.apply_diag_weights(&weights);
-        for (lane, s) in singles.iter().enumerate() {
-            let obs = DiagObservable::new(weights[lane].clone());
-            let expected = obs.apply(s);
-            assert_eq!(
-                batch.lane_state(lane).amplitudes(),
-                expected.amplitudes(),
-                "lane {lane}"
-            );
+        let mut rng = StdRng::seed_from_u64(4);
+        for n in 1..=6 {
+            for lanes in GROUP_SHAPES {
+                let (mut batch, _) = scrambled(n, lanes, (20 * n + lanes) as u64);
+                sign_zeros(&mut batch);
+                // Random weights, with a -0 weight and a weight vector
+                // whose entries cancel on some basis index.
+                let mut weights: Vec<Vec<f64>> = (0..lanes)
+                    .map(|_| (0..n).map(|_| rng.gen_range(-1.5..1.5)).collect())
+                    .collect();
+                weights[0][0] = -0.0;
+                weights[lanes - 1] = (0..n)
+                    .map(|q| if q % 2 == 0 { 0.25 } else { -0.25 })
+                    .collect();
+                let lam = batch.diag_weighted(&weights);
+                assert_eq!(lam, scalar::diag_weighted(&batch, &weights));
+                for (lane, w) in weights.iter().enumerate() {
+                    let want = DiagObservable::new(w.clone()).apply(&batch.lane_state(lane));
+                    let label = format!("{n} qubits, {lanes} lanes: lane {lane}");
+                    assert_eq!(amp_bits(&lam.lane_state(lane)), amp_bits(&want), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_sweeps_match_the_scalar_loops_bitwise() {
+        for n in 1..=6 {
+            for lanes in GROUP_SHAPES {
+                let seed = (30 * n + lanes) as u64;
+                let (mut bra, _) = scrambled(n, lanes, seed);
+                let (mut ket, _) = scrambled(n, lanes, seed + 1);
+                sign_zeros(&mut bra);
+                sign_zeros(&mut ket);
+                for q in 0..n {
+                    assert_eq!(
+                        c64_bits(&bra.transfer_1q(&ket, q)),
+                        c64_bits(&scalar::transfer_1q(&bra, &ket, q)),
+                        "{n} qubits, {lanes} lanes, q {q}"
+                    );
+                }
+                for qa in 0..n {
+                    for qb in (0..n).filter(|&qb| qb != qa) {
+                        let label = format!("{n} qubits, {lanes} lanes, q ({qa}, {qb})");
+                        let full = scalar::transfer_2q(&bra, &ket, qa, qb);
+                        assert_eq!(
+                            c64_bits(&bra.transfer_2q(&ket, qa, qb)),
+                            c64_bits(&full),
+                            "{label}"
+                        );
+                        let block: Vec<C64> = full
+                            .chunks_exact(16)
+                            .flat_map(|t| [t[10], t[11], t[14], t[15]])
+                            .collect();
+                        assert_eq!(
+                            c64_bits(&bra.transfer_control_block(&ket, qa, qb)),
+                            c64_bits(&block),
+                            "{label}: control block"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1912,5 +2374,114 @@ mod tests {
     fn lane_out_of_range_panics() {
         let mut b = StateBatch::zero_state(1, 2);
         b.set_lane(2, &StateVec::zero_state(1));
+    }
+}
+
+/// The scalar loops the planar read sweeps replaced, one amplitude and one
+/// lane at a time in [`C64`] arithmetic: the bitwise oracles the sweeps'
+/// tests (here and in the batched adjoint's) hold them to.
+#[cfg(test)]
+pub(crate) mod scalar {
+    use super::StateBatch;
+    use qns_tensor::C64;
+
+    /// Per-lane `T_jk = Σ_i conj(bra_j(i)) · ket_k(i)` over the pairs
+    /// `(i, i + 2^q)`, four entries per lane.
+    pub(crate) fn transfer_1q(bra: &StateBatch, ket: &StateBatch, q: usize) -> Vec<C64> {
+        let l = bra.lanes();
+        let stride = 1usize << q;
+        let len = 1usize << bra.num_qubits();
+        let mut t = vec![C64::ZERO; 4 * l];
+        let mut base = 0;
+        while base < len {
+            for i in base..base + stride {
+                let e0 = i * l;
+                let e1 = (i + stride) * l;
+                for (lane, tl) in t.chunks_exact_mut(4).enumerate() {
+                    let k0 = ket.amp(e0 + lane);
+                    let k1 = ket.amp(e1 + lane);
+                    let b0 = bra.amp(e0 + lane).conj();
+                    let b1 = bra.amp(e1 + lane).conj();
+                    tl[0] += b0 * k0;
+                    tl[1] += b0 * k1;
+                    tl[2] += b1 * k0;
+                    tl[3] += b1 * k1;
+                }
+            }
+            base += stride << 1;
+        }
+        t
+    }
+
+    /// Sixteen entries per lane over the quadruples `(qa, qb)` couples.
+    pub(crate) fn transfer_2q(
+        bra: &StateBatch,
+        ket: &StateBatch,
+        qa: usize,
+        qb: usize,
+    ) -> Vec<C64> {
+        let l = bra.lanes();
+        let ba = 1usize << qa;
+        let bb = 1usize << qb;
+        let mask = ba | bb;
+        let len = 1usize << bra.num_qubits();
+        let mut t = vec![C64::ZERO; 16 * l];
+        for i in 0..len {
+            if i & mask != 0 {
+                continue;
+            }
+            let idx = [i, i | bb, i | ba, i | mask];
+            for (lane, tl) in t.chunks_exact_mut(16).enumerate() {
+                let v = idx.map(|x| ket.amp(x * l + lane));
+                let bc = idx.map(|x| bra.amp(x * l + lane).conj());
+                for j in 0..4 {
+                    for (kk, &vk) in v.iter().enumerate() {
+                        tl[j * 4 + kk] += bc[j] * vk;
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// Per-lane `<Z_q>`, amplitudes in ascending order.
+    pub(crate) fn expect_z_all_lanes(batch: &StateBatch) -> Vec<Vec<f64>> {
+        let n = batch.num_qubits();
+        let l = batch.lanes();
+        let mut out = vec![vec![0.0; n]; l];
+        for i in 0..(1usize << n) {
+            for (lane, eq_lane) in out.iter_mut().enumerate() {
+                let p = batch.amp(i * l + lane).norm_sqr();
+                for (q, eq) in eq_lane.iter_mut().enumerate() {
+                    if i & (1 << q) == 0 {
+                        *eq += p;
+                    } else {
+                        *eq -= p;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A copy of `batch` with each lane scaled by its weighted-Z diagonal.
+    pub(crate) fn diag_weighted(batch: &StateBatch, weights: &[Vec<f64>]) -> StateBatch {
+        let mut out = batch.clone();
+        let l = batch.lanes();
+        for i in 0..1usize << batch.num_qubits() {
+            for (lane, w) in weights.iter().enumerate() {
+                let mut d = 0.0;
+                for (q, wq) in w.iter().enumerate() {
+                    if i & (1 << q) == 0 {
+                        d += wq;
+                    } else {
+                        d -= wq;
+                    }
+                }
+                let e = i * l + lane;
+                out.set(e, batch.amp(e).scale(d));
+            }
+        }
+        out
     }
 }

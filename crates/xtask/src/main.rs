@@ -46,6 +46,11 @@ const SWEEP_ANCHORS: &[&str] = &[
     "sweep_2q_perlane_general",
     "sweep_kraus_prob_and_norm",
     "sweep_1q_diag_normalized",
+    "sweep_expect_z",
+    "sweep_diag_weighted",
+    "sweep_transfer_1q",
+    "sweep_transfer_2q",
+    "sweep_transfer_control_block",
 ];
 
 fn run_asm_check(flags: &[String]) -> ExitCode {

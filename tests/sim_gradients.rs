@@ -5,7 +5,7 @@
 //! once, and replays only the dirty blocks per shifted parameter set.
 //! These tests pin it against central finite differences (1e-6) and
 //! demand bit-identity with N independent shifted runs. The last test
-//! pins the bits that three short training runs produce through the
+//! pins the bits that four short training runs produce through the
 //! adjoint engines.
 
 use qns_chem::Molecule;
@@ -137,7 +137,7 @@ fn bits_digest(xs: &[f64]) -> u64 {
 
 /// Per run: parameter count, digest of the final parameters' bits, and
 /// the bits of the loss (or energy) history.
-const PINNED_TRAINING: [(&str, usize, u64, &[u64]); 3] = [
+const PINNED_TRAINING: [(&str, usize, u64, &[u64]); 4] = [
     (
         "train_task mnist4",
         48,
@@ -169,14 +169,22 @@ const PINNED_TRAINING: [(&str, usize, u64, &[u64]); 3] = [
             0xbfbb2cdb76008e35,
         ],
     ),
+    (
+        "train_task mnist4 10q",
+        120,
+        0x189156d232a673f7,
+        &[0x3ff90c50e388ea3f, 0x3ff8d3a5ecf83575],
+    ),
 ];
 
-/// Pins the final parameters and loss history of three short training
+/// Pins the final parameters and loss history of four short training
 /// runs, bit for bit: from-scratch training of a 4-qubit MNIST-4
 /// SubCircuit (encoder + 2-block U3+CU3; 36 training samples at batch 16,
 /// so each epoch ends on a ragged batch of 4), SuperCircuit training
-/// (6 steps, batch 8), and VQE on H₂, which takes the single-state
-/// adjoint path.
+/// (6 steps, batch 8), VQE on H₂, which takes the single-state adjoint
+/// path, and the 10-qubit SubCircuit (6×6 encoder + 2-block U3+CU3) for
+/// two epochs of one 24-sample minibatch, whose 24 lanes sweep as lane
+/// groups of 16 and 8.
 #[test]
 fn training_outputs_are_pinned() {
     let task = Task::qml_digits(&[0, 1, 2, 3], 12, 4, 5);
@@ -211,10 +219,27 @@ fn training_outputs_are_pinned() {
         seed: 6,
         ..TrainConfig::default()
     };
+    let wide = Task::qml_digits(&[0, 1, 2, 3], 8, 6, 7);
+    let Task::Qml {
+        splits, encoder, ..
+    } = &wide
+    else {
+        unreachable!("qml_digits builds a QML task")
+    };
+    assert_eq!(splits.train.num_samples(), 24, "one 24-lane minibatch");
+    let wide_sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 10, 2);
+    let wide_circuit = wide_sc.build(&wide_sc.max_config(), Some(encoder));
+    let wide_config = TrainConfig {
+        epochs: 2,
+        batch_size: 24,
+        seed: 8,
+        ..TrainConfig::default()
+    };
     let runs = [
         train_task(&circuit, &task, &scratch, None),
         train_supercircuit(&sc, &task, &supercircuit),
         train_task(&ansatz, &h2, &vqe, None),
+        train_task(&wide_circuit, &wide, &wide_config, None),
     ];
     for ((params, history), (label, n_params, digest, history_bits)) in
         runs.iter().zip(PINNED_TRAINING)
